@@ -1,0 +1,96 @@
+"""Byte-for-byte pin of what the CLI prints and writes for the bundled data.
+
+The pinned files under tests/data/golden/ are the run files and stdout of
+`answer --dataset` over questions.json and demo_gold.json (model from
+`train-type --seed 42`), the `eval --out` metrics for demo_gold, and the
+stdout of `retrieve-docs` and `retrieve-passages` for a few bundled
+questions. They change only on purpose: regenerate them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in CHANGES.md why the output moved.
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from bioqa import ingest
+from bioqa.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
+RESOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "bioqa" / "resources"
+DATASETS = ("questions", "demo_gold")
+RETRIEVE_QUESTIONS = (0, 5, 12, 20)  # indices into questions.json
+
+
+def _stdout_of(argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code != 0:
+        raise AssertionError(f"bioqa {' '.join(argv)} exited {code}")
+    return out.getvalue().encode("utf-8")
+
+
+def generate(workdir: Path) -> dict[str, bytes]:
+    """Every pinned output, by file name, produced through bioqa.cli.main."""
+    model = str(workdir / "type.json")
+    _stdout_of(["train-type", "--seed", "42", "--out", model])
+    outputs = {}
+    for name in DATASETS:
+        dataset = str(RESOURCE_DIR / f"{name}.json")
+        run = workdir / f"{name}.run.json"
+        outputs[f"answer_{name}.stdout"] = _stdout_of(
+            ["answer", "--model", model, "--dataset", dataset, "--out", str(run)]
+        )
+        outputs[f"answer_{name}.run.json"] = run.read_bytes()
+    outputs["answer_questions.text.stdout"] = _stdout_of(
+        ["answer", "--model", model, "--dataset", str(RESOURCE_DIR / "questions.json"), "--format", "text"]
+    )
+    metrics = workdir / "eval_demo_gold.json"
+    _stdout_of(["eval", "--gold", str(RESOURCE_DIR / "demo_gold.json"),
+                "--run", str(workdir / "demo_gold.run.json"), "--out", str(metrics)])
+    outputs["eval_demo_gold.json"] = metrics.read_bytes()
+
+    bodies = [q.body for q in ingest.load_questions(RESOURCE_DIR / "questions.json").questions]
+    for command in ("retrieve-docs", "retrieve-passages"):
+        for fmt in ("json", "text"):
+            outputs[f"{command}.{fmt}.stdout"] = b"".join(
+                _stdout_of([command, "--format", fmt, "--question", bodies[i]]) for i in RETRIEVE_QUESTIONS
+            )
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def regenerated(tmp_path_factory):
+    return generate(tmp_path_factory.mktemp("golden"))
+
+
+def test_pin_covers_every_output(regenerated):
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(regenerated)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.glob("*")))
+def test_output_is_byte_identical(regenerated, name):
+    assert regenerated[name] == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_demo_metrics(regenerated):
+    metrics = json.loads(regenerated["eval_demo_gold.json"])["metrics"]
+    assert metrics["yesno_accuracy"] == 0.0  # the negation case the README keeps visible
+    assert metrics["list_f1"] == pytest.approx(0.4)
+    assert metrics["snippets_f1"] == pytest.approx(0.444, abs=5e-4)
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for file_name, data in generate(Path(tmp)).items():
+            (GOLDEN_DIR / file_name).write_bytes(data)
+            print(f"wrote {GOLDEN_DIR / file_name} ({len(data)} bytes)", file=sys.stderr)
