@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .conceptlex import (
-    ConceptGraph,
     ConceptLexicon,
     SentimentLexicon,
     coarse_tag_class,
@@ -30,6 +29,8 @@ from .retrieval import (
     DocumentRecord,
     IndexedCorpus,
     PassageCandidate,
+    Query,
+    ScoredDoc,
     ScoredPassage,
     extract_passages,
     formulate_query,
@@ -187,6 +188,41 @@ class PipelineConfig:
     list_cap: int = DEFAULT_LIST_CAP
 
 
+@dataclass
+class Retrieved:
+    """What retrieval made of one question: its query, whether the search
+    fell back to any-term matching, the reranked top documents and the
+    ranked sentence passages from them."""
+
+    query: Query
+    relaxed: bool
+    documents: list[ScoredDoc]
+    passages: list[ScoredPassage]
+
+
+def retrieve(
+    question: str,
+    documents: dict[str, DocumentRecord],
+    index: IndexedCorpus,
+    resources,
+    config: PipelineConfig,
+) -> Retrieved:
+    """concept query -> BM25 search -> title rerank -> sentence BM25.
+
+    Search hits missing from documents are skipped.
+    """
+    lexicon, stopwords = resources.concept_lexicon, resources.stopwords
+    query = formulate_query(question, lexicon, stopwords)
+    result = search(index, query, config.retrieve_depth, stopwords, lexicon, k1=config.k1, b=config.b)
+    found = [documents[sd.doc_id] for sd in result.docs if sd.doc_id in documents]
+    reranked = rerank_documents(question, found, lexicon, resources.graph, config.top_docs)
+    candidates = extract_passages([documents[sd.doc_id] for sd in reranked], resources.abbreviations)
+    passages = rank_passages(
+        question, candidates, stopwords, lexicon, k1=config.k1, b=config.b, top_n=config.top_passages
+    )
+    return Retrieved(query, result.relaxed, reranked, passages)
+
+
 def answer_pipeline(
     question: str,
     documents: dict[str, DocumentRecord],
@@ -195,7 +231,7 @@ def answer_pipeline(
     resources,
     config: PipelineConfig | None = None,
 ) -> FullAnswer:
-    """classify -> retrieve -> rerank -> passages -> type-specific answer.
+    """classify -> retrieve -> type-specific answer.
 
     resources is a loaded ResourceBundle; everything it carries must be
     present before any retrieval starts.
@@ -209,24 +245,10 @@ def answer_pipeline(
     question_type = classify_type(model, question, extractor)
 
     flags: list[str] = []
-    query = formulate_query(question, resources.concept_lexicon, resources.stopwords)
-    result = search(
-        index, query, config.retrieve_depth, resources.stopwords, resources.concept_lexicon,
-        k1=config.k1, b=config.b,
-    )
-    if result.relaxed:
+    retrieved = retrieve(question, documents, index, resources, config)
+    if retrieved.relaxed:
         flags.append("search_relaxed")
-    retrieved = [documents[sd.doc_id] for sd in result.docs if sd.doc_id in documents]
-    reranked = rerank_documents(
-        question, retrieved, resources.concept_lexicon, resources.graph, config.top_docs
-    )
-    by_id = {d.doc_id: d for d in retrieved}
-    top_docs = [by_id[sd.doc_id] for sd in reranked]
-    candidates = extract_passages(top_docs, resources.abbreviations)
-    supporting = rank_passages(
-        question, candidates, resources.stopwords, resources.concept_lexicon,
-        k1=config.k1, b=config.b, top_n=config.top_passages,
-    )
+    supporting = retrieved.passages
     if not supporting:
         flags.append("no_passages")
     passage_texts = [sp.passage.text for sp in supporting]

@@ -8,6 +8,7 @@ step takes --seed and defaults to 42.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,10 +32,18 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--manifest", default=d(str(ingest.default_manifest_path())),
                         help="resource manifest (default: bundled mini resources)")
     parser.add_argument("--index", default=d(None),
-                        help="path to a saved index (built from the corpus when omitted)")
+                        help="path to an existing saved index (built from the corpus when omitted)")
     parser.add_argument("--model", default=d(None), help="path to a saved model")
     parser.add_argument("--seed", type=int, default=d(42))
     parser.add_argument("--format", choices=("json", "text"), default=d("json"))
+
+
+def _add_stage_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
+    """One flag per named PipelineConfig field (top_docs -> --top-docs), with its default."""
+    defaults = PipelineConfig()
+    for name in fields:
+        default = getattr(defaults, name)
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("index", help="build the document index and save it")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("document", "passage"), default="document")
 
     p = add_parser("train-type", help="train the question type model")
     p.add_argument("--questions", help="typed question dataset (default: bundled)")
@@ -73,30 +81,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("retrieve-docs", help="concept query + search + rerank")
     p.add_argument("--question", required=True)
-    p.add_argument("--retrieve-depth", type=int, default=retrieval.DEFAULT_RETRIEVE_DEPTH)
-    p.add_argument("--top-docs", type=int, default=retrieval.DEFAULT_TOP_DOCS)
-    p.add_argument("--k1", type=float, default=retrieval.DEFAULT_K1)
-    p.add_argument("--b", type=float, default=retrieval.DEFAULT_B)
+    _add_stage_flags(p, "retrieve_depth", "top_docs", "k1", "b")
 
     p = add_parser("retrieve-passages", help="sentence passages ranked for a question")
     p.add_argument("--question", required=True)
-    p.add_argument("--retrieve-depth", type=int, default=retrieval.DEFAULT_RETRIEVE_DEPTH)
-    p.add_argument("--top-docs", type=int, default=retrieval.DEFAULT_TOP_DOCS)
-    p.add_argument("--top-passages", type=int, default=retrieval.DEFAULT_TOP_PASSAGES)
-    p.add_argument("--k1", type=float, default=retrieval.DEFAULT_K1)
-    p.add_argument("--b", type=float, default=retrieval.DEFAULT_B)
+    _add_stage_flags(p, "retrieve_depth", "top_docs", "top_passages", "k1", "b")
 
     p = add_parser("answer", help="full pipeline for one question or a dataset")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--question")
     group.add_argument("--dataset")
     p.add_argument("--out", help="write a run file accepted by eval")
-    p.add_argument("--retrieve-depth", type=int, default=retrieval.DEFAULT_RETRIEVE_DEPTH)
-    p.add_argument("--top-docs", type=int, default=retrieval.DEFAULT_TOP_DOCS)
-    p.add_argument("--top-passages", type=int, default=retrieval.DEFAULT_TOP_PASSAGES)
-    p.add_argument("--k1", type=float, default=retrieval.DEFAULT_K1)
-    p.add_argument("--b", type=float, default=retrieval.DEFAULT_B)
-    p.add_argument("--list-cap", type=int, default=answer_mod.DEFAULT_LIST_CAP)
+    _add_stage_flags(p, "retrieve_depth", "top_docs", "top_passages", "k1", "b", "list_cap")
 
     p = add_parser("eval", help="score a run file against gold data")
     p.add_argument("--gold", required=True)
@@ -132,11 +128,31 @@ def _load_corpus_docs(bundle):
     return {d.doc_id: d for d in docs}
 
 
-def _document_index(args, bundle, documents):
-    if args.index and Path(args.index).exists():
-        return ingest.load_index(args.index)
+def _build_document_index(bundle, documents):
     units = [(d.doc_id, f"{d.title} {d.abstract}") for d in documents.values()]
     return retrieval.build_index(units, "document", bundle.stopwords, bundle.concept_lexicon)
+
+
+def _load_retrieval_state(args):
+    """Resources, documents by id, and the --index file or an index built from the corpus."""
+    bundle = _load_bundle(args)
+    documents = _load_corpus_docs(bundle)
+    # A named index that does not exist is an error, never a silent rebuild.
+    index = ingest.load_index(args.index) if args.index else _build_document_index(bundle, documents)
+    return bundle, documents, index
+
+
+def _pipeline_config(args) -> PipelineConfig:
+    """PipelineConfig from the command's stage flags; defaults for the flags it lacks."""
+    return PipelineConfig(**{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig) if hasattr(args, f.name)
+    })
+
+
+def _question_rows(args) -> list[tuple[str, str]]:
+    if args.question is not None:
+        return [("question-1", args.question)]
+    return [(q.id, q.body) for q in ingest.load_questions(args.dataset).questions]
 
 
 def _emit(args, payload, text_renderer=None):
@@ -163,13 +179,7 @@ def cmd_validate(args) -> int:
 
 def cmd_index(args) -> int:
     bundle = _load_bundle(args)
-    documents = _load_corpus_docs(bundle)
-    if args.mode == "passage":
-        candidates = retrieval.extract_passages(list(documents.values()), bundle.abbreviations)
-        units = [(f"{c.doc_id}#{c.sent_index}", c.text) for c in candidates]
-    else:
-        units = [(d.doc_id, f"{d.title} {d.abstract}") for d in documents.values()]
-    index = retrieval.build_index(units, args.mode, bundle.stopwords, bundle.concept_lexicon)
+    index = _build_document_index(bundle, _load_corpus_docs(bundle))
     ingest.save_index(index, args.out)
     _emit(args, {"indexed_units": index.n_units, "mode": index.mode, "out": args.out})
     return 0
@@ -226,15 +236,18 @@ def _require_model(args):
     return qclass.load_model(args.model)
 
 
+def _require_type_model(args):
+    model = _require_model(args)
+    if isinstance(model, qclass.TopicModelSet):
+        raise CliError(f"{args.command} needs a question type model, not a topics model")
+    return model
+
+
 def cmd_classify(args) -> int:
     bundle = _load_bundle(args)
     model = _require_model(args)
     extractor = FeatureExtractor(bundle.tag_lexicon, bundle.patterns)
-    if args.question is not None:
-        rows = [("question-1", args.question)]
-    else:
-        rows = [(q.id, q.body) for q in ingest.load_questions(args.dataset).questions]
-    for qid, body in rows:
+    for qid, body in _question_rows(args):
         if isinstance(model, qclass.TopicModelSet):
             features = qclass.extract_topic_features(
                 body, {"BOW", "BOB", "BOS", "BOCST"},
@@ -249,66 +262,34 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _retrieve(args) -> answer_mod.Retrieved:
+    bundle, documents, index = _load_retrieval_state(args)
+    return answer_mod.retrieve(args.question, documents, index, bundle, _pipeline_config(args))
+
+
 def cmd_retrieve_docs(args) -> int:
-    bundle = _load_bundle(args)
-    documents = _load_corpus_docs(bundle)
-    index = _document_index(args, bundle, documents)
-    query = retrieval.formulate_query(args.question, bundle.concept_lexicon, bundle.stopwords)
-    result = retrieval.search(index, query, args.retrieve_depth, bundle.stopwords,
-                              bundle.concept_lexicon, k1=args.k1, b=args.b)
-    retrieved = [documents[sd.doc_id] for sd in result.docs if sd.doc_id in documents]
-    reranked = retrieval.rerank_documents(args.question, retrieved, bundle.concept_lexicon,
-                                          bundle.graph, args.top_docs)
+    got = _retrieve(args)
     payload = {
         "question": args.question,
-        "query": {"concept_terms": list(query.concept_terms), "raw_terms": list(query.raw_terms)},
-        "relaxed": result.relaxed,
-        "documents": [{"document": sd.doc_id, "score": sd.score, "rank": sd.rank} for sd in reranked],
+        "query": {"concept_terms": list(got.query.concept_terms), "raw_terms": list(got.query.raw_terms)},
+        "relaxed": got.relaxed,
+        "documents": [{"document": sd.doc_id, "score": sd.score, "rank": sd.rank} for sd in got.documents],
     }
     _emit(args, payload, lambda r: "\n".join(f"{d['rank']:>3}  {d['document']}  {d['score']:.4f}" for d in r["documents"]))
     return 0
 
 
-def _retrieve_passages(args, bundle, documents, index):
-    query = retrieval.formulate_query(args.question, bundle.concept_lexicon, bundle.stopwords)
-    result = retrieval.search(index, query, args.retrieve_depth, bundle.stopwords,
-                              bundle.concept_lexicon, k1=args.k1, b=args.b)
-    retrieved = [documents[sd.doc_id] for sd in result.docs if sd.doc_id in documents]
-    reranked = retrieval.rerank_documents(args.question, retrieved, bundle.concept_lexicon,
-                                          bundle.graph, args.top_docs)
-    by_id = {d.doc_id: d for d in retrieved}
-    top_docs = [by_id[sd.doc_id] for sd in reranked]
-    candidates = retrieval.extract_passages(top_docs, bundle.abbreviations)
-    return retrieval.rank_passages(args.question, candidates, bundle.stopwords,
-                                   bundle.concept_lexicon, k1=args.k1, b=args.b,
-                                   top_n=args.top_passages)
-
-
 def cmd_retrieve_passages(args) -> int:
-    bundle = _load_bundle(args)
-    documents = _load_corpus_docs(bundle)
-    index = _document_index(args, bundle, documents)
-    ranked = _retrieve_passages(args, bundle, documents, index)
+    got = _retrieve(args)
     payload = {
         "question": args.question,
         "passages": [
             {"document": sp.passage.doc_id, "text": sp.passage.text, "rank": sp.rank, "score": sp.score}
-            for sp in ranked
+            for sp in got.passages
         ],
     }
     _emit(args, payload, lambda r: "\n".join(f"{p['rank']:>3}  ({p['document']})  {p['text']}" for p in r["passages"]))
     return 0
-
-
-def _pipeline_config(args) -> PipelineConfig:
-    return PipelineConfig(
-        retrieve_depth=args.retrieve_depth,
-        top_docs=args.top_docs,
-        top_passages=args.top_passages,
-        k1=args.k1,
-        b=args.b,
-        list_cap=args.list_cap,
-    )
 
 
 def _render_answer(obj: dict) -> str:
@@ -324,19 +305,11 @@ def _render_answer(obj: dict) -> str:
 def cmd_answer(args) -> int:
     if args.question is not None and not args.question.strip():
         raise CliError("empty question")
-    bundle = _load_bundle(args)
-    model = _require_model(args)
-    if isinstance(model, qclass.TopicModelSet):
-        raise CliError("answer needs a question type model, not a topics model")
-    documents = _load_corpus_docs(bundle)
-    index = _document_index(args, bundle, documents)
+    model = _require_type_model(args)
+    bundle, documents, index = _load_retrieval_state(args)
     config = _pipeline_config(args)
-    if args.question is not None:
-        rows = [("question-1", args.question)]
-    else:
-        rows = [(q.id, q.body) for q in ingest.load_questions(args.dataset).questions]
     outputs = []
-    for qid, body in rows:
+    for qid, body in _question_rows(args):
         full = answer_pipeline(body, documents, index, model, bundle, config)
         obj = answer_to_json(full, qid)
         outputs.append(obj)
@@ -385,23 +358,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_repl(args) -> int:
-    bundle = _load_bundle(args)
-    model = _require_model(args)
-    documents = _load_corpus_docs(bundle)
-    index = _document_index(args, bundle, documents)
-    config = PipelineConfig()
+    model = _require_type_model(args)
+    bundle, documents, index = _load_retrieval_state(args)
+    config = _pipeline_config(args)
     print("bioqa repl; one question per line, empty line or EOF quits", file=sys.stderr)
     for line in sys.stdin:
         question = line.strip()
         if not question:
             break
         full = answer_pipeline(question, documents, index, model, bundle, config)
-        obj = answer_to_json(full, "repl")
-        if obj["exact_answer"] is not None:
-            print(f"exact: {json.dumps(obj['exact_answer'], ensure_ascii=False)}")
-        print(f"ideal: {obj['ideal_answer']}")
-        for s in obj["snippets"][:3]:
-            print(f"  [{s['rank']}] ({s['document']}) {s['text']}")
+        print(_render_answer(answer_to_json(full, "repl")))
     return 0
 
 

@@ -28,7 +28,7 @@ from .textproc import (
     tokenize,
 )
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 TOPICS = (
     "Device",
@@ -323,28 +323,23 @@ class FeatureExtractor:
         raise UnknownFeatureSpaceError(f"unknown feature space {space!r}; expected one of {FEATURE_SPACES}")
 
 
-def extract_features(question: str, space: str, extractor: FeatureExtractor) -> dict[str, int]:
-    return extractor.extract(question, space)
-
-
 # ---------------------------------------------------------------------------
 # Linear models
 # ---------------------------------------------------------------------------
 
 @dataclass
 class LinearModel:
-    """Multiclass linear model: argmax of weights . features + bias."""
+    """Multiclass linear model: argmax of weights . features (no bias)."""
 
     labels: tuple[str, ...]
     weights: dict[str, dict[str, float]]
-    bias: dict[str, float]
     meta: dict = field(default_factory=dict)
 
     def scores(self, features: dict[str, int]) -> dict[str, float]:
         out = {}
         for label in self.labels:
             w = self.weights[label]
-            out[label] = self.bias[label] + sum(w.get(f, 0.0) * c for f, c in features.items())
+            out[label] = sum(w.get(f, 0.0) * c for f, c in features.items())
         return out
 
     def predict(self, features: dict[str, int]) -> str:
@@ -379,7 +374,7 @@ def _sgd_multiclass(X, y, n_labels, lam, epochs, seed):
             if scores[yi] - scores[rival] < 1.0:
                 W[yi] += eta * x
                 W[rival] -= eta * x
-    return W, np.zeros(n_labels, dtype=np.float64)
+    return W
 
 
 def _vectorize(examples, vocabulary):
@@ -433,15 +428,14 @@ def train_type_classifier(
     label_index = {lab: i for i, lab in enumerate(labels)}
     y = [label_index[label] for _, label in examples]
     lam = 1.0 / (C * len(examples))
-    W, B = _sgd_multiclass(X, y, len(labels), lam, epochs, seed)
+    W = _sgd_multiclass(X, y, len(labels), lam, epochs, seed)
 
     weights = {
         lab.value: {f: float(W[i, j]) for j, f in enumerate(vocabulary) if W[i, j] != 0.0}
         for lab, i in label_index.items()
     }
-    bias = {lab.value: float(B[i]) for lab, i in label_index.items()}
     meta = {"space": space, "C": C, "seed": seed, "epochs": epochs, "kind": "type"}
-    return LinearModel(tuple(lab.value for lab in labels), weights, bias, meta)
+    return LinearModel(tuple(lab.value for lab in labels), weights, meta)
 
 
 def classify_type(model: LinearModel, question: str, extractor: FeatureExtractor) -> QuestionType:
@@ -508,10 +502,9 @@ def extract_topic_features(
 @dataclass
 class BinaryModel:
     weights: dict[str, float]
-    bias: float
 
     def score(self, features: dict[str, int]) -> float:
-        return self.bias + sum(self.weights.get(f, 0.0) * c for f, c in features.items())
+        return sum(self.weights.get(f, 0.0) * c for f, c in features.items())
 
 
 @dataclass
@@ -535,7 +528,7 @@ def _sgd_binary(X, y, lam, epochs, seed):
             w *= max(0.0, 1.0 - eta * lam)
             if y[i] * (w @ X[i]) < 1.0:
                 w += eta * y[i] * X[i]
-    return w, 0.0
+    return w
 
 
 def train_topic_models(
@@ -568,10 +561,8 @@ def train_topic_models(
         X = _vectorize([f for f, _ in data], vocabulary)
         y = [lab for _, lab in data]
         lam = 1.0 / (C * len(data))
-        w, b = _sgd_binary(X, y, lam, epochs, seed + topic_index)
-        models[topic] = BinaryModel(
-            {f: float(w[j]) for j, f in enumerate(vocabulary) if w[j] != 0.0}, float(b)
-        )
+        w = _sgd_binary(X, y, lam, epochs, seed + topic_index)
+        models[topic] = BinaryModel({f: float(w[j]) for j, f in enumerate(vocabulary) if w[j] != 0.0})
     return TopicModelSet(models, meta={"seed": seed, "C": C, "epochs": epochs, "kind": "topics"})
 
 
@@ -591,7 +582,6 @@ def save_model(model: LinearModel | TopicModelSet, path) -> None:
             "kind": "type",
             "labels": list(model.labels),
             "weights": model.weights,
-            "bias": model.bias,
             "meta": model.meta,
         }
     else:
@@ -599,7 +589,7 @@ def save_model(model: LinearModel | TopicModelSet, path) -> None:
             "version": MODEL_FORMAT_VERSION,
             "kind": "topics",
             "topics": {
-                name: {"weights": m.weights, "bias": m.bias} for name, m in model.models.items()
+                name: {"weights": m.weights} for name, m in model.models.items()
             },
             "meta": model.meta,
         }
@@ -612,11 +602,8 @@ def load_model(path):
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"model format version {version!r}, expected {MODEL_FORMAT_VERSION}")
     if payload.get("kind") == "type":
-        return LinearModel(tuple(payload["labels"]), payload["weights"], payload["bias"], payload.get("meta", {}))
+        return LinearModel(tuple(payload["labels"]), payload["weights"], payload.get("meta", {}))
     if payload.get("kind") == "topics":
-        models = {
-            name: BinaryModel(entry["weights"], entry["bias"])
-            for name, entry in payload["topics"].items()
-        }
+        models = {name: BinaryModel(entry["weights"]) for name, entry in payload["topics"].items()}
         return TopicModelSet(models, payload.get("meta", {}))
     raise ModelFormatError(f"unknown model kind {payload.get('kind')!r}")

@@ -9,10 +9,8 @@ question and each title.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .conceptlex import ConceptGraph, ConceptLexicon, recognize, similarity_sum
 from .textproc import split_sentences, stem, tokenize
@@ -37,14 +35,6 @@ class UnknownUnitError(KeyError):
 
     def __str__(self):
         return f"unit not in index: {self.unit_id}"
-
-
-class RemoteResponseError(ValueError):
-    """Malformed ID-list response; carries the byte offset of the fault."""
-
-    def __init__(self, offset, message):
-        super().__init__(f"byte {offset}: {message}")
-        self.offset = offset
 
 
 @dataclass(frozen=True)
@@ -313,102 +303,3 @@ def rank_passages(
         ScoredPassage(candidates[i], score, rank)
         for rank, (score, i) in enumerate(scored[:top_n], 1)
     ]
-
-
-# ---------------------------------------------------------------------------
-# Remote ID-list responses
-# ---------------------------------------------------------------------------
-
-def parse_remote_idlist(xml_text: str) -> list[str]:
-    """Ordered text contents of all <Id> elements in a search response.
-
-    The scanner checks that element tags balance; on malformed input it
-    raises with the byte offset of the offending tag.
-    """
-    ids: list[str] = []
-    stack: list[tuple[str, int]] = []
-    pos = 0
-    n = len(xml_text)
-    while pos < n:
-        lt = xml_text.find("<", pos)
-        if lt < 0:
-            break
-        gt = xml_text.find(">", lt)
-        if gt < 0:
-            raise RemoteResponseError(lt, "unterminated tag")
-        raw = xml_text[lt + 1 : gt].strip()
-        pos = gt + 1
-        if not raw:
-            raise RemoteResponseError(lt, "empty tag")
-        if raw.startswith("?") or raw.startswith("!"):
-            continue  # declaration, doctype or comment
-        if raw.endswith("/"):
-            continue  # self-closing
-        if raw.startswith("/"):
-            name = raw[1:].strip().lower()
-            if not stack:
-                raise RemoteResponseError(lt, f"unmatched closing tag </{name}>")
-            open_name, open_at = stack.pop()
-            if open_name != name:
-                raise RemoteResponseError(lt, f"expected </{open_name}>, found </{name}>")
-            continue
-        name = raw.split()[0].lower()
-        stack.append((name, lt))
-        if name == "id":
-            text_end = xml_text.find("<", pos)
-            if text_end < 0:
-                raise RemoteResponseError(lt, "unclosed <Id> element")
-            ids.append(xml_text[pos:text_end].strip())
-    if stack:
-        name, at = stack[-1]
-        raise RemoteResponseError(at, f"unclosed <{name}> element")
-    return ids
-
-
-def query_string(query: Query) -> str:
-    """Conjunctive query text sent to a remote searcher."""
-    terms = query.concept_terms or query.raw_terms
-    return " AND ".join(terms)
-
-
-class FileBackedRemoteSearcher:
-    """Remote searcher stub serving canned XML responses from a directory.
-
-    Responses are keyed by the query hash so recorded search sessions can
-    be replayed offline.
-    """
-
-    def __init__(self, directory):
-        self.directory = directory
-
-    @staticmethod
-    def response_key(query_text: str) -> str:
-        return hashlib.sha256(query_text.encode("utf-8")).hexdigest()[:16]
-
-    def search(self, query_text: str) -> str:
-        path = Path(self.directory) / f"{self.response_key(query_text)}.xml"
-        if not path.exists():
-            raise FileNotFoundError(f"no canned response for query {query_text!r} ({path.name})")
-        return path.read_text(encoding="utf-8")
-
-
-def remote_retrieve(
-    question: str,
-    searcher,
-    documents: dict[str, DocumentRecord],
-    lexicon: ConceptLexicon,
-    graph: ConceptGraph,
-    stopwords: set[str],
-    retrieve_depth: int = DEFAULT_RETRIEVE_DEPTH,
-    keep: int = 100,
-) -> list[ScoredDoc]:
-    """Remote-searcher flow: fetch an ID list, then rerank the documents.
-
-    Up to retrieve_depth identifiers are considered; identifiers missing
-    from the local document store are skipped.
-    """
-    query = formulate_query(question, lexicon, stopwords)
-    response = searcher.search(query_string(query))
-    ids = parse_remote_idlist(response)[:retrieve_depth]
-    docs = [documents[i] for i in ids if i in documents]
-    return rerank_documents(question, docs, lexicon, graph, keep)

@@ -69,6 +69,14 @@ class TestAnswer:
     def test_empty_question_is_usage_error(self, model_path):
         assert main(["answer", "--model", model_path, "--question", "   "]) == 2
 
+    def test_missing_index_file_is_an_error(self, model_path, tmp_path, capsys):
+        missing = tmp_path / "no-such-index.json"
+        assert main(["answer", "--model", model_path, "--index", str(missing),
+                     "--question", "Is imatinib an antidepressant drug?"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no-such-index.json" in captured.err
+
     def test_missing_model_is_usage_error(self):
         assert main(["answer", "--question", "Is this ok?"]) == 2
 
@@ -121,16 +129,6 @@ class TestIndexCommand:
         assert main(["index", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_passage_mode_indexes_sentences(self, tmp_path):
-        from bioqa.ingest import load_index
-
-        out = tmp_path / "p.json"
-        assert main(["index", "--out", str(out), "--mode", "passage"]) == 0
-        index = load_index(out)
-        assert index.mode == "passage"
-        assert index.n_units > 12
-        assert "23044018#0" in index.unit_order
-
 
 class TestClassifyAndTrain:
     def test_train_reports_accuracy(self, tmp_path, capsys):
@@ -178,5 +176,15 @@ class TestRepl:
         monkeypatch.setattr("sys.stdin", io.StringIO("Which enzyme is deficient in Krabbe disease?\n\n"))
         assert main(["repl", "--model", model_path]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("question repl: type factoid\n")
         assert "exact:" in out and "ideal:" in out
         assert "Galactocerebrosidase" in out
+
+    def test_topics_model_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        import io
+
+        topics = tmp_path / "topics.json"
+        assert main(["train-topics", "--out", str(topics)]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO("Which enzyme is deficient in Krabbe disease?\n"))
+        assert main(["repl", "--model", str(topics)]) == 2
+        assert "question type model" in capsys.readouterr().err

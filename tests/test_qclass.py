@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 
@@ -178,7 +179,6 @@ class TestTypeTrainer:
         m1 = train_type_classifier(examples, "patterns", seed=42)
         m2 = train_type_classifier(examples, "patterns", seed=42)
         assert m1.weights == m2.weights
-        assert m1.bias == m2.bias
 
     def test_prediction_scale_invariant(self):
         examples = _toy_examples()
@@ -186,7 +186,6 @@ class TestTypeTrainer:
         scaled = qclass.LinearModel(
             model.labels,
             {lab: {f: 3.0 * w for f, w in ws.items()} for lab, ws in model.weights.items()},
-            {lab: 3.0 * b for lab, b in model.bias.items()},
             model.meta,
         )
         for features, _ in examples:
@@ -196,7 +195,6 @@ class TestTypeTrainer:
         model = qclass.LinearModel(
             ("yesno", "factoid", "list", "summary"),
             {lab: {} for lab in ("yesno", "factoid", "list", "summary")},
-            {lab: 0.0 for lab in ("yesno", "factoid", "list", "summary")},
         )
         assert model.predict({"anything": 1}) == "yesno"
 
@@ -347,7 +345,6 @@ class TestPersistence:
         loaded = load_model(path)
         assert loaded.labels == type_model.labels
         assert loaded.weights == type_model.weights
-        assert loaded.bias == type_model.bias
 
     def test_topics_model_round_trip(self, tmp_path):
         examples = [({"alpha": 1}, {"Device"}), ({"beta": 1}, set())]
@@ -360,9 +357,20 @@ class TestPersistence:
     def test_version_mismatch(self, tmp_path, type_model):
         path = tmp_path / "model.json"
         save_model(type_model, path)
-        bumped = path.read_text().replace('"version": 1', '"version": 99')
+        bumped = path.read_text().replace(f'"version": {qclass.MODEL_FORMAT_VERSION}', '"version": 99')
+        assert bumped != path.read_text()
         path.write_text(bumped)
         with pytest.raises(qclass.ModelFormatError):
+            load_model(path)
+
+    def test_version_one_model_with_bias_rejected(self, tmp_path):
+        # Format 1 stored an always-zero bias beside the weights.
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "version": 1, "kind": "type", "labels": ["yesno"],
+            "weights": {"yesno": {}}, "bias": {"yesno": 0.0}, "meta": {},
+        }))
+        with pytest.raises(qclass.ModelFormatError, match="version 1"):
             load_model(path)
 
     def test_loaded_model_predicts_identically(self, tmp_path, type_model):

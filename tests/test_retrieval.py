@@ -9,20 +9,15 @@ from bioqa.conceptlex import Concept, ConceptGraph, ConceptLexicon
 from bioqa.retrieval import (
     DocumentRecord,
     DuplicateIdError,
-    FileBackedRemoteSearcher,
     IndexedCorpus,
     PassageCandidate,
     Query,
-    RemoteResponseError,
     UnknownUnitError,
     bm25_score,
     build_index,
     extract_passages,
     formulate_query,
-    parse_remote_idlist,
-    query_string,
     rank_passages,
-    remote_retrieve,
     rerank_documents,
     search,
 )
@@ -348,28 +343,6 @@ class TestRankPassages:
         assert scores == sorted(scores, reverse=True)
 
 
-class TestRemoteIdList:
-    def test_extracts_ids_in_order(self):
-        xml = "<eSearchResult><IdList><Id>24310804</Id><Id>15887238</Id></IdList></eSearchResult>"
-        assert parse_remote_idlist(xml) == ["24310804", "15887238"]
-
-    def test_empty_idlist(self):
-        assert parse_remote_idlist("<eSearchResult><IdList></IdList></eSearchResult>") == []
-
-    def test_unclosed_id_reports_offset(self):
-        with pytest.raises(RemoteResponseError) as err:
-            parse_remote_idlist("<Id>123")
-        assert err.value.offset == 0
-
-    def test_mismatched_close(self):
-        with pytest.raises(RemoteResponseError):
-            parse_remote_idlist("<a><b></a></b>")
-
-    def test_declaration_and_doctype_skipped(self):
-        xml = '<?xml version="1.0"?><!DOCTYPE eSearchResult><eSearchResult><Id>5</Id></eSearchResult>'
-        assert parse_remote_idlist(xml) == ["5"]
-
-
 def test_shared_index_safe_for_concurrent_queries(bundle, doc_index):
     # A built index is immutable; concurrent scoring must agree with serial.
     from concurrent.futures import ThreadPoolExecutor
@@ -382,26 +355,3 @@ def test_shared_index_safe_for_concurrent_queries(bundle, doc_index):
         for _ in range(5):
             concurrent = list(pool.map(lambda uid: bm25_score(terms, uid, doc_index), doc_index.unit_order))
             assert concurrent == serial
-
-
-class TestRemoteStub:
-    def test_file_backed_flow(self, tmp_path, bundle, corpus):
-        question = "Is imatinib an antidepressant drug?"
-        query = formulate_query(question, bundle.concept_lexicon, bundle.stopwords)
-        qtext = query_string(query)
-        ids = ["23265891", "15887238", "15844661", "99999999"]
-        xml = "<eSearchResult><IdList>" + "".join(f"<Id>{i}</Id>" for i in ids) + "</IdList></eSearchResult>"
-        key = FileBackedRemoteSearcher.response_key(qtext)
-        (tmp_path / f"{key}.xml").write_text(xml)
-        searcher = FileBackedRemoteSearcher(tmp_path)
-        ranked = remote_retrieve(question, searcher, corpus, bundle.concept_lexicon,
-                                 bundle.graph, bundle.stopwords, retrieve_depth=200, keep=100)
-        assert [d.doc_id for d in ranked][:1] != []
-        assert {d.doc_id for d in ranked} == {"23265891", "15887238", "15844661"}
-        # titles naming imatinib concepts outrank the unrelated one
-        assert ranked[0].doc_id in {"15887238", "15844661", "23265891"}
-
-    def test_missing_response_raises(self, tmp_path):
-        searcher = FileBackedRemoteSearcher(tmp_path)
-        with pytest.raises(FileNotFoundError):
-            searcher.search("no such query")
