@@ -25,17 +25,16 @@ class CliError(Exception):
     pass
 
 
-def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # The same flags are accepted before and after the subcommand; the
-    # subparser copies use SUPPRESS so they never clobber earlier values.
-    d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--manifest", default=d(str(ingest.default_manifest_path())),
-                        help="resource manifest (default: bundled mini resources)")
-    parser.add_argument("--index", default=d(None),
-                        help="path to an existing saved index (built from the corpus when omitted)")
-    parser.add_argument("--model", default=d(None), help="path to a saved model")
-    parser.add_argument("--seed", type=int, default=d(42))
-    parser.add_argument("--format", choices=("json", "text"), default=d("json"))
+# The flags several subcommands share. Each subcommand declares, after its
+# name, only the ones it reads.
+_SHARED_FLAGS = {
+    "manifest": {"default": str(ingest.default_manifest_path()),
+                 "help": "resource manifest (default: bundled mini resources)"},
+    "index": {"help": "path to an existing saved index (built from the corpus when omitted)"},
+    "model": {"help": "path to a saved model"},
+    "seed": {"type": int, "default": 42},
+    "format": {"choices": ("json", "text"), "default": "json"},
+}
 
 
 def _add_stage_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
@@ -47,63 +46,63 @@ def _add_stage_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bioqa", description=__doc__)
-    _add_common(parser, suppress=False)
+    # allow_abbrev=False: a prefix of a flag is refused, not read as the flag.
+    parser = argparse.ArgumentParser(prog="bioqa", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        _add_common(p, suppress=True)
+    def add_parser(name, shared, **kwargs):
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
+        for flag in shared.split():
+            p.add_argument("--" + flag, **_SHARED_FLAGS[flag])
         return p
 
-    add_parser("validate", help="load and check every resource in the manifest")
+    add_parser("validate", "manifest format", help="load and check every resource in the manifest")
 
-    p = add_parser("index", help="build the document index and save it")
+    p = add_parser("index", "manifest format", help="build the document index and save it")
     p.add_argument("--out", required=True)
 
-    p = add_parser("train-type", help="train the question type model")
+    p = add_parser("train-type", "manifest seed format", help="train the question type model")
     p.add_argument("--questions", help="typed question dataset (default: bundled)")
     p.add_argument("--space", choices=qclass.FEATURE_SPACES, default="patterns")
     p.add_argument("--C", type=float, default=1.01)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--out", required=True)
 
-    p = add_parser("train-topics", help="train the per-topic binary models")
+    p = add_parser("train-topics", "manifest seed format", help="train the per-topic binary models")
     p.add_argument("--questions", help="topic-labeled question dataset (default: bundled)")
     p.add_argument("--deps", help="dependency sidecar TSV for BOSDR features")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--out", required=True)
 
-    p = add_parser("classify", help="classify questions with a saved model")
+    p = add_parser("classify", "manifest model format", help="classify questions with a saved model")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--question")
     group.add_argument("--dataset")
 
-    p = add_parser("retrieve-docs", help="concept query + search + rerank")
+    p = add_parser("retrieve-docs", "manifest index format", help="concept query + search + rerank")
     p.add_argument("--question", required=True)
     _add_stage_flags(p, "retrieve_depth", "top_docs", "k1", "b")
 
-    p = add_parser("retrieve-passages", help="sentence passages ranked for a question")
+    p = add_parser("retrieve-passages", "manifest index format", help="sentence passages ranked for a question")
     p.add_argument("--question", required=True)
     _add_stage_flags(p, "retrieve_depth", "top_docs", "top_passages", "k1", "b")
 
-    p = add_parser("answer", help="full pipeline for one question or a dataset")
+    p = add_parser("answer", "manifest index model format", help="full pipeline for one question or a dataset")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--question")
     group.add_argument("--dataset")
     p.add_argument("--out", help="write a run file accepted by eval")
     _add_stage_flags(p, "retrieve_depth", "top_docs", "top_passages", "k1", "b", "list_cap")
 
-    p = add_parser("eval", help="score a run file against gold data")
+    p = add_parser("eval", "format", help="score a run file against gold data")
     p.add_argument("--gold", required=True)
     p.add_argument("--run", required=True)
     p.add_argument("--metrics", help="comma-separated metric name prefixes to report")
     p.add_argument("--rouge-beta", type=float, default=None)
     p.add_argument("--rouge-stem", action="store_true")
-    p.add_argument("--max-skip", type=int, default=evalkit.DEFAULT_MAX_SKIP)
     p.add_argument("--out")
 
-    add_parser("repl", help="interactive loop: one question per line")
+    add_parser("repl", "manifest index model", help="interactive loop: one question per line")
     return parser
 
 
@@ -119,10 +118,6 @@ def _check_ranges(args) -> None:
         raise CliError(f"--C must be positive, got {C}")
 
 
-def _load_bundle(args):
-    return ingest.load_resources(args.manifest)
-
-
 def _load_corpus_docs(bundle):
     docs = ingest.load_corpus(bundle.corpus_path)
     return {d.doc_id: d for d in docs}
@@ -135,7 +130,7 @@ def _build_document_index(bundle, documents):
 
 def _load_retrieval_state(args):
     """Resources, documents by id, and the --index file or an index built from the corpus."""
-    bundle = _load_bundle(args)
+    bundle = ingest.load_resources(args.manifest)
     documents = _load_corpus_docs(bundle)
     # A named index that does not exist is an error, never a silent rebuild.
     index = ingest.load_index(args.index) if args.index else _build_document_index(bundle, documents)
@@ -163,7 +158,7 @@ def _emit(args, payload, text_renderer=None):
 
 
 def cmd_validate(args) -> int:
-    bundle = _load_bundle(args)
+    bundle = ingest.load_resources(args.manifest)
     documents = ingest.load_corpus(bundle.corpus_path)
     report = {
         "manifest": str(args.manifest),
@@ -178,7 +173,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_index(args) -> int:
-    bundle = _load_bundle(args)
+    bundle = ingest.load_resources(args.manifest)
     index = _build_document_index(bundle, _load_corpus_docs(bundle))
     ingest.save_index(index, args.out)
     _emit(args, {"indexed_units": index.n_units, "mode": index.mode, "out": args.out})
@@ -191,7 +186,7 @@ def _typed_examples(bundle, dataset, space):
 
 
 def cmd_train_type(args) -> int:
-    bundle = _load_bundle(args)
+    bundle = ingest.load_resources(args.manifest)
     questions_path = args.questions or Path(__file__).parent / "resources" / "questions.json"
     dataset = ingest.load_questions(questions_path)
     examples = _typed_examples(bundle, dataset, args.space)
@@ -204,18 +199,15 @@ def cmd_train_type(args) -> int:
 
 
 def cmd_train_topics(args) -> int:
-    bundle = _load_bundle(args)
+    bundle = ingest.load_resources(args.manifest)
     questions_path = args.questions or Path(__file__).parent / "resources" / "topic_questions.json"
     rows = ingest.load_topic_questions(questions_path)
     dep_pairs = ingest.load_dep_pairs(args.deps) if args.deps else {}
-    config = {"BOW", "BOB", "BOS", "BOCST"}
-    if dep_pairs:
-        config.add("BOSDR")
+    config = qclass.TOPIC_FEATURES | {"BOSDR"} if dep_pairs else qclass.TOPIC_FEATURES
     examples = [
         (
             qclass.extract_topic_features(
-                body, config, tag_lexicon=bundle.tag_lexicon,
-                stopwords=bundle.stopwords, concept_lexicon=bundle.concept_lexicon,
+                body, config, stopwords=bundle.stopwords, concept_lexicon=bundle.concept_lexicon,
                 dep_pairs=dep_pairs.get(qid),
             ),
             topics,
@@ -244,15 +236,13 @@ def _require_type_model(args):
 
 
 def cmd_classify(args) -> int:
-    bundle = _load_bundle(args)
+    bundle = ingest.load_resources(args.manifest)
     model = _require_model(args)
     extractor = FeatureExtractor(bundle.tag_lexicon, bundle.patterns)
     for qid, body in _question_rows(args):
         if isinstance(model, qclass.TopicModelSet):
             features = qclass.extract_topic_features(
-                body, {"BOW", "BOB", "BOS", "BOCST"},
-                tag_lexicon=bundle.tag_lexicon, stopwords=bundle.stopwords,
-                concept_lexicon=bundle.concept_lexicon,
+                body, qclass.TOPIC_FEATURES, stopwords=bundle.stopwords, concept_lexicon=bundle.concept_lexicon,
             )
             topics = sorted(qclass.classify_topics(model, features))
             _emit(args, {"id": qid, "topics": topics}, lambda r: f"{r['id']}\t{','.join(r['topics'])}")
@@ -323,15 +313,10 @@ def cmd_answer(args) -> int:
 
 
 def _load_run_entries(path) -> list[dict]:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError:
-        # JSON-lines run: one answer object per line.
-        try:
-            return [json.loads(line) for line in text.splitlines() if line.strip()]
-        except json.JSONDecodeError as exc:
-            raise ingest.DatasetFormatError(f"{path}: invalid JSON ({exc.msg})") from None
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ingest.DatasetFormatError(f"{path}: invalid JSON ({exc.msg})") from None
     if isinstance(payload, dict) and isinstance(payload.get("questions"), list):
         return payload["questions"]
     if isinstance(payload, list):
@@ -342,9 +327,7 @@ def _load_run_entries(path) -> list[dict]:
 def cmd_eval(args) -> int:
     gold = ingest.load_questions(args.gold)
     run = _load_run_entries(args.run)
-    report = evalkit.evaluate_run(
-        gold, run, max_skip=args.max_skip, rouge_beta=args.rouge_beta, rouge_stem=args.rouge_stem
-    )
+    report = evalkit.evaluate_run(gold, run, rouge_beta=args.rouge_beta, rouge_stem=args.rouge_stem)
     if args.metrics:
         wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
         report.metrics = {

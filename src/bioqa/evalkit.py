@@ -157,32 +157,23 @@ def _score_from_counts(matches: float, ref_total: float, cand_total: float, beta
     return (1 + b2) * precision * recall / (recall + b2 * precision)
 
 
-def _rouge_units_score(cand_units: Counter, ref_units_per_ref: list[Counter], multiref: str, beta) -> float:
+def _rouge_units_score(cand_units: Counter, ref_units_per_ref: list[Counter], beta) -> float:
+    # With several references the best one counts; with none the score is 0.
     cand_total = sum(cand_units.values())
-    per_ref = []
-    for ref_units in ref_units_per_ref:
-        matches = sum(min(c, ref_units[u]) for u, c in cand_units.items())
-        per_ref.append((matches, sum(ref_units.values())))
-    if multiref == "pool":
-        matches = sum(m for m, _ in per_ref)
-        ref_total = sum(t for _, t in per_ref)
-        return _score_from_counts(matches, ref_total, cand_total * max(len(per_ref), 1), beta)
-    scores = [_score_from_counts(m, t, cand_total, beta) for m, t in per_ref]
-    if not scores:
-        return 0.0
-    if multiref == "average":
-        return sum(scores) / len(scores)
-    if multiref == "max":
-        return max(scores)
-    raise ValueError(f"multiref must be max, average or pool, got {multiref!r}")
+    scores = [
+        _score_from_counts(sum(min(c, ref_units[u]) for u, c in cand_units.items()),
+                           sum(ref_units.values()), cand_total, beta)
+        for ref_units in ref_units_per_ref
+    ]
+    return max(scores, default=0.0)
 
 
-def rouge_n(candidate: str, references, n: int = 2, *, multiref: str = "max", beta=None, stem_tokens: bool = False) -> float:
+def rouge_n(candidate: str, references, n: int = 2, *, beta=None, stem_tokens: bool = False) -> float:
     """Recall-oriented n-gram overlap between a candidate and references.
 
     Clipped n-gram matches over reference n-gram counts; with several
-    references the score is the best one by default. beta switches to an
-    F-measure with the given recall weight.
+    references the score is the best one. beta switches to an F-measure
+    with the given recall weight.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -194,7 +185,7 @@ def rouge_n(candidate: str, references, n: int = 2, *, multiref: str = "max", be
         Counter(tuple(toks[i : i + n]) for i in range(len(toks) - n + 1))
         for toks in (_rouge_tokens(r, stem_tokens) for r in references)
     ]
-    return _rouge_units_score(cand_units, ref_units, multiref, beta)
+    return _rouge_units_score(cand_units, ref_units, beta)
 
 
 def _su_units(tokens: list[str], max_skip: int) -> Counter:
@@ -208,7 +199,7 @@ def _su_units(tokens: list[str], max_skip: int) -> Counter:
     return units
 
 
-def rouge_su(candidate: str, references, max_skip: int = DEFAULT_MAX_SKIP, *, multiref: str = "max", beta=None, stem_tokens: bool = False) -> float:
+def rouge_su(candidate: str, references, max_skip: int = DEFAULT_MAX_SKIP, *, beta=None, stem_tokens: bool = False) -> float:
     """Skip-bigram plus unigram overlap (ROUGE-SU)."""
     if max_skip < 0:
         raise ValueError(f"max_skip must be >= 0, got {max_skip}")
@@ -216,7 +207,7 @@ def rouge_su(candidate: str, references, max_skip: int = DEFAULT_MAX_SKIP, *, mu
         references = [references]
     cand_units = _su_units(_rouge_tokens(candidate, stem_tokens), max_skip)
     ref_units = [_su_units(_rouge_tokens(r, stem_tokens), max_skip) for r in references]
-    return _rouge_units_score(cand_units, ref_units, multiref, beta)
+    return _rouge_units_score(cand_units, ref_units, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +241,8 @@ def evaluate_run(
     gold_dataset,
     run_entries: list[dict],
     *,
-    max_skip: int = DEFAULT_MAX_SKIP,
     rouge_beta=None,
     rouge_stem: bool = False,
-    multiref: str = "max",
 ) -> EvalReport:
     """Score a run (list of answer objects) against a gold dataset.
 
@@ -297,8 +286,8 @@ def evaluate_run(
             candidate = entry.get("ideal_answer") or ""
             if isinstance(candidate, list):
                 candidate = candidate[0] if candidate else ""
-            r2 = rouge_n(candidate, q.ideal_answer, 2, multiref=multiref, beta=rouge_beta, stem_tokens=rouge_stem)
-            rsu = rouge_su(candidate, q.ideal_answer, max_skip, multiref=multiref, beta=rouge_beta, stem_tokens=rouge_stem)
+            r2 = rouge_n(candidate, q.ideal_answer, 2, beta=rouge_beta, stem_tokens=rouge_stem)
+            rsu = rouge_su(candidate, q.ideal_answer, beta=rouge_beta, stem_tokens=rouge_stem)
             rouge2_scores.append(r2)
             rougesu_scores.append(rsu)
             detail["rouge_2"] = r2
@@ -349,9 +338,9 @@ def evaluate_run(
         metrics["snippets_map"] = mean_average_precision(r[3] for r in snip_rows)
 
     config = {
-        "max_skip": max_skip,
+        "max_skip": DEFAULT_MAX_SKIP,
         "rouge_beta": rouge_beta,
         "rouge_stem": rouge_stem,
-        "multiref": multiref,
+        "multiref": "max",
     }
     return EvalReport(metrics, per_question, config)

@@ -70,12 +70,6 @@ class QuestionDataset:
     def __len__(self):
         return len(self.questions)
 
-    def by_id(self, qid: str) -> QuestionRecord:
-        for q in self.questions:
-            if q.id == qid:
-                return q
-        raise KeyError(qid)
-
 
 def _validate_exact(qid: str, qtype: QuestionType, exact) -> object:
     if exact is None:

@@ -454,11 +454,14 @@ def training_accuracy(model: LinearModel, examples) -> float:
 # Topic classification
 # ---------------------------------------------------------------------------
 
+# The feature groups topic models use when no dependency sidecar is given.
+TOPIC_FEATURES = frozenset({"BOW", "BOB", "BOS", "BOCST"})
+
+
 def extract_topic_features(
     question: str,
     config: set[str],
     *,
-    tag_lexicon: TagLexicon,
     stopwords: set[str],
     concept_lexicon: ConceptLexicon | None = None,
     dep_pairs: list[tuple[str, str, str]] | None = None,
@@ -469,7 +472,7 @@ def extract_topic_features(
     (bigrams), BOS (Porter stems), BOCST (concept cuis and tuis) and
     BOSDR (externally supplied dependency relations).
     """
-    unknown = config - {"BOW", "BOB", "BOS", "BOCST", "BOSDR"}
+    unknown = config - TOPIC_FEATURES - {"BOSDR"}
     if unknown:
         raise UnknownFeatureSpaceError(f"unknown topic feature group(s): {sorted(unknown)}")
     tokens = tokenize(question)

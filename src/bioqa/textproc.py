@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class ResourceFormatError(ValueError):
@@ -65,11 +65,6 @@ def ngrams(tokens: Sequence[str], n: int) -> list[str]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return ["-".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
-def remove_stopwords(tokens: Iterable[str], stoplist: set[str]) -> list[str]:
-    """Case-insensitive stopword filter; the stoplist holds lowercase words."""
-    return [t for t in tokens if t.lower() not in stoplist]
 
 
 def load_stopwords(path) -> set[str]:

@@ -5,7 +5,6 @@ import pytest
 
 from bioqa.answer import (
     ConfigurationError,
-    PipelineConfig,
     answer_factoid,
     answer_list,
     answer_pipeline,

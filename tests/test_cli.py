@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -188,3 +189,53 @@ class TestRepl:
         monkeypatch.setattr("sys.stdin", io.StringIO("Which enzyme is deficient in Krabbe disease?\n"))
         assert main(["repl", "--model", str(topics)]) == 2
         assert "question type model" in capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the code argparse exits with on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+SHARED_FLAGS = ("--manifest", "--index", "--model", "--seed", "--format")
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flags", [
+        ("validate", {"--manifest", "--format"}),
+        ("index", {"--manifest", "--format"}),
+        ("train-type", {"--manifest", "--seed", "--format"}),
+        ("train-topics", {"--manifest", "--seed", "--format"}),
+        ("classify", {"--manifest", "--model", "--format"}),
+        ("retrieve-docs", {"--manifest", "--index", "--format"}),
+        ("retrieve-passages", {"--manifest", "--index", "--format"}),
+        ("answer", {"--manifest", "--index", "--model", "--format"}),
+        ("eval", {"--format"}),
+        ("repl", {"--manifest", "--index", "--model"}),
+    ])
+    def test_help_lists_only_the_shared_flags_read(self, command, flags, capsys):
+        assert _exit_code([command, "--help"]) == 0
+        help_text = capsys.readouterr().out
+        assert {f for f in SHARED_FLAGS if re.search(re.escape(f) + r"\b", help_text)} == flags
+
+    @pytest.mark.parametrize("argv", [
+        ["train-type", "--out", "{tmp}/m.json", "--model", "{model}"],
+        ["eval", "--gold", DEMO_GOLD, "--run", "{run}", "--index", "{tmp}/none.json"],
+        ["eval", "--gold", DEMO_GOLD, "--run", "{run}", "--max-skip", "2"],
+        ["validate", "--seed", "7"],
+        ["repl", "--model", "{model}", "--format", "text"],
+        ["--format", "text", "validate"],
+        ["index", "--out", "{tmp}/i.json", "--mode", "passage"],
+        ["answer", "--mod", "{model}", "--question", "Is imatinib an antidepressant drug?"],
+    ], ids=["train-type --model", "eval --index", "eval --max-skip", "validate --seed", "repl --format",
+            "leading --format", "index --mode", "answer --mod"])
+    def test_unread_leading_or_abbreviated_flag_is_usage_error(self, argv, model_path, tmp_path, monkeypatch):
+        import io
+
+        run = tmp_path / "run.json"
+        run.write_text("[]")
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        argv = [a.format(tmp=tmp_path, model=model_path, run=run) for a in argv]
+        assert _exit_code(argv) == 2

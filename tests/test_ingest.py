@@ -7,7 +7,6 @@ from bioqa import ingest, retrieval
 from bioqa.ingest import (
     DatasetFormatError,
     IndexVersionError,
-    QuestionDataset,
     load_corpus,
     load_index,
     load_questions,

@@ -1,11 +1,9 @@
 import json
 import random
-import warnings
 
 import pytest
 
 from bioqa import qclass
-from bioqa.conceptlex import Concept, ConceptLexicon
 from bioqa.qclass import (
     FeatureExtractor,
     LiteralSet,
@@ -239,7 +237,6 @@ class TestTopicFeatures:
         features = extract_topic_features(
             "Mother is alcoholic and abuses tobacco.",
             {"BOCST"},
-            tag_lexicon=bundle.tag_lexicon,
             stopwords=bundle.stopwords,
             concept_lexicon=bundle.concept_lexicon,
         )
@@ -250,7 +247,6 @@ class TestTopicFeatures:
         features = extract_topic_features(
             "What is the dose?",
             {"BOSDR"},
-            tag_lexicon=bundle.tag_lexicon,
             stopwords=bundle.stopwords,
             dep_pairs=[("nsubj", "What", "dose")],
         )
@@ -258,14 +254,13 @@ class TestTopicFeatures:
 
     def test_empty_config_is_empty_vector(self, bundle):
         assert extract_topic_features(
-            "anything", set(), tag_lexicon=bundle.tag_lexicon, stopwords=bundle.stopwords,
+            "anything", set(), stopwords=bundle.stopwords,
         ) == {}
 
     def test_bow_drops_stopwords_and_punctuation(self, bundle):
         features = extract_topic_features(
             "What is the dose of Zithromax?",
             {"BOW"},
-            tag_lexicon=bundle.tag_lexicon,
             stopwords=bundle.stopwords,
         )
         assert features == {"dose": 1, "Zithromax": 1}
@@ -274,7 +269,6 @@ class TestTopicFeatures:
         features = extract_topic_features(
             "inheritance statistics",
             {"BOS"},
-            tag_lexicon=bundle.tag_lexicon,
             stopwords=bundle.stopwords,
         )
         assert features == {"inherit": 1, "statist": 1}
@@ -305,7 +299,7 @@ class TestTopicModels:
         examples = [
             (
                 extract_topic_features(
-                    body, config, tag_lexicon=bundle.tag_lexicon,
+                    body, config,
                     stopwords=bundle.stopwords, concept_lexicon=bundle.concept_lexicon,
                 ),
                 topics,
@@ -316,7 +310,7 @@ class TestTopicModels:
         assert set(model_set.models) == set(qclass.TOPICS)
         # paper-table probes classify to exactly their listed topics
         feats = lambda body: extract_topic_features(
-            body, config, tag_lexicon=bundle.tag_lexicon,
+            body, config,
             stopwords=bundle.stopwords, concept_lexicon=bundle.concept_lexicon,
         )
         probe1 = ("Mother is alcoholic and abuses tobacco. What are statistics regarding "

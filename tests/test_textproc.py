@@ -10,7 +10,6 @@ from bioqa.textproc import (
     load_abbreviations,
     ngrams,
     pos_tag,
-    remove_stopwords,
     split_sentences,
     stem,
     tokenize,
@@ -176,20 +175,6 @@ class TestNgrams:
             tokens = [str(i) for i in range(rng.randint(0, 12))]
             n = rng.randint(1, 6)
             assert len(ngrams(tokens, n)) == max(0, len(tokens) - n + 1)
-
-
-class TestStopwords:
-    def test_filter(self, bundle):
-        assert remove_stopwords(["is", "the", "autophagy"], bundle.stopwords) == ["autophagy"]
-
-    def test_empty(self, bundle):
-        assert remove_stopwords([], bundle.stopwords) == []
-
-    def test_no_stopwords_unchanged(self, bundle):
-        assert remove_stopwords(["Imatinib", "Krabbe"], bundle.stopwords) == ["Imatinib", "Krabbe"]
-
-    def test_case_insensitive(self, bundle):
-        assert remove_stopwords(["The", "WAS", "gene"], bundle.stopwords) == ["gene"]
 
 
 def test_bad_abbreviation_file(tmp_path):
