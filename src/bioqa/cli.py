@@ -116,6 +116,10 @@ def _check_ranges(args) -> None:
         raise CliError(f"--b must lie in [0, 1], got {b}")
     if C is not None and C <= 0:
         raise CliError(f"--C must be positive, got {C}")
+    for name in ("retrieve_depth", "top_docs", "top_passages", "list_cap"):
+        count = getattr(args, name, None)
+        if count is not None and count < 1:
+            raise CliError(f"--{name.replace('_', '-')} must be at least 1, got {count}")
 
 
 def _load_corpus_docs(bundle):

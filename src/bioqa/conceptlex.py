@@ -56,7 +56,8 @@ class ConceptLexicon:
     def __init__(self, concepts: list[Concept]):
         self.concepts: dict[str, Concept] = {}
         self._surface_to_cui: dict[str, str] = {}
-        self._max_phrase_tokens = 1
+        # Title text -> cuis recognized in it; see title_cuis.
+        self._title_cuis: dict[str, tuple[str, ...]] = {}
         for concept in concepts:
             if concept.cui in self.concepts:
                 raise ValueError(f"duplicate concept identifier {concept.cui}")
@@ -68,7 +69,15 @@ class ConceptLexicon:
                 if not key:
                     continue
                 self._surface_to_cui.setdefault(key, concept.cui)
-                self._max_phrase_tokens = max(self._max_phrase_tokens, key.count(" ") + 1)
+        # First token of a surface form -> token counts of the surface forms
+        # starting with it, longest first.
+        lengths: dict[str, set[int]] = {}
+        for key in self._surface_to_cui:
+            words = key.split(" ")
+            lengths.setdefault(words[0], set()).add(len(words))
+        self._phrase_lengths: dict[str, tuple[int, ...]] = {
+            first: tuple(sorted(ns, reverse=True)) for first, ns in lengths.items()
+        }
 
     def __len__(self):
         return len(self.concepts)
@@ -105,29 +114,42 @@ def recognize(text: str, lexicon: ConceptLexicon) -> list[ConceptMention]:
     """Greedy longest-match concept recognition, left to right.
 
     At each token position the longest surface form present in the lexicon
-    wins and scanning resumes after it, so mentions never overlap.
+    wins and scanning resumes after it, so mentions never overlap. Only the
+    phrase lengths of surface forms starting with the token are tried.
     """
     tokens = tokenize(text)
+    lowered = [t.surface.lower() for t in tokens]
+    phrase_lengths = lexicon._phrase_lengths
+    surface_to_cui = lexicon._surface_to_cui
     mentions = []
     i = 0
     n = len(tokens)
     while i < n:
-        found = None
-        max_len = min(lexicon._max_phrase_tokens, n - i)
-        for length in range(max_len, 0, -1):
-            window = tokens[i : i + length]
-            key = " ".join(t.surface.lower() for t in window)
-            cui = lexicon._surface_to_cui.get(key)
+        matched = 0
+        for length in phrase_lengths.get(lowered[i], ()):
+            if i + length > n:
+                continue
+            key = lowered[i] if length == 1 else " ".join(lowered[i : i + length])
+            cui = surface_to_cui.get(key)
             if cui is not None:
-                found = (cui, window[0].start, window[-1].end, length)
+                start, end = tokens[i].start, tokens[i + length - 1].end
+                mentions.append(ConceptMention(cui, start, end, text[start:end]))
+                matched = length
                 break
-        if found:
-            cui, start, end, length = found
-            mentions.append(ConceptMention(cui, start, end, text[start:end]))
-            i += length
-        else:
-            i += 1
+        i += matched or 1
     return mentions
+
+
+def title_cuis(title: str, lexicon: ConceptLexicon) -> tuple[str, ...]:
+    """Cuis recognized in a document title, memoised per lexicon by title.
+
+    Rerank asks for the same titles question after question; a corpus has
+    a bounded set of them, so the memo is not bounded.
+    """
+    cuis = lexicon._title_cuis.get(title)
+    if cuis is None:
+        cuis = lexicon._title_cuis[title] = tuple(m.cui for m in recognize(title, lexicon))
+    return cuis
 
 
 @dataclass
@@ -135,6 +157,11 @@ class ConceptGraph:
     """Undirected concept hierarchy used for path-length similarity."""
 
     adjacency: dict[str, set[str]] = field(default_factory=dict)
+    # (cui, cui) -> path_similarity, filled by similarity_sum. The graph is
+    # not to be changed once similarities have been asked of it.
+    _similarity_memo: dict[tuple[str, str], float | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_edges(cls, edges: list[tuple[str, str]]) -> "ConceptGraph":
@@ -195,10 +222,13 @@ def path_similarity(c1: str, c2: str, graph: ConceptGraph) -> float | None:
 def similarity_sum(question_cuis, title_cuis, graph: ConceptGraph) -> float:
     """Sum of path similarities over the full cross product.
 
+    Each pair's similarity is computed once per graph and then looked up.
+
     Pairs with no path contribute nothing, and concepts absent from the
     hierarchy are treated as unrelated rather than as errors so that
     arbitrary titles can be scored.
     """
+    memo = graph._similarity_memo
     total = 0.0
     for qc in question_cuis:
         if qc not in graph:
@@ -206,7 +236,11 @@ def similarity_sum(question_cuis, title_cuis, graph: ConceptGraph) -> float:
         for tc in title_cuis:
             if tc not in graph:
                 continue
-            sim = path_similarity(qc, tc, graph)
+            pair = (qc, tc)
+            if pair in memo:
+                sim = memo[pair]
+            else:
+                sim = memo[pair] = path_similarity(qc, tc, graph)
             if sim is not None:
                 total += sim
     return total

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .conceptlex import ConceptGraph, ConceptLexicon, recognize, similarity_sum
+from .conceptlex import ConceptGraph, ConceptLexicon, recognize, similarity_sum, title_cuis
 from .textproc import split_sentences, stem, tokenize
 
 INDEX_FORMAT_VERSION = 1
@@ -164,17 +164,45 @@ def idf(term: str, index: IndexedCorpus) -> float:
     return math.log((index.n_units - n_q + 0.5) / (n_q + 0.5))
 
 
+@dataclass(frozen=True)
+class BM25Stats:
+    """What BM25 needs of the index for one query, read once per ranking.
+
+    avg_len is the mean unit length; weighted holds, in query order and
+    with repeats, (idf, postings) of each term that has a positive idf and
+    occurs somewhere. Terms left out would contribute nothing.
+    """
+
+    avg_len: float
+    weighted: tuple[tuple[float, dict[str, int]], ...]
+
+
+def bm25_stats(query_terms: list[str], index: IndexedCorpus) -> BM25Stats:
+    """Mean length and per-term idf of the index for query_terms; each
+    distinct term's idf is computed once."""
+    weights = {term: idf(term, index) for term in dict.fromkeys(query_terms)}
+    weighted = tuple(
+        (weights[term], index.postings[term])
+        for term in query_terms
+        if weights[term] > 0.0 and term in index.postings
+    )
+    return BM25Stats(index.avg_len, weighted)
+
+
 def bm25_score(
     query_terms: list[str],
     unit_id: str,
     index: IndexedCorpus,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
+    stats: BM25Stats | None = None,
 ) -> float:
     """Okapi BM25 score of one unit for the given query term sequence.
 
     Terms whose IDF is not positive contribute nothing. Query terms are
-    consumed as given; a term listed twice counts twice.
+    consumed as given; a term listed twice counts twice. A caller scoring
+    many units passes stats, bm25_stats(query_terms, index), so that the
+    index statistics are read once rather than per unit.
     """
     if unit_id not in index.lengths:
         raise UnknownUnitError(unit_id)
@@ -182,18 +210,15 @@ def bm25_score(
         raise ValueError(f"k1 must be positive, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must lie in [0, 1], got {b}")
-    length = index.lengths[unit_id]
-    avg = index.avg_len
+    if stats is None:
+        stats = bm25_stats(query_terms, index)
+    avg = stats.avg_len
+    norm = 1.0 - b + b * (index.lengths[unit_id] / avg) if avg > 0 else 1.0
     score = 0.0
-    for term in query_terms:
-        weight = idf(term, index)
-        if weight <= 0.0:
-            continue
-        f = index.postings.get(term, {}).get(unit_id, 0)
-        if f == 0:
-            continue
-        norm = 1.0 - b + b * (length / avg) if avg > 0 else 1.0
-        score += weight * (f * (k1 + 1.0)) / (f + k1 * norm)
+    for weight, postings in stats.weighted:
+        f = postings.get(unit_id, 0)
+        if f:
+            score += weight * (f * (k1 + 1.0)) / (f + k1 * norm)
     return score
 
 
@@ -205,6 +230,26 @@ def _query_index_terms(query: Query, stopwords: set[str], lexicon: ConceptLexico
     else:
         terms.extend(stem(t.lower()) for t in query.raw_terms)
     return terms
+
+
+def _candidates(index: IndexedCorpus, distinct: list[str]) -> tuple[list[str], bool]:
+    """Units holding every term, else (relaxed) any term, in unit_order.
+
+    The conjunctive set is the intersection of the terms' postings, taken
+    smallest first; the union is taken only when that set is empty.
+    """
+    postings = sorted((index.postings.get(t, {}) for t in distinct), key=len)
+    matched = set(postings[0])
+    for units in postings[1:]:
+        matched = {uid for uid in matched if uid in units}
+    relaxed = not matched
+    if relaxed:
+        matched = set().union(*postings)
+    if not matched:
+        return [], relaxed
+    # Postings keep no index order (a loaded index has them sorted by id),
+    # so one membership pass over unit_order restores it for stable-sort ties.
+    return [uid for uid in index.unit_order if uid in matched], relaxed
 
 
 def search(
@@ -228,20 +273,9 @@ def search(
     if not distinct or limit <= 0:
         return SearchResult([], relaxed=False)
 
-    candidates = [
-        uid
-        for uid in index.unit_order
-        if all(uid in index.postings.get(t, {}) for t in distinct)
-    ]
-    relaxed = False
-    if not candidates:
-        relaxed = True
-        candidates = [
-            uid
-            for uid in index.unit_order
-            if any(uid in index.postings.get(t, {}) for t in distinct)
-        ]
-    scored = [(bm25_score(terms, uid, index, k1, b), uid) for uid in candidates]
+    candidates, relaxed = _candidates(index, distinct)
+    stats = bm25_stats(terms, index)
+    scored = [(bm25_score(terms, uid, index, k1, b, stats), uid) for uid in candidates]
     scored.sort(key=lambda pair: -pair[0])  # stable: input order preserved on ties
     docs = [ScoredDoc(uid, s, rank) for rank, (s, uid) in enumerate(scored[:limit], 1)]
     return SearchResult(docs, relaxed=relaxed)
@@ -260,10 +294,7 @@ def rerank_documents(
     order; only the m top documents are returned.
     """
     question_cuis = [mention.cui for mention in recognize(question, lexicon)]
-    scored = []
-    for doc in docs:
-        title_cuis = [mention.cui for mention in recognize(doc.title, lexicon)]
-        scored.append((similarity_sum(question_cuis, title_cuis, graph), doc))
+    scored = [(similarity_sum(question_cuis, title_cuis(doc.title, lexicon), graph), doc) for doc in docs]
     scored.sort(key=lambda pair: -pair[0])
     return [ScoredDoc(doc.doc_id, score, rank) for rank, (score, doc) in enumerate(scored[:m], 1)]
 
@@ -297,7 +328,8 @@ def rank_passages(
     units = [(f"p{i}", c.text) for i, c in enumerate(candidates)]
     index = build_index(units, "passage", stopwords, lexicon)
     terms = index_terms(question, stopwords, lexicon)
-    scored = [(bm25_score(terms, f"p{i}", index, k1, b), i) for i in range(len(candidates))]
+    stats = bm25_stats(terms, index)
+    scored = [(bm25_score(terms, f"p{i}", index, k1, b, stats), i) for i in range(len(candidates))]
     scored.sort(key=lambda pair: -pair[0])
     return [
         ScoredPassage(candidates[i], score, rank)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -339,8 +340,14 @@ def _step5(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=1 << 16)
 def stem(word: str) -> str:
-    """Porter stem of a word (lowercased first)."""
+    """Porter stem of a word (lowercased first).
+
+    Memoised by the word as given: a corpus repeats a small vocabulary, so
+    most calls are lookups. The bound keeps arbitrary text from growing the
+    memo without limit.
+    """
     word = word.lower()
     if len(word) <= 2:
         return word

@@ -169,6 +169,28 @@ class TestRetrieveCommands:
     def test_bad_bm25_parameter_rejected(self):
         assert main(["retrieve-passages", "--question", "anything", "--b", "1.5"]) == 2
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("retrieve-docs", "--top-docs", "-1"),
+        ("retrieve-docs", "--retrieve-depth", "0"),
+        ("retrieve-passages", "--top-passages", "0"),
+        ("retrieve-passages", "--top-docs", "0"),
+        ("answer", "--list-cap", "0"),
+        ("answer", "--retrieve-depth", "-3"),
+    ])
+    def test_count_below_one_is_usage_error(self, command, flag, value, model_path, capsys):
+        argv = [command, "--question", "Which enzyme is deficient in Krabbe disease?", flag, value]
+        if command == "answer":
+            argv += ["--model", model_path]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} must be at least 1" in captured.err
+
+    def test_count_of_one_is_accepted(self, capsys):
+        argv = ["retrieve-docs", "--question", "Which enzyme is deficient in Krabbe disease?", "--top-docs", "1"]
+        assert main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["documents"]) == 1
+
 
 class TestRepl:
     def test_repl_round(self, model_path, capsys, monkeypatch):

@@ -2,11 +2,14 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bioqa.conceptlex import (
     Concept,
     ConceptGraph,
     ConceptLexicon,
+    ConceptMention,
     SentimentEntry,
     SentimentLexicon,
     UnknownConceptError,
@@ -14,9 +17,10 @@ from bioqa.conceptlex import (
     recognize,
     similarity_sum,
     synonyms_of,
+    title_cuis,
     word_sentiment,
 )
-from bioqa.textproc import ResourceFormatError
+from bioqa.textproc import ResourceFormatError, tokenize
 
 
 def bfs_node_count(adj, a, b):
@@ -217,3 +221,104 @@ class TestLoaders:
         with pytest.raises(ResourceFormatError) as err:
             ConceptLexicon.from_file(path)
         assert err.value.line_no == 3
+
+
+def windowed_recognize(text, lexicon):
+    """Reference matcher: at each position, join the lowercased surfaces of
+    every window length from the longest surface form down and look the
+    string up; the first hit wins and scanning resumes after it."""
+    tokens = tokenize(text)
+    max_tokens = max([key.count(" ") + 1 for key in lexicon._surface_to_cui] + [1])
+    mentions = []
+    i = 0
+    while i < len(tokens):
+        found = None
+        for length in range(min(max_tokens, len(tokens) - i), 0, -1):
+            window = tokens[i : i + length]
+            cui = lexicon._surface_to_cui.get(" ".join(t.surface.lower() for t in window))
+            if cui is not None:
+                found = (cui, window[0].start, window[-1].end, length)
+                break
+        if found:
+            cui, start, end, length = found
+            mentions.append(ConceptMention(cui, start, end, text[start:end]))
+            i += length
+        else:
+            i += 1
+    return mentions
+
+
+# Surface forms that share a first token ("tobacco ..."), nest ("use
+# disorder" inside "tobacco use disorder"), and collide ("smoking" is listed
+# by both C5 and C6, "Tobacco" by both C1 and C7): the first listed wins.
+OVERLAP_LEXICON = ConceptLexicon([
+    Concept("C1", "tobacco", "T131", "Substance", ("tobacco leaf",)),
+    Concept("C2", "tobacco use disorder", "T048", "Dysfunction", ("tobacco use",)),
+    Concept("C3", "use disorder", "T048", "Dysfunction"),
+    Concept("C4", "disorder", "T047", "Disease"),
+    Concept("C5", "smoking", "T055", "Behavior", ("tobacco smoking behaviour",)),
+    Concept("C6", "cigarette smoking", "T055", "Behavior", ("smoking",)),
+    Concept("C7", "Tobacco", "T131", "Substance", ("tobacco products",)),
+    Concept("C8", "leaf (plant)", "T002", "Plant"),
+])
+OVERLAP_WORDS = ["tobacco", "Tobacco", "TOBACCO", "use", "Use", "disorder", "smoking", "cigarette",
+                 "behaviour", "leaf", "products", "(", "plant", ")", "the", ",", "and", "Ünïcode"]
+
+
+class TestRecognizeEquivalence:
+    def test_collision_resolves_to_first_listed(self):
+        assert [m.cui for m in recognize("smoking TOBACCO", OVERLAP_LEXICON)] == ["C5", "C1"]
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(words=st.lists(st.sampled_from(OVERLAP_WORDS), max_size=14),
+           separators=st.lists(st.sampled_from([" ", "  ", "\t", "\n"]), min_size=14, max_size=14))
+    @example(words=["tobacco", "use", "disorder"], separators=[" "] * 14)
+    @example(words=["tobacco", "use", "smoking"], separators=[" "] * 14)
+    @example(words=["leaf", "(", "plant", ")"], separators=[""] * 14)
+    def test_matches_windowed_matcher(self, words, separators):
+        text = "".join(w + sep for w, sep in zip(words, separators))
+        assert recognize(text, OVERLAP_LEXICON) == windowed_recognize(text, OVERLAP_LEXICON)
+
+    def test_matches_windowed_matcher_on_bundled_corpus(self, bundle, corpus):
+        for doc in corpus.values():
+            for text in (doc.title, doc.abstract, doc.abstract.upper()):
+                assert recognize(text, bundle.concept_lexicon) == windowed_recognize(text, bundle.concept_lexicon)
+
+
+class TestMemos:
+    def test_title_cuis_equal_fresh_recognition(self, bundle, corpus):
+        lexicon = ConceptLexicon(list(bundle.concept_lexicon.concepts.values()))
+        titles = [doc.title for doc in corpus.values()] + ["", "Tobacco and TOBACCO use"]
+        for _ in range(2):  # the second pass reads the memo
+            for title in titles:
+                assert title_cuis(title, lexicon) == tuple(m.cui for m in recognize(title, lexicon))
+
+    def test_title_memo_is_per_lexicon(self):
+        first = ConceptLexicon([Concept("C1", "aspirin", "T109", "Chemical")])
+        second = ConceptLexicon([Concept("C2", "aspirin", "T109", "Chemical")])
+        assert title_cuis("Aspirin trial", first) == ("C1",)
+        assert title_cuis("Aspirin trial", second) == ("C2",)
+
+    def test_similarity_sum_equals_fresh_bfs(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            nodes = [f"n{i}" for i in range(rng.randint(2, 9))]
+            graph = ConceptGraph.from_edges([tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(1, 10))])
+            pool = sorted(graph.nodes) + ["absent"]
+            for _ in range(4):  # later rounds read pairs memoised by earlier ones
+                qs = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+                ts = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+                expected = 0.0
+                for qc in qs:
+                    for tc in ts:
+                        count = bfs_node_count(graph.adjacency, qc, tc) if qc in graph and tc in graph else None
+                        if count is not None:
+                            expected += 1.0 / count
+                assert similarity_sum(qs, ts, graph) == expected
+
+    def test_similarity_memo_is_per_graph(self):
+        chain = ConceptGraph.from_edges([("a", "b"), ("b", "c")])
+        direct = ConceptGraph.from_edges([("a", "c"), ("c", "b")])
+        assert similarity_sum(["a"], ["c"], chain) == pytest.approx(1 / 3)
+        assert similarity_sum(["a"], ["c"], direct) == 0.5
+        assert chain == ConceptGraph.from_edges([("a", "b"), ("b", "c")])

@@ -3,8 +3,10 @@ import random
 from collections import Counter, deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bioqa import retrieval
+from bioqa import ingest, retrieval
 from bioqa.conceptlex import Concept, ConceptGraph, ConceptLexicon
 from bioqa.retrieval import (
     DocumentRecord,
@@ -21,6 +23,9 @@ from bioqa.retrieval import (
     rerank_documents,
     search,
 )
+from bioqa.textproc import stem
+
+from conftest import RESOURCE_DIR
 
 
 def make_index(term_lists, mode="document"):
@@ -355,3 +360,151 @@ def test_shared_index_safe_for_concurrent_queries(bundle, doc_index):
         for _ in range(5):
             concurrent = list(pool.map(lambda uid: bm25_score(terms, uid, doc_index), doc_index.unit_order))
             assert concurrent == serial
+
+
+# ---------------------------------------------------------------------------
+# search against a brute-force scan
+# ---------------------------------------------------------------------------
+
+# Two-letter terms are their own stems, so a Query of raw terms searches
+# for exactly these index terms. "zz" never occurs in any unit.
+SEARCH_VOCAB = ["aa", "bb", "cc", "dd", "ee"]
+SEARCH_MISSING = "zz"
+
+
+def search_oracle(units, query_terms, limit, k1, b):
+    """(unit id, score) of the top units, and whether the search relaxed.
+
+    Scores every unit from the BM25 formula over the raw term lists,
+    applies the conjunctive filter with the disjunctive fallback and sorts
+    stably; it reads nothing of the index. The arithmetic follows
+    bm25_score term by term, so equal inputs give bit-equal scores and
+    ties fall the same way.
+    """
+    distinct = list(dict.fromkeys(query_terms))
+    if not distinct or limit <= 0:
+        return [], False
+    order = [f"u{i}" for i in range(len(units))]
+    counts = {uid: Counter(terms) for uid, terms in zip(order, units)}
+    candidates = [uid for uid in order if all(counts[uid][t] for t in distinct)]
+    relaxed = not candidates
+    if relaxed:
+        candidates = [uid for uid in order if any(counts[uid][t] for t in distinct)]
+    n = len(order)
+    avg = sum(len(terms) for terms in units) / n
+    weights = {}
+    for t in distinct:
+        n_q = sum(1 for uid in order if counts[uid][t])
+        weights[t] = math.log((n - n_q + 0.5) / (n_q + 0.5))
+    scored = []
+    for uid in candidates:
+        norm = 1.0 - b + b * (sum(counts[uid].values()) / avg) if avg > 0 else 1.0
+        score = 0.0
+        for t in query_terms:
+            f = counts[uid][t]
+            if weights[t] > 0.0 and f:
+                score += weights[t] * (f * (k1 + 1.0)) / (f + k1 * norm)
+        scored.append((uid, score))
+    scored.sort(key=lambda pair: -pair[1])
+    return scored[:limit], relaxed
+
+
+def add_unit(index, units, terms):
+    """Append a unit to a hand-built index and to its raw term lists."""
+    uid = f"u{len(units)}"
+    units.append(list(terms))
+    index.unit_order.append(uid)
+    index.lengths[uid] = len(terms)
+    for t in terms:
+        index.postings.setdefault(t, {})
+        index.postings[t][uid] = index.postings[t].get(uid, 0) + 1
+
+
+def check_search(index, units, query_terms, limit, k1, b):
+    result = search(index, Query((), tuple(query_terms)), limit, set(), None, k1=k1, b=b)
+    expected, relaxed = search_oracle(units, query_terms, limit, k1, b)
+    assert [(d.doc_id, d.score) for d in result.docs] == expected
+    assert [d.rank for d in result.docs] == list(range(1, len(expected) + 1))
+    assert result.relaxed == relaxed
+    return relaxed
+
+
+# Units are drawn from a few shapes, so equal term lists (tied scores) are common.
+_unit_lists = st.lists(
+    st.one_of(
+        st.sampled_from([["aa"], ["aa", "bb"], ["bb", "cc", "cc"], ["dd"], ["aa", "ee", "ee", "bb"]]),
+        st.lists(st.sampled_from(SEARCH_VOCAB), min_size=1, max_size=6),
+    ),
+    min_size=1,
+    max_size=12,
+)
+_query_terms = st.lists(st.sampled_from(SEARCH_VOCAB + [SEARCH_MISSING]), min_size=1, max_size=5)
+_k1 = st.sampled_from([0.5, 1.2, 2.0])
+_b = st.sampled_from([0.0, 0.5, 0.85, 1.0])
+
+
+class TestSearchOracle:
+    def test_vocabulary_is_its_own_stems(self):
+        assert [stem(t) for t in SEARCH_VOCAB + [SEARCH_MISSING]] == SEARCH_VOCAB + [SEARCH_MISSING]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(units=_unit_lists, query=_query_terms, limit=st.integers(0, 14), k1=_k1, b=_b)
+    @example(units=[["aa"], ["aa"], ["aa", "bb"], ["cc"]], query=["aa"], limit=10, k1=1.2, b=0.85)
+    @example(units=[["aa"], ["bb"], ["bb"], ["cc"]], query=["aa", "bb"], limit=10, k1=1.2, b=0.85)
+    @example(units=[["aa", "bb"], ["cc"], ["dd"]], query=["aa", "aa", "bb"], limit=2, k1=1.2, b=0.85)
+    @example(units=[["aa"], ["bb"]], query=["zz"], limit=5, k1=1.2, b=0.85)
+    @example(units=[["aa"], ["bb"], ["cc"]], query=["aa", "zz"], limit=5, k1=1.2, b=0.85)
+    def test_matches_brute_force(self, units, query, limit, k1, b):
+        check_search(make_index(units), units, query, limit, k1, b)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(units=_unit_lists, added=_unit_lists, query=_query_terms, k1=_k1, b=_b)
+    def test_index_mutated_between_searches(self, units, added, query, k1, b):
+        # N, the mean length and every document frequency change between
+        # the two searches; a statistic kept from the first would show.
+        units = [list(terms) for terms in units]
+        index = make_index(units)
+        check_search(index, units, query, 20, k1, b)
+        for terms in added:
+            add_unit(index, units, terms)
+        check_search(index, units, query, 20, k1, b)
+
+    def test_both_paths_and_ties_are_covered(self):
+        units = [["aa"], ["aa"], ["bb"], ["cc"], ["dd"]]
+        index = make_index(units)
+        assert not check_search(index, units, ["aa"], 10, 1.2, 0.85)
+        assert check_search(index, units, ["aa", "bb"], 10, 1.2, 0.85)
+        docs = search(index, Query((), ("aa",)), 10, set(), None).docs
+        assert [d.doc_id for d in docs] == ["u0", "u1"] and docs[0].score == docs[1].score
+
+    def test_loaded_index_keeps_unit_order_on_ties(self, tmp_path):
+        # A saved index stores postings sorted by unit id; candidates must
+        # still come out in unit_order, not in that order.
+        units = [["aa"], ["aa"], ["aa"], ["bb"], ["cc"], ["dd"], ["ee"]]
+        index = IndexedCorpus(mode="document")
+        for uid, terms in zip(["u9", "u3", "u5", "u0", "u1", "u2", "u4"], units):
+            index.unit_order.append(uid)
+            index.lengths[uid] = len(terms)
+            for t in terms:
+                index.postings.setdefault(t, {})[uid] = 1
+        ingest.save_index(index, tmp_path / "index.json")
+        loaded = ingest.load_index(tmp_path / "index.json")
+        assert list(loaded.postings["aa"]) == ["u3", "u5", "u9"]
+        docs = search(loaded, Query((), ("aa",)), 10, set(), None).docs
+        assert [d.doc_id for d in docs] == ["u9", "u3", "u5"]
+
+
+def test_index_unchanged_by_queries(bundle, corpus, doc_index, tmp_path):
+    # Searching and ranking leave nothing on the index: it still equals a
+    # fresh build and what load_index reads back from its saved file.
+    from bioqa.answer import PipelineConfig, retrieve
+
+    questions = ingest.load_questions(RESOURCE_DIR / "questions.json").questions
+    for q in questions:
+        retrieve(q.body, corpus, doc_index, bundle, PipelineConfig())
+    fresh = build_index([(d.doc_id, f"{d.title} {d.abstract}") for d in corpus.values()],
+                        "document", bundle.stopwords, bundle.concept_lexicon)
+    assert doc_index == fresh
+    assert vars(doc_index).keys() == vars(fresh).keys()
+    ingest.save_index(doc_index, tmp_path / "index.json")
+    assert ingest.load_index(tmp_path / "index.json") == doc_index

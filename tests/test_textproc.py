@@ -155,6 +155,20 @@ class TestStem:
         ]
         assert mismatches == []
 
+    def test_memo_equals_unmemoised_stem_on_bundled_corpus(self, corpus):
+        reference = stem.__wrapped__  # the Porter algorithm without the memo
+        words = {t.surface for doc in corpus.values() for t in tokenize(f"{doc.title} {doc.abstract}")}
+        assert len(words) > 300
+        for _ in range(2):  # the second pass reads the memo
+            for word in sorted(words):
+                for variant in (word, word.lower(), word.upper(), word.title(), word.swapcase()):
+                    assert stem(variant) == reference(variant)
+
+    def test_one_stem_object_everywhere(self):
+        from bioqa import evalkit, qclass, retrieval
+
+        assert retrieval.stem is qclass.stem is evalkit.porter_stem is textproc.stem is stem
+
 
 class TestNgrams:
     def test_bigrams_of_question(self):
