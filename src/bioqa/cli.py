@@ -17,6 +17,7 @@ from . import answer as answer_mod
 from . import evalkit, ingest, qclass, retrieval
 from .answer import PipelineConfig, answer_pipeline, answer_to_json
 from .qclass import FeatureExtractor
+from .textproc import read_json
 
 USAGE_ERROR = 2
 
@@ -116,7 +117,7 @@ def _check_ranges(args) -> None:
         raise CliError(f"--b must lie in [0, 1], got {b}")
     if C is not None and C <= 0:
         raise CliError(f"--C must be positive, got {C}")
-    for name in ("retrieve_depth", "top_docs", "top_passages", "list_cap"):
+    for name in ("retrieve_depth", "top_docs", "top_passages", "list_cap", "epochs"):
         count = getattr(args, name, None)
         if count is not None and count < 1:
             raise CliError(f"--{name.replace('_', '-')} must be at least 1, got {count}")
@@ -180,7 +181,7 @@ def cmd_index(args) -> int:
     bundle = ingest.load_resources(args.manifest)
     index = _build_document_index(bundle, _load_corpus_docs(bundle))
     ingest.save_index(index, args.out)
-    _emit(args, {"indexed_units": index.n_units, "mode": index.mode, "out": args.out})
+    _emit(args, {"indexed_units": index.n_units, "out": args.out})
     return 0
 
 
@@ -317,15 +318,12 @@ def cmd_answer(args) -> int:
 
 
 def _load_run_entries(path) -> list[dict]:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ingest.DatasetFormatError(f"{path}: invalid JSON ({exc.msg})") from None
-    if isinstance(payload, dict) and isinstance(payload.get("questions"), list):
-        return payload["questions"]
-    if isinstance(payload, list):
-        return payload
-    raise ingest.DatasetFormatError(f"{path}: expected a run list or {{'questions': [...]}} object")
+    """The answer objects of a run file: {"questions": [...]} or a bare list."""
+    payload = read_json(path)
+    entries = payload.get("questions") if isinstance(payload, dict) else payload
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ingest.DatasetFormatError(f"{path}: expected a list of answer objects or {{'questions': [...]}}")
+    return entries
 
 
 def cmd_eval(args) -> int:
@@ -381,8 +379,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ingest.DatasetFormatError, ingest.IndexVersionError, qclass.ModelFormatError,
-            FileNotFoundError, ValueError, KeyError) as exc:
+    except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

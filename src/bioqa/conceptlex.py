@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .textproc import ResourceFormatError, tokenize
+from .textproc import ResourceFormatError, data_lines, tokenize
 
 
 class UnknownConceptError(KeyError):
@@ -94,9 +93,7 @@ class ConceptLexicon:
     @classmethod
     def from_file(cls, path) -> "ConceptLexicon":
         concepts = []
-        for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip() or line.startswith("#"):
-                continue
+        for i, line in data_lines(path):
             parts = line.split("\t")
             if len(parts) < 4:
                 raise ResourceFormatError(path, i, f"expected at least 4 tab-separated fields, got {len(parts)}")
@@ -176,9 +173,7 @@ class ConceptGraph:
     @classmethod
     def from_file(cls, path) -> "ConceptGraph":
         edges = []
-        for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip() or line.startswith("#"):
-                continue
+        for i, line in data_lines(path):
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
                 raise ResourceFormatError(path, i, f"expected 'parent_cui<TAB>child_cui', got {line!r}")
@@ -267,9 +262,7 @@ class SentimentLexicon:
     @classmethod
     def from_file(cls, path) -> "SentimentLexicon":
         entries = []
-        for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip() or line.startswith("#"):
-                continue
+        for i, line in data_lines(path):
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ResourceFormatError(path, i, f"expected 4 tab-separated fields, got {len(parts)}")

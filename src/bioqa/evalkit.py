@@ -237,6 +237,14 @@ def _mean(values) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
+def _retrieval_scores(returned, gold) -> dict[str, float]:
+    """Precision, recall, F1 and AP of the returned keys (first occurrence kept) against the gold keys."""
+    returned = list(dict.fromkeys(returned))
+    tp = len(set(returned) & set(gold))
+    p, r, f1 = prf1(tp, len(returned) - tp, len(set(gold)) - tp)
+    return {"precision": p, "recall": r, "f1": f1, "ap": average_precision(returned, gold)}
+
+
 def evaluate_run(
     gold_dataset,
     run_entries: list[dict],
@@ -261,8 +269,6 @@ def evaluate_run(
     list_pairs = []
     rouge2_scores: list[float] = []
     rougesu_scores: list[float] = []
-    doc_rows = []
-    snip_rows = []
 
     for q in gold_dataset.questions:
         entry = run_by_id.get(q.id, {})
@@ -294,24 +300,12 @@ def evaluate_run(
             detail["rouge_su"] = rsu
 
         if q.documents:
-            returned = list(dict.fromkeys(str(d) for d in entry.get("documents") or []))
-            tp = len(set(returned) & set(q.documents))
-            p, r, f1 = prf1(tp, len(set(returned)) - tp, len(set(q.documents)) - tp)
-            ap = average_precision(returned, q.documents)
-            doc_rows.append((p, r, f1, ap))
-            detail["documents"] = {"precision": p, "recall": r, "f1": f1, "ap": ap}
-
+            detail["documents"] = _retrieval_scores((str(d) for d in entry.get("documents") or []), q.documents)
         if q.snippets:
-            gold_keys = [_normalize_snippet(s["document"], s["text"]) for s in q.snippets]
-            returned = list(dict.fromkeys(
-                _normalize_snippet(s.get("document", ""), s.get("text", ""))
-                for s in entry.get("snippets") or []
-            ))
-            tp = len(set(returned) & set(gold_keys))
-            p, r, f1 = prf1(tp, len(set(returned)) - tp, len(set(gold_keys)) - tp)
-            ap = average_precision(returned, gold_keys)
-            snip_rows.append((p, r, f1, ap))
-            detail["snippets"] = {"precision": p, "recall": r, "f1": f1, "ap": ap}
+            detail["snippets"] = _retrieval_scores(
+                (_normalize_snippet(s.get("document", ""), s.get("text", "")) for s in entry.get("snippets") or []),
+                [_normalize_snippet(s["document"], s["text"]) for s in q.snippets],
+            )
 
         per_question[q.id] = detail
 
@@ -326,16 +320,12 @@ def evaluate_run(
     if rouge2_scores:
         metrics["rouge_2"] = _mean(rouge2_scores)
         metrics["rouge_su4"] = _mean(rougesu_scores)
-    if doc_rows:
-        metrics["documents_precision"] = _mean(r[0] for r in doc_rows)
-        metrics["documents_recall"] = _mean(r[1] for r in doc_rows)
-        metrics["documents_f1"] = _mean(r[2] for r in doc_rows)
-        metrics["documents_map"] = mean_average_precision(r[3] for r in doc_rows)
-    if snip_rows:
-        metrics["snippets_precision"] = _mean(r[0] for r in snip_rows)
-        metrics["snippets_recall"] = _mean(r[1] for r in snip_rows)
-        metrics["snippets_f1"] = _mean(r[2] for r in snip_rows)
-        metrics["snippets_map"] = mean_average_precision(r[3] for r in snip_rows)
+    for block in ("documents", "snippets"):
+        rows = [detail[block] for detail in per_question.values() if block in detail]
+        if rows:
+            for name in ("precision", "recall", "f1"):
+                metrics[f"{block}_{name}"] = _mean(row[name] for row in rows)
+            metrics[f"{block}_map"] = mean_average_precision(row["ap"] for row in rows)
 
     config = {
         "max_skip": DEFAULT_MAX_SKIP,

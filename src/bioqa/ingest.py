@@ -14,7 +14,7 @@ from pathlib import Path
 from .conceptlex import ConceptGraph, ConceptLexicon, SentimentLexicon
 from .qclass import Pattern, QuestionType, load_patterns
 from .retrieval import INDEX_FORMAT_VERSION, DocumentRecord, DuplicateIdError, IndexedCorpus
-from .textproc import TagLexicon, load_abbreviations, load_stopwords
+from .textproc import TagLexicon, data_lines, load_abbreviations, load_stopwords, read_json
 
 
 class DatasetFormatError(ValueError):
@@ -22,8 +22,8 @@ class DatasetFormatError(ValueError):
 
 
 class IndexVersionError(ValueError):
-    def __init__(self, found, expected):
-        super().__init__(f"index format version {found!r}, expected {expected!r}")
+    def __init__(self, found, expected, path):
+        super().__init__(f"{path}: index format version {found!r}, expected {expected!r}")
         self.found = found
         self.expected = expected
 
@@ -32,13 +32,13 @@ def load_corpus(path) -> list[DocumentRecord]:
     """JSON Lines corpus: one {doc_id, title, abstract} object per line."""
     records: list[DocumentRecord] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for line_no, line in data_lines(path):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise DatasetFormatError(f"{path}:{line_no}: expected a JSON object")
         for required in ("doc_id", "title", "abstract"):
             if required not in obj:
                 raise DatasetFormatError(f"{path}:{line_no}: missing field {required!r}")
@@ -93,17 +93,20 @@ def _validate_exact(qid: str, qtype: QuestionType, exact) -> object:
     return normalized
 
 
+def _question_entries(path) -> list[dict]:
+    """The objects of a question file's {"questions": [...]} list."""
+    payload = read_json(path)
+    entries = payload.get("questions") if isinstance(payload, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(obj, dict) for obj in entries):
+        raise DatasetFormatError(f"{path}: expected an object with a 'questions' list of objects")
+    return entries
+
+
 def load_questions(path) -> QuestionDataset:
     """BioASQ-shaped question file: {"questions": [{id, body, type, ...}]}."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{path}: invalid JSON ({exc.msg})") from None
-    if not isinstance(payload, dict) or not isinstance(payload.get("questions"), list):
-        raise DatasetFormatError(f"{path}: expected an object with a 'questions' list")
     questions = []
     seen: set[str] = set()
-    for i, obj in enumerate(payload["questions"]):
+    for i, obj in enumerate(_question_entries(path)):
         where = f"{path}: questions[{i}]"
         for required in ("id", "body", "type"):
             if required not in obj:
@@ -145,10 +148,8 @@ def load_dep_pairs(path) -> dict[str, list[tuple[str, str, str]]]:
     dependency features.
     """
     pairs: dict[str, list[tuple[str, str, str]]] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
+    for line_no, line in data_lines(path):
+        parts = line.split("\t")
         if len(parts) != 4 or not all(p.strip() for p in parts):
             raise DatasetFormatError(
                 f"{path}:{line_no}: expected 'question_id<TAB>rel<TAB>head<TAB>dependent'"
@@ -159,15 +160,11 @@ def load_dep_pairs(path) -> dict[str, list[tuple[str, str, str]]]:
 
 
 def load_topic_questions(path) -> list[tuple[str, str, set[str]]]:
-    """Topic-labeled questions: [{"id", "body", "topics": [...]}]."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{path}: invalid JSON ({exc.msg})") from None
+    """Topic-labeled questions: {"questions": [{"id", "body", "topics": [...]}]}."""
     rows = []
-    for i, obj in enumerate(payload.get("questions", [])):
-        if "body" not in obj or "topics" not in obj:
-            raise DatasetFormatError(f"{path}: questions[{i}] needs 'body' and 'topics'")
+    for i, obj in enumerate(_question_entries(path)):
+        if "body" not in obj or not isinstance(obj.get("topics"), list):
+            raise DatasetFormatError(f"{path}: questions[{i}] needs 'body' and a 'topics' list")
         rows.append((str(obj.get("id", i)), obj["body"], set(obj["topics"])))
     return rows
 
@@ -201,13 +198,12 @@ def load_resources(manifest_path) -> ResourceBundle:
     concept from the lexicon.
     """
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{manifest_path}: invalid JSON ({exc.msg})") from None
-    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
+    manifest = read_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError(f"{manifest_path}: expected a manifest object")
+    missing = [k for k in _MANIFEST_KEYS if not isinstance(manifest.get(k), str)]
     if missing:
-        raise DatasetFormatError(f"{manifest_path}: manifest missing entries: {', '.join(missing)}")
+        raise DatasetFormatError(f"{manifest_path}: manifest needs a file name for: {', '.join(missing)}")
     base = manifest_path.parent
     paths = {k: base / manifest[k] for k in _MANIFEST_KEYS}
     for key, p in paths.items():
@@ -247,16 +243,9 @@ def default_manifest_path() -> Path:
 # ---------------------------------------------------------------------------
 
 def save_index(index: IndexedCorpus, path) -> None:
-    """Write an index as deterministic JSON (sorted keys, fixed layout)."""
-    from .retrieval import DEFAULT_B, DEFAULT_K1
-
+    """Write a document index as deterministic JSON (sorted keys, fixed layout)."""
     payload = {
         "version": INDEX_FORMAT_VERSION,
-        "mode": index.mode,
-        "k1_default": DEFAULT_K1,
-        "b_default": DEFAULT_B,
-        "n_units": index.n_units,
-        "avg_len": index.avg_len,
         "unit_order": index.unit_order,
         "lengths": index.lengths,
         "postings": index.postings,
@@ -267,15 +256,22 @@ def save_index(index: IndexedCorpus, path) -> None:
 
 
 def load_index(path) -> IndexedCorpus:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = payload.get("version")
-    if version != INDEX_FORMAT_VERSION:
-        raise IndexVersionError(version, INDEX_FORMAT_VERSION)
-    index = IndexedCorpus(mode=payload["mode"])
-    index.unit_order = list(payload["unit_order"])
-    index.lengths = {k: int(v) for k, v in payload["lengths"].items()}
-    index.postings = {
-        term: {uid: int(tf) for uid, tf in units.items()}
-        for term, units in payload["postings"].items()
-    }
+    """A document index saved by save_index; any other content is refused naming the file."""
+    payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise DatasetFormatError(f"{path}: expected an index object")
+    if payload.get("version") != INDEX_FORMAT_VERSION:
+        raise IndexVersionError(payload.get("version"), INDEX_FORMAT_VERSION, path)
+    index = IndexedCorpus(mode="document")
+    try:
+        index.unit_order = list(payload["unit_order"])
+        index.lengths = {k: int(v) for k, v in payload["lengths"].items()}
+        index.postings = {
+            term: {uid: int(tf) for uid, tf in units.items()}
+            for term, units in payload["postings"].items()
+        }
+    except KeyError as exc:
+        raise DatasetFormatError(f"{path}: index has no {exc} entry") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{path}: malformed index ({exc})") from None
     return index

@@ -24,6 +24,7 @@ from .textproc import (
     TagLexicon,
     ngrams,
     pos_tag,
+    read_json,
     stem,
     tokenize,
 )
@@ -600,13 +601,21 @@ def save_model(model: LinearModel | TopicModelSet, path) -> None:
 
 
 def load_model(path):
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """A model saved by save_model; any other content is refused naming the file."""
+    payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise ModelFormatError(f"{path}: expected a model object")
     version = payload.get("version")
     if version != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(f"model format version {version!r}, expected {MODEL_FORMAT_VERSION}")
-    if payload.get("kind") == "type":
-        return LinearModel(tuple(payload["labels"]), payload["weights"], payload.get("meta", {}))
-    if payload.get("kind") == "topics":
-        models = {name: BinaryModel(entry["weights"]) for name, entry in payload["topics"].items()}
-        return TopicModelSet(models, payload.get("meta", {}))
-    raise ModelFormatError(f"unknown model kind {payload.get('kind')!r}")
+        raise ModelFormatError(f"{path}: model format version {version!r}, expected {MODEL_FORMAT_VERSION}")
+    try:
+        if payload.get("kind") == "type":
+            return LinearModel(tuple(payload["labels"]), payload["weights"], payload.get("meta", {}))
+        if payload.get("kind") == "topics":
+            models = {name: BinaryModel(entry["weights"]) for name, entry in payload["topics"].items()}
+            return TopicModelSet(models, payload.get("meta", {}))
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: model has no {exc} entry") from None
+    except (AttributeError, TypeError) as exc:
+        raise ModelFormatError(f"{path}: malformed model ({exc})") from None
+    raise ModelFormatError(f"{path}: unknown model kind {payload.get('kind')!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .conceptlex import ConceptGraph, ConceptLexicon, recognize, similarity_sum, title_cuis
 from .textproc import split_sentences, stem, tokenize
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.85

@@ -8,20 +8,42 @@ abbreviation list, and stemming is the Porter algorithm.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 class ResourceFormatError(ValueError):
-    """A resource file line did not parse; carries file and line number."""
+    """An input file did not parse at a line; carries file and line number."""
 
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
+
+
+def data_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a text file that carries data.
+
+    Blank lines and lines whose first non-blank character is '#' are
+    skipped; line numbers still count them, so errors cite the line an
+    editor shows.
+    """
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        stripped = line.lstrip()
+        if stripped and not stripped.startswith("#"):
+            yield line_no, line
+
+
+def read_json(path):
+    """The decoded value of a JSON file; invalid JSON names the file and line."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ResourceFormatError(path, exc.lineno, f"invalid JSON ({exc.msg})") from None
 
 
 @dataclass(frozen=True)
@@ -69,22 +91,15 @@ def ngrams(tokens: Sequence[str], n: int) -> list[str]:
 
 
 def load_stopwords(path) -> set[str]:
-    """One lowercase word per line; blank lines and '#' comments ignored."""
-    words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(line.lower())
-    return words
+    """One word per line, lowercased."""
+    return {line.strip().lower() for _, line in data_lines(path)}
 
 
 def load_abbreviations(path) -> set[str]:
     """Abbreviations (with trailing period) that never end a sentence."""
     abbrevs = set()
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for i, line in data_lines(path):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         if not line.endswith("."):
             raise ResourceFormatError(path, i, f"abbreviation must end with a period: {line!r}")
         abbrevs.add(line.lower())
@@ -150,9 +165,7 @@ class TagLexicon:
     @classmethod
     def from_file(cls, path) -> "TagLexicon":
         entries: dict[str, str] = {}
-        for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip() or line.startswith("#"):
-                continue
+        for i, line in data_lines(path):
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0] or not parts[1].strip():
                 raise ResourceFormatError(path, i, f"expected 'word<TAB>tag', got {line!r}")

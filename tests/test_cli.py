@@ -82,6 +82,27 @@ class TestAnswer:
         assert main(["answer", "--question", "Is this ok?"]) == 2
 
 
+class TestMalformedInputs:
+    @pytest.mark.parametrize("argv, text", [
+        (["retrieve-docs", "--question", "Is it?", "--index", "{bad}"], "[]"),
+        (["retrieve-docs", "--question", "Is it?", "--index", "{bad}"], '{"version": 2, "unit_order": []}'),
+        (["classify", "--question", "Is it?", "--model", "{bad}"], "{nope"),
+        (["classify", "--question", "Is it?", "--model", "{bad}"], "[]"),
+        (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"], '["answer"]'),
+        (["train-topics", "--out", "{tmp}/t.json", "--questions", "{bad}"], "[]"),
+        (["validate", "--manifest", "{bad}"], '"corpus lexicon graph sentiment stopwords tags abbreviations patterns"'),
+    ], ids=["index list", "index missing key", "model not JSON", "model list", "run string entry",
+            "topic questions list", "manifest string"])
+    def test_malformed_input_file_exits_one_naming_it(self, argv, text, tmp_path, capsys):
+        bad = tmp_path / "bad-input.json"
+        bad.write_text(text)
+        assert main([a.format(bad=bad, tmp=tmp_path) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad-input.json" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestEval:
     def test_answer_then_eval_composes(self, model_path, index_path, tmp_path, capsys):
         run = tmp_path / "run.json"
@@ -124,6 +145,11 @@ class TestIndexCommand:
         index = load_index(index_path)
         assert index.n_units == 12
 
+    def test_reports_units_and_out(self, tmp_path, capsys):
+        out = tmp_path / "i.json"
+        assert main(["index", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"indexed_units": 12, "out": str(out)}
+
     def test_byte_deterministic_across_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["index", "--out", str(a)]) == 0
@@ -138,6 +164,17 @@ class TestClassifyAndTrain:
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["training_accuracy"] >= 0.9
         assert payload["seed"] == 42
+
+    @pytest.mark.parametrize("command, epochs", [
+        ("train-type", "0"), ("train-type", "-1"), ("train-topics", "0"), ("train-topics", "-5"),
+    ])
+    def test_epochs_below_one_is_usage_error(self, command, epochs, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main([command, "--out", str(out), "--epochs", epochs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--epochs must be at least 1" in captured.err
+        assert not out.exists()
 
     def test_classify_single_question(self, model_path, capsys):
         assert main(["classify", "--model", model_path,

@@ -3,19 +3,21 @@ import random
 
 import pytest
 
-from bioqa import ingest, retrieval
+from bioqa import cli, ingest, qclass, retrieval
+from bioqa.conceptlex import ConceptGraph, ConceptLexicon, SentimentLexicon
 from bioqa.ingest import (
     DatasetFormatError,
     IndexVersionError,
     load_corpus,
+    load_dep_pairs,
     load_index,
     load_questions,
     load_resources,
     load_topic_questions,
     save_index,
 )
-from bioqa.retrieval import DuplicateIdError
-from bioqa.textproc import ResourceFormatError
+from bioqa.retrieval import INDEX_FORMAT_VERSION, DuplicateIdError
+from bioqa.textproc import ResourceFormatError, TagLexicon, load_abbreviations, load_stopwords
 
 from conftest import RESOURCE_DIR
 
@@ -164,10 +166,32 @@ class TestIndexPersistence:
     def test_version_mismatch_reports_both(self, tmp_path, doc_index):
         path = tmp_path / "index.json"
         save_index(doc_index, path)
-        path.write_text(path.read_text().replace('"version":1', '"version":2'))
+        bumped = path.read_text().replace(f'"version":{INDEX_FORMAT_VERSION}', '"version":99')
+        assert bumped != path.read_text()
+        path.write_text(bumped)
         with pytest.raises(IndexVersionError) as err:
             load_index(path)
-        assert err.value.found == 2 and err.value.expected == 1
+        assert err.value.found == 99 and err.value.expected == INDEX_FORMAT_VERSION
+        assert "index.json" in str(err.value)
+
+    def test_version_one_index_rejected(self, tmp_path):
+        # Format 1 also stored the mode, the BM25 defaults, n_units and avg_len.
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "version": 1, "mode": "document", "k1_default": 1.2, "b_default": 0.85, "n_units": 0,
+            "avg_len": 0.0, "unit_order": [], "lengths": {}, "postings": {},
+        }))
+        with pytest.raises(IndexVersionError) as err:
+            load_index(path)
+        assert err.value.found == 1 and "old.json" in str(err.value)
+
+    def test_saves_only_what_load_reads(self, tmp_path, doc_index):
+        path = tmp_path / "index.json"
+        save_index(doc_index, path)
+        payload = json.loads(path.read_text())
+        assert set(payload) == {"version", "unit_order", "lengths", "postings"}
+        assert payload["version"] == INDEX_FORMAT_VERSION == 2
+        assert load_index(path) == doc_index
 
     def test_round_trip_scores_identical(self, tmp_path, bundle, doc_index):
         path = tmp_path / "index.json"
@@ -196,16 +220,19 @@ class TestLoaderRobustness:
         # Corrupted inputs must raise a located error, never crash oddly.
         rng = random.Random(6)
         expected = (DatasetFormatError, DuplicateIdError, ResourceFormatError,
-                    IndexVersionError, FileNotFoundError)
+                    IndexVersionError, qclass.ModelFormatError, FileNotFoundError)
         seeds = [
             '{"doc_id": "1", "title": "t", "abstract": "a"}',
             '{"questions": [{"id": "1", "body": "b", "type": "yesno"}]}',
             "C1\talpha\tT1\tThing\ta|b",
-            '{"version": 1, "mode": "document", "unit_order": [], "lengths": {}, "postings": {}}',
+            '{"version": 2, "unit_order": ["d"], "lengths": {"d": 1}, "postings": {"t": {"d": 1}}}',
+            '{"questions": [{"id": "1", "body": "b", "topics": ["Device"]}]}',
+            '{"corpus": "c", "lexicon": "l", "graph": "g", "sentiment": "s", "stopwords": "w",'
+            ' "tags": "t", "abbreviations": "a", "patterns": "p"}',
+            '{"version": 2, "kind": "topics", "topics": {"Device": {"weights": {"a": 1.0}}}, "meta": {}}',
         ]
-        loaders = [load_corpus, load_questions,
-                   lambda p: __import__("bioqa.conceptlex", fromlist=["x"]).ConceptLexicon.from_file(p),
-                   load_index]
+        loaders = [load_corpus, load_questions, ConceptLexicon.from_file, load_index,
+                   load_topic_questions, load_resources, qclass.load_model]
         for seed_text, loader in zip(seeds, loaders):
             for _ in range(40):
                 text = list(seed_text)
@@ -217,9 +244,6 @@ class TestLoaderRobustness:
                 try:
                     loader(path)
                 except expected:
-                    pass
-                except (KeyError, ValueError, TypeError):
-                    # json payloads that parse but carry wrong shapes
                     pass
 
 
@@ -236,3 +260,87 @@ class TestDepPairs:
         path.write_text("q1\tnsubj\tWhat\tdose\nq2\tonly-three\tcols\n")
         with pytest.raises(DatasetFormatError, match=":2"):
             ingest.load_dep_pairs(path)
+
+
+# Every JSON reader, with a top level of the wrong type and an entry of the
+# wrong type.
+JSON_READERS = {
+    "questions": (load_questions, "[]", '{"questions": ["id body type"]}'),
+    "topic questions": (load_topic_questions, "[]", '{"questions": ["body topics"]}'),
+    "manifest": (load_resources, '"corpus lexicon graph sentiment stopwords tags abbreviations patterns"',
+                 '{"corpus": 5, "lexicon": "l", "graph": "g", "sentiment": "s", "stopwords": "w",'
+                 ' "tags": "t", "abbreviations": "a", "patterns": "p"}'),
+    "index": (load_index, "[]", '{"version": 2, "unit_order": [], "lengths": {}, "postings": {"t": "d1"}}'),
+    "model": (qclass.load_model, "[]", '{"version": 2, "kind": "topics", "topics": {"Device": "w"}, "meta": {}}'),
+    "run": (cli._load_run_entries, '"run"', '{"questions": ["answer"]}'),
+}
+
+
+class TestJsonReaders:
+    @pytest.mark.parametrize("reader", sorted(JSON_READERS))
+    def test_invalid_json_names_file_and_line(self, reader, tmp_path):
+        path = tmp_path / "bad-input.json"
+        path.write_text('{"questions": [\n  {nope')
+        with pytest.raises(ResourceFormatError, match="bad-input.json:2:") as err:
+            JSON_READERS[reader][0](path)
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("reader", sorted(JSON_READERS))
+    @pytest.mark.parametrize("case", [1, 2], ids=["wrong top level", "wrong-type entry"])
+    def test_wrong_type_is_a_format_error_naming_the_file(self, reader, case, tmp_path):
+        path = tmp_path / "bad-input.json"
+        path.write_text(JSON_READERS[reader][case])
+        with pytest.raises(ValueError, match="bad-input.json"):
+            JSON_READERS[reader][0](path)
+
+    @pytest.mark.parametrize("reader, payload, key", [
+        ("index", {"version": 2, "unit_order": [], "lengths": {}}, "postings"),
+        ("index", {"version": 2, "lengths": {}, "postings": {}}, "unit_order"),
+        ("model", {"version": 2, "kind": "type", "labels": ["yesno"], "meta": {}}, "weights"),
+        ("model", {"version": 2, "kind": "topics", "meta": {}}, "topics"),
+    ])
+    def test_missing_key_is_a_format_error_naming_the_file(self, reader, payload, key, tmp_path):
+        path = tmp_path / "bad-input.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="bad-input.json") as err:
+            JSON_READERS[reader][0](path)
+        assert not isinstance(err.value, KeyError)
+        assert key in str(err.value)
+
+
+# Every line loader, with a line it accepts and, where it has one, a line it
+# refuses.
+LINE_LOADERS = {
+    "stopwords": (load_stopwords, "alpha", None),
+    "abbreviations": (load_abbreviations, "e.g.", "eg"),
+    "tags": (TagLexicon.from_file, "is\tVBZ", "is"),
+    "concepts": (ConceptLexicon.from_file, "C1\talpha\tT1\tThing", "C1\talpha"),
+    "hierarchy": (ConceptGraph.from_file, "C1\tC2", "C1"),
+    "sentiment": (SentimentLexicon.from_file, "good\tany\t0.5\t0", "good\tany\thigh\t0"),
+    "corpus": (load_corpus, '{"doc_id": "1", "title": "t", "abstract": "a"}', '{"doc_id": "2"}'),
+    "dependencies": (load_dep_pairs, "q1\tnsubj\tWhat\tdose", "q1\tnsubj"),
+}
+
+
+def _contents(resource):
+    """A loaded resource as data that compares by value."""
+    return vars(resource) if hasattr(resource, "__dict__") else resource
+
+
+class TestLineLoaders:
+    @pytest.mark.parametrize("loader", sorted(LINE_LOADERS))
+    def test_blank_and_indented_comment_lines_are_skipped(self, loader, tmp_path):
+        load, good, _ = LINE_LOADERS[loader]
+        plain, noisy = tmp_path / "plain.txt", tmp_path / "noisy.txt"
+        plain.write_text(good + "\n")
+        noisy.write_text(f"# header\n\n{good}\n   \t\n   # note\n\t# note\n")
+        loaded = _contents(load(noisy))
+        assert loaded and loaded == _contents(load(plain))
+
+    @pytest.mark.parametrize("loader", sorted(k for k, v in LINE_LOADERS.items() if v[2] is not None))
+    def test_error_line_numbers_count_skipped_lines(self, loader, tmp_path):
+        load, good, bad = LINE_LOADERS[loader]
+        path = tmp_path / "resource.txt"
+        path.write_text(f"{good}\n\n   # note\n{bad}\n")
+        with pytest.raises(ValueError, match=r"resource\.txt:4:"):
+            load(path)
