@@ -15,7 +15,7 @@ from .conceptlex import (
     ConceptLexicon,
     SentimentLexicon,
     coarse_tag_class,
-    recognize,
+    recognize,  # not called here; perfbench/tracer.py counts calls through this binding
     synonyms_of,
     word_sentiment,
 )
@@ -32,6 +32,7 @@ from .retrieval import (
     Query,
     ScoredDoc,
     ScoredPassage,
+    analyse,
     extract_passages,
     formulate_query,
     rank_passages,
@@ -118,59 +119,48 @@ def answer_yesno(
 
 
 def rank_entities(
-    passages: list[str],
-    question: str,
+    passages: list[PassageCandidate],
+    question_cuis: list[str],
     lexicon: ConceptLexicon,
 ) -> list[EntityAnswer]:
-    """Frequency-ranked concepts of the passages, question concepts excluded.
+    """Frequency-ranked concepts the passages carry, question concepts excluded.
 
     Exclusion happens at the concept level, so a synonym of a question
     entity is excluded too. Ties keep first-mention order.
     """
-    question_cuis = {m.cui for m in recognize(question, lexicon)}
-    counts: Counter = Counter()
-    first_seen: dict[str, int] = {}
-    order = 0
-    for text in passages:
-        for mention in recognize(text, lexicon):
-            if mention.cui in question_cuis:
-                continue
-            counts[mention.cui] += 1
-            if mention.cui not in first_seen:
-                first_seen[mention.cui] = order
-            order += 1
-    ranked = sorted(counts, key=lambda cui: (-counts[cui], first_seen[cui]))
+    excluded = set(question_cuis)
+    # A Counter keeps first-mention order, and the sort is stable.
+    counts = Counter(cui for passage in passages for cui in passage.cuis if cui not in excluded)
+    ranked = sorted(counts, key=lambda cui: -counts[cui])
     return [
         EntityAnswer(lexicon.get(cui).preferred, tuple(synonyms_of(cui, lexicon)))
         for cui in ranked
     ]
 
 
-def answer_factoid(passages: list[str], question: str, lexicon: ConceptLexicon) -> list[EntityAnswer]:
+def answer_factoid(passages: list[PassageCandidate], question_cuis: list[str], lexicon: ConceptLexicon) -> list[EntityAnswer]:
     """Up to five candidate entities, most frequent first."""
-    return rank_entities(passages, question, lexicon)[:FACTOID_CAP]
+    return rank_entities(passages, question_cuis, lexicon)[:FACTOID_CAP]
 
 
 def answer_list(
-    passages: list[str],
-    question: str,
+    passages: list[PassageCandidate],
+    question_cuis: list[str],
     lexicon: ConceptLexicon,
     cap: int = DEFAULT_LIST_CAP,
 ) -> list[EntityAnswer]:
     """Single list of entities; same ranking as factoid, different reading."""
-    return rank_entities(passages, question, lexicon)[:cap]
+    return rank_entities(passages, question_cuis, lexicon)[:cap]
 
 
 def ideal_answer(
-    question: str,
+    question_terms: list[str],
     candidates: list[PassageCandidate],
-    stopwords: set[str],
-    lexicon: ConceptLexicon | None,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> IdealAnswer:
-    """Concatenation of the two passages ranking highest for the question."""
-    top = rank_passages(question, candidates, stopwords, lexicon, k1=k1, b=b, top_n=2)
+    """Concatenation of the two passages ranking highest for the question's terms."""
+    top = rank_passages(question_terms, candidates, k1=k1, b=b, top_n=2)
     if not top:
         return IdealAnswer("", (), empty=True)
     text = " ".join(sp.passage.text for sp in top)
@@ -191,13 +181,15 @@ class PipelineConfig:
 @dataclass
 class Retrieved:
     """What retrieval made of one question: its query, whether the search
-    fell back to any-term matching, the reranked top documents and the
-    ranked sentence passages from them."""
+    fell back to any-term matching, the reranked top documents, the ranked
+    sentence passages from them, and the question's index terms and cuis."""
 
     query: Query
     relaxed: bool
     documents: list[ScoredDoc]
     passages: list[ScoredPassage]
+    question_terms: list[str]
+    question_cuis: list[str]
 
 
 def retrieve(
@@ -209,18 +201,20 @@ def retrieve(
 ) -> Retrieved:
     """concept query -> BM25 search -> title rerank -> sentence BM25.
 
-    Search hits missing from documents are skipped.
+    Search hits missing from documents are skipped. The question is
+    analysed here once for the passage ranking and the stages after it.
     """
     lexicon, stopwords = resources.concept_lexicon, resources.stopwords
     query = formulate_query(question, lexicon, stopwords)
     result = search(index, query, config.retrieve_depth, stopwords, lexicon, k1=config.k1, b=config.b)
     found = [documents[sd.doc_id] for sd in result.docs if sd.doc_id in documents]
     reranked = rerank_documents(question, found, lexicon, resources.graph, config.top_docs)
-    candidates = extract_passages([documents[sd.doc_id] for sd in reranked], resources.abbreviations)
-    passages = rank_passages(
-        question, candidates, stopwords, lexicon, k1=config.k1, b=config.b, top_n=config.top_passages
+    candidates = extract_passages(
+        [documents[sd.doc_id] for sd in reranked], resources.abbreviations, stopwords, lexicon
     )
-    return Retrieved(query, result.relaxed, reranked, passages)
+    question_terms, question_cuis = analyse(question, stopwords, lexicon)
+    passages = rank_passages(question_terms, candidates, k1=config.k1, b=config.b, top_n=config.top_passages)
+    return Retrieved(query, result.relaxed, reranked, passages, question_terms, question_cuis)
 
 
 def answer_pipeline(
@@ -251,30 +245,23 @@ def answer_pipeline(
     supporting = retrieved.passages
     if not supporting:
         flags.append("no_passages")
-    passage_texts = [sp.passage.text for sp in supporting]
+    passages = [sp.passage for sp in supporting]
 
-    ideal = ideal_answer(
-        question,
-        [sp.passage for sp in supporting],
-        resources.stopwords,
-        resources.concept_lexicon,
-        k1=config.k1,
-        b=config.b,
-    )
+    ideal = ideal_answer(retrieved.question_terms, passages, k1=config.k1, b=config.b)
     if ideal.empty:
         flags.append("empty_ideal")
 
     answer = FullAnswer(question, question_type, ideal, supporting=supporting, flags=flags)
     if question_type is QuestionType.YESNO:
-        vote = answer_yesno(passage_texts, resources.sentiment, resources.tag_lexicon)
+        vote = answer_yesno([p.text for p in passages], resources.sentiment, resources.tag_lexicon)
         if vote.empty:
             flags.append("yesno_vote_empty")
         answer.exact_yesno = vote
     elif question_type is QuestionType.FACTOID:
-        answer.exact_entities = answer_factoid(passage_texts, question, resources.concept_lexicon)
+        answer.exact_entities = answer_factoid(passages, retrieved.question_cuis, resources.concept_lexicon)
     elif question_type is QuestionType.LIST:
         answer.exact_entities = answer_list(
-            passage_texts, question, resources.concept_lexicon, cap=config.list_cap
+            passages, retrieved.question_cuis, resources.concept_lexicon, cap=config.list_cap
         )
         if not answer.exact_entities:
             flags.append("empty_entity_list")

@@ -42,6 +42,9 @@ def load_corpus(path) -> list[DocumentRecord]:
         for required in ("doc_id", "title", "abstract"):
             if required not in obj:
                 raise DatasetFormatError(f"{path}:{line_no}: missing field {required!r}")
+        for text_field in ("title", "abstract"):
+            if not isinstance(obj[text_field], str):
+                raise DatasetFormatError(f"{path}:{line_no}: field {text_field!r} must be a string")
         doc_id = str(obj["doc_id"])
         if not obj["title"]:
             raise DatasetFormatError(f"{path}:{line_no}: empty title")
@@ -111,6 +114,8 @@ def load_questions(path) -> QuestionDataset:
         for required in ("id", "body", "type"):
             if required not in obj:
                 raise DatasetFormatError(f"{where}: missing field {required!r}")
+        if not isinstance(obj["body"], str):
+            raise DatasetFormatError(f"{where}: field 'body' must be a string")
         qid = str(obj["id"])
         if qid in seen:
             raise DatasetFormatError(f"{where}: duplicate id {qid!r}")
@@ -165,6 +170,8 @@ def load_topic_questions(path) -> list[tuple[str, str, set[str]]]:
     for i, obj in enumerate(_question_entries(path)):
         if "body" not in obj or not isinstance(obj.get("topics"), list):
             raise DatasetFormatError(f"{path}: questions[{i}] needs 'body' and a 'topics' list")
+        if not isinstance(obj["body"], str) or not all(isinstance(t, str) for t in obj["topics"]):
+            raise DatasetFormatError(f"{path}: questions[{i}] needs a string 'body' and string topics")
         rows.append((str(obj.get("id", i)), obj["body"], set(obj["topics"])))
     return rows
 
@@ -215,10 +222,6 @@ def load_resources(manifest_path) -> ResourceBundle:
     for cui in sorted(graph.nodes):
         if cui not in lexicon:
             raise DatasetFormatError(f"{paths['graph']}: edge references unknown cui {cui}")
-    if "model" in manifest:  # optional pretrained model reference
-        model_path = base / manifest["model"]
-        if model_path.exists():
-            paths["model"] = model_path
     bundle = ResourceBundle(
         concept_lexicon=lexicon,
         graph=graph,

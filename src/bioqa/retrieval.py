@@ -10,6 +10,7 @@ question and each title.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .conceptlex import ConceptGraph, ConceptLexicon, recognize, similarity_sum, title_cuis
@@ -62,6 +63,8 @@ class PassageCandidate:
     text: str
     doc_id: str
     sent_index: int
+    terms: tuple[str, ...]  # index_terms(text)
+    cuis: tuple[str, ...]  # cuis of the concept mentions in text, in order
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,9 @@ class IndexedCorpus:
         return sum(self.lengths.values()) / len(self.unit_order)
 
 
-def index_terms(text: str, stopwords: set[str], lexicon: ConceptLexicon | None) -> list[str]:
-    """Index terms of a text: stems of non-stopword words, then cuis.
+def analyse(text: str, stopwords: set[str], lexicon: ConceptLexicon | None) -> tuple[list[str], list[str]]:
+    """Index terms of a text: stems of non-stopword words, then cuis; and
+    those cuis alone, in mention order.
 
     Tokens without any alphanumeric character are skipped. Every concept
     mention contributes one occurrence of its cui.
@@ -109,9 +113,13 @@ def index_terms(text: str, stopwords: set[str], lexicon: ConceptLexicon | None) 
         if surface in stopwords or not any(ch.isalnum() for ch in surface):
             continue
         terms.append(stem(surface))
-    if lexicon is not None:
-        terms.extend(m.cui for m in recognize(text, lexicon))
-    return terms
+    cuis = [m.cui for m in recognize(text, lexicon)] if lexicon is not None else []
+    return terms + cuis, cuis
+
+
+def index_terms(text: str, stopwords: set[str], lexicon: ConceptLexicon | None) -> list[str]:
+    """The index terms of analyse(text, ...)."""
+    return analyse(text, stopwords, lexicon)[0]
 
 
 def formulate_query(question: str, lexicon: ConceptLexicon, stopwords: set[str]) -> Query:
@@ -144,11 +152,15 @@ def build_index(
 ) -> IndexedCorpus:
     if mode not in ("document", "passage"):
         raise ValueError(f"mode must be 'document' or 'passage', got {mode!r}")
+    return index_units(((unit_id, index_terms(text, stopwords, lexicon)) for unit_id, text in units), mode)
+
+
+def index_units(units: Iterable[tuple[str, Sequence[str]]], mode: str) -> IndexedCorpus:
+    """Inverted index over units given as (unit id, index terms)."""
     index = IndexedCorpus(mode=mode)
-    for unit_id, text in units:
+    for unit_id, terms in units:
         if unit_id in index.lengths:
             raise DuplicateIdError(f"duplicate unit id {unit_id!r}")
-        terms = index_terms(text, stopwords, lexicon)
         index.lengths[unit_id] = len(terms)
         index.unit_order.append(unit_id)
         for term in terms:
@@ -299,37 +311,38 @@ def rerank_documents(
     return [ScoredDoc(doc.doc_id, score, rank) for rank, (score, doc) in enumerate(scored[:m], 1)]
 
 
-def extract_passages(docs: list[DocumentRecord], abbreviations: set[str] | None = None) -> list[PassageCandidate]:
-    """One candidate per abstract sentence, in document order."""
+def extract_passages(
+    docs: list[DocumentRecord],
+    abbreviations: set[str] | None,
+    stopwords: set[str],
+    lexicon: ConceptLexicon | None,
+) -> list[PassageCandidate]:
+    """One analysed candidate per abstract sentence, in document order."""
     candidates = []
     for doc in docs:
         for i, sentence in enumerate(split_sentences(doc.abstract, abbreviations)):
-            candidates.append(PassageCandidate(sentence.text, doc.doc_id, i))
+            terms, cuis = analyse(sentence.text, stopwords, lexicon)
+            candidates.append(PassageCandidate(sentence.text, doc.doc_id, i, tuple(terms), tuple(cuis)))
     return candidates
 
 
 def rank_passages(
-    question: str,
+    question_terms: list[str],
     candidates: list[PassageCandidate],
-    stopwords: set[str],
-    lexicon: ConceptLexicon | None,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
     top_n: int = DEFAULT_TOP_PASSAGES,
 ) -> list[ScoredPassage]:
-    """BM25-rank sentence candidates against the question.
+    """BM25-rank sentence candidates against the question's index terms.
 
-    A passage-mode index is built over the candidates; the query terms are
-    the question's stems and concept identifiers. Ties keep candidate
-    (document, sentence) order.
+    The statistics come from the candidates alone, indexed by the terms
+    they carry. Ties keep candidate (document, sentence) order.
     """
     if not candidates or top_n <= 0:
         return []
-    units = [(f"p{i}", c.text) for i, c in enumerate(candidates)]
-    index = build_index(units, "passage", stopwords, lexicon)
-    terms = index_terms(question, stopwords, lexicon)
-    stats = bm25_stats(terms, index)
-    scored = [(bm25_score(terms, f"p{i}", index, k1, b, stats), i) for i in range(len(candidates))]
+    index = index_units([(f"p{i}", c.terms) for i, c in enumerate(candidates)], "passage")
+    stats = bm25_stats(question_terms, index)
+    scored = [(bm25_score(question_terms, f"p{i}", index, k1, b, stats), i) for i in range(len(candidates))]
     scored.sort(key=lambda pair: -pair[0])
     return [
         ScoredPassage(candidates[i], score, rank)

@@ -10,6 +10,20 @@ RESOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "bioqa" / "resource
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
+def analysed(bundle, text, doc_id="d", sent_index=0) -> retrieval.PassageCandidate:
+    """A candidate sentence carrying the analysis extract_passages gives it."""
+    terms, cuis = retrieval.analyse(text, bundle.stopwords, bundle.concept_lexicon)
+    return retrieval.PassageCandidate(text, doc_id, sent_index, tuple(terms), tuple(cuis))
+
+
+def question_terms(bundle, question):
+    return retrieval.index_terms(question, bundle.stopwords, bundle.concept_lexicon)
+
+
+def question_cuis(bundle, question):
+    return retrieval.analyse(question, bundle.stopwords, bundle.concept_lexicon)[1]
+
+
 @pytest.fixture(scope="session")
 def bundle():
     return ingest.load_resources(RESOURCE_DIR / "manifest.json")

@@ -15,7 +15,8 @@ from bioqa.answer import (
 )
 from bioqa.conceptlex import SentimentEntry, SentimentLexicon, recognize
 from bioqa.qclass import QuestionType
-from bioqa.retrieval import PassageCandidate
+
+from conftest import analysed, question_cuis, question_terms
 
 
 CTCF_QUESTION = "Does the CTCF protein co-localize with cohesin?"
@@ -25,7 +26,9 @@ class TestAnswerYesNo:
     def test_ctcf_gold_snippets_vote_yes(self, bundle, corpus):
         from bioqa.retrieval import extract_passages
 
-        passages = [c.text for c in extract_passages([corpus["18550811"]], bundle.abbreviations)]
+        candidates = extract_passages([corpus["18550811"]], bundle.abbreviations, bundle.stopwords,
+                                      bundle.concept_lexicon)
+        passages = [c.text for c in candidates]
         assert answer_yesno(passages, bundle.sentiment, bundle.tag_lexicon).value == "yes"
 
     def test_majority_negative_votes_no(self, bundle):
@@ -63,16 +66,18 @@ class TestRankEntities:
             "Imatinib inhibits growth. Imatinib also binds KIT.",
             "Imatinib is studied with cohesin.",
         ]
-        ranked = rank_entities(passages, "What about leukemia?", bundle.concept_lexicon)
+        ranked = rank_entities([analysed(bundle, p) for p in passages],
+                               question_cuis(bundle, "What about leukemia?"), bundle.concept_lexicon)
         assert ranked[0].name == "Imatinib"
 
     def test_question_entities_excluded_by_concept(self, bundle):
-        passages = ["Imatinib and gleevec again imatinib."]
+        passages = [analysed(bundle, "Imatinib and gleevec again imatinib.")]
         # gleevec is a synonym of the question concept, so nothing remains
-        assert rank_entities(passages, "Is imatinib safe?", bundle.concept_lexicon) == []
+        assert rank_entities(passages, question_cuis(bundle, "Is imatinib safe?"), bundle.concept_lexicon) == []
 
     def test_no_concepts_recognized(self, bundle):
-        assert rank_entities(["plain words only"], "question", bundle.concept_lexicon) == []
+        passages = [analysed(bundle, "plain words only")]
+        assert rank_entities(passages, question_cuis(bundle, "question"), bundle.concept_lexicon) == []
 
     def test_counts_match_bruteforce_oracle(self, bundle):
         rng = random.Random(77)
@@ -83,7 +88,8 @@ class TestRankEntities:
                 for _ in range(rng.randint(0, 6))
             ]
             question = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 3)))
-            ranked = rank_entities(passages, question, bundle.concept_lexicon)
+            ranked = rank_entities([analysed(bundle, p) for p in passages],
+                                   question_cuis(bundle, question), bundle.concept_lexicon)
 
             exclude = {m.cui for m in recognize(question, bundle.concept_lexicon)}
             counts = Counter()
@@ -103,65 +109,68 @@ class TestFactoidAndList:
     def test_krabbe_top_entity(self, bundle, corpus):
         from bioqa.retrieval import extract_passages
 
-        passages = [c.text for c in extract_passages([corpus["20301416"]], bundle.abbreviations)]
-        ranked = answer_factoid(passages, "Which enzyme is deficient in Krabbe disease?", bundle.concept_lexicon)
+        passages = extract_passages([corpus["20301416"]], bundle.abbreviations, bundle.stopwords,
+                                    bundle.concept_lexicon)
+        ranked = answer_factoid(passages, question_cuis(bundle, "Which enzyme is deficient in Krabbe disease?"),
+                                bundle.concept_lexicon)
         assert ranked[0].name == "Galactocerebrosidase"
 
     def test_phthiriasis_top_entity(self, bundle, corpus):
         from bioqa.retrieval import extract_passages
 
         docs = [corpus["19240421"], corpus["18580948"]]
-        passages = [c.text for c in extract_passages(docs, bundle.abbreviations)]
-        ranked = answer_factoid(passages, "What is the cause of Phthiriasis Palpebrarum?", bundle.concept_lexicon)
+        passages = extract_passages(docs, bundle.abbreviations, bundle.stopwords, bundle.concept_lexicon)
+        ranked = answer_factoid(passages, question_cuis(bundle, "What is the cause of Phthiriasis Palpebrarum?"),
+                                bundle.concept_lexicon)
         assert ranked[0].name == "Pthirus pubis"
 
     def test_factoid_truncates_to_five(self, bundle):
-        passages = ["imatinib cohesin chromatin epilepsy tobacco mother statistics"]
-        ranked = answer_factoid(passages, "unrelated", bundle.concept_lexicon)
+        passages = [analysed(bundle, "imatinib cohesin chromatin epilepsy tobacco mother statistics")]
+        ranked = answer_factoid(passages, question_cuis(bundle, "unrelated"), bundle.concept_lexicon)
         assert len(ranked) == 5
 
     def test_list_shares_ranking_with_factoid(self, bundle):
-        passages = ["imatinib imatinib cohesin"]
-        factoid = answer_factoid(passages, "x", bundle.concept_lexicon)
-        listed = answer_list(passages, "x", bundle.concept_lexicon)
+        passages = [analysed(bundle, "imatinib imatinib cohesin")]
+        factoid = answer_factoid(passages, question_cuis(bundle, "x"), bundle.concept_lexicon)
+        listed = answer_list(passages, question_cuis(bundle, "x"), bundle.concept_lexicon)
         assert [e.name for e in factoid] == [e.name for e in listed]
 
     def test_list_cap(self, bundle):
-        passages = ["imatinib cohesin chromatin epilepsy tobacco mother statistics"]
-        assert len(answer_list(passages, "x", bundle.concept_lexicon, cap=3)) == 3
+        passages = [analysed(bundle, "imatinib cohesin chromatin epilepsy tobacco mother statistics")]
+        assert len(answer_list(passages, question_cuis(bundle, "x"), bundle.concept_lexicon, cap=3)) == 3
 
     def test_empty_list_is_valid(self, bundle):
-        assert answer_list([], "x", bundle.concept_lexicon) == []
+        assert answer_list([], question_cuis(bundle, "x"), bundle.concept_lexicon) == []
 
 
 class TestIdealAnswer:
     def test_single_passage_verbatim(self, bundle):
-        candidates = [PassageCandidate("Only one sentence available.", "d", 0)]
-        ideal = ideal_answer("any question", candidates, bundle.stopwords, bundle.concept_lexicon)
+        candidates = [analysed(bundle, "Only one sentence available.", "d", 0)]
+        ideal = ideal_answer(question_terms(bundle, "any question"), candidates)
         assert ideal.text == "Only one sentence available."
         assert ideal.sources == (("d", 0),)
 
     def test_concept_sharing_passage_first(self, bundle):
         candidates = [
-            PassageCandidate("Nothing relevant in this line", "d", 0),
-            PassageCandidate("Imatinib acts on kinases", "d", 1),
-            PassageCandidate("Another neutral filler line", "d", 2),
-            PassageCandidate("Completely different filler content", "d", 3),
+            analysed(bundle, "Nothing relevant in this line", "d", 0),
+            analysed(bundle, "Imatinib acts on kinases", "d", 1),
+            analysed(bundle, "Another neutral filler line", "d", 2),
+            analysed(bundle, "Completely different filler content", "d", 3),
         ]
-        ideal = ideal_answer("imatinib", candidates, bundle.stopwords, bundle.concept_lexicon)
+        ideal = ideal_answer(question_terms(bundle, "imatinib"), candidates)
         assert ideal.text.startswith("Imatinib acts on kinases")
         assert len(ideal.sources) == 2
 
     def test_empty_candidates_flagged(self, bundle):
-        ideal = ideal_answer("q", [], bundle.stopwords, bundle.concept_lexicon)
+        ideal = ideal_answer(question_terms(bundle, "q"), [])
         assert ideal.empty and ideal.text == ""
 
     def test_text_length_bound(self, bundle, corpus):
         from bioqa.retrieval import extract_passages
 
-        candidates = extract_passages(list(corpus.values()), bundle.abbreviations)
-        ideal = ideal_answer("What symptoms characterize the Muenke syndrome?",
-                             candidates, bundle.stopwords, bundle.concept_lexicon)
+        candidates = extract_passages(list(corpus.values()), bundle.abbreviations, bundle.stopwords,
+                                      bundle.concept_lexicon)
+        ideal = ideal_answer(question_terms(bundle, "What symptoms characterize the Muenke syndrome?"), candidates)
         total = sum(len(c.text) for c in candidates if (c.doc_id, c.sent_index) in ideal.sources)
         assert len(ideal.text) <= total + 1
 
@@ -236,3 +245,69 @@ class TestPipeline:
                 if bundle.concept_lexicon.get(c).preferred == entity.name
             }
             assert not (cuis & question_cuis)
+
+
+class TestAnalysedOnce:
+    """extract_passages analyses each sentence and retrieve the question; the
+    stages after them read that analysis and analyse no text themselves."""
+
+    def test_each_sentence_recognized_once_and_later_stages_analyse_nothing(
+        self, bundle, corpus, doc_index, type_model, appendix_questions, monkeypatch
+    ):
+        import sys
+
+        from bioqa import answer as answer_mod
+        from bioqa import conceptlex, retrieval, textproc
+
+        recognize = conceptlex.recognize
+        analysers = (textproc.tokenize, textproc.stem, recognize,
+                     retrieval.analyse, retrieval.index_terms, retrieval.build_index)
+        recognized: Counter = Counter()
+        stage: list[str] = []
+        analysed_in_stage = []
+        candidates = []
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                if stage:
+                    analysed_in_stage.append((stage[-1], fn.__name__))
+                if fn is recognize:
+                    recognized[args[0]] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def staged(name, fn):
+            def wrapper(*args, **kwargs):
+                stage.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stage.pop()
+            return wrapper
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                candidates.extend(result)
+                return result
+            return wrapper
+
+        for name, module in list(sys.modules.items()):
+            if name == "bioqa" or name.startswith("bioqa."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is f for f in analysers):
+                        monkeypatch.setattr(module, attr, spy(value))
+        for name in ("rank_passages", "ideal_answer", "answer_yesno", "answer_factoid", "answer_list"):
+            monkeypatch.setattr(answer_mod, name, staged(name, getattr(answer_mod, name)))
+        monkeypatch.setattr(answer_mod, "extract_passages", recording(answer_mod.extract_passages))
+
+        for q in appendix_questions.questions:
+            recognized.clear()
+            candidates.clear()
+            answer_pipeline(q.body, corpus, doc_index, type_model, bundle)
+            sentences = Counter(c.text for c in candidates)
+            assert {t: recognized[t] for t in sentences} == dict(sentences), q.id
+        # answer_yesno tags the passages it votes on; nothing else after
+        # extract_passages analyses text.
+        assert {name for name, _ in analysed_in_stage} <= {"answer_yesno"}
+        assert {fn for _, fn in analysed_in_stage} <= {"tokenize"}

@@ -103,6 +103,31 @@ class TestMalformedInputs:
         assert "Traceback" not in captured.err
 
 
+    @pytest.mark.parametrize("argv, text", [
+        (["train-type", "--out", "{tmp}/m.json", "--questions", "{bad}"],
+         '{"questions": [{"id": "1", "body": 5, "type": "yesno"}]}'),
+        (["train-topics", "--out", "{tmp}/t.json", "--questions", "{bad}"],
+         '{"questions": [{"id": "1", "body": "Which device?", "topics": [5]}]}'),
+        (["index", "--out", "{tmp}/i.json", "--manifest", "{manifest}"],
+         '{"doc_id": "1", "title": "t", "abstract": 5}'),
+        (["retrieve-passages", "--question", "Which enzyme?", "--manifest", "{manifest}"],
+         '{"doc_id": "1", "title": "t", "abstract": 5}'),
+    ], ids=["question body", "topic", "corpus abstract for index", "corpus abstract for passages"])
+    def test_wrong_field_type_exits_one_naming_the_file(self, argv, text, tmp_path, capsys):
+        bad = tmp_path / "bad-input.json"
+        bad.write_text(text)
+        # A manifest naming the bundled resources, with the bad file as its corpus.
+        manifest = json.loads((RESOURCE_DIR / "manifest.json").read_text())
+        manifest = {k: str(RESOURCE_DIR / v) for k, v in manifest.items()} | {"corpus": str(bad)}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        argv = [a.format(bad=bad, tmp=tmp_path, manifest=tmp_path / "manifest.json") for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad-input.json" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestEval:
     def test_answer_then_eval_composes(self, model_path, index_path, tmp_path, capsys):
         run = tmp_path / "run.json"

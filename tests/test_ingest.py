@@ -95,6 +95,16 @@ class TestLoadResources:
         with pytest.raises(DatasetFormatError, match="sentiment"):
             load_resources(path)
 
+    def test_model_entry_is_not_read(self, tmp_path):
+        # A manifest may still carry a "model" entry; nothing loads it.
+        manifest = json.loads((RESOURCE_DIR / "manifest.json").read_text())
+        manifest = {k: str(RESOURCE_DIR / v) for k, v in manifest.items()} | {"model": 5}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        bundle = load_resources(path)
+        assert "model" not in bundle.paths and "model" not in bundle.hashes
+        assert cli.main(["validate", "--manifest", str(path)]) == 0
+
     def test_graph_edge_with_unknown_cui(self, tmp_path):
         for name in ("corpus.jsonl", "stopwords.txt", "abbreviations.txt"):
             (tmp_path / name).write_text("")
@@ -292,6 +302,22 @@ class TestJsonReaders:
         path.write_text(JSON_READERS[reader][case])
         with pytest.raises(ValueError, match="bad-input.json"):
             JSON_READERS[reader][0](path)
+
+    @pytest.mark.parametrize("loader, text, where", [
+        (load_questions, '{"questions": [{"id": "1", "body": 5, "type": "yesno"}]}', "questions[0]"),
+        (load_questions, '{"questions": [{"id": "1", "body": ["b"], "type": "list"}]}', "questions[0]"),
+        (load_topic_questions, '{"questions": [{"id": "1", "body": 5, "topics": ["Device"]}]}', "questions[0]"),
+        (load_topic_questions, '{"questions": [{"id": "1", "body": "b", "topics": [5]}]}', "questions[0]"),
+        (load_corpus, '{"doc_id": "1", "title": "t", "abstract": 5}', ":1:"),
+        (load_corpus, '# note\n{"doc_id": "1", "title": ["t"], "abstract": "a"}', ":2:"),
+    ], ids=["question body number", "question body list", "topic body number", "topic number",
+            "corpus abstract number", "corpus title list"])
+    def test_wrong_field_type_is_a_format_error_naming_file_and_entry(self, loader, text, where, tmp_path):
+        path = tmp_path / "bad-input.json"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match="bad-input.json") as err:
+            loader(path)
+        assert where in str(err.value)
 
     @pytest.mark.parametrize("reader, payload, key", [
         ("index", {"version": 2, "unit_order": [], "lengths": {}}, "postings"),

@@ -7,12 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bioqa import ingest, retrieval
-from bioqa.conceptlex import Concept, ConceptGraph, ConceptLexicon
+from bioqa.conceptlex import Concept, ConceptGraph, ConceptLexicon, recognize
 from bioqa.retrieval import (
     DocumentRecord,
     DuplicateIdError,
     IndexedCorpus,
-    PassageCandidate,
     Query,
     UnknownUnitError,
     bm25_score,
@@ -23,9 +22,9 @@ from bioqa.retrieval import (
     rerank_documents,
     search,
 )
-from bioqa.textproc import stem
+from bioqa.textproc import split_sentences, stem
 
-from conftest import RESOURCE_DIR
+from conftest import RESOURCE_DIR, analysed, question_terms
 
 
 def make_index(term_lists, mode="document"):
@@ -81,7 +80,7 @@ class TestBuildIndex:
 
     def test_term_frequency_counts_casefolded(self, bundle):
         index = build_index([("d1", "Epilepsy epilepsy")], "document", bundle.stopwords, None)
-        from bioqa.textproc import stem
+        from bioqa.textproc import split_sentences, stem
 
         assert index.postings[stem("epilepsy")]["d1"] == 2
 
@@ -89,7 +88,7 @@ class TestBuildIndex:
         index = build_index(
             [("d1", "tuberous sclerosis")], "document", bundle.stopwords, bundle.concept_lexicon
         )
-        from bioqa.textproc import stem
+        from bioqa.textproc import split_sentences, stem
 
         assert "C0041341" in index.postings
         assert stem("tuberous") in index.postings
@@ -288,21 +287,22 @@ def test_rerank_matches_bruteforce_on_random_instances():
 
 class TestExtractPassages:
     def test_muenke_item_five_present(self, bundle, corpus):
-        candidates = extract_passages([corpus["23044018"]], bundle.abbreviations)
+        candidates = extract_passages([corpus["23044018"]], bundle.abbreviations, bundle.stopwords,
+                                      bundle.concept_lexicon)
         texts = [c.text for c in candidates]
         assert "We present seven patients with Muenke syndrome and seizures." in texts
         assert len(candidates) == 8
 
     def test_empty_abstract_contributes_nothing(self, bundle):
         docs = [DocumentRecord("e", "title", "")]
-        assert extract_passages(docs, bundle.abbreviations) == []
+        assert extract_passages(docs, bundle.abbreviations, bundle.stopwords, bundle.concept_lexicon) == []
 
     def test_document_order_preserved(self, bundle):
         docs = [
             DocumentRecord("a", "t", "One here. Two here. Three here."),
             DocumentRecord("b", "t", "Four here. Five here. Six here."),
         ]
-        candidates = extract_passages(docs, bundle.abbreviations)
+        candidates = extract_passages(docs, bundle.abbreviations, bundle.stopwords, bundle.concept_lexicon)
         assert [(c.doc_id, c.sent_index) for c in candidates] == [
             ("a", 0), ("a", 1), ("a", 2), ("b", 0), ("b", 1), ("b", 2),
         ]
@@ -313,39 +313,138 @@ class TestRankPassages:
         # Distractor passages keep the imatinib terms in a minority of the
         # passage set, so their IDF stays positive.
         candidates = [
-            PassageCandidate("Imatinib is compared against imatinib here today", "d1", 0),
-            PassageCandidate("Imatinib is compared against placebo controls today", "d1", 1),
-            PassageCandidate("Unrelated sentence about crops and weather", "d2", 0),
-            PassageCandidate("Another filler sentence mentioning gardens only", "d2", 1),
-            PassageCandidate("Final filler sentence across different words", "d2", 2),
+            analysed(bundle, "Imatinib is compared against imatinib here today", "d1", 0),
+            analysed(bundle, "Imatinib is compared against placebo controls today", "d1", 1),
+            analysed(bundle, "Unrelated sentence about crops and weather", "d2", 0),
+            analysed(bundle, "Another filler sentence mentioning gardens only", "d2", 1),
+            analysed(bundle, "Final filler sentence across different words", "d2", 2),
         ]
-        ranked = rank_passages("imatinib", candidates, bundle.stopwords, bundle.concept_lexicon)
+        ranked = rank_passages(question_terms(bundle, "imatinib"), candidates)
         assert ranked[0].passage.sent_index == 0
         assert ranked[0].score > ranked[1].score > 0.0
 
     def test_zero_overlap_keeps_provenance_order(self, bundle):
         candidates = [
-            PassageCandidate("alpha beta gamma", "d1", 0),
-            PassageCandidate("delta epsilon zeta", "d1", 1),
-            PassageCandidate("eta theta iota", "d2", 0),
+            analysed(bundle, "alpha beta gamma", "d1", 0),
+            analysed(bundle, "delta epsilon zeta", "d1", 1),
+            analysed(bundle, "eta theta iota", "d2", 0),
         ]
-        ranked = rank_passages("imatinib", candidates, bundle.stopwords, bundle.concept_lexicon)
+        ranked = rank_passages(question_terms(bundle, "imatinib"), candidates)
         assert [r.passage.text for r in ranked] == [c.text for c in candidates]
         assert all(r.score == 0.0 for r in ranked)
 
     def test_top_n_larger_than_candidates(self, bundle):
-        candidates = [PassageCandidate("imatinib works", "d", 0)]
-        assert len(rank_passages("imatinib", candidates, bundle.stopwords, bundle.concept_lexicon, top_n=10)) == 1
+        candidates = [analysed(bundle, "imatinib works", "d", 0)]
+        assert len(rank_passages(question_terms(bundle, "imatinib"), candidates, top_n=10)) == 1
 
     def test_scores_non_increasing_and_deterministic(self, bundle, corpus):
-        candidates = extract_passages(list(corpus.values()), bundle.abbreviations)
-        first = rank_passages("What symptoms characterize the Muenke syndrome?", candidates,
-                              bundle.stopwords, bundle.concept_lexicon)
-        second = rank_passages("What symptoms characterize the Muenke syndrome?", candidates,
-                               bundle.stopwords, bundle.concept_lexicon)
+        candidates = extract_passages(list(corpus.values()), bundle.abbreviations, bundle.stopwords,
+                                      bundle.concept_lexicon)
+        first = rank_passages(question_terms(bundle, "What symptoms characterize the Muenke syndrome?"), candidates)
+        second = rank_passages(question_terms(bundle, "What symptoms characterize the Muenke syndrome?"), candidates)
         assert first == second
         scores = [r.score for r in first]
         assert scores == sorted(scores, reverse=True)
+
+
+# Words of the bundled corpus as written (punctuation attached, so sentence
+# ends and abbreviations occur), plus tokens that stress the tokenizer.
+CORPUS_WORDS = sorted(
+    {w for d in ingest.load_corpus(RESOURCE_DIR / "corpus.jsonl") for w in f"{d.title} {d.abstract}".split()}
+    | {"e.g.", "i.e.", "?", "!", "...", "-", "(IL-2)", "café", "ß", "\u00a0", "\n"}
+)
+_sentences = st.lists(st.sampled_from(CORPUS_WORDS), max_size=25).map(" ".join)
+_abstracts = st.one_of(_sentences, st.text(max_size=80))
+
+
+def passage_oracle(question, texts, bundle, k1=retrieval.DEFAULT_K1, b=retrieval.DEFAULT_B):
+    """(position, score) of every text, best first, ties in input order.
+
+    Scores each text by the BM25 formula over fresh index_terms of the
+    question and the texts, with document frequencies and the mean length
+    taken from these texts only. The arithmetic follows bm25_score term by
+    term, so equal inputs give bit-equal scores.
+    """
+    query = retrieval.index_terms(question, bundle.stopwords, bundle.concept_lexicon)
+    counts = [Counter(retrieval.index_terms(t, bundle.stopwords, bundle.concept_lexicon)) for t in texts]
+    n = len(texts)
+    avg = sum(sum(c.values()) for c in counts) / n
+    scored = []
+    for i, c in enumerate(counts):
+        norm = 1.0 - b + b * (sum(c.values()) / avg) if avg > 0 else 1.0
+        score = 0.0
+        for t in query:
+            n_q = sum(1 for other in counts if other[t])
+            weight = math.log((n - n_q + 0.5) / (n_q + 0.5))
+            if weight > 0.0 and c[t]:
+                score += weight * (c[t] * (k1 + 1.0)) / (c[t] + k1 * norm)
+        scored.append((i, score))
+    scored.sort(key=lambda pair: -pair[1])
+    return scored
+
+
+class TestPassageAnalysis:
+    """Candidates carry an analysis equal to a fresh one of their text."""
+
+    @staticmethod
+    def check(bundle, docs):
+        candidates = extract_passages(docs, bundle.abbreviations, bundle.stopwords, bundle.concept_lexicon)
+        assert candidates, "the check needs at least one sentence"
+        for c in candidates:
+            assert list(c.terms) == retrieval.index_terms(c.text, bundle.stopwords, bundle.concept_lexicon)
+            assert list(c.cuis) == [m.cui for m in recognize(c.text, bundle.concept_lexicon)]
+
+    def test_bundled_corpus(self, bundle, corpus):
+        self.check(bundle, list(corpus.values()))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(abstracts=st.lists(_abstracts, min_size=1, max_size=3))
+    def test_generated_abstracts(self, bundle, abstracts):
+        docs = [DocumentRecord(f"d{i}", "t", a) for i, a in enumerate(abstracts)]
+        if any(split_sentences(d.abstract, bundle.abbreviations) for d in docs):
+            self.check(bundle, docs)
+
+
+class TestPassageOracle:
+    """rank_passages and the ideal re-rank against passage_oracle."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(texts=st.lists(_sentences, min_size=1, max_size=14), question=_sentences,
+           k1=st.sampled_from([0.6, 1.2, 1.8]), b=st.sampled_from([0.0, 0.4, 0.85, 1.0]),
+           top_n=st.integers(1, 12), subset=st.lists(st.integers(0, 13), unique=True, max_size=10))
+    def test_generated_candidates(self, bundle, texts, question, k1, b, top_n, subset):
+        candidates = [analysed(bundle, t, "d", i) for i, t in enumerate(texts)]
+        got = rank_passages(question_terms(bundle, question), candidates, k1=k1, b=b, top_n=top_n)
+        expected = passage_oracle(question, texts, bundle, k1, b)[:top_n]
+        assert [(sp.passage.sent_index, sp.score) for sp in got] == expected
+        assert [sp.rank for sp in got] == list(range(1, len(got) + 1))
+        # The ideal answer re-ranks the passages it is given, here the kept
+        # ones and an arbitrary subset, with statistics from those only.
+        from bioqa.answer import ideal_answer
+
+        for kept in ([sp.passage for sp in got], [candidates[i] for i in subset if i < len(candidates)]):
+            ideal = ideal_answer(question_terms(bundle, question), kept, k1=k1, b=b)
+            expected = passage_oracle(question, [p.text for p in kept], bundle, k1, b)[:2] if kept else []
+            assert ideal.sources == tuple(("d", kept[i].sent_index) for i, _ in expected)
+
+    def test_bundled_questions_and_ideal_rerank(self, bundle, corpus, doc_index, appendix_questions):
+        from bioqa.answer import PipelineConfig, ideal_answer, retrieve
+
+        reranked_ten = 0
+        for q in appendix_questions.questions:
+            got = retrieve(q.body, corpus, doc_index, bundle, PipelineConfig())
+            candidates = extract_passages([corpus[sd.doc_id] for sd in got.documents], bundle.abbreviations,
+                                          bundle.stopwords, bundle.concept_lexicon)
+            expected = passage_oracle(q.body, [c.text for c in candidates], bundle)[:10] if candidates else []
+            assert [(sp.passage, sp.score) for sp in got.passages] == [(candidates[i], s) for i, s in expected]
+            # The ideal answer re-ranks the kept passages with statistics
+            # from those passages only.
+            top = [sp.passage for sp in got.passages]
+            ideal = ideal_answer(got.question_terms, top)
+            expected = passage_oracle(q.body, [p.text for p in top], bundle)[:2] if top else []
+            assert ideal.sources == tuple((top[i].doc_id, top[i].sent_index) for i, _ in expected)
+            reranked_ten += len(top) == 10
+        assert reranked_ten > 0
 
 
 def test_shared_index_safe_for_concurrent_queries(bundle, doc_index):
