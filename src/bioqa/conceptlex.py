@@ -57,6 +57,9 @@ class ConceptLexicon:
         self._surface_to_cui: dict[str, str] = {}
         # Title text -> cuis recognized in it; see title_cuis.
         self._title_cuis: dict[str, tuple[str, ...]] = {}
+        # Document -> (stopwords, abbreviations, its analysed abstract
+        # sentences), for the documents seen last; see retrieval.extract_passages.
+        self._passages: dict = {}
         for concept in concepts:
             if concept.cui in self.concepts:
                 raise ValueError(f"duplicate concept identifier {concept.cui}")

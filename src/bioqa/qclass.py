@@ -89,6 +89,11 @@ class ModelFormatError(ValueError):
 class LiteralSet:
     phrases: tuple[tuple[str, ...], ...]  # each phrase is a word tuple
     capture: bool = True
+    # First words of the phrases: a token outside them starts no phrase.
+    starts: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "starts", frozenset(phrase[0] for phrase in self.phrases))
 
 
 @dataclass(frozen=True)
@@ -206,49 +211,77 @@ def load_patterns(path) -> list[Pattern]:
     return parse_patterns(Path(path).read_text(encoding="utf-8"), path=path)
 
 
-def _match_at(elements, tagged: list[TaggedToken], pos: int) -> list[str] | None:
-    """Try to match the element sequence starting at token pos.
+_UNSET = object()
+
+
+def _matcher(elements, tagged: list[TaggedToken], lowered: list[str]):
+    """match(i, pos): the features elements[i:] capture when matched from
+    token pos, or None when they do not match there.
 
     Stars take the shortest run first, so feature attribution is the
-    leftmost possible alignment. Returns the captured features, or None.
+    leftmost possible alignment. Results are memoised per (i, pos), and a
+    star's forward scan records its result at every position it passes, so
+    matching at every shift takes time linear in the number of tokens.
     """
-    if not elements:
-        return []
-    head, rest = elements[0], elements[1:]
-    if isinstance(head, Star):
-        for skip in range(len(tagged) - pos + 1):
-            sub = _match_at(rest, tagged, pos + skip)
-            if sub is not None:
-                return sub
-        return None
-    if pos >= len(tagged):
-        return None
-    if isinstance(head, TagMatch):
-        if tagged[pos].tag != head.tag:
-            return None
-        sub = _match_at(rest, tagged, pos + 1)
-        return None if sub is None else [head.tag] + sub
-    if isinstance(head, AnyTag):
-        sub = _match_at(rest, tagged, pos + 1)
-        return None if sub is None else [tagged[pos].tag] + sub
-    # LiteralSet
-    for phrase in head.phrases:
-        if pos + len(phrase) > len(tagged):
-            continue
-        if all(tagged[pos + k].token.surface.lower() == w for k, w in enumerate(phrase)):
-            sub = _match_at(rest, tagged, pos + len(phrase))
-            if sub is None:
-                continue
-            return ([" ".join(phrase)] if head.capture else []) + sub
-    return None
+    n = len(tagged)
+    memo = [[_UNSET] * (n + 1) for _ in elements]
+
+    def match(i: int, pos: int) -> tuple[str, ...] | None:
+        if i == len(elements):
+            return ()
+        known = memo[i]
+        result = known[pos]
+        if result is not _UNSET:
+            return result
+        head = elements[i]
+        if isinstance(head, Star):
+            # Each position passed before the rest matches, or before one
+            # already scanned, gets the same result.
+            end = pos
+            while end <= n:
+                result = known[end]
+                if result is not _UNSET:
+                    break
+                result = match(i + 1, end)
+                if result is not None:
+                    break
+                end += 1
+            for p in range(pos, min(end, n) + 1):
+                known[p] = result
+            return result
+        result = None
+        if pos < n:
+            if isinstance(head, LiteralSet):
+                if lowered[pos] in head.starts:
+                    for phrase in head.phrases:
+                        if tuple(lowered[pos:pos + len(phrase)]) != phrase:
+                            continue
+                        sub = match(i + 1, pos + len(phrase))
+                        if sub is not None:
+                            result = ((" ".join(phrase),) if head.capture else ()) + sub
+                            break
+            elif isinstance(head, AnyTag) or tagged[pos].tag == head.tag:  # both emit the token's tag
+                sub = match(i + 1, pos + 1)
+                if sub is not None:
+                    result = (tagged[pos].tag, *sub)
+        known[pos] = result
+        return result
+
+    return match
 
 
 def pattern_matches(tagged: list[TaggedToken], patterns: list[Pattern]) -> list[PatternMatch]:
     """First (smallest-shift) match of every pattern that matches at all."""
+    lowered = [t.token.surface.lower() for t in tagged]
     matches = []
     for pattern in patterns:
-        for shift in range(len(tagged)):
-            captured = _match_at(pattern.elements, tagged, shift)
+        match = _matcher(pattern.elements, tagged, lowered)
+        shifts = range(len(tagged))
+        if pattern.elements and isinstance(pattern.elements[0], LiteralSet):
+            # Only where one of its first words stands can the pattern match.
+            shifts = [shift for shift in shifts if lowered[shift] in pattern.elements[0].starts]
+        for shift in shifts:
+            captured = match(0, shift)
             if captured is not None:
                 feats = tuple(sorted(Counter(captured).items()))
                 matches.append(PatternMatch(pattern, shift, feats))

@@ -23,6 +23,8 @@ DEFAULT_B = 0.85
 DEFAULT_RETRIEVE_DEPTH = 200
 DEFAULT_TOP_DOCS = 10
 DEFAULT_TOP_PASSAGES = 10
+# Documents whose analysed sentences a lexicon keeps; see extract_passages.
+PASSAGE_MEMO_DOCS = 2048
 
 
 class DuplicateIdError(ValueError):
@@ -311,18 +313,45 @@ def rerank_documents(
     return [ScoredDoc(doc.doc_id, score, rank) for rank, (score, doc) in enumerate(scored[:m], 1)]
 
 
+def _analyse_sentences(
+    doc: DocumentRecord,
+    abbreviations: set[str] | None,
+    stopwords: set[str],
+    lexicon: ConceptLexicon | None,
+) -> tuple[PassageCandidate, ...]:
+    candidates = []
+    for i, sentence in enumerate(split_sentences(doc.abstract, abbreviations)):
+        terms, cuis = analyse(sentence.text, stopwords, lexicon)
+        candidates.append(PassageCandidate(sentence.text, doc.doc_id, i, tuple(terms), tuple(cuis)))
+    return tuple(candidates)
+
+
 def extract_passages(
     docs: list[DocumentRecord],
     abbreviations: set[str] | None,
     stopwords: set[str],
     lexicon: ConceptLexicon | None,
 ) -> list[PassageCandidate]:
-    """One analysed candidate per abstract sentence, in document order."""
+    """One analysed candidate per abstract sentence, in document order.
+
+    With a lexicon, each document's candidates are memoised on it together
+    with the stopword and abbreviation sets they were made with, and later
+    requests with those same sets share them. The memo keeps the
+    PASSAGE_MEMO_DOCS documents analysed last and drops the oldest first.
+    The lexicon, stopwords and abbreviations are therefore not to be
+    changed once passages have been extracted.
+    """
+    if lexicon is None:
+        return [c for doc in docs for c in _analyse_sentences(doc, abbreviations, stopwords, None)]
+    memo = lexicon._passages
     candidates = []
     for doc in docs:
-        for i, sentence in enumerate(split_sentences(doc.abstract, abbreviations)):
-            terms, cuis = analyse(sentence.text, stopwords, lexicon)
-            candidates.append(PassageCandidate(sentence.text, doc.doc_id, i, tuple(terms), tuple(cuis)))
+        entry = memo.get(doc)
+        if entry is None or entry[0] is not stopwords or entry[1] is not abbreviations:
+            if entry is None and len(memo) >= PASSAGE_MEMO_DOCS:
+                del memo[next(iter(memo))]  # the oldest entry
+            entry = memo[doc] = (stopwords, abbreviations, _analyse_sentences(doc, abbreviations, stopwords, lexicon))
+        candidates.extend(entry[2])
     return candidates
 
 

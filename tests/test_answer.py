@@ -14,9 +14,10 @@ from bioqa.answer import (
     rank_entities,
 )
 from bioqa.conceptlex import SentimentEntry, SentimentLexicon, recognize
+from bioqa.ingest import load_resources
 from bioqa.qclass import QuestionType
 
-from conftest import analysed, question_cuis, question_terms
+from conftest import RESOURCE_DIR, analysed, question_cuis, question_terms
 
 
 CTCF_QUESTION = "Does the CTCF protein co-localize with cohesin?"
@@ -248,24 +249,28 @@ class TestPipeline:
 
 
 class TestAnalysedOnce:
-    """extract_passages analyses each sentence and retrieve the question; the
-    stages after them read that analysis and analyse no text themselves."""
+    """extract_passages analyses each document's sentences once per resource
+    bundle and retrieve the question once per request; the stages after them
+    read that analysis and analyse no text themselves."""
 
     def test_each_sentence_recognized_once_and_later_stages_analyse_nothing(
-        self, bundle, corpus, doc_index, type_model, appendix_questions, monkeypatch
+        self, corpus, doc_index, type_model, appendix_questions, monkeypatch
     ):
         import sys
 
         from bioqa import answer as answer_mod
         from bioqa import conceptlex, retrieval, textproc
 
+        # A bundle of its own: the session bundle's lexicon already holds
+        # analyses made by other tests.
+        bundle = load_resources(RESOURCE_DIR / "manifest.json")
         recognize = conceptlex.recognize
         analysers = (textproc.tokenize, textproc.stem, recognize,
                      retrieval.analyse, retrieval.index_terms, retrieval.build_index)
         recognized: Counter = Counter()
         stage: list[str] = []
         analysed_in_stage = []
-        candidates = []
+        visits = []
 
         def spy(fn):
             def wrapper(*args, **kwargs):
@@ -288,7 +293,7 @@ class TestAnalysedOnce:
         def recording(fn):
             def wrapper(*args, **kwargs):
                 result = fn(*args, **kwargs)
-                candidates.extend(result)
+                visits.extend((c.doc_id, c.sent_index, c.text) for c in result)
                 return result
             return wrapper
 
@@ -302,11 +307,13 @@ class TestAnalysedOnce:
         monkeypatch.setattr(answer_mod, "extract_passages", recording(answer_mod.extract_passages))
 
         for q in appendix_questions.questions:
-            recognized.clear()
-            candidates.clear()
             answer_pipeline(q.body, corpus, doc_index, type_model, bundle)
-            sentences = Counter(c.text for c in candidates)
-            assert {t: recognized[t] for t in sentences} == dict(sentences), q.id
+        # Later questions revisit sentences earlier ones analysed; across all
+        # of them each (document, sentence) is recognized once.
+        distinct = set(visits)
+        assert len(visits) > len(distinct)
+        sentences = Counter(text for _, _, text in distinct)
+        assert {t: recognized[t] for t in sentences} == dict(sentences)
         # answer_yesno tags the passages it votes on; nothing else after
         # extract_passages analyses text.
         assert {name for name, _ in analysed_in_stage} <= {"answer_yesno"}

@@ -1,15 +1,21 @@
 import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bioqa import qclass
 from bioqa.qclass import (
+    AnyTag,
     FeatureExtractor,
     LiteralSet,
     MissingClassError,
     Pattern,
+    PatternMatch,
     QuestionType,
+    Star,
     TagMatch,
     UnknownFeatureSpaceError,
     classify_topics,
@@ -23,7 +29,7 @@ from bioqa.qclass import (
     train_topic_models,
     train_type_classifier,
 )
-from bioqa.textproc import ResourceFormatError
+from bioqa.textproc import ResourceFormatError, TaggedToken, Token
 
 from conftest import RESOURCE_DIR
 
@@ -88,6 +94,91 @@ class TestMatchPatterns:
                 for s in range(len(tagged) - k + 1)
             )
             assert bool(pattern_matches(tagged, [pattern])) == brute
+
+
+def reference_match_at(elements, tagged, pos):
+    """The plain recursive matcher, kept as the oracle of pattern_matches:
+    stars take the shortest run first, and nothing is memoised, so its time
+    grows exponentially with the number of stars."""
+    if not elements:
+        return []
+    head, rest = elements[0], elements[1:]
+    if isinstance(head, Star):
+        for skip in range(len(tagged) - pos + 1):
+            sub = reference_match_at(rest, tagged, pos + skip)
+            if sub is not None:
+                return sub
+        return None
+    if pos >= len(tagged):
+        return None
+    if isinstance(head, TagMatch):
+        if tagged[pos].tag != head.tag:
+            return None
+        sub = reference_match_at(rest, tagged, pos + 1)
+        return None if sub is None else [head.tag] + sub
+    if isinstance(head, AnyTag):
+        sub = reference_match_at(rest, tagged, pos + 1)
+        return None if sub is None else [tagged[pos].tag] + sub
+    for phrase in head.phrases:
+        if pos + len(phrase) > len(tagged):
+            continue
+        if all(tagged[pos + k].token.surface.lower() == w for k, w in enumerate(phrase)):
+            sub = reference_match_at(rest, tagged, pos + len(phrase))
+            if sub is None:
+                continue
+            return ([" ".join(phrase)] if head.capture else []) + sub
+    return None
+
+
+def reference_pattern_matches(tagged, patterns):
+    matches = []
+    for pattern in patterns:
+        for shift in range(len(tagged)):
+            captured = reference_match_at(pattern.elements, tagged, shift)
+            if captured is not None:
+                matches.append(PatternMatch(pattern, shift, tuple(sorted(Counter(captured).items()))))
+                break
+    return matches
+
+
+# Few words, so that alternative phrases often start at the same token.
+_WORDS = ["what", "Which", "is", "IS", "stand", "for", "?"]
+_TAGS = ["NN", "VBZ", "WP", "."]
+_tagged = st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_TAGS)), max_size=10).map(
+    lambda pairs: [TaggedToken(Token(w, 0, len(w)), tag) for w, tag in pairs]
+)
+_phrases = st.lists(st.lists(st.sampled_from(["what", "which", "is", "stand", "for"]), min_size=1, max_size=2).map(
+    tuple), min_size=1, max_size=3, unique=True)
+_elements = st.one_of(
+    st.builds(Star),
+    st.builds(AnyTag),
+    st.sampled_from(_TAGS).map(TagMatch),
+    st.builds(lambda phrases, capture: LiteralSet(tuple(sorted(phrases, key=lambda p: (-len(p), p))), capture),
+              _phrases, st.booleans()),
+)
+_patterns = st.lists(st.lists(_elements, min_size=1, max_size=5).map(
+    lambda elements: Pattern(QuestionType.FACTOID, tuple(elements))), min_size=1, max_size=4)
+
+
+class TestPatternMatchOracle:
+    """pattern_matches agrees with the recursive reference matcher."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(tagged=_tagged, patterns=st.one_of(_patterns, st.none()))
+    # "stand for" matches first, but only "stand" leaves the rest a match.
+    @example(tagged=[TaggedToken(Token(w, 0, len(w)), "NN") for w in ("stand", "for")],
+             patterns=[Pattern(QuestionType.FACTOID, (LiteralSet((("stand", "for"), ("stand",))),
+                                                      LiteralSet((("for",),))))])
+    def test_random_tagged_sequences(self, bundle, tagged, patterns):
+        patterns = bundle.patterns if patterns is None else patterns
+        assert pattern_matches(tagged, patterns) == reference_pattern_matches(tagged, patterns)
+
+    def test_bundled_and_repeated_questions(self, bundle, extractor, appendix_questions):
+        # Repeated question shapes, kept short enough for the reference.
+        repeated = ["Which what is the ? " * 12, "A. " * 60, "What is the cause of it? " * 8]
+        for question in [q.body for q in appendix_questions.questions] + repeated:
+            tagged = extractor.tag(question)
+            assert pattern_matches(tagged, bundle.patterns) == reference_pattern_matches(tagged, bundle.patterns)
 
 
 class TestExtractFeatures:

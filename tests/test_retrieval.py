@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from bioqa import ingest, retrieval
 from bioqa.conceptlex import Concept, ConceptGraph, ConceptLexicon, recognize
 from bioqa.retrieval import (
+    PASSAGE_MEMO_DOCS,
     DocumentRecord,
     DuplicateIdError,
     IndexedCorpus,
+    PassageCandidate,
     Query,
     UnknownUnitError,
     bm25_score,
@@ -403,6 +405,72 @@ class TestPassageAnalysis:
         docs = [DocumentRecord(f"d{i}", "t", a) for i, a in enumerate(abstracts)]
         if any(split_sentences(d.abstract, bundle.abbreviations) for d in docs):
             self.check(bundle, docs)
+
+
+def fresh_passages(docs, abbreviations, stopwords, lexicon):
+    """The candidates of docs, each sentence analysed anew."""
+    candidates = []
+    for doc in docs:
+        for i, sentence in enumerate(split_sentences(doc.abstract, abbreviations)):
+            terms, cuis = retrieval.analyse(sentence.text, stopwords, lexicon)
+            candidates.append(PassageCandidate(sentence.text, doc.doc_id, i, tuple(terms), tuple(cuis)))
+    return candidates
+
+
+# "dr." is a bundled abbreviation, so this splits into two sentences with
+# the bundled set and into three without it.
+DR_ABSTRACT = "Dr. Smith found the FGFR3 mutation. It causes Muenke syndrome."
+
+
+class TestPassageMemo:
+    """extract_passages keeps each document's candidates on the lexicon,
+    apart for each stopword and abbreviation set, and a bounded number of
+    documents."""
+
+    @staticmethod
+    def lexicon(bundle):
+        """A lexicon equal to the bundled one, with an empty memo."""
+        return ConceptLexicon(list(bundle.concept_lexicon.concepts.values()))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(docs=st.lists(st.tuples(st.sampled_from("abc"), st.one_of(_sentences, st.just(DR_ABSTRACT))),
+                         min_size=1, max_size=4),
+           order=st.permutations(range(4)))
+    # One abstract under two ids, and one id with two abstracts.
+    @example(docs=[("a", DR_ABSTRACT), ("b", DR_ABSTRACT), ("b", "The seizures of Muenke syndrome.")],
+             order=[0, 1, 2, 3])
+    def test_memoised_equals_fresh(self, bundle, docs, order):
+        lexicon = self.lexicon(bundle)
+        docs = [DocumentRecord(doc_id, "t", abstract) for doc_id, abstract in docs]
+        resources = [(abbreviations, stopwords)
+                     for abbreviations in (bundle.abbreviations, set())
+                     for stopwords in (bundle.stopwords, {"mutation"})]
+        for k in [*order, *order]:
+            abbreviations, stopwords = resources[k]
+            got = extract_passages(docs, abbreviations, stopwords, lexicon)
+            assert got == fresh_passages(docs, abbreviations, stopwords, lexicon)
+        # A later request with the same sets reuses the memoised candidates.
+        again = extract_passages(docs, abbreviations, stopwords, lexicon)
+        assert len(again) == len(got) and all(a is b for a, b in zip(again, got))
+
+    def test_bounded_and_evicted_document_reanalysed(self, bundle):
+        lexicon = self.lexicon(bundle)
+        resources = (bundle.abbreviations, bundle.stopwords, lexicon)
+        docs = [DocumentRecord(f"d{i}", "t", f"Trial {i} of imatinib ended. {DR_ABSTRACT}")
+                for i in range(PASSAGE_MEMO_DOCS + 300)]
+        first = extract_passages(docs[:1], *resources)
+        for start in range(0, len(docs), 256):
+            filled = extract_passages(docs[start:start + 256], *resources)
+            assert len(lexicon._passages) <= PASSAGE_MEMO_DOCS
+        assert len(lexicon._passages) == PASSAGE_MEMO_DOCS
+        # The oldest document was dropped and is analysed again; the newest
+        # is still kept.
+        again = extract_passages(docs[:1], *resources)
+        assert again == first == fresh_passages(docs[:1], *resources)
+        assert again[0] is not first[0]
+        newest = extract_passages(docs[-1:], *resources)
+        assert all(a is b for a, b in zip(newest, filled[-len(newest):]))
+        assert len(lexicon._passages) == PASSAGE_MEMO_DOCS
 
 
 class TestPassageOracle:

@@ -2,8 +2,8 @@
 
 Empty, whitespace-only, arbitrary Unicode and ~100k-character texts go
 through tokenize, recognize and split_sentences, whose offsets must slice
-back to what they report; answer_pipeline must answer any such question
-without raising.
+back to what they report; answer_pipeline must answer any such question,
+short or long, without raising.
 """
 
 from hypothesis import example, given, settings
@@ -28,8 +28,14 @@ _texts = st.one_of(
     st.text(),
     st.lists(st.one_of(_words, st.text(alphabet=WHITESPACE, min_size=1)), max_size=40).map(" ".join),
 )
-# A short piece repeated to LONG characters.
-_long_texts = st.text(min_size=1, max_size=12).map(lambda s: (s * (LONG // len(s) + 1))[:LONG])
+
+
+def repeated(piece):
+    """piece repeated to LONG characters."""
+    return (piece * (LONG // len(piece) + 1))[:LONG]
+
+
+_long_texts = st.text(min_size=1, max_size=12).map(repeated)
 LONG_CORPUS_TEXT = (CORPUS_TEXT * (LONG // len(CORPUS_TEXT) + 1))[:LONG]
 
 
@@ -80,12 +86,20 @@ class TestTextLayer:
 
 
 class TestPipelineOnAnyQuestion:
-    # Questions stay short: classification's pattern matcher slows down
-    # faster than linearly with question length.
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(question=_texts)
     @example(question="")
     @example(question=WHITESPACE)
     @example(question="Which gene is mutated in Muenke syndrome?")
     def test_answers_without_raising(self, bundle, corpus, doc_index, type_model, question):
+        answer_pipeline(question, corpus, doc_index, type_model, bundle)
+
+    # Two shapes that do much work per character: many patterns start over
+    # at each "which" and "what", and "A. " makes every other token a
+    # sentence end.
+    @settings(max_examples=1, deadline=None, derandomize=True, database=None)
+    @given(question=_long_texts)
+    @example(question=repeated("Which what is the ? "))
+    @example(question=repeated("A. "))
+    def test_answers_long_questions_without_raising(self, bundle, corpus, doc_index, type_model, question):
         answer_pipeline(question, corpus, doc_index, type_model, bundle)
