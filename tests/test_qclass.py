@@ -99,7 +99,7 @@ class TestMatchPatterns:
 def reference_match_at(elements, tagged, pos):
     """The plain recursive matcher, kept as the oracle of pattern_matches:
     stars take the shortest run first, and nothing is memoised, so its time
-    grows exponentially with the number of stars."""
+    grows as a power of the sequence length, one degree per star."""
     if not elements:
         return []
     head, rest = elements[0], elements[1:]
