@@ -253,7 +253,7 @@ class TestAnalysedOnce:
     bundle and retrieve the question once per request; the stages after them
     read that analysis and analyse no text themselves."""
 
-    def test_each_sentence_recognized_once_and_later_stages_analyse_nothing(
+    def test_each_sentence_analysed_once_and_later_stages_analyse_nothing(
         self, corpus, doc_index, type_model, appendix_questions, monkeypatch
     ):
         import sys
@@ -264,10 +264,11 @@ class TestAnalysedOnce:
         # A bundle of its own: the session bundle's lexicon already holds
         # analyses made by other tests.
         bundle = load_resources(RESOURCE_DIR / "manifest.json")
-        recognize = conceptlex.recognize
-        analysers = (textproc.tokenize, textproc.stem, recognize,
-                     retrieval.analyse, retrieval.index_terms, retrieval.build_index)
-        recognized: Counter = Counter()
+        analyse = retrieval.analyse
+        analysers = (textproc.tokenize, textproc.token_surfaces, textproc.stem,
+                     conceptlex.recognize, conceptlex.longest_matches,
+                     analyse, retrieval.index_terms, retrieval.build_index)
+        analysed_texts: Counter = Counter()
         stage: list[str] = []
         analysed_in_stage = []
         visits = []
@@ -276,8 +277,8 @@ class TestAnalysedOnce:
             def wrapper(*args, **kwargs):
                 if stage:
                     analysed_in_stage.append((stage[-1], fn.__name__))
-                if fn is recognize:
-                    recognized[args[0]] += 1
+                if fn is analyse:
+                    analysed_texts[args[0]] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -309,11 +310,11 @@ class TestAnalysedOnce:
         for q in appendix_questions.questions:
             answer_pipeline(q.body, corpus, doc_index, type_model, bundle)
         # Later questions revisit sentences earlier ones analysed; across all
-        # of them each (document, sentence) is recognized once.
+        # of them each (document, sentence) is analysed once.
         distinct = set(visits)
         assert len(visits) > len(distinct)
         sentences = Counter(text for _, _, text in distinct)
-        assert {t: recognized[t] for t in sentences} == dict(sentences)
+        assert {t: analysed_texts[t] for t in sentences} == dict(sentences)
         # answer_yesno tags the passages it votes on; nothing else after
         # extract_passages analyses text.
         assert {name for name, _ in analysed_in_stage} <= {"answer_yesno"}

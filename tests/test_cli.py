@@ -70,6 +70,19 @@ class TestAnswer:
     def test_empty_question_is_usage_error(self, model_path):
         assert main(["answer", "--model", model_path, "--question", "   "]) == 2
 
+    @pytest.mark.parametrize("command", ["classify", "retrieve-docs", "retrieve-passages"])
+    @pytest.mark.parametrize("question", ["", " \t\n"])
+    def test_every_command_refuses_an_empty_question(self, command, question, model_path, index_path, capsys):
+        args = {
+            "classify": ["--model", model_path],
+            "retrieve-docs": ["--index", index_path],
+            "retrieve-passages": ["--index", index_path],
+        }[command]
+        assert main([command, *args, "--question", question]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: empty question\n"
+
     def test_missing_index_file_is_an_error(self, model_path, tmp_path, capsys):
         missing = tmp_path / "no-such-index.json"
         assert main(["answer", "--model", model_path, "--index", str(missing),

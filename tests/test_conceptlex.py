@@ -285,6 +285,30 @@ class TestRecognizeEquivalence:
                 assert recognize(text, bundle.concept_lexicon) == windowed_recognize(text, bundle.concept_lexicon)
 
 
+class TestSurfaceKeys:
+    """The lexicon's surface keys, made from token_surfaces, equal keys
+    made from the Token objects of tokenize."""
+
+    @staticmethod
+    def token_keys(lexicon):
+        keys = {}
+        for concept in lexicon.concepts.values():
+            for surface in (concept.preferred, *concept.synonyms):
+                key = " ".join(t.surface.lower() for t in tokenize(surface))
+                if key:
+                    keys.setdefault(key, concept.cui)
+        return keys
+
+    def test_equal_token_keys(self, bundle):
+        odd = ConceptLexicon([
+            Concept("C1", "  Leaf  (Plant) ", "T002", "Plant", ("leaf(plant)", "ΟΔΟΣ.Β")),
+            Concept("C2", "?!", "T000", "Punctuation", ("\t",)),
+            Concept("C3", "İstanbul, Türkiye", "T083", "Place"),
+        ])
+        for lexicon in (bundle.concept_lexicon, OVERLAP_LEXICON, odd):
+            assert list(lexicon._surface_to_cui.items()) == list(self.token_keys(lexicon).items())
+
+
 class TestMemos:
     def test_title_cuis_equal_fresh_recognition(self, bundle, corpus):
         lexicon = ConceptLexicon(list(bundle.concept_lexicon.concepts.values()))

@@ -3,21 +3,27 @@
 Empty, whitespace-only, arbitrary Unicode and ~100k-character texts go
 through tokenize, recognize and split_sentences, whose offsets must slice
 back to what they report; answer_pipeline must answer any such question,
-short or long, without raising.
+short or long, without raising. The one-pass analysis (token_surfaces,
+then stems and longest_matches over the same lowercased surfaces) must
+equal a two-pass analysis over Token objects and recognize, on the same
+texts and on every bundled sentence, title and question.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bioqa.answer import answer_pipeline
-from bioqa.conceptlex import recognize
-from bioqa.ingest import load_corpus, load_resources
-from bioqa.textproc import split_sentences, tokenize
+from bioqa.conceptlex import ConceptLexicon, recognize, title_cuis
+from bioqa.ingest import load_corpus, load_questions, load_resources
+from bioqa.retrieval import Query, analyse, formulate_query
+from bioqa.textproc import split_sentences, stem, token_surfaces, tokenize
 
 from conftest import RESOURCE_DIR
 
 BUNDLE = load_resources(RESOURCE_DIR / "manifest.json")
-CORPUS_TEXT = " ".join(f"{d.title} {d.abstract}" for d in load_corpus(RESOURCE_DIR / "corpus.jsonl"))
+DOCS = load_corpus(RESOURCE_DIR / "corpus.jsonl")
+CORPUS_TEXT = " ".join(f"{d.title} {d.abstract}" for d in DOCS)
 WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0    　"
 LONG = 100_000
 
@@ -44,6 +50,7 @@ def check_tokens(text):
     for token in tokens:
         assert token.surface and text[token.start:token.end] == token.surface
     assert all(a.end <= b.start for a, b in zip(tokens, tokens[1:]))
+    assert token_surfaces(text) == [t.surface for t in tokens]
 
 
 def check_mentions(text):
@@ -103,3 +110,74 @@ class TestPipelineOnAnyQuestion:
     @example(question=repeated("A. "))
     def test_answers_long_questions_without_raising(self, bundle, corpus, doc_index, type_model, question):
         answer_pipeline(question, corpus, doc_index, type_model, bundle)
+
+
+def two_pass_analyse(text, stopwords, lexicon):
+    """Reference analysis in two passes: stems from the Token objects of
+    tokenize, cuis from recognize, which tokenizes the text again."""
+    terms = []
+    for token in tokenize(text):
+        surface = token.surface.lower()
+        if surface in stopwords or not any(ch.isalnum() for ch in surface):
+            continue
+        terms.append(stem(surface))
+    cuis = [m.cui for m in recognize(text, lexicon)] if lexicon is not None else []
+    return terms + cuis, cuis
+
+
+def two_pass_query(question, lexicon, stopwords):
+    """Reference: formulate_query over recognize, then tokenize."""
+    concept_terms = dict.fromkeys(lexicon.get(m.cui).preferred for m in recognize(question, lexicon))
+    raw_terms = tuple(
+        t.surface
+        for t in tokenize(question)
+        if t.surface.lower() not in stopwords and any(ch.isalnum() for ch in t.surface)
+    )
+    return Query(tuple(concept_terms), raw_terms)
+
+
+def check_one_pass(text, lexicon):
+    """analyse, formulate_query and title_cuis equal their two-pass references."""
+    stopwords = BUNDLE.stopwords
+    assert analyse(text, stopwords, lexicon) == two_pass_analyse(text, stopwords, lexicon)
+    assert analyse(text, stopwords, None) == two_pass_analyse(text, stopwords, None)
+    assert formulate_query(text, lexicon, stopwords) == two_pass_query(text, lexicon, stopwords)
+    assert title_cuis(text, lexicon) == tuple(m.cui for m in recognize(text, lexicon))
+
+
+def bundled_texts():
+    """Every abstract sentence, title and question of the bundled data."""
+    sentences = [s.text for d in DOCS for s in split_sentences(d.abstract, BUNDLE.abbreviations)]
+    questions = [q.body for q in load_questions(RESOURCE_DIR / "questions.json").questions]
+    return sentences + [d.title for d in DOCS] + questions
+
+
+class TestOnePassAnalysis:
+    """A lexicon of its own for each test, so that title_cuis computes
+    rather than reads a title memoised by another test."""
+
+    @staticmethod
+    def fresh_lexicon():
+        return ConceptLexicon(list(BUNDLE.concept_lexicon.concepts.values()))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(text=_texts)
+    @example(text="")
+    @example(text=WHITESPACE)
+    @example(text="The Tuberous Sclerosis patients, e.g. THE ones with EPILEPSY.")
+    def test_equals_two_pass(self, text):
+        check_one_pass(text, self.fresh_lexicon())
+
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(text=_long_texts)
+    @example(text=LONG_CORPUS_TEXT)
+    def test_equals_two_pass_on_long_text(self, text):
+        check_one_pass(text, self.fresh_lexicon())
+
+    @pytest.mark.parametrize("case", [str, str.upper, str.lower], ids=["as-is", "upper", "lower"])
+    def test_equals_two_pass_on_bundled_texts(self, case):
+        lexicon = self.fresh_lexicon()
+        texts = bundled_texts()
+        assert len(texts) > 50
+        for text in texts:
+            check_one_pass(case(text), lexicon)
