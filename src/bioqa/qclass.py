@@ -26,6 +26,7 @@ from .textproc import (
     pos_tag,
     read_json,
     stem,
+    token_surfaces,
     tokenize,
 )
 
@@ -509,8 +510,7 @@ def extract_topic_features(
     unknown = config - TOPIC_FEATURES - {"BOSDR"}
     if unknown:
         raise UnknownFeatureSpaceError(f"unknown topic feature group(s): {sorted(unknown)}")
-    tokens = tokenize(question)
-    surfaces = [t.surface for t in tokens]
+    surfaces = token_surfaces(question)
     content = [
         s for s in surfaces
         if s.lower() not in stopwords and any(ch.isalnum() for ch in s)
