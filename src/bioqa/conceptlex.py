@@ -270,6 +270,7 @@ class SentimentLexicon:
         self._by_key: dict[tuple[str, str], list[SentimentEntry]] = {}
         for e in self.entries:
             self._by_key.setdefault((e.word, e.tag_class), []).append(e)
+        self.words = frozenset(word for word, _ in self._by_key)
 
     @classmethod
     def from_file(cls, path) -> "SentimentLexicon":

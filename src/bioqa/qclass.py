@@ -274,13 +274,17 @@ def _matcher(elements, tagged: list[TaggedToken], lowered: list[str]):
 def pattern_matches(tagged: list[TaggedToken], patterns: list[Pattern]) -> list[PatternMatch]:
     """First (smallest-shift) match of every pattern that matches at all."""
     lowered = [t.token.surface.lower() for t in tagged]
+    positions: dict[str, list[int]] = {}
+    for pos, word in enumerate(lowered):
+        positions.setdefault(word, []).append(pos)
     matches = []
     for pattern in patterns:
         match = _matcher(pattern.elements, tagged, lowered)
         shifts = range(len(tagged))
         if pattern.elements and isinstance(pattern.elements[0], LiteralSet):
             # Only where one of its first words stands can the pattern match.
-            shifts = [shift for shift in shifts if lowered[shift] in pattern.elements[0].starts]
+            # A position holds one word, so the words' position lists are disjoint.
+            shifts = sorted(pos for word in pattern.elements[0].starts for pos in positions.get(word, ()))
         for shift in shifts:
             captured = match(0, shift)
             if captured is not None:

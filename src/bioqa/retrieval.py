@@ -180,16 +180,9 @@ def index_units(units: Iterable[tuple[str, Sequence[str]]], mode: str) -> Indexe
     return index
 
 
-def idf(term: str, index: IndexedCorpus) -> float:
-    """ln((N - N(q) + 0.5) / (N(q) + 0.5)); negative values are clamped off
-    by the caller because such terms carry no information."""
-    n_q = len(index.postings.get(term, {}))
-    return math.log((index.n_units - n_q + 0.5) / (n_q + 0.5))
-
-
 @dataclass(frozen=True)
 class BM25Stats:
-    """What BM25 needs of the index for one query, read once per ranking.
+    """What BM25 needs of the units for one query, read once per ranking.
 
     avg_len is the mean unit length; weighted holds, in query order and
     with repeats, (idf, postings) of each term that has a positive idf and
@@ -197,19 +190,61 @@ class BM25Stats:
     """
 
     avg_len: float
-    weighted: tuple[tuple[float, dict[str, int]], ...]
+    weighted: tuple[tuple[float, dict], ...]
 
 
-def bm25_stats(query_terms: list[str], index: IndexedCorpus) -> BM25Stats:
-    """Mean length and per-term idf of the index for query_terms; each
-    distinct term's idf is computed once."""
-    weights = {term: idf(term, index) for term in dict.fromkeys(query_terms)}
+def bm25_stats(query_terms: list[str], postings: dict[str, dict], n_units: int, avg_len: float) -> BM25Stats:
+    """Mean length and per-term idf of n_units units for query_terms.
+
+    postings maps a term to {unit: term count} over the units holding it.
+    Each distinct term's idf, ln((N - N(q) + 0.5) / (N(q) + 0.5)), is
+    computed once; terms whose idf is not positive carry no information
+    and are left out.
+    """
+    weights = {}
+    for term in dict.fromkeys(query_terms):
+        n_q = len(postings.get(term, {}))
+        weights[term] = math.log((n_units - n_q + 0.5) / (n_q + 0.5))
     weighted = tuple(
-        (weights[term], index.postings[term])
+        (weights[term], postings[term])
         for term in query_terms
-        if weights[term] > 0.0 and term in index.postings
+        if weights[term] > 0.0 and term in postings
     )
-    return BM25Stats(index.avg_len, weighted)
+    return BM25Stats(avg_len, weighted)
+
+
+def bm25_scores(
+    units: Iterable,
+    lengths: dict[str, int] | list[int],
+    stats: BM25Stats,
+    k1: float = DEFAULT_K1,
+    b: float = DEFAULT_B,
+) -> list[float]:
+    """Okapi BM25 score of each unit, in input order.
+
+    lengths[unit] is the unit's length and units are keys of the postings
+    in stats. Query terms are consumed as stats holds them; a term listed
+    twice counts twice.
+    """
+    if k1 <= 0:
+        raise ValueError(f"k1 must be positive, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"b must lie in [0, 1], got {b}")
+    avg, weighted = stats.avg_len, stats.weighted
+    # Hoisted operands round as they would inside the loop, so each score
+    # is bit-equal to norm = 1 - b + b * len / avg and
+    # weight * (f * (k1 + 1)) / (f + k1 * norm) summed in query order.
+    k1_plus_1, one_minus_b = k1 + 1.0, 1.0 - b
+    scores = []
+    for unit in units:
+        k1_norm = k1 * (one_minus_b + b * (lengths[unit] / avg) if avg > 0 else 1.0)
+        score = 0.0
+        for weight, postings in weighted:
+            f = postings.get(unit, 0)
+            if f:
+                score += weight * (f * k1_plus_1) / (f + k1_norm)
+        scores.append(score)
+    return scores
 
 
 def bm25_score(
@@ -218,31 +253,13 @@ def bm25_score(
     index: IndexedCorpus,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
-    stats: BM25Stats | None = None,
 ) -> float:
-    """Okapi BM25 score of one unit for the given query term sequence.
-
-    Terms whose IDF is not positive contribute nothing. Query terms are
-    consumed as given; a term listed twice counts twice. A caller scoring
-    many units passes stats, bm25_stats(query_terms, index), so that the
-    index statistics are read once rather than per unit.
-    """
+    """Okapi BM25 score of one unit of the index for the given query term
+    sequence; bm25_scores over that one unit."""
     if unit_id not in index.lengths:
         raise UnknownUnitError(unit_id)
-    if k1 <= 0:
-        raise ValueError(f"k1 must be positive, got {k1}")
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"b must lie in [0, 1], got {b}")
-    if stats is None:
-        stats = bm25_stats(query_terms, index)
-    avg = stats.avg_len
-    norm = 1.0 - b + b * (index.lengths[unit_id] / avg) if avg > 0 else 1.0
-    score = 0.0
-    for weight, postings in stats.weighted:
-        f = postings.get(unit_id, 0)
-        if f:
-            score += weight * (f * (k1 + 1.0)) / (f + k1 * norm)
-    return score
+    stats = bm25_stats(query_terms, index.postings, index.n_units, index.avg_len)
+    return bm25_scores([unit_id], index.lengths, stats, k1, b)[0]
 
 
 def _query_index_terms(query: Query, stopwords: set[str], lexicon: ConceptLexicon | None) -> list[str]:
@@ -272,7 +289,7 @@ def _candidates(index: IndexedCorpus, distinct: list[str]) -> tuple[list[str], b
         return [], relaxed
     # Postings keep no index order (a loaded index has them sorted by id),
     # so one membership pass over unit_order restores it for stable-sort ties.
-    return [uid for uid in index.unit_order if uid in matched], relaxed
+    return list(filter(matched.__contains__, index.unit_order)), relaxed
 
 
 def search(
@@ -287,20 +304,18 @@ def search(
     """Conjunctive search over the query's index terms, BM25 ranked.
 
     When no document contains every term the search relaxes to documents
-    containing any of them; the result records that it did.
+    containing any of them; the result records that it did. k1 and b are
+    checked even when nothing matches.
     """
     if index.mode != "document":
         raise ValueError("search requires a document-mode index")
     terms = _query_index_terms(query, stopwords, lexicon)
     distinct = list(dict.fromkeys(terms))
-    if not distinct or limit <= 0:
-        return SearchResult([], relaxed=False)
-
-    candidates, relaxed = _candidates(index, distinct)
-    stats = bm25_stats(terms, index)
-    scored = [(bm25_score(terms, uid, index, k1, b, stats), uid) for uid in candidates]
-    scored.sort(key=lambda pair: -pair[0])  # stable: input order preserved on ties
-    docs = [ScoredDoc(uid, s, rank) for rank, (s, uid) in enumerate(scored[:limit], 1)]
+    candidates, relaxed = _candidates(index, distinct) if distinct and limit > 0 else ([], False)
+    stats = bm25_stats(terms, index.postings, index.n_units, index.avg_len)
+    scores = bm25_scores(candidates, index.lengths, stats, k1, b)
+    order = sorted(range(len(candidates)), key=scores.__getitem__, reverse=True)  # stable: ties keep index order
+    docs = [ScoredDoc(candidates[i], scores[i], rank) for rank, i in enumerate(order[:limit], 1)]
     return SearchResult(docs, relaxed=relaxed)
 
 
@@ -374,16 +389,20 @@ def rank_passages(
 ) -> list[ScoredPassage]:
     """BM25-rank sentence candidates against the question's index terms.
 
-    The statistics come from the candidates alone, indexed by the terms
-    they carry. Ties keep candidate (document, sentence) order.
+    The statistics come from the candidates alone, over the terms they
+    carry; postings are taken only for the question's terms, keyed by
+    candidate position. Ties keep candidate (document, sentence) order.
     """
-    if not candidates or top_n <= 0:
-        return []
-    index = index_units([(f"p{i}", c.terms) for i, c in enumerate(candidates)], "passage")
-    stats = bm25_stats(question_terms, index)
-    scored = [(bm25_score(question_terms, f"p{i}", index, k1, b, stats), i) for i in range(len(candidates))]
-    scored.sort(key=lambda pair: -pair[0])
-    return [
-        ScoredPassage(candidates[i], score, rank)
-        for rank, (score, i) in enumerate(scored[:top_n], 1)
-    ]
+    if top_n <= 0:
+        candidates = []
+    postings = {}
+    for term in dict.fromkeys(question_terms):
+        holding = {i: c.terms.count(term) for i, c in enumerate(candidates) if term in c.terms}
+        if holding:
+            postings[term] = holding
+    lengths = [len(c.terms) for c in candidates]
+    avg_len = sum(lengths) / len(lengths) if lengths else 0.0
+    stats = bm25_stats(question_terms, postings, len(candidates), avg_len)
+    scores = bm25_scores(range(len(candidates)), lengths, stats, k1, b)
+    order = sorted(range(len(candidates)), key=scores.__getitem__, reverse=True)
+    return [ScoredPassage(candidates[i], scores[i], rank) for rank, i in enumerate(order[:top_n], 1)]

@@ -189,14 +189,14 @@ def pos_tag(tokens: Sequence[Token], lexicon: TagLexicon) -> list[TaggedToken]:
     -ed is VBN, -ly is RB, a capitalized non-initial word is NNP, a
     digit-led hyphenated word is JJ, a plural-looking -s word is NNS.
     """
-    tagged = []
-    for i, tok in enumerate(tokens):
-        lower = tok.surface.lower()
-        tag = lexicon.entries.get(lower)
-        if tag is None:
-            tag = _heuristic_tag(tok.surface, lower, i, lexicon)
-        tagged.append(TaggedToken(tok, tag))
-    return tagged
+    return [TaggedToken(tok, word_tag(tok.surface, tok.surface.lower(), i, lexicon)) for i, tok in enumerate(tokens)]
+
+
+def word_tag(surface: str, lower: str, index: int, lexicon: TagLexicon) -> str:
+    """The tag pos_tag gives the token surface (lowercased: lower) at
+    position index of its text: its lexicon entry, else the heuristics."""
+    tag = lexicon.entries.get(lower)
+    return _heuristic_tag(surface, lower, index, lexicon) if tag is None else tag
 
 
 def _heuristic_tag(surface: str, lower: str, index: int, lexicon: TagLexicon) -> str:

@@ -315,7 +315,7 @@ class TestAnalysedOnce:
         assert len(visits) > len(distinct)
         sentences = Counter(text for _, _, text in distinct)
         assert {t: analysed_texts[t] for t in sentences} == dict(sentences)
-        # answer_yesno tags the passages it votes on; nothing else after
-        # extract_passages analyses text.
+        # answer_yesno reads the token surfaces of the passages it votes on;
+        # nothing else after extract_passages analyses text.
         assert {name for name, _ in analysed_in_stage} <= {"answer_yesno"}
-        assert {fn for _, fn in analysed_in_stage} <= {"tokenize"}
+        assert {fn for _, fn in analysed_in_stage} <= {"token_surfaces"}
