@@ -197,6 +197,47 @@ class TestSearch:
             assert strict_ids <= single
 
 
+class TestBm25Parameters:
+    """search and rank_passages reject k1 <= 0 and b outside [0, 1] whether
+    or not any unit is scored."""
+
+    BAD = [(0.0, 0.85), (-1.2, 0.85), (1.2, -0.1), (1.2, 1.5)]
+
+    @pytest.mark.parametrize("k1,b", BAD)
+    def test_search_with_candidates(self, k1, b):
+        index = make_index([["aa", "bb"], ["aa"], ["cc"]])
+        with pytest.raises(ValueError):
+            search(index, Query((), ("aa",)), 10, set(), None, k1=k1, b=b)
+
+    @pytest.mark.parametrize("query,limit", [(("zz",), 10), ((), 10), (("aa",), 0)],
+                             ids=["unmatched", "empty", "zero-limit"])
+    @pytest.mark.parametrize("k1,b", BAD)
+    def test_search_without_candidates(self, k1, b, query, limit):
+        index = make_index([["aa", "bb"], ["aa"], ["cc"]])
+        with pytest.raises(ValueError):
+            search(index, Query((), query), limit, set(), None, k1=k1, b=b)
+
+    @pytest.mark.parametrize("k1,b", BAD)
+    def test_rank_passages_with_candidates(self, bundle, k1, b):
+        candidates = [analysed(bundle, "Imatinib treats leukemia.", "d", 0),
+                      analysed(bundle, "Tobacco harms the mother.", "d", 1)]
+        with pytest.raises(ValueError):
+            rank_passages(question_terms(bundle, "Does imatinib treat leukemia?"), candidates, k1=k1, b=b)
+
+    @pytest.mark.parametrize("top_n", [10, 0])
+    @pytest.mark.parametrize("k1,b", BAD)
+    def test_rank_passages_without_candidates(self, bundle, k1, b, top_n):
+        candidates = [] if top_n else [analysed(bundle, "Imatinib treats leukemia.", "d", 0)]
+        with pytest.raises(ValueError):
+            rank_passages(question_terms(bundle, "Does imatinib treat leukemia?"), candidates, k1=k1, b=b, top_n=top_n)
+
+    def test_boundary_values_accepted(self):
+        index = make_index([["aa", "bb"], ["aa"], ["cc"]])
+        for b in (0.0, 1.0):
+            assert search(index, Query((), ("bb",)), 10, set(), None, k1=1e-9, b=b).docs
+        assert rank_passages(["aa"], [], k1=1e-9, b=1.0) == []
+
+
 class TestRerank:
     def test_shared_concept_doc_ranks_first(self, bundle):
         docs = [

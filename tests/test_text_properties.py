@@ -6,18 +6,33 @@ back to what they report; answer_pipeline must answer any such question,
 short or long, without raising. The one-pass analysis (token_surfaces,
 then stems and longest_matches over the same lowercased surfaces) must
 equal a two-pass analysis over Token objects and recognize, on the same
-texts and on every bundled sentence, title and question.
+texts and on every bundled sentence, title and question. So must the
+yes/no vote's passage_sentiment, which tags only sentiment words, equal
+one that tags every token, and pattern_matches, which takes a pattern's
+shifts from the positions of its start words, equal a scan of every token.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bioqa.answer import answer_pipeline
-from bioqa.conceptlex import ConceptLexicon, recognize, title_cuis
+from collections import Counter
+
+from bioqa import answer
+from bioqa.answer import answer_pipeline, passage_sentiment
+from bioqa.conceptlex import (
+    ConceptLexicon,
+    SentimentEntry,
+    SentimentLexicon,
+    coarse_tag_class,
+    recognize,
+    title_cuis,
+    word_sentiment,
+)
 from bioqa.ingest import load_corpus, load_questions, load_resources
+from bioqa.qclass import FeatureExtractor, LiteralSet, PatternMatch, _matcher, pattern_matches
 from bioqa.retrieval import Query, analyse, formulate_query
-from bioqa.textproc import split_sentences, stem, token_surfaces, tokenize
+from bioqa.textproc import TagLexicon, pos_tag, split_sentences, stem, token_surfaces, tokenize
 
 from conftest import RESOURCE_DIR
 
@@ -181,3 +196,144 @@ class TestOnePassAnalysis:
         assert len(texts) > 50
         for text in texts:
             check_one_pass(case(text), lexicon)
+
+
+def reference_sentiment(text, sentiment, tag_lexicon):
+    """Reference passage_sentiment: tag every token, sum every word's score."""
+    return sum(
+        word_sentiment(t.token.surface.lower(), coarse_tag_class(t.tag), sentiment)
+        for t in pos_tag(tokenize(text), tag_lexicon)
+    )
+
+
+# A small lexicon pair on which the tag decides the score: "well" and
+# "improve" have class-specific entries and a second class, "risk" has an
+# empty tag entry (class "any") where the heuristics would say NN, and
+# "failure" is not in the tag lexicon, so it is NNP when capitalised
+# after the first token and NN otherwise.
+SMALL_TAGS = TagLexicon({"well": "RB", "improve": "VB", "risk": "", "the": "DT"})
+SMALL_SENTIMENT = SentimentLexicon([
+    SentimentEntry("well", "r", 0.5, 0.0),
+    SentimentEntry("well", "any", 0.125, 0.25),
+    SentimentEntry("improve", "v", 0.625, 0.0),
+    SentimentEntry("improve", "n", 0.0, 0.25),
+    SentimentEntry("risk", "n", 0.0, 0.5),
+    SentimentEntry("risk", "any", 0.25, 0.0),
+    SentimentEntry("failure", "n", 0.0, 0.625),
+    SentimentEntry("failure", "a", 0.25, 0.0),
+    SentimentEntry("effective", "a", 0.625, 0.0),
+    SentimentEntry("effective", "n", 0.0, 0.375),
+    SentimentEntry("effective", "n", 0.125, 0.0),
+])
+LEXICONS = {"bundled": (BUNDLE.sentiment, BUNDLE.tag_lexicon), "small": (SMALL_SENTIMENT, SMALL_TAGS)}
+SENTIMENT_TEXTS = [
+    "The Failure of therapy was not unexpected, and patients did well.",
+    "Risk rose; the RISK of Failure was low, yet WELL treated patients Improve.",
+    "Effective drugs improve outcomes. The Effective dose did not fail.",
+    "(well) improve, risk. Failure? effective!",
+]
+_sentiment_words = st.sampled_from([
+    "well", "Well", "WELL", "improve", "Improve", "IMPROVE", "risk", "Risk", "failure", "Failure",
+    "FAILURE", "effective", "Effective", "(well)", "risk.", "improves", "Not", "NO", "Good", "toxic,",
+])
+_sentiment_texts = st.lists(
+    st.one_of(_words, _sentiment_words, st.text(alphabet=WHITESPACE, min_size=1)), max_size=40
+).map(" ".join)
+
+
+def check_sentiment(text):
+    for sentiment, tag_lexicon in LEXICONS.values():
+        assert passage_sentiment(text, sentiment, tag_lexicon) == reference_sentiment(text, sentiment, tag_lexicon)
+
+
+class TestSentimentVote:
+    """passage_sentiment tags only the words of the sentiment lexicon and
+    scores the same as tagging every token."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(text=st.one_of(_texts, _sentiment_texts))
+    @example(text="")
+    @example(text=WHITESPACE)
+    def test_equals_reference(self, text):
+        check_sentiment(text)
+
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(text=_long_texts)
+    @example(text=LONG_CORPUS_TEXT)
+    @example(text=repeated(" ".join(SENTIMENT_TEXTS)))
+    def test_equals_reference_on_long_text(self, text):
+        check_sentiment(text)
+
+    @pytest.mark.parametrize("case", [str, str.upper, str.lower], ids=["as-is", "upper", "lower"])
+    def test_equals_reference_on_bundled_texts(self, case):
+        for text in bundled_texts() + SENTIMENT_TEXTS:
+            check_sentiment(case(text))
+
+    @pytest.mark.parametrize("lexicons", LEXICONS, ids=list(LEXICONS))
+    def test_tags_each_sentiment_word_as_pos_tag_does(self, lexicons, monkeypatch):
+        """Each sentiment word gets the tag pos_tag gives it at its position
+        among all tokens. The vote alone cannot show this: NNP, NN and NNS
+        all fall in class n."""
+        sentiment, tag_lexicon = LEXICONS[lexicons]
+        given_tags = []
+
+        def recording(*args):
+            given_tags.append(tag := word_tag(*args))
+            return tag
+
+        word_tag = answer.word_tag
+        monkeypatch.setattr(answer, "word_tag", recording)
+        tagged = 0
+        for text in bundled_texts() + SENTIMENT_TEXTS:
+            given_tags.clear()
+            passage_sentiment(text, sentiment, tag_lexicon)
+            expected = [
+                t.tag for t in pos_tag(tokenize(text), tag_lexicon) if t.token.surface.lower() in sentiment.words
+            ]
+            assert given_tags == expected
+            tagged += len(expected)
+        assert tagged > 5
+
+
+def reference_pattern_matches(tagged, patterns):
+    """Reference pattern_matches: every pattern that starts with a word set
+    scans every token position for one of its start words."""
+    lowered = [t.token.surface.lower() for t in tagged]
+    matches = []
+    for pattern in patterns:
+        match = _matcher(pattern.elements, tagged, lowered)
+        shifts = range(len(tagged))
+        if pattern.elements and isinstance(pattern.elements[0], LiteralSet):
+            shifts = [shift for shift in shifts if lowered[shift] in pattern.elements[0].starts]
+        for shift in shifts:
+            captured = match(0, shift)
+            if captured is not None:
+                matches.append(PatternMatch(pattern, shift, tuple(sorted(Counter(captured).items()))))
+                break
+    return matches
+
+
+def check_pattern_matches(question):
+    tagged = FeatureExtractor(BUNDLE.tag_lexicon, BUNDLE.patterns).tag(question)
+    got = pattern_matches(tagged, BUNDLE.patterns)
+    assert got == reference_pattern_matches(tagged, BUNDLE.patterns)
+    return got
+
+
+class TestPatternStarts:
+    def test_equals_scan_on_bundled_questions(self):
+        questions = [q.body for name in ("questions.json", "demo_gold.json")
+                     for q in load_questions(RESOURCE_DIR / name).questions]
+        matched = 0
+        for question in questions:
+            for case in (str, str.upper, str.lower):
+                matched += bool(check_pattern_matches(case(question)))
+        assert matched > len(questions)
+
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(question=_long_texts)
+    @example(question=repeated("Which what is the ? "))
+    @example(question=repeated("A. "))
+    @example(question=repeated("What is the role of Imatinib? Which genes "))
+    def test_equals_scan_on_long_questions(self, question):
+        check_pattern_matches(question)

@@ -124,6 +124,11 @@ class TestPosTag:
     def test_lexicon_entry(self, tag_lexicon):
         assert pos_tag(tokenize("is"), tag_lexicon)[0].tag == "VBZ"
 
+    def test_lexicon_entry_wins_over_heuristics_even_when_empty(self):
+        lexicon = TagLexicon({"running": "NN", "quickly": ""})
+        assert [t.tag for t in pos_tag(tokenize("Running quickly Running"), lexicon)] == ["NN", "", "NN"]
+        assert textproc.word_tag("Quickly", "quickly", 1, lexicon) == ""
+
     def test_every_token_tagged_from_inventory(self, tag_lexicon):
         rng = random.Random(5)
         vocab = ["What", "is", "genes", "measured", "running", "quickly", "FGFR3",
