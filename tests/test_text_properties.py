@@ -12,11 +12,11 @@ one that tags every token, and pattern_matches, which takes a pattern's
 shifts from the positions of its start words, equal a scan of every token.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-from collections import Counter
 
 from bioqa import answer
 from bioqa.answer import answer_pipeline, passage_sentiment
@@ -275,13 +275,13 @@ class TestSentimentVote:
         among all tokens. The vote alone cannot show this: NNP, NN and NNS
         all fall in class n."""
         sentiment, tag_lexicon = LEXICONS[lexicons]
+        word_tag = answer.word_tag
         given_tags = []
 
         def recording(*args):
             given_tags.append(tag := word_tag(*args))
             return tag
 
-        word_tag = answer.word_tag
         monkeypatch.setattr(answer, "word_tag", recording)
         tagged = 0
         for text in bundled_texts() + SENTIMENT_TEXTS:
