@@ -4,7 +4,11 @@ The pinned files under tests/data/golden/ are the run files and stdout of
 `answer --dataset` over questions.json and demo_gold.json (model from
 `train-type --seed 42`), the `eval --out` metrics for demo_gold, and the
 stdout of `retrieve-docs` and `retrieve-passages` for a few bundled
-questions. They change only on purpose: regenerate them with
+questions. Classification is pinned by the model files of
+`train-type --seed 42 --space S` in every feature space and of
+`train-topics --seed 42`, whose weights depend on every feature count, and
+by the `classify --dataset` stdout of the patterns and topics models over
+questions.json. They change only on purpose: regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -22,6 +26,7 @@ import pytest
 
 from bioqa import ingest
 from bioqa.cli import main
+from bioqa.qclass import FEATURE_SPACES
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 RESOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "bioqa" / "resources"
@@ -64,6 +69,19 @@ def generate(workdir: Path) -> dict[str, bytes]:
             outputs[f"{command}.{fmt}.stdout"] = b"".join(
                 _stdout_of([command, "--format", fmt, "--question", bodies[i]]) for i in RETRIEVE_QUESTIONS
             )
+
+    for space in FEATURE_SPACES:
+        space_model = workdir / f"type.{space}.json"
+        _stdout_of(["train-type", "--seed", "42", "--space", space, "--out", str(space_model)])
+        outputs[f"train-type.{space}.model.json"] = space_model.read_bytes()
+    topics_model = workdir / "topics.json"
+    _stdout_of(["train-topics", "--seed", "42", "--out", str(topics_model)])
+    outputs["train-topics.model.json"] = topics_model.read_bytes()
+    questions = str(RESOURCE_DIR / "questions.json")
+    for kind, path in (("patterns", model), ("topics", str(topics_model))):
+        outputs[f"classify_questions.{kind}.stdout"] = _stdout_of(
+            ["classify", "--model", path, "--dataset", questions]
+        )
     return outputs
 
 
