@@ -17,17 +17,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .conceptlex import ConceptLexicon, recognize
+from .conceptlex import (
+    ConceptLexicon,
+    longest_matches,
+    recognize,  # not called here; perfbench/tracer.py counts calls through this binding
+)
 from .textproc import (
     ResourceFormatError,
-    TaggedToken,
     TagLexicon,
     ngrams,
     pos_tag,
     read_json,
     stem,
     token_surfaces,
-    tokenize,
+    tokenize,  # not called here; perfbench/tracer.py counts calls through this binding
 )
 
 MODEL_FORMAT_VERSION = 2
@@ -215,16 +218,17 @@ def load_patterns(path) -> list[Pattern]:
 _UNSET = object()
 
 
-def _matcher(elements, tagged: list[TaggedToken], lowered: list[str]):
+def _matcher(elements, tags: list[str], lowered: list[str]):
     """match(i, pos): the features elements[i:] capture when matched from
-    token pos, or None when they do not match there.
+    token pos, or None when they do not match there. tags and lowered hold
+    each token's tag and lowercased surface.
 
     Stars take the shortest run first, so feature attribution is the
     leftmost possible alignment. Results are memoised per (i, pos), and a
     star's forward scan records its result at every position it passes, so
     matching at every shift takes time linear in the number of tokens.
     """
-    n = len(tagged)
+    n = len(tags)
     memo = [[_UNSET] * (n + 1) for _ in elements]
 
     def match(i: int, pos: int) -> tuple[str, ...] | None:
@@ -261,25 +265,27 @@ def _matcher(elements, tagged: list[TaggedToken], lowered: list[str]):
                         if sub is not None:
                             result = ((" ".join(phrase),) if head.capture else ()) + sub
                             break
-            elif isinstance(head, AnyTag) or tagged[pos].tag == head.tag:  # both emit the token's tag
+            elif isinstance(head, AnyTag) or tags[pos] == head.tag:  # both emit the token's tag
                 sub = match(i + 1, pos + 1)
                 if sub is not None:
-                    result = (tagged[pos].tag, *sub)
+                    result = (tags[pos], *sub)
         known[pos] = result
         return result
 
     return match
 
 
-def pattern_matches(tagged: list[TaggedToken], patterns: list[Pattern]) -> list[PatternMatch]:
-    """First (smallest-shift) match of every pattern that matches at all."""
-    lowered = [t.token.surface.lower() for t in tagged]
+def pattern_matches(tagged: list[tuple[str, str]], patterns: list[Pattern]) -> list[PatternMatch]:
+    """First (smallest-shift) match of every pattern that matches at all,
+    over (surface, tag) pairs."""
+    tags = [tag for _, tag in tagged]
+    lowered = [surface.lower() for surface, _ in tagged]
     positions: dict[str, list[int]] = {}
     for pos, word in enumerate(lowered):
         positions.setdefault(word, []).append(pos)
     matches = []
     for pattern in patterns:
-        match = _matcher(pattern.elements, tagged, lowered)
+        match = _matcher(pattern.elements, tags, lowered)
         shifts = range(len(tagged))
         if pattern.elements and isinstance(pattern.elements[0], LiteralSet):
             # Only where one of its first words stands can the pattern match.
@@ -294,7 +300,7 @@ def pattern_matches(tagged: list[TaggedToken], patterns: list[Pattern]) -> list[
     return matches
 
 
-def match_patterns(tagged: list[TaggedToken], patterns: list[Pattern]) -> dict[str, int]:
+def match_patterns(tagged: list[tuple[str, str]], patterns: list[Pattern]) -> dict[str, int]:
     """Feature vector from the pattern grammar.
 
     All patterns are anchored as far left as possible; the ones anchored at
@@ -316,13 +322,13 @@ def match_patterns(tagged: list[TaggedToken], patterns: list[Pattern]) -> dict[s
 
 
 def _unigram_features(tagged) -> dict[str, int]:
-    return dict(Counter(t.token.surface for t in tagged))
+    return dict(Counter(surface for surface, _ in tagged))
 
 def _bigram_features(tagged) -> dict[str, int]:
-    return dict(Counter(ngrams([t.token.surface for t in tagged], 2)))
+    return dict(Counter(ngrams([surface for surface, _ in tagged], 2)))
 
 def _pos_features(tagged) -> dict[str, int]:
-    return dict(Counter(t.tag for t in tagged if t.tag not in _PUNCT_TAGS))
+    return dict(Counter(tag for _, tag in tagged if tag not in _PUNCT_TAGS))
 
 
 def _merge_sum(*vectors: dict[str, int]) -> dict[str, int]:
@@ -344,8 +350,9 @@ class FeatureExtractor:
         self.tag_lexicon = tag_lexicon
         self.patterns = patterns or []
 
-    def tag(self, question: str) -> list[TaggedToken]:
-        return pos_tag(tokenize(question), self.tag_lexicon)
+    def tag(self, question: str) -> list[tuple[str, str]]:
+        """(surface, tag) of each token of the question."""
+        return pos_tag(token_surfaces(question), self.tag_lexicon)
 
     def extract(self, question: str, space: str) -> dict[str, int]:
         tagged = self.tag(question)
@@ -515,23 +522,24 @@ def extract_topic_features(
     if unknown:
         raise UnknownFeatureSpaceError(f"unknown topic feature group(s): {sorted(unknown)}")
     surfaces = token_surfaces(question)
+    lowered = [s.lower() for s in surfaces]
     content = [
-        s for s in surfaces
-        if s.lower() not in stopwords and any(ch.isalnum() for ch in s)
+        (s, low) for s, low in zip(surfaces, lowered)
+        if low not in stopwords and any(ch.isalnum() for ch in s)
     ]
     groups = []
     if "BOW" in config:
-        groups.append(Counter(content))
+        groups.append(Counter(s for s, _ in content))
     if "BOB" in config:
         groups.append(Counter(ngrams(surfaces, 2)))
     if "BOS" in config:
-        groups.append(Counter(stem(s.lower()) for s in content))
+        groups.append(Counter(stem(low) for _, low in content))
     if "BOCST" in config:
         if concept_lexicon is None:
             raise ValueError("BOCST features require a concept lexicon")
         counts: Counter = Counter()
-        for mention in recognize(question, concept_lexicon):
-            concept = concept_lexicon.get(mention.cui)
+        for _, _, cui in longest_matches(lowered, concept_lexicon):
+            concept = concept_lexicon.get(cui)
             counts[concept.cui] += 1
             counts[concept.tui] += 1
         groups.append(counts)

@@ -10,7 +10,7 @@ question and each title.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .conceptlex import (
@@ -114,7 +114,7 @@ class IndexedCorpus:
         return sum(self.lengths.values()) / len(self.unit_order)
 
 
-def analyse(text: str, stopwords: set[str], lexicon: ConceptLexicon | None) -> tuple[list[str], list[str]]:
+def analyse(text: str, stopwords: set[str], lexicon: ConceptLexicon) -> tuple[list[str], list[str]]:
     """Index terms of a text: stems of non-stopword words, then cuis; and
     those cuis alone, in mention order.
 
@@ -128,11 +128,11 @@ def analyse(text: str, stopwords: set[str], lexicon: ConceptLexicon | None) -> t
         stem(s) for s in lowered
         if s not in stopwords and (s.isalnum() or any(ch.isalnum() for ch in s))
     ]
-    cuis = [cui for _, _, cui in longest_matches(lowered, lexicon)] if lexicon is not None else []
+    cuis = [cui for _, _, cui in longest_matches(lowered, lexicon)]
     return terms + cuis, cuis
 
 
-def index_terms(text: str, stopwords: set[str], lexicon: ConceptLexicon | None) -> list[str]:
+def index_terms(text: str, stopwords: set[str], lexicon: ConceptLexicon) -> list[str]:
     """The index terms of analyse(text, ...)."""
     return analyse(text, stopwords, lexicon)[0]
 
@@ -159,19 +159,16 @@ def build_index(
     units: list[tuple[str, str]],
     mode: str,
     stopwords: set[str],
-    lexicon: ConceptLexicon | None,
+    lexicon: ConceptLexicon,
 ) -> IndexedCorpus:
+    """Inverted index over the index terms of units given as (unit id, text)."""
     if mode not in ("document", "passage"):
         raise ValueError(f"mode must be 'document' or 'passage', got {mode!r}")
-    return index_units(((unit_id, index_terms(text, stopwords, lexicon)) for unit_id, text in units), mode)
-
-
-def index_units(units: Iterable[tuple[str, Sequence[str]]], mode: str) -> IndexedCorpus:
-    """Inverted index over units given as (unit id, index terms)."""
     index = IndexedCorpus(mode=mode)
-    for unit_id, terms in units:
+    for unit_id, text in units:
         if unit_id in index.lengths:
             raise DuplicateIdError(f"duplicate unit id {unit_id!r}")
+        terms = index_terms(text, stopwords, lexicon)
         index.lengths[unit_id] = len(terms)
         index.unit_order.append(unit_id)
         for term in terms:
@@ -262,7 +259,7 @@ def bm25_score(
     return bm25_scores([unit_id], index.lengths, stats, k1, b)[0]
 
 
-def _query_index_terms(query: Query, stopwords: set[str], lexicon: ConceptLexicon | None) -> list[str]:
+def _query_index_terms(query: Query, stopwords: set[str], lexicon: ConceptLexicon) -> list[str]:
     terms: list[str] = []
     if query.concept_terms:
         for concept_term in query.concept_terms:
@@ -297,7 +294,7 @@ def search(
     query: Query,
     limit: int,
     stopwords: set[str],
-    lexicon: ConceptLexicon | None,
+    lexicon: ConceptLexicon,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> SearchResult:
@@ -342,7 +339,7 @@ def _analyse_sentences(
     doc: DocumentRecord,
     abbreviations: set[str] | None,
     stopwords: set[str],
-    lexicon: ConceptLexicon | None,
+    lexicon: ConceptLexicon,
 ) -> tuple[PassageCandidate, ...]:
     candidates = []
     for i, sentence in enumerate(split_sentences(doc.abstract, abbreviations)):
@@ -355,19 +352,17 @@ def extract_passages(
     docs: list[DocumentRecord],
     abbreviations: set[str] | None,
     stopwords: set[str],
-    lexicon: ConceptLexicon | None,
+    lexicon: ConceptLexicon,
 ) -> list[PassageCandidate]:
     """One analysed candidate per abstract sentence, in document order.
 
-    With a lexicon, each document's candidates are memoised on it together
-    with the stopword and abbreviation sets they were made with, and later
+    Each document's candidates are memoised on the lexicon together with
+    the stopword and abbreviation sets they were made with, and later
     requests with those same sets share them. The memo keeps the
     PASSAGE_MEMO_DOCS documents analysed last and drops the oldest first.
     The lexicon, stopwords and abbreviations are therefore not to be
     changed once passages have been extracted.
     """
-    if lexicon is None:
-        return [c for doc in docs for c in _analyse_sentences(doc, abbreviations, stopwords, None)]
     memo = lexicon._passages
     candidates = []
     for doc in docs:

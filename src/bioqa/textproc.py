@@ -54,12 +54,6 @@ class Token:
 
 
 @dataclass(frozen=True)
-class TaggedToken:
-    token: Token
-    tag: str
-
-
-@dataclass(frozen=True)
 class Sentence:
     text: str
     start: int
@@ -182,14 +176,15 @@ def _is_capitalized(surface: str) -> bool:
     return surface[:1].isalpha() and surface[:1].isupper()
 
 
-def pos_tag(tokens: Sequence[Token], lexicon: TagLexicon) -> list[TaggedToken]:
-    """Tag tokens by lexicon lookup, then suffix heuristics, then NN.
+def pos_tag(surfaces: Sequence[str], lexicon: TagLexicon) -> list[tuple[str, str]]:
+    """(surface, tag) of each token surface of a text. The tag is the
+    word's lexicon entry, else a suffix heuristic's, else NN.
 
     Heuristics, in order: -s on a known verb stem is VBZ, -ing is VBG,
     -ed is VBN, -ly is RB, a capitalized non-initial word is NNP, a
     digit-led hyphenated word is JJ, a plural-looking -s word is NNS.
     """
-    return [TaggedToken(tok, word_tag(tok.surface, tok.surface.lower(), i, lexicon)) for i, tok in enumerate(tokens)]
+    return [(s, word_tag(s, s.lower(), i, lexicon)) for i, s in enumerate(surfaces)]
 
 
 def word_tag(surface: str, lower: str, index: int, lexicon: TagLexicon) -> str:

@@ -15,7 +15,7 @@ from bioqa.answer import (
 )
 from bioqa.conceptlex import SentimentEntry, SentimentLexicon, recognize
 from bioqa.ingest import load_resources
-from bioqa.qclass import QuestionType
+from bioqa.qclass import FEATURE_SPACES, TOPIC_FEATURES, FeatureExtractor, QuestionType, extract_topic_features
 
 from conftest import RESOURCE_DIR, analysed, question_cuis, question_terms
 
@@ -319,3 +319,46 @@ class TestAnalysedOnce:
         # nothing else after extract_passages analyses text.
         assert {name for name, _ in analysed_in_stage} <= {"answer_yesno"}
         assert {fn for _, fn in analysed_in_stage} <= {"token_surfaces"}
+
+
+class TestNoOffsetViews:
+    """Every stage reads token surfaces: answering, type features in every
+    space and topic features with concepts make no Token or ConceptMention,
+    so no bioqa binding of tokenize or recognize is called."""
+
+    def test_no_stage_calls_tokenize_or_recognize(
+        self, bundle, corpus, doc_index, type_model, appendix_questions, monkeypatch
+    ):
+        import sys
+
+        from bioqa import conceptlex, textproc
+
+        offset_views = (textproc.tokenize, conceptlex.recognize)
+        calls = Counter()
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        bound = 0
+        for name, module in list(sys.modules.items()):
+            if name == "bioqa" or name.startswith("bioqa."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is f for f in offset_views):
+                        monkeypatch.setattr(module, attr, spy(value))
+                        bound += 1
+        assert bound >= 2
+
+        extractor = FeatureExtractor(bundle.tag_lexicon, bundle.patterns)
+        concept_features = 0
+        for q in appendix_questions.questions:
+            answer_pipeline(q.body, corpus, doc_index, type_model, bundle)
+            for space in FEATURE_SPACES:
+                extractor.extract(q.body, space)
+            features = extract_topic_features(q.body, TOPIC_FEATURES, stopwords=bundle.stopwords,
+                                              concept_lexicon=bundle.concept_lexicon)
+            concept_features += sum(f in bundle.concept_lexicon for f in features)
+        assert concept_features > 0
+        assert calls == Counter()

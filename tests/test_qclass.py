@@ -29,7 +29,7 @@ from bioqa.qclass import (
     train_topic_models,
     train_type_classifier,
 )
-from bioqa.textproc import ResourceFormatError, TaggedToken, Token
+from bioqa.textproc import ResourceFormatError
 
 from conftest import RESOURCE_DIR
 
@@ -85,9 +85,10 @@ class TestMatchPatterns:
             pattern = Pattern(QuestionType.FACTOID, tuple(elements))
 
             def element_hits(el, tok):
+                surface, tag = tok
                 if isinstance(el, TagMatch):
-                    return tok.tag == el.tag
-                return tok.token.surface.lower() == el.phrases[0][0]
+                    return tag == el.tag
+                return surface.lower() == el.phrases[0][0]
 
             brute = any(
                 all(element_hits(el, tagged[s + i]) for i, el in enumerate(elements))
@@ -112,17 +113,17 @@ def reference_match_at(elements, tagged, pos):
     if pos >= len(tagged):
         return None
     if isinstance(head, TagMatch):
-        if tagged[pos].tag != head.tag:
+        if tagged[pos][1] != head.tag:
             return None
         sub = reference_match_at(rest, tagged, pos + 1)
         return None if sub is None else [head.tag] + sub
     if isinstance(head, AnyTag):
         sub = reference_match_at(rest, tagged, pos + 1)
-        return None if sub is None else [tagged[pos].tag] + sub
+        return None if sub is None else [tagged[pos][1]] + sub
     for phrase in head.phrases:
         if pos + len(phrase) > len(tagged):
             continue
-        if all(tagged[pos + k].token.surface.lower() == w for k, w in enumerate(phrase)):
+        if all(tagged[pos + k][0].lower() == w for k, w in enumerate(phrase)):
             sub = reference_match_at(rest, tagged, pos + len(phrase))
             if sub is None:
                 continue
@@ -144,9 +145,7 @@ def reference_pattern_matches(tagged, patterns):
 # Few words, so that alternative phrases often start at the same token.
 _WORDS = ["what", "Which", "is", "IS", "stand", "for", "?"]
 _TAGS = ["NN", "VBZ", "WP", "."]
-_tagged = st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_TAGS)), max_size=10).map(
-    lambda pairs: [TaggedToken(Token(w, 0, len(w)), tag) for w, tag in pairs]
-)
+_tagged = st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_TAGS)), max_size=10)
 _phrases = st.lists(st.lists(st.sampled_from(["what", "which", "is", "stand", "for"]), min_size=1, max_size=2).map(
     tuple), min_size=1, max_size=3, unique=True)
 _elements = st.one_of(
@@ -166,7 +165,7 @@ class TestPatternMatchOracle:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(tagged=_tagged, patterns=st.one_of(_patterns, st.none()))
     # "stand for" matches first, but only "stand" leaves the rest a match.
-    @example(tagged=[TaggedToken(Token(w, 0, len(w)), "NN") for w in ("stand", "for")],
+    @example(tagged=[(w, "NN") for w in ("stand", "for")],
              patterns=[Pattern(QuestionType.FACTOID, (LiteralSet((("stand", "for"), ("stand",))),
                                                       LiteralSet((("for",),))))])
     def test_random_tagged_sequences(self, bundle, tagged, patterns):

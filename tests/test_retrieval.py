@@ -81,7 +81,7 @@ class TestBuildIndex:
         assert index.avg_len == 0.0
 
     def test_term_frequency_counts_casefolded(self, bundle):
-        index = build_index([("d1", "Epilepsy epilepsy")], "document", bundle.stopwords, None)
+        index = build_index([("d1", "Epilepsy epilepsy")], "document", bundle.stopwords, ConceptLexicon([]))
         from bioqa.textproc import split_sentences, stem
 
         assert index.postings[stem("epilepsy")]["d1"] == 2
@@ -98,7 +98,7 @@ class TestBuildIndex:
 
     def test_duplicate_id_rejected(self, bundle):
         with pytest.raises(DuplicateIdError):
-            build_index([("d1", "a"), ("d1", "b")], "document", bundle.stopwords, None)
+            build_index([("d1", "a"), ("d1", "b")], "document", bundle.stopwords, ConceptLexicon([]))
 
 
 class TestBm25:
@@ -183,17 +183,18 @@ class TestSearch:
             (f"d{i}", " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 6))))
             for i in range(12)
         ]
-        index = build_index(units, "document", bundle.stopwords, None)
+        no_concepts = ConceptLexicon([])
+        index = build_index(units, "document", bundle.stopwords, no_concepts)
         for _ in range(50):
             words = tuple(rng.sample(vocab, rng.randint(1, 3)))
             query = Query((), words)
-            strict = search(index, query, 50, bundle.stopwords, None)
+            strict = search(index, query, 50, bundle.stopwords, no_concepts)
             if strict.relaxed:
                 continue
             strict_ids = {d.doc_id for d in strict.docs}
             single = set()
             for w in words:
-                single |= {d.doc_id for d in search(index, Query((), (w,)), 50, bundle.stopwords, None).docs}
+                single |= {d.doc_id for d in search(index, Query((), (w,)), 50, bundle.stopwords, no_concepts).docs}
             assert strict_ids <= single
 
 
@@ -207,7 +208,7 @@ class TestBm25Parameters:
     def test_search_with_candidates(self, k1, b):
         index = make_index([["aa", "bb"], ["aa"], ["cc"]])
         with pytest.raises(ValueError):
-            search(index, Query((), ("aa",)), 10, set(), None, k1=k1, b=b)
+            search(index, Query((), ("aa",)), 10, set(), ConceptLexicon([]), k1=k1, b=b)
 
     @pytest.mark.parametrize("query,limit", [(("zz",), 10), ((), 10), (("aa",), 0)],
                              ids=["unmatched", "empty", "zero-limit"])
@@ -215,7 +216,7 @@ class TestBm25Parameters:
     def test_search_without_candidates(self, k1, b, query, limit):
         index = make_index([["aa", "bb"], ["aa"], ["cc"]])
         with pytest.raises(ValueError):
-            search(index, Query((), query), limit, set(), None, k1=k1, b=b)
+            search(index, Query((), query), limit, set(), ConceptLexicon([]), k1=k1, b=b)
 
     @pytest.mark.parametrize("k1,b", BAD)
     def test_rank_passages_with_candidates(self, bundle, k1, b):
@@ -234,7 +235,7 @@ class TestBm25Parameters:
     def test_boundary_values_accepted(self):
         index = make_index([["aa", "bb"], ["aa"], ["cc"]])
         for b in (0.0, 1.0):
-            assert search(index, Query((), ("bb",)), 10, set(), None, k1=1e-9, b=b).docs
+            assert search(index, Query((), ("bb",)), 10, set(), ConceptLexicon([]), k1=1e-9, b=b).docs
         assert rank_passages(["aa"], [], k1=1e-9, b=1.0) == []
 
 
@@ -629,7 +630,7 @@ def add_unit(index, units, terms):
 
 
 def check_search(index, units, query_terms, limit, k1, b):
-    result = search(index, Query((), tuple(query_terms)), limit, set(), None, k1=k1, b=b)
+    result = search(index, Query((), tuple(query_terms)), limit, set(), ConceptLexicon([]), k1=k1, b=b)
     expected, relaxed = search_oracle(units, query_terms, limit, k1, b)
     assert [(d.doc_id, d.score) for d in result.docs] == expected
     assert [d.rank for d in result.docs] == list(range(1, len(expected) + 1))
@@ -682,7 +683,7 @@ class TestSearchOracle:
         index = make_index(units)
         assert not check_search(index, units, ["aa"], 10, 1.2, 0.85)
         assert check_search(index, units, ["aa", "bb"], 10, 1.2, 0.85)
-        docs = search(index, Query((), ("aa",)), 10, set(), None).docs
+        docs = search(index, Query((), ("aa",)), 10, set(), ConceptLexicon([])).docs
         assert [d.doc_id for d in docs] == ["u0", "u1"] and docs[0].score == docs[1].score
 
     def test_loaded_index_keeps_unit_order_on_ties(self, tmp_path):
@@ -698,7 +699,7 @@ class TestSearchOracle:
         ingest.save_index(index, tmp_path / "index.json")
         loaded = ingest.load_index(tmp_path / "index.json")
         assert list(loaded.postings["aa"]) == ["u3", "u5", "u9"]
-        docs = search(loaded, Query((), ("aa",)), 10, set(), None).docs
+        docs = search(loaded, Query((), ("aa",)), 10, set(), ConceptLexicon([])).docs
         assert [d.doc_id for d in docs] == ["u9", "u3", "u5"]
 
 

@@ -10,6 +10,8 @@ texts and on every bundled sentence, title and question. So must the
 yes/no vote's passage_sentiment, which tags only sentiment words, equal
 one that tags every token, and pattern_matches, which takes a pattern's
 shifts from the positions of its start words, equal a scan of every token.
+The question's tags and topic features, read from its token surfaces,
+must equal references over Token objects and recognize.
 """
 
 from collections import Counter
@@ -30,9 +32,17 @@ from bioqa.conceptlex import (
     word_sentiment,
 )
 from bioqa.ingest import load_corpus, load_questions, load_resources
-from bioqa.qclass import FeatureExtractor, LiteralSet, PatternMatch, _matcher, pattern_matches
+from bioqa.qclass import (
+    TOPIC_FEATURES,
+    FeatureExtractor,
+    LiteralSet,
+    PatternMatch,
+    _matcher,
+    extract_topic_features,
+    pattern_matches,
+)
 from bioqa.retrieval import Query, analyse, formulate_query
-from bioqa.textproc import TagLexicon, pos_tag, split_sentences, stem, token_surfaces, tokenize
+from bioqa.textproc import TagLexicon, ngrams, pos_tag, split_sentences, stem, token_surfaces, tokenize, word_tag
 
 from conftest import RESOURCE_DIR
 
@@ -155,7 +165,7 @@ def check_one_pass(text, lexicon):
     """analyse, formulate_query and title_cuis equal their two-pass references."""
     stopwords = BUNDLE.stopwords
     assert analyse(text, stopwords, lexicon) == two_pass_analyse(text, stopwords, lexicon)
-    assert analyse(text, stopwords, None) == two_pass_analyse(text, stopwords, None)
+    assert analyse(text, stopwords, ConceptLexicon([])) == two_pass_analyse(text, stopwords, None)
     assert formulate_query(text, lexicon, stopwords) == two_pass_query(text, lexicon, stopwords)
     assert title_cuis(text, lexicon) == tuple(m.cui for m in recognize(text, lexicon))
 
@@ -198,11 +208,62 @@ class TestOnePassAnalysis:
             check_one_pass(case(text), lexicon)
 
 
+def reference_tag(text, tag_lexicon):
+    """Reference tagging over the Token objects of tokenize: (token, tag)
+    of each token, tagged as pos_tag tags its surface at that position."""
+    return [(t, word_tag(t.surface, t.surface.lower(), i, tag_lexicon)) for i, t in enumerate(tokenize(text))]
+
+
+def reference_topic_features(question, stopwords, lexicon):
+    """Reference extract_topic_features over TOPIC_FEATURES: words from
+    the Token objects of tokenize, concepts from recognize."""
+    words = [t.surface for t in tokenize(question)]
+    content = [w for w in words if w.lower() not in stopwords and any(ch.isalnum() for ch in w)]
+    concepts = [lexicon.get(m.cui) for m in recognize(question, lexicon)]
+    return dict(
+        Counter(content) + Counter(ngrams(words, 2)) + Counter(stem(w.lower()) for w in content)
+        + Counter(c.cui for c in concepts) + Counter(c.tui for c in concepts)
+    )
+
+
+def check_question_features(text):
+    extractor = FeatureExtractor(BUNDLE.tag_lexicon, BUNDLE.patterns)
+    assert extractor.tag(text) == [(t.surface, tag) for t, tag in reference_tag(text, BUNDLE.tag_lexicon)]
+    features = extract_topic_features(text, TOPIC_FEATURES, stopwords=BUNDLE.stopwords,
+                                      concept_lexicon=BUNDLE.concept_lexicon)
+    assert features == reference_topic_features(text, BUNDLE.stopwords, BUNDLE.concept_lexicon)
+
+
+class TestQuestionFeaturesFromSurfaces:
+    """FeatureExtractor.tag and extract_topic_features, which read token
+    surfaces, equal their references over Token objects and recognize."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(text=_texts)
+    @example(text="")
+    @example(text=WHITESPACE)
+    @example(text="What is the dose of Zithromax for this 35-kilogram kid ?")
+    def test_equals_reference(self, text):
+        check_question_features(text)
+
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(text=_long_texts)
+    @example(text=LONG_CORPUS_TEXT)
+    @example(text=repeated("A. "))
+    def test_equals_reference_on_long_text(self, text):
+        check_question_features(text)
+
+    @pytest.mark.parametrize("case", [str, str.upper, str.lower], ids=["as-is", "upper", "lower"])
+    def test_equals_reference_on_bundled_texts(self, case):
+        for text in bundled_texts():
+            check_question_features(case(text))
+
+
 def reference_sentiment(text, sentiment, tag_lexicon):
     """Reference passage_sentiment: tag every token, sum every word's score."""
     return sum(
-        word_sentiment(t.token.surface.lower(), coarse_tag_class(t.tag), sentiment)
-        for t in pos_tag(tokenize(text), tag_lexicon)
+        word_sentiment(t.surface.lower(), coarse_tag_class(tag), sentiment)
+        for t, tag in reference_tag(text, tag_lexicon)
     )
 
 
@@ -288,7 +349,7 @@ class TestSentimentVote:
             given_tags.clear()
             passage_sentiment(text, sentiment, tag_lexicon)
             expected = [
-                t.tag for t in pos_tag(tokenize(text), tag_lexicon) if t.token.surface.lower() in sentiment.words
+                tag for surface, tag in pos_tag(token_surfaces(text), tag_lexicon) if surface.lower() in sentiment.words
             ]
             assert given_tags == expected
             tagged += len(expected)
@@ -298,10 +359,11 @@ class TestSentimentVote:
 def reference_pattern_matches(tagged, patterns):
     """Reference pattern_matches: every pattern that starts with a word set
     scans every token position for one of its start words."""
-    lowered = [t.token.surface.lower() for t in tagged]
+    tags = [tag for _, tag in tagged]
+    lowered = [surface.lower() for surface, _ in tagged]
     matches = []
     for pattern in patterns:
-        match = _matcher(pattern.elements, tagged, lowered)
+        match = _matcher(pattern.elements, tags, lowered)
         shifts = range(len(tagged))
         if pattern.elements and isinstance(pattern.elements[0], LiteralSet):
             shifts = [shift for shift in shifts if lowered[shift] in pattern.elements[0].starts]

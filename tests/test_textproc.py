@@ -12,6 +12,7 @@ from bioqa.textproc import (
     pos_tag,
     split_sentences,
     stem,
+    token_surfaces,
     tokenize,
 )
 
@@ -112,21 +113,21 @@ class TestSplitSentences:
 
 class TestPosTag:
     def test_zithromax_question(self, tag_lexicon):
-        tokens = tokenize("What is the dose of Zithromax for this 35-kilogram kid ?")
-        tags = [t.tag for t in pos_tag(tokens, tag_lexicon)]
+        surfaces = token_surfaces("What is the dose of Zithromax for this 35-kilogram kid ?")
+        tags = [tag for _, tag in pos_tag(surfaces, tag_lexicon)]
         assert tags == ["WP", "VBZ", "DT", "NN", "IN", "NNP", "IN", "DT", "JJ", "NN", "."]
 
     def test_autophagy_question(self, tag_lexicon):
-        tokens = tokenize("What is the definition of autophagy ?")
-        tags = [t.tag for t in pos_tag(tokens, tag_lexicon)]
+        surfaces = token_surfaces("What is the definition of autophagy ?")
+        tags = [tag for _, tag in pos_tag(surfaces, tag_lexicon)]
         assert tags == ["WP", "VBZ", "DT", "NN", "IN", "NN", "."]
 
     def test_lexicon_entry(self, tag_lexicon):
-        assert pos_tag(tokenize("is"), tag_lexicon)[0].tag == "VBZ"
+        assert pos_tag(["is"], tag_lexicon) == [("is", "VBZ")]
 
     def test_lexicon_entry_wins_over_heuristics_even_when_empty(self):
         lexicon = TagLexicon({"running": "NN", "quickly": ""})
-        assert [t.tag for t in pos_tag(tokenize("Running quickly Running"), lexicon)] == ["NN", "", "NN"]
+        assert [tag for _, tag in pos_tag(token_surfaces("Running quickly Running"), lexicon)] == ["NN", "", "NN"]
         assert textproc.word_tag("Quickly", "quickly", 1, lexicon) == ""
 
     def test_every_token_tagged_from_inventory(self, tag_lexicon):
@@ -135,10 +136,10 @@ class TestPosTag:
                  "35-kilogram", "the", "?", "(", "word", "Proteins", "abuses"]
         for _ in range(200):
             text = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 12)))
-            tagged = pos_tag(tokenize(text), tag_lexicon)
+            tagged = pos_tag(token_surfaces(text), tag_lexicon)
             assert len(tagged) == len(tokenize(text))
-            for t in tagged:
-                assert t.tag in tag_lexicon.inventory
+            for _, tag in tagged:
+                assert tag in tag_lexicon.inventory
 
 
 class TestStem:
