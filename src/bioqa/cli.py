@@ -319,11 +319,20 @@ def cmd_answer(args) -> int:
 
 
 def _load_run_entries(path) -> list[dict]:
-    """The answer objects of a run file: {"questions": [...]} or a bare list."""
+    """The answer objects of a run file: {"questions": [...]} or a bare list.
+    Each object has a string id that no other object has."""
     payload = read_json(path)
     entries = payload.get("questions") if isinstance(payload, dict) else payload
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ingest.DatasetFormatError(f"{path}: expected a list of answer objects or {{'questions': [...]}}")
+    seen = set()
+    for entry in entries:
+        qid = entry.get("id")
+        if not isinstance(qid, str):
+            raise ingest.DatasetFormatError(f"{path}: answer id {qid!r} is not a string")
+        if qid in seen:
+            raise ingest.DatasetFormatError(f"{path}: duplicate answer id {qid!r}")
+        seen.add(qid)
     return entries
 
 

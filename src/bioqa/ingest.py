@@ -128,6 +128,11 @@ def load_questions(path) -> QuestionDataset:
         ideal = obj.get("ideal_answer") or []
         if isinstance(ideal, str):
             ideal = [ideal]
+        if not isinstance(ideal, list) or not all(isinstance(a, str) for a in ideal):
+            raise DatasetFormatError(f"{where}: field 'ideal_answer' must be a string or a list of strings")
+        documents = obj.get("documents") or []
+        if not isinstance(documents, list):
+            raise DatasetFormatError(f"{where}: field 'documents' must be a list")
         snippets = tuple(obj.get("snippets") or ())
         for s in snippets:
             if not isinstance(s, dict) or "document" not in s or "text" not in s:
@@ -139,7 +144,7 @@ def load_questions(path) -> QuestionDataset:
                 qtype,
                 exact_answer=exact,
                 ideal_answer=tuple(ideal),
-                documents=tuple(str(d) for d in obj.get("documents") or ()),
+                documents=tuple(str(d) for d in documents),
                 snippets=snippets,
             )
         )
@@ -273,8 +278,15 @@ def load_index(path) -> IndexedCorpus:
             term: {uid: int(tf) for uid, tf in units.items()}
             for term, units in payload["postings"].items()
         }
+        unit_ids = set(index.unit_order)
     except KeyError as exc:
         raise DatasetFormatError(f"{path}: index has no {exc} entry") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"{path}: malformed index ({exc})") from None
+    # N comes from lengths when ranking and from unit_order when listing
+    # candidates; the two must name the same units, each once.
+    if len(unit_ids) != len(index.unit_order):
+        raise DatasetFormatError(f"{path}: unit_order repeats an id")
+    if index.lengths.keys() != unit_ids:
+        raise DatasetFormatError(f"{path}: lengths and unit_order name different units")
     return index

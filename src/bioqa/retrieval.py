@@ -1,16 +1,17 @@
 """Retrieval stack: query formulation, inverted index, BM25, reranking.
 
-Documents and sentence-length passages are indexed over Porter stems of
-non-stopword tokens plus recognized concept identifiers. Document search
-is conjunctive over the query's index terms with a disjunctive fallback;
+Documents are indexed over Porter stems of non-stopword tokens plus
+recognized concept identifiers; sentence-length passages are ranked from
+the same terms, which each passage carries. Document search is
+conjunctive over the query's index terms with a disjunctive fallback;
 reranking orders documents by summed concept-path similarity between the
-question and each title.
+question and each title. One function, bm25_rank, ranks both documents
+and passages.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .conceptlex import (
@@ -96,7 +97,8 @@ class SearchResult:
 
 @dataclass
 class IndexedCorpus:
-    """Inverted index over stems and concepts, with BM25 statistics."""
+    """Inverted index over stems and concepts: term counts per unit and
+    unit lengths, in unit order."""
 
     mode: str  # "document" or "passage"
     postings: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -106,12 +108,6 @@ class IndexedCorpus:
     @property
     def n_units(self) -> int:
         return len(self.unit_order)
-
-    @property
-    def avg_len(self) -> float:
-        if not self.unit_order:
-            return 0.0
-        return sum(self.lengths.values()) / len(self.unit_order)
 
 
 def analyse(text: str, stopwords: set[str], lexicon: ConceptLexicon) -> tuple[list[str], list[str]]:
@@ -177,57 +173,36 @@ def build_index(
     return index
 
 
-@dataclass(frozen=True)
-class BM25Stats:
-    """What BM25 needs of the units for one query, read once per ranking.
-
-    avg_len is the mean unit length; weighted holds, in query order and
-    with repeats, (idf, postings) of each term that has a positive idf and
-    occurs somewhere. Terms left out would contribute nothing.
-    """
-
-    avg_len: float
-    weighted: tuple[tuple[float, dict], ...]
-
-
-def bm25_stats(query_terms: list[str], postings: dict[str, dict], n_units: int, avg_len: float) -> BM25Stats:
-    """Mean length and per-term idf of n_units units for query_terms.
-
-    postings maps a term to {unit: term count} over the units holding it.
-    Each distinct term's idf, ln((N - N(q) + 0.5) / (N(q) + 0.5)), is
-    computed once; terms whose idf is not positive carry no information
-    and are left out.
-    """
-    weights = {}
-    for term in dict.fromkeys(query_terms):
-        n_q = len(postings.get(term, {}))
-        weights[term] = math.log((n_units - n_q + 0.5) / (n_q + 0.5))
-    weighted = tuple(
-        (weights[term], postings[term])
-        for term in query_terms
-        if weights[term] > 0.0 and term in postings
-    )
-    return BM25Stats(avg_len, weighted)
-
-
-def bm25_scores(
-    units: Iterable,
-    lengths: dict[str, int] | list[int],
-    stats: BM25Stats,
+def bm25_rank(
+    query_terms: list[str],
+    units: list | range,
+    postings: dict[str, dict],
+    lengths: dict,
+    limit: int,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
-) -> list[float]:
-    """Okapi BM25 score of each unit, in input order.
+) -> list[tuple[int, float]]:
+    """(position in units, Okapi BM25 score) of at most limit units, best
+    first; ties keep input order.
 
-    lengths[unit] is the unit's length and units are keys of the postings
-    in stats. Query terms are consumed as stats holds them; a term listed
+    postings maps a term to {unit: term count} over the units holding it,
+    and lengths maps every unit of the collection to its length, so N and
+    the mean length come from lengths. Each distinct term's idf,
+    ln((N - N(q) + 0.5) / (N(q) + 0.5)), is computed once; terms whose idf
+    is not positive carry no information and are left out. A term listed
     twice counts twice.
     """
     if k1 <= 0:
         raise ValueError(f"k1 must be positive, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must lie in [0, 1], got {b}")
-    avg, weighted = stats.avg_len, stats.weighted
+    n_units = len(lengths)
+    avg = sum(lengths.values()) / n_units if n_units else 0.0
+    idf = {}
+    for term in dict.fromkeys(query_terms):
+        n_q = len(postings.get(term, {}))
+        idf[term] = math.log((n_units - n_q + 0.5) / (n_q + 0.5))
+    weighted = [(idf[term], postings[term]) for term in query_terms if idf[term] > 0.0 and term in postings]
     # Hoisted operands round as they would inside the loop, so each score
     # is bit-equal to norm = 1 - b + b * len / avg and
     # weight * (f * (k1 + 1)) / (f + k1 * norm) summed in query order.
@@ -236,12 +211,13 @@ def bm25_scores(
     for unit in units:
         k1_norm = k1 * (one_minus_b + b * (lengths[unit] / avg) if avg > 0 else 1.0)
         score = 0.0
-        for weight, postings in weighted:
-            f = postings.get(unit, 0)
+        for weight, holding in weighted:
+            f = holding.get(unit, 0)
             if f:
                 score += weight * (f * k1_plus_1) / (f + k1_norm)
         scores.append(score)
-    return scores
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)  # stable: ties keep input order
+    return [(i, scores[i]) for i in order[:max(limit, 0)]]
 
 
 def bm25_score(
@@ -252,11 +228,10 @@ def bm25_score(
     b: float = DEFAULT_B,
 ) -> float:
     """Okapi BM25 score of one unit of the index for the given query term
-    sequence; bm25_scores over that one unit."""
+    sequence; bm25_rank over that one unit."""
     if unit_id not in index.lengths:
         raise UnknownUnitError(unit_id)
-    stats = bm25_stats(query_terms, index.postings, index.n_units, index.avg_len)
-    return bm25_scores([unit_id], index.lengths, stats, k1, b)[0]
+    return bm25_rank(query_terms, [unit_id], index.postings, index.lengths, 1, k1, b)[0][1]
 
 
 def _query_index_terms(query: Query, stopwords: set[str], lexicon: ConceptLexicon) -> list[str]:
@@ -309,11 +284,8 @@ def search(
     terms = _query_index_terms(query, stopwords, lexicon)
     distinct = list(dict.fromkeys(terms))
     candidates, relaxed = _candidates(index, distinct) if distinct and limit > 0 else ([], False)
-    stats = bm25_stats(terms, index.postings, index.n_units, index.avg_len)
-    scores = bm25_scores(candidates, index.lengths, stats, k1, b)
-    order = sorted(range(len(candidates)), key=scores.__getitem__, reverse=True)  # stable: ties keep index order
-    docs = [ScoredDoc(candidates[i], scores[i], rank) for rank, i in enumerate(order[:limit], 1)]
-    return SearchResult(docs, relaxed=relaxed)
+    ranked = bm25_rank(terms, candidates, index.postings, index.lengths, limit, k1, b)
+    return SearchResult([ScoredDoc(candidates[i], score, rank) for rank, (i, score) in enumerate(ranked, 1)], relaxed)
 
 
 def rerank_documents(
@@ -388,16 +360,11 @@ def rank_passages(
     carry; postings are taken only for the question's terms, keyed by
     candidate position. Ties keep candidate (document, sentence) order.
     """
-    if top_n <= 0:
-        candidates = []
     postings = {}
     for term in dict.fromkeys(question_terms):
         holding = {i: c.terms.count(term) for i, c in enumerate(candidates) if term in c.terms}
         if holding:
             postings[term] = holding
-    lengths = [len(c.terms) for c in candidates]
-    avg_len = sum(lengths) / len(lengths) if lengths else 0.0
-    stats = bm25_stats(question_terms, postings, len(candidates), avg_len)
-    scores = bm25_scores(range(len(candidates)), lengths, stats, k1, b)
-    order = sorted(range(len(candidates)), key=scores.__getitem__, reverse=True)
-    return [ScoredPassage(candidates[i], scores[i], rank) for rank, i in enumerate(order[:top_n], 1)]
+    lengths = {i: len(c.terms) for i, c in enumerate(candidates)}
+    ranked = bm25_rank(question_terms, range(len(candidates)), postings, lengths, top_n, k1, b)
+    return [ScoredPassage(candidates[i], score, rank) for rank, (i, score) in enumerate(ranked, 1)]

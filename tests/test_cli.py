@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from bioqa.cli import main
+from bioqa.cli import _load_run_entries, main
+from bioqa.ingest import DatasetFormatError
 
 from conftest import RESOURCE_DIR
 
@@ -102,9 +103,13 @@ class TestMalformedInputs:
         (["classify", "--question", "Is it?", "--model", "{bad}"], "{nope"),
         (["classify", "--question", "Is it?", "--model", "{bad}"], "[]"),
         (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"], '["answer"]'),
+        (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"], '{"questions": [{"id": ["x"]}]}'),
+        (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"],
+         '[{"id": "demo-imatinib-002", "exact_answer": "no"}, {"id": "demo-imatinib-002", "exact_answer": "yes"}]'),
         (["train-topics", "--out", "{tmp}/t.json", "--questions", "{bad}"], "[]"),
         (["validate", "--manifest", "{bad}"], '"corpus lexicon graph sentiment stopwords tags abbreviations patterns"'),
     ], ids=["index list", "index missing key", "model not JSON", "model list", "run string entry",
+            "run list id", "run repeated id",
             "topic questions list", "manifest string"])
     def test_malformed_input_file_exits_one_naming_it(self, argv, text, tmp_path, capsys):
         bad = tmp_path / "bad-input.json"
@@ -155,6 +160,19 @@ class TestEval:
         bad = tmp_path / "run.json"
         bad.write_text("{nope")
         assert main(["eval", "--gold", DEMO_GOLD, "--run", str(bad)]) == 1
+
+    @pytest.mark.parametrize("entries, named", [
+        ([{"id": ["x"]}], "['x']"),
+        ([{"exact_answer": "yes"}], "None"),
+        ([{"id": "demo-imatinib-002", "exact_answer": "no"}, {"id": "demo-imatinib-002", "exact_answer": "yes"}],
+         "demo-imatinib-002"),
+    ], ids=["list id", "no id", "repeated id"])
+    def test_run_entry_ids_are_distinct_strings(self, entries, named, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"questions": entries}))
+        with pytest.raises(DatasetFormatError, match="run.json") as err:
+            _load_run_entries(path)
+        assert named in str(err.value)
 
     def test_run_equal_to_gold_scores_one(self, tmp_path, capsys):
         gold = json.loads((RESOURCE_DIR / "demo_gold.json").read_text())

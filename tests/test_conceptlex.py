@@ -13,6 +13,7 @@ from bioqa.conceptlex import (
     SentimentEntry,
     SentimentLexicon,
     UnknownConceptError,
+    coarse_tag_class,
     path_similarity,
     recognize,
     similarity_sum,
@@ -20,7 +21,7 @@ from bioqa.conceptlex import (
     title_cuis,
     word_sentiment,
 )
-from bioqa.textproc import ResourceFormatError, tokenize
+from bioqa.textproc import ResourceFormatError, tokenize, word_tag
 
 
 def bfs_node_count(adj, a, b):
@@ -186,6 +187,19 @@ class TestWordSentiment:
         ])
         assert word_sentiment("sound", "a", lex) == 0.5
         assert word_sentiment("sound", "n", lex) == -0.5
+
+    def test_every_class_specific_row_can_fire(self, bundle):
+        # A row of class n, v, a or r scores a word only where the tagger
+        # gives it that class: as some word_tag of the word, lowercase or
+        # capitalised, first in its text or later.
+        unreachable = [
+            (e.word, e.tag_class) for e in bundle.sentiment.entries
+            if e.tag_class != "any" and not any(
+                coarse_tag_class(word_tag(surface, e.word, i, bundle.tag_lexicon)) == e.tag_class
+                for surface in (e.word, e.word.capitalize()) for i in (0, 1)
+            )
+        ]
+        assert unreachable == []
 
     def test_score_range(self, bundle):
         rng = random.Random(31)

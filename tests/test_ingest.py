@@ -165,7 +165,6 @@ class TestIndexPersistence:
         assert loaded.unit_order == doc_index.unit_order
         assert loaded.lengths == doc_index.lengths
         assert loaded.postings == doc_index.postings
-        assert loaded.avg_len == pytest.approx(doc_index.avg_len)
 
     def test_save_twice_is_byte_identical(self, tmp_path, doc_index):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -308,9 +307,16 @@ class TestJsonReaders:
         (load_questions, '{"questions": [{"id": "1", "body": ["b"], "type": "list"}]}', "questions[0]"),
         (load_topic_questions, '{"questions": [{"id": "1", "body": 5, "topics": ["Device"]}]}', "questions[0]"),
         (load_topic_questions, '{"questions": [{"id": "1", "body": "b", "topics": [5]}]}', "questions[0]"),
+        (load_questions, '{"questions": [{"id": "1", "body": "b", "type": "list", "documents": "12345"}]}',
+         "questions[0]"),
+        (load_questions, '{"questions": [{"id": "1", "body": "b", "type": "summary", "ideal_answer": 5}]}',
+         "questions[0]"),
+        (load_questions, '{"questions": [{"id": "1", "body": "b", "type": "summary", "ideal_answer": [5]}]}',
+         "questions[0]"),
         (load_corpus, '{"doc_id": "1", "title": "t", "abstract": 5}', ":1:"),
         (load_corpus, '# note\n{"doc_id": "1", "title": ["t"], "abstract": "a"}', ":2:"),
     ], ids=["question body number", "question body list", "topic body number", "topic number",
+            "question documents string", "question ideal number", "question ideal number list",
             "corpus abstract number", "corpus title list"])
     def test_wrong_field_type_is_a_format_error_naming_file_and_entry(self, loader, text, where, tmp_path):
         path = tmp_path / "bad-input.json"
@@ -332,6 +338,18 @@ class TestJsonReaders:
             JSON_READERS[reader][0](path)
         assert not isinstance(err.value, KeyError)
         assert key in str(err.value)
+
+    @pytest.mark.parametrize("unit_order, lengths, problem", [
+        (["d1", "d2"], {"d1": 1}, "different units"),
+        (["d1"], {"d1": 1, "d2": 1}, "different units"),
+        (["d1", "d1"], {"d1": 1}, "repeats"),
+    ], ids=["length missing", "length of no unit", "repeated unit"])
+    def test_index_whose_lengths_and_unit_order_disagree_is_refused(self, unit_order, lengths, problem, tmp_path):
+        path = tmp_path / "bad-input.json"
+        path.write_text(json.dumps({"version": 2, "unit_order": unit_order, "lengths": lengths, "postings": {}}))
+        with pytest.raises(DatasetFormatError, match="bad-input.json") as err:
+            load_index(path)
+        assert problem in str(err.value)
 
 
 # Every line loader, with a line it accepts and, where it has one, a line it

@@ -78,7 +78,7 @@ class TestBuildIndex:
         index = build_index([], "document", bundle.stopwords, bundle.concept_lexicon)
         assert index.n_units == 0
         assert index.postings == {}
-        assert index.avg_len == 0.0
+        assert search(index, Query(("Imatinib",), ()), 10, bundle.stopwords, bundle.concept_lexicon).docs == []
 
     def test_term_frequency_counts_casefolded(self, bundle):
         index = build_index([("d1", "Epilepsy epilepsy")], "document", bundle.stopwords, ConceptLexicon([]))
