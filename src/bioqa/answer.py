@@ -211,13 +211,13 @@ def retrieve(
 ) -> Retrieved:
     """concept query -> BM25 search -> title rerank -> sentence BM25.
 
-    Search hits missing from documents are skipped. The question is
-    analysed here once for the passage ranking and the stages after it.
+    documents must hold every unit of the index. The question is analysed
+    here once for the passage ranking and the stages after it.
     """
     lexicon, stopwords = resources.concept_lexicon, resources.stopwords
     query = formulate_query(question, lexicon, stopwords)
     result = search(index, query, config.retrieve_depth, stopwords, lexicon, k1=config.k1, b=config.b)
-    found = [documents[sd.doc_id] for sd in result.docs if sd.doc_id in documents]
+    found = [documents[sd.doc_id] for sd in result.docs]
     reranked = rerank_documents(question, found, lexicon, resources.graph, config.top_docs)
     candidates = extract_passages(
         [documents[sd.doc_id] for sd in reranked], resources.abbreviations, stopwords, lexicon

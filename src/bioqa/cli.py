@@ -140,8 +140,17 @@ def _load_retrieval_state(args):
     """Resources, documents by id, and the --index file or an index built from the corpus."""
     bundle = ingest.load_resources(args.manifest)
     documents = _load_corpus_docs(bundle)
+    if not args.index:
+        return bundle, documents, _build_document_index(bundle, documents)
     # A named index that does not exist is an error, never a silent rebuild.
-    index = ingest.load_index(args.index) if args.index else _build_document_index(bundle, documents)
+    index = ingest.load_index(args.index)
+    units = set(index.unit_order)
+    if units != documents.keys():
+        raise ingest.DatasetFormatError(
+            f"{args.index}: index units differ from the corpus documents (documents not indexed: "
+            f"{len(documents.keys() - units)}, units not in the corpus: {len(units - documents.keys())}); "
+            "rebuild it with bioqa index"
+        )
     return bundle, documents, index
 
 

@@ -11,10 +11,12 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .conceptlex import ConceptGraph, ConceptLexicon, SentimentLexicon
 from .qclass import Pattern, QuestionType, load_patterns
 from .retrieval import INDEX_FORMAT_VERSION, DocumentRecord, DuplicateIdError, IndexedCorpus
-from .textproc import TagLexicon, data_lines, load_abbreviations, load_stopwords, read_json
+from .textproc import ResourceFormatError, TagLexicon, data_lines, load_abbreviations, load_stopwords, read_json
 
 
 class DatasetFormatError(ValueError):
@@ -250,43 +252,92 @@ def default_manifest_path() -> Path:
 # Index persistence
 # ---------------------------------------------------------------------------
 
+# Format 3 is one JSON header line, {"version", "units", "terms",
+# "n_postings"}, then four little-endian int32 arrays back to back: unit
+# lengths (one per unit), offsets (one per term, plus one), positions and
+# counts (n_postings each). See IndexedCorpus for what they hold.
+_INDEX_INT = np.dtype("<i4")
+
+
 def save_index(index: IndexedCorpus, path) -> None:
-    """Write a document index as deterministic JSON (sorted keys, fixed layout)."""
-    payload = {
+    """Write an index in format 3 to path; equal indexes give equal bytes."""
+    header = {
         "version": INDEX_FORMAT_VERSION,
-        "unit_order": index.unit_order,
-        "lengths": index.lengths,
-        "postings": index.postings,
+        "units": index.unit_order,
+        "terms": index.terms,
+        "n_postings": len(index.positions),
     }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    with open(path, "wb") as out:
+        out.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
+        for array in (index.unit_lengths, index.offsets, index.positions, index.counts):
+            out.write(array.astype(_INDEX_INT, copy=False).tobytes())
+
+
+def _header_list(path, header: dict, key: str) -> list[str]:
+    value = header.get(key)
+    if value is None:
+        raise DatasetFormatError(f"{path}: index has no {key!r} entry")
+    if not isinstance(value, list) or not set(map(type, value)) <= {str}:
+        raise DatasetFormatError(f"{path}: index {key!r} must be a list of strings")
+    return value
 
 
 def load_index(path) -> IndexedCorpus:
-    """A document index saved by save_index; any other content is refused naming the file."""
-    payload = read_json(path)
-    if not isinstance(payload, dict):
-        raise DatasetFormatError(f"{path}: expected an index object")
-    if payload.get("version") != INDEX_FORMAT_VERSION:
-        raise IndexVersionError(payload.get("version"), INDEX_FORMAT_VERSION, path)
-    index = IndexedCorpus(mode="document")
+    """An index saved by save_index. Anything else is refused naming the
+    file: another format version with IndexVersionError, a malformed or
+    inconsistent file with DatasetFormatError."""
+    data = Path(path).read_bytes()
+    end = data.find(b"\n")
     try:
-        index.unit_order = list(payload["unit_order"])
-        index.lengths = {k: int(v) for k, v in payload["lengths"].items()}
-        index.postings = {
-            term: {uid: int(tf) for uid, tf in units.items()}
-            for term, units in payload["postings"].items()
-        }
-        unit_ids = set(index.unit_order)
-    except KeyError as exc:
-        raise DatasetFormatError(f"{path}: index has no {exc} entry") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"{path}: malformed index ({exc})") from None
-    # N comes from lengths when ranking and from unit_order when listing
-    # candidates; the two must name the same units, each once.
-    if len(unit_ids) != len(index.unit_order):
-        raise DatasetFormatError(f"{path}: unit_order repeats an id")
-    if index.lengths.keys() != unit_ids:
-        raise DatasetFormatError(f"{path}: lengths and unit_order name different units")
+        header = json.loads((data if end < 0 else data[:end]).decode("utf-8"))
+    except UnicodeDecodeError:
+        raise DatasetFormatError(f"{path}: index header is not UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise ResourceFormatError(path, exc.lineno, f"invalid JSON index header ({exc.msg})") from None
+    if not isinstance(header, dict):
+        raise DatasetFormatError(f"{path}: expected an index header object")
+    if header.get("version") != INDEX_FORMAT_VERSION:
+        raise IndexVersionError(header.get("version"), INDEX_FORMAT_VERSION, path)
+    units = _header_list(path, header, "units")
+    terms = _header_list(path, header, "terms")
+    n_postings = header.get("n_postings")
+    if type(n_postings) is not int or n_postings < 0:
+        raise DatasetFormatError(f"{path}: index 'n_postings' must be a count")
+    n_units, n_terms = len(units), len(terms)
+    sizes = (n_units, n_terms + 1, n_postings, n_postings)
+    body = 0 if end < 0 else len(data) - end - 1
+    if body != _INDEX_INT.itemsize * sum(sizes):
+        raise DatasetFormatError(f"{path}: index body has {body} bytes, its header implies "
+                                 f"{_INDEX_INT.itemsize * sum(sizes)}")
+    arrays = np.frombuffer(data, dtype=_INDEX_INT, offset=end + 1)
+    lengths, offsets, positions, counts = np.split(arrays, np.cumsum(sizes[:-1]))
+    index = IndexedCorpus(units, lengths, terms, offsets, positions, counts)
+    problem = _index_problem(index, n_postings)
+    if problem:
+        raise DatasetFormatError(f"{path}: {problem}")
     return index
+
+
+def _index_problem(index: IndexedCorpus, n_postings: int) -> str | None:
+    """What makes the arrays of a loaded index disagree, or None."""
+    if len(set(index.unit_order)) != index.n_units:
+        return "index units repeat an id"
+    if len(index.term_rows) != len(index.terms):
+        return "index terms repeat a term"
+    offsets, positions = index.offsets, index.positions
+    if offsets[0] != 0 or offsets[-1] != n_postings or (np.diff(offsets) < 0).any():
+        return f"index offsets must rise from 0 to {n_postings}"
+    if n_postings and (positions.min() < 0 or positions.max() >= index.n_units):
+        return f"index positions must lie in [0, {index.n_units})"
+    # Each term's positions rise strictly; a step into a term's first
+    # posting crosses to the next term and may fall.
+    rising = np.diff(positions) > 0
+    starts = offsets[1:-1]
+    rising[starts[(starts > 0) & (starts < n_postings)] - 1] = True
+    if not rising.all():
+        return "index positions must rise within each term"
+    if n_postings and index.counts.min() < 1:
+        return "index counts must be at least 1"
+    if not np.array_equal(np.bincount(positions, weights=index.counts, minlength=index.n_units), index.unit_lengths):
+        return "index unit lengths differ from the sums of their counts"
+    return None

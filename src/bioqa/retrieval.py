@@ -5,14 +5,18 @@ recognized concept identifiers; sentence-length passages are ranked from
 the same terms, which each passage carries. Document search is
 conjunctive over the query's index terms with a disjunctive fallback;
 reranking orders documents by summed concept-path similarity between the
-question and each title. One function, bm25_rank, ranks both documents
-and passages.
+question and each title. Document search scores an array index (see
+IndexedCorpus) into a dense score vector; bm25_rank, over dict postings,
+ranks passages and is the reference document search is tested against.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .conceptlex import (
     ConceptGraph,
@@ -29,7 +33,7 @@ from .textproc import (
     tokenize,  # not called here; perfbench/tracer.py counts calls through this binding
 )
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.85
@@ -95,19 +99,119 @@ class SearchResult:
     relaxed: bool = False
 
 
-@dataclass
-class IndexedCorpus:
-    """Inverted index over stems and concepts: term counts per unit and
-    unit lengths, in unit order."""
+class _TermRows(dict):
+    """term -> row, giving an unseen term the next row."""
 
-    mode: str  # "document" or "passage"
-    postings: dict[str, dict[str, int]] = field(default_factory=dict)
-    lengths: dict[str, int] = field(default_factory=dict)
-    unit_order: list[str] = field(default_factory=list)
+    def __missing__(self, term):
+        row = self[term] = len(self)
+        return row
+
+
+@dataclass(eq=False)
+class IndexedCorpus:
+    """Inverted index over stems and concepts, held in arrays.
+
+    unit_order lists the unit ids; unit_lengths (int32) holds each unit's
+    number of index terms, and avg_len their mean. terms lists the index
+    terms, and term_rows maps each to its row r. Row r's postings are
+    positions[offsets[r]:offsets[r + 1]], ascending indices into
+    unit_order, and the term's count in each of those units sits at the
+    same places of counts (compressed sparse rows). An index is not
+    changed once made.
+    """
+
+    unit_order: list[str]
+    unit_lengths: np.ndarray
+    terms: list[str]
+    offsets: np.ndarray
+    positions: np.ndarray
+    counts: np.ndarray
+    term_rows: dict[str, int] = field(init=False)
+    avg_len: float = field(init=False)
+
+    def __post_init__(self):
+        self.term_rows = dict(zip(self.terms, range(len(self.terms))))
+        n_units = len(self.unit_order)
+        self.avg_len = int(self.unit_lengths.sum(dtype=np.int64)) / n_units if n_units else 0.0
+
+    @classmethod
+    def from_terms(cls, rows) -> IndexedCorpus:
+        """Index over (unit id, index terms) rows, in row order.
+
+        Every term occurrence becomes a key term row * N + unit position;
+        one sort of the keys groups them by term, units ascending, and the
+        length of each run of equal keys is a count.
+        """
+        unit_order, lengths, term_ids = [], [], []
+        term_rows = _TermRows()
+        seen = set()
+        for unit_id, terms in rows:
+            if unit_id in seen:
+                raise DuplicateIdError(f"duplicate unit id {unit_id!r}")
+            seen.add(unit_id)
+            unit_order.append(unit_id)
+            lengths.append(len(terms))
+            term_ids.extend(map(term_rows.__getitem__, terms))
+        base = max(len(unit_order), 1)
+        units = np.repeat(np.arange(len(unit_order), dtype=np.int64), lengths)
+        keys, counts = np.unique(np.array(term_ids, dtype=np.int64) * base + units, return_counts=True)
+        offsets = np.zeros(len(term_rows) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // base, minlength=len(term_rows)), out=offsets[1:])
+        return cls(
+            unit_order,
+            np.array(lengths, dtype=np.int32),
+            list(term_rows),
+            offsets,
+            (keys % base).astype(np.int32),
+            counts.astype(np.int32),
+        )
 
     @property
     def n_units(self) -> int:
         return len(self.unit_order)
+
+    @property
+    def lengths(self) -> dict[str, int]:
+        """unit id -> length, in unit order."""
+        return dict(zip(self.unit_order, self.unit_lengths.tolist()))
+
+    @property
+    def postings(self) -> Mapping[str, dict[str, int]]:
+        """term -> {unit id: count} in unit order, made per term when read."""
+        return _PostingsView(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, IndexedCorpus):
+            return NotImplemented
+        return (
+            self.unit_order == other.unit_order
+            and self.terms == other.terms
+            and all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in ("unit_lengths", "offsets", "positions", "counts"))
+        )
+
+
+class _PostingsView(Mapping):
+    """Read-only dict view of an IndexedCorpus's postings."""
+
+    def __init__(self, index: IndexedCorpus):
+        self._index = index
+
+    def __getitem__(self, term):
+        index = self._index
+        row = index.term_rows[term]
+        start, end = index.offsets[row], index.offsets[row + 1]
+        units = map(index.unit_order.__getitem__, index.positions[start:end].tolist())
+        return dict(zip(units, index.counts[start:end].tolist()))
+
+    def __contains__(self, term):
+        return term in self._index.term_rows
+
+    def __iter__(self):
+        return iter(self._index.terms)
+
+    def __len__(self):
+        return len(self._index.terms)
 
 
 def analyse(text: str, stopwords: set[str], lexicon: ConceptLexicon) -> tuple[list[str], list[str]]:
@@ -157,26 +261,26 @@ def build_index(
     stopwords: set[str],
     lexicon: ConceptLexicon,
 ) -> IndexedCorpus:
-    """Inverted index over the index terms of units given as (unit id, text)."""
+    """Inverted index over the index terms of units given as (unit id, text).
+
+    mode is checked and not kept: every index is searched the same way.
+    """
     if mode not in ("document", "passage"):
         raise ValueError(f"mode must be 'document' or 'passage', got {mode!r}")
-    index = IndexedCorpus(mode=mode)
-    for unit_id, text in units:
-        if unit_id in index.lengths:
-            raise DuplicateIdError(f"duplicate unit id {unit_id!r}")
-        terms = index_terms(text, stopwords, lexicon)
-        index.lengths[unit_id] = len(terms)
-        index.unit_order.append(unit_id)
-        for term in terms:
-            index.postings.setdefault(term, {})
-            index.postings[term][unit_id] = index.postings[term].get(unit_id, 0) + 1
-    return index
+    return IndexedCorpus.from_terms((unit_id, index_terms(text, stopwords, lexicon)) for unit_id, text in units)
+
+
+def _check_bm25_parameters(k1: float, b: float) -> None:
+    if k1 <= 0:
+        raise ValueError(f"k1 must be positive, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"b must lie in [0, 1], got {b}")
 
 
 def bm25_rank(
     query_terms: list[str],
     units: list | range,
-    postings: dict[str, dict],
+    postings: Mapping[str, dict],
     lengths: dict,
     limit: int,
     k1: float = DEFAULT_K1,
@@ -192,10 +296,7 @@ def bm25_rank(
     is not positive carry no information and are left out. A term listed
     twice counts twice.
     """
-    if k1 <= 0:
-        raise ValueError(f"k1 must be positive, got {k1}")
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"b must lie in [0, 1], got {b}")
+    _check_bm25_parameters(k1, b)
     n_units = len(lengths)
     avg = sum(lengths.values()) / n_units if n_units else 0.0
     idf = {}
@@ -203,6 +304,12 @@ def bm25_rank(
         n_q = len(postings.get(term, {}))
         idf[term] = math.log((n_units - n_q + 0.5) / (n_q + 0.5))
     weighted = [(idf[term], postings[term]) for term in query_terms if idf[term] > 0.0 and term in postings]
+    return _bm25_loop(units, weighted, lengths, avg, limit, k1, b)
+
+
+def _bm25_loop(units, weighted, lengths, avg, limit, k1, b) -> list[tuple[int, float]]:
+    """bm25_rank's scores and order from (idf, {unit: count}) per query
+    term occurrence, in query order, and the collection's mean length."""
     # Hoisted operands round as they would inside the loop, so each score
     # is bit-equal to norm = 1 - b + b * len / avg and
     # weight * (f * (k1 + 1)) / (f + k1 * norm) summed in query order.
@@ -244,24 +351,9 @@ def _query_index_terms(query: Query, stopwords: set[str], lexicon: ConceptLexico
     return terms
 
 
-def _candidates(index: IndexedCorpus, distinct: list[str]) -> tuple[list[str], bool]:
-    """Units holding every term, else (relaxed) any term, in unit_order.
-
-    The conjunctive set is the intersection of the terms' postings, taken
-    smallest first; the union is taken only when that set is empty.
-    """
-    postings = sorted((index.postings.get(t, {}) for t in distinct), key=len)
-    matched = set(postings[0])
-    for units in postings[1:]:
-        matched = {uid for uid in matched if uid in units}
-    relaxed = not matched
-    if relaxed:
-        matched = set().union(*postings)
-    if not matched:
-        return [], relaxed
-    # Postings keep no index order (a loaded index has them sorted by id),
-    # so one membership pass over unit_order restores it for stable-sort ties.
-    return list(filter(matched.__contains__, index.unit_order)), relaxed
+# Queries whose terms have fewer postings than this are ranked over Python
+# lists: below it numpy's fixed cost per call outweighs its speed per posting.
+ARRAY_MIN_POSTINGS = 128
 
 
 def search(
@@ -277,15 +369,77 @@ def search(
 
     When no document contains every term the search relaxes to documents
     containing any of them; the result records that it did. k1 and b are
-    checked even when nothing matches.
+    checked even when nothing matches. Scores are bit-equal to bm25_rank
+    over index.postings and index.lengths, and ties keep unit order. The
+    query terms' postings are ranked in Python when they number fewer than
+    ARRAY_MIN_POSTINGS, and over dense numpy vectors otherwise.
     """
-    if index.mode != "document":
-        raise ValueError("search requires a document-mode index")
+    _check_bm25_parameters(k1, b)
     terms = _query_index_terms(query, stopwords, lexicon)
     distinct = list(dict.fromkeys(terms))
-    candidates, relaxed = _candidates(index, distinct) if distinct and limit > 0 else ([], False)
-    ranked = bm25_rank(terms, candidates, index.postings, index.lengths, limit, k1, b)
-    return SearchResult([ScoredDoc(candidates[i], score, rank) for rank, (i, score) in enumerate(ranked, 1)], relaxed)
+    if not distinct or limit <= 0:
+        return SearchResult([], False)
+    spans = {}  # term -> (start, end) of its postings, for the terms the index holds
+    for term in distinct:
+        row = index.term_rows.get(term)
+        if row is not None:
+            spans[term] = tuple(index.offsets[row:row + 2].tolist())
+    if not spans:
+        return SearchResult([], True)
+    n_units = index.n_units
+    idf = {term: math.log((n_units - (end - start) + 0.5) / ((end - start) + 0.5))
+           for term, (start, end) in spans.items()}
+    # (term, idf) of each query term occurrence that scores, in query order
+    scored = [(term, idf[term]) for term in terms if idf.get(term, 0.0) > 0.0]
+    ranker = _rank_lists if sum(end - start for start, end in spans.values()) < ARRAY_MIN_POSTINGS else _rank_arrays
+    ranked, relaxed = ranker(index, spans, scored, len(spans) == len(distinct), limit, k1, b)
+    return SearchResult(
+        [ScoredDoc(index.unit_order[unit], score, rank) for rank, (unit, score) in enumerate(ranked, 1)], relaxed
+    )
+
+
+def _rank_lists(index, spans, scored, all_held, limit, k1, b):
+    """search's (unit position, score) pairs and relaxed flag, from the
+    postings read into dicts: candidates by set operations, scores by
+    bm25_rank's loop."""
+    postings = {term: dict(zip(index.positions[start:end].tolist(), index.counts[start:end].tolist()))
+                for term, (start, end) in spans.items()}
+    matched = set.intersection(*map(set, postings.values())) if all_held else set()
+    relaxed = not matched
+    if relaxed:
+        matched = set().union(*postings.values())
+    candidates = sorted(matched)
+    lengths = dict(zip(candidates, index.unit_lengths[candidates].tolist()))
+    weighted = [(weight, postings[term]) for term, weight in scored]
+    ranked = _bm25_loop(candidates, weighted, lengths, index.avg_len, limit, k1, b)
+    return [(candidates[i], score) for i, score in ranked], relaxed
+
+
+def _rank_arrays(index, spans, scored, all_held, limit, k1, b):
+    """_rank_lists over dense vectors: candidates from a hit count per
+    unit, and scores summed into a score vector term by term in query
+    order with the arithmetic of bm25_rank."""
+    n_units, positions, counts = index.n_units, index.positions, index.counts
+    hits = np.bincount(np.concatenate([positions[start:end] for start, end in spans.values()]), minlength=n_units)
+    candidates = (hits == len(spans)).nonzero()[0] if all_held else ()
+    relaxed = not len(candidates)
+    if relaxed:
+        candidates = hits.nonzero()[0]
+    if scored:
+        held = [slice(*spans[term]) for term, _ in scored]
+        units = np.concatenate([positions[span] for span in held])
+        f = np.concatenate([counts[span] for span in held])
+        weight = np.array([weight for _, weight in scored]).repeat([span.stop - span.start for span in held])
+        # A term is held, so avg_len > 0; the operands round as in bm25_rank.
+        k1_norm = k1 * ((1.0 - b) + b * (index.unit_lengths[units] / index.avg_len))
+        # bincount adds into each unit in input order, so a score is summed
+        # term by term in query order, starting from 0.0, as bm25_rank does.
+        scores = np.bincount(units, weights=weight * (f * (k1 + 1.0)) / (f + k1_norm), minlength=n_units)
+    else:
+        scores = np.zeros(n_units)
+    ranked = scores[candidates]
+    order = (-ranked).argsort(kind="stable")[:limit]
+    return list(zip(candidates[order].tolist(), ranked[order].tolist())), relaxed
 
 
 def rerank_documents(

@@ -16,6 +16,13 @@ def analysed(bundle, text, doc_id="d", sent_index=0) -> retrieval.PassageCandida
     return retrieval.PassageCandidate(text, doc_id, sent_index, tuple(terms), tuple(cuis))
 
 
+def index_from_terms(rows, ids=None) -> retrieval.IndexedCorpus:
+    """An index over term lists given directly (no text pipeline), one
+    unit per row, named by ids or else u0, u1, ..."""
+    ids = ids or [f"u{i}" for i in range(len(rows))]
+    return retrieval.IndexedCorpus.from_terms(zip(ids, rows))
+
+
 def question_terms(bundle, question):
     return retrieval.index_terms(question, bundle.stopwords, bundle.concept_lexicon)
 

@@ -17,27 +17,15 @@ from bioqa import evalkit, ingest, qclass, retrieval
 from bioqa.cli import main
 from bioqa.conceptlex import Concept, ConceptGraph, ConceptLexicon, SentimentEntry, SentimentLexicon
 from bioqa.qclass import QuestionType
-from bioqa.retrieval import DocumentRecord, IndexedCorpus, bm25_score, rerank_documents
+from bioqa.retrieval import DocumentRecord, bm25_score, rerank_documents
 
-from conftest import RESOURCE_DIR
+from conftest import RESOURCE_DIR, index_from_terms
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance] {status} {criterion}" + (f" ({detail})" if detail else ""))
     assert ok, f"{criterion}: {detail}"
-
-
-def make_index(term_lists):
-    index = IndexedCorpus(mode="passage")
-    for i, terms in enumerate(term_lists):
-        uid = f"u{i}"
-        index.unit_order.append(uid)
-        index.lengths[uid] = len(terms)
-        for t in terms:
-            index.postings.setdefault(t, {})
-            index.postings[t][uid] = index.postings[t].get(uid, 0) + 1
-    return index
 
 
 def test_criterion_1_bm25_oracle():
@@ -50,7 +38,7 @@ def test_criterion_1_bm25_oracle():
             [rng.choice(vocab) for _ in range(rng.randint(1, 10))]
             for _ in range(rng.randint(1, 20))
         ]
-        index = make_index(units)
+        index = index_from_terms(units)
         n = len(units)
         avg = sum(len(u) for u in units) / n
         query = [rng.choice(vocab) for _ in range(rng.randint(1, 5))]
@@ -70,7 +58,7 @@ def test_criterion_1_bm25_oracle():
         assert abs(got - expected) < 1e-9, (query, units, got, expected)
         checked += 1
 
-    index = make_index([["t", "x"], ["y", "z"], ["w", "v"]])
+    index = index_from_terms([["t", "x"], ["y", "z"], ["w", "v"]])
     pinned = bm25_score(["t"], "u0", index, k1=1.2, b=0.85)
     assert abs(pinned - math.log(5 / 3)) < 1e-9
 
@@ -359,8 +347,7 @@ def test_criterion_8_index_persistence(tmp_path, bundle, doc_index):
     byte_identical = p1.read_bytes() == p2.read_bytes()
     loaded = ingest.load_index(p1)
     structural = (
-        loaded.mode == doc_index.mode
-        and loaded.unit_order == doc_index.unit_order
+        loaded.unit_order == doc_index.unit_order
         and loaded.lengths == doc_index.lengths
         and loaded.postings == doc_index.postings
     )

@@ -100,6 +100,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("argv, text", [
         (["retrieve-docs", "--question", "Is it?", "--index", "{bad}"], "[]"),
         (["retrieve-docs", "--question", "Is it?", "--index", "{bad}"], '{"version": 2, "unit_order": []}'),
+        (["retrieve-docs", "--question", "Is it?", "--index", "{bad}"], '{"version": 3, "units": []}'),
         (["classify", "--question", "Is it?", "--model", "{bad}"], "{nope"),
         (["classify", "--question", "Is it?", "--model", "{bad}"], "[]"),
         (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"], '["answer"]'),
@@ -108,7 +109,7 @@ class TestMalformedInputs:
          '[{"id": "demo-imatinib-002", "exact_answer": "no"}, {"id": "demo-imatinib-002", "exact_answer": "yes"}]'),
         (["train-topics", "--out", "{tmp}/t.json", "--questions", "{bad}"], "[]"),
         (["validate", "--manifest", "{bad}"], '"corpus lexicon graph sentiment stopwords tags abbreviations patterns"'),
-    ], ids=["index list", "index missing key", "model not JSON", "model list", "run string entry",
+    ], ids=["index list", "index format 2", "index missing key", "model not JSON", "model list", "run string entry",
             "run list id", "run repeated id",
             "topic questions list", "manifest string"])
     def test_malformed_input_file_exits_one_naming_it(self, argv, text, tmp_path, capsys):
@@ -211,6 +212,24 @@ class TestIndexCommand:
         assert main(["index", "--out", str(a)]) == 0
         assert main(["index", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["answer", "retrieve-docs", "retrieve-passages"])
+    def test_index_of_another_corpus_exits_one_naming_it(self, command, model_path, tmp_path, capsys):
+        # An index built from the bundled corpus less its last document.
+        lines = (RESOURCE_DIR / "corpus.jsonl").read_text().splitlines(keepends=True)
+        short = [line for line in lines if line.strip() and not line.lstrip().startswith("#")][:-1]
+        (tmp_path / "corpus.jsonl").write_text("".join(short))
+        manifest = json.loads((RESOURCE_DIR / "manifest.json").read_text())
+        manifest = {k: str(RESOURCE_DIR / v) for k, v in manifest.items()} | {"corpus": str(tmp_path / "corpus.jsonl")}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        index = tmp_path / "short-index.json"
+        assert main(["index", "--manifest", str(tmp_path / "manifest.json"), "--out", str(index)]) == 0
+        assert json.loads(capsys.readouterr().out)["indexed_units"] == 11
+        model = ["--model", model_path] if command == "answer" else []
+        assert main([command, *model, "--index", str(index), "--question", "Is imatinib an antidepressant drug?"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "short-index.json" in captured.err and "documents not indexed: 1," in captured.err
 
 
 class TestClassifyAndTrain:

@@ -99,6 +99,18 @@ def test_output_is_byte_identical(regenerated, name):
     assert regenerated[name] == (GOLDEN_DIR / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", DATASETS)
+def test_answers_from_a_saved_index_are_the_pinned_run(name, tmp_path):
+    # The pin is made from an index built in memory; a saved and reloaded
+    # one must answer byte for byte the same.
+    index, model, run = (str(tmp_path / f) for f in ("index.json", "type.json", "run.json"))
+    _stdout_of(["index", "--out", index])
+    _stdout_of(["train-type", "--seed", "42", "--out", model])
+    dataset = str(RESOURCE_DIR / f"{name}.json")
+    _stdout_of(["answer", "--model", model, "--index", index, "--dataset", dataset, "--out", run])
+    assert Path(run).read_bytes() == (GOLDEN_DIR / f"answer_{name}.run.json").read_bytes()
+
+
 def test_demo_metrics(regenerated):
     metrics = json.loads(regenerated["eval_demo_gold.json"])["metrics"]
     assert metrics["yesno_accuracy"] == 0.0  # the negation case the README keeps visible

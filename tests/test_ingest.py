@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from bioqa import cli, ingest, qclass, retrieval
@@ -156,15 +157,29 @@ class TestTopicQuestions:
             load_topic_questions(path)
 
 
+def split_index_file(path):
+    """The header and the four arrays of a format-3 index file, writable."""
+    data = path.read_bytes()
+    end = data.index(b"\n")
+    header = json.loads(data[:end])
+    arrays = np.frombuffer(data, dtype="<i4", offset=end + 1).copy()
+    sizes = [len(header["units"]), len(header["terms"]) + 1, header["n_postings"]]
+    return header, np.split(arrays, np.cumsum(sizes))
+
+
+def write_index_file(path, header, arrays):
+    path.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(a.astype("<i4").tobytes() for a in arrays))
+
+
 class TestIndexPersistence:
     def test_round_trip_structure_equal(self, tmp_path, bundle, doc_index):
         path = tmp_path / "index.json"
         save_index(doc_index, path)
         loaded = load_index(path)
-        assert loaded.mode == doc_index.mode
         assert loaded.unit_order == doc_index.unit_order
         assert loaded.lengths == doc_index.lengths
         assert loaded.postings == doc_index.postings
+        assert loaded.avg_len == doc_index.avg_len
 
     def test_save_twice_is_byte_identical(self, tmp_path, doc_index):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -175,9 +190,10 @@ class TestIndexPersistence:
     def test_version_mismatch_reports_both(self, tmp_path, doc_index):
         path = tmp_path / "index.json"
         save_index(doc_index, path)
-        bumped = path.read_text().replace(f'"version":{INDEX_FORMAT_VERSION}', '"version":99')
-        assert bumped != path.read_text()
-        path.write_text(bumped)
+        saved = path.read_bytes()
+        bumped = saved.replace(f'"version":{INDEX_FORMAT_VERSION}'.encode(), b'"version":99', 1)
+        assert bumped != saved
+        path.write_bytes(bumped)
         with pytest.raises(IndexVersionError) as err:
             load_index(path)
         assert err.value.found == 99 and err.value.expected == INDEX_FORMAT_VERSION
@@ -194,12 +210,25 @@ class TestIndexPersistence:
             load_index(path)
         assert err.value.found == 1 and "old.json" in str(err.value)
 
+    def test_version_two_index_rejected(self, tmp_path, doc_index):
+        # Format 2 was one JSON object, written as save_index wrote it.
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "version": 2, "unit_order": doc_index.unit_order, "lengths": doc_index.lengths,
+            "postings": dict(doc_index.postings),
+        }, sort_keys=True, separators=(",", ":")) + "\n")
+        with pytest.raises(IndexVersionError) as err:
+            load_index(path)
+        assert (err.value.found, err.value.expected) == (2, 3) and "old.json" in str(err.value)
+
     def test_saves_only_what_load_reads(self, tmp_path, doc_index):
         path = tmp_path / "index.json"
         save_index(doc_index, path)
-        payload = json.loads(path.read_text())
-        assert set(payload) == {"version", "unit_order", "lengths", "postings"}
-        assert payload["version"] == INDEX_FORMAT_VERSION == 2
+        header, (lengths, offsets, positions, counts) = split_index_file(path)
+        assert list(header) == ["version", "units", "terms", "n_postings"]
+        assert header["version"] == INDEX_FORMAT_VERSION == 3
+        assert header["units"] == doc_index.unit_order and header["terms"] == doc_index.terms
+        assert len(positions) == len(counts) == header["n_postings"] == offsets[-1]
         assert load_index(path) == doc_index
 
     def test_round_trip_scores_identical(self, tmp_path, bundle, doc_index):
@@ -223,6 +252,122 @@ class TestIndexPersistence:
         b = answer_to_json(answer_pipeline(q, corpus, loaded, type_model, bundle), "x")
         assert a == b
 
+    def test_empty_index_round_trip(self, tmp_path, bundle):
+        index = retrieval.build_index([], "document", bundle.stopwords, bundle.concept_lexicon)
+        save_index(index, tmp_path / "index.json")
+        assert load_index(tmp_path / "index.json") == index
+
+
+def _first_term_with_two_postings(offsets):
+    return next(r for r in range(len(offsets) - 1) if offsets[r + 1] - offsets[r] >= 2)
+
+
+def _truncate(header, arrays):
+    arrays[3] = arrays[3][:-1]
+
+
+def _swap_offsets(header, arrays):
+    offsets = arrays[1]
+    offsets[1], offsets[2] = offsets[2], offsets[1]
+
+
+def _position_out_of_range(header, arrays):
+    arrays[2][-1] = len(header["units"])
+
+
+def _swap_positions(header, arrays):
+    offsets, positions = arrays[1], arrays[2]
+    start = offsets[_first_term_with_two_postings(offsets)]
+    positions[start], positions[start + 1] = positions[start + 1], positions[start]
+
+
+def _zero_count(header, arrays):
+    arrays[3][0] = 0
+
+
+def _change_length(header, arrays):
+    arrays[0][0] += 1
+
+
+def _repeat_unit(header, arrays):
+    header["units"][1] = header["units"][0]
+
+
+def _repeat_term(header, arrays):
+    header["terms"][1] = header["terms"][0]
+
+
+class TestIndexCorruption:
+    """Every hand edit of a saved index that breaks its arrays' agreement is
+    refused with a DatasetFormatError naming the file and the problem."""
+
+    @pytest.mark.parametrize("corrupt, problem", [
+        (_truncate, "index body has"),
+        (_swap_offsets, "offsets must rise"),
+        (_position_out_of_range, "positions must lie in"),
+        (_swap_positions, "positions must rise within each term"),
+        (_zero_count, "counts must be at least 1"),
+        (_change_length, "unit lengths differ"),
+        (_repeat_unit, "units repeat an id"),
+        (_repeat_term, "terms repeat a term"),
+    ], ids=["truncated", "offsets swapped", "position n_units", "positions swapped", "count zero",
+            "length changed", "unit repeated", "term repeated"])
+    def test_corrupted_index_is_refused(self, corrupt, problem, tmp_path, doc_index):
+        path = tmp_path / "bad-index.json"
+        save_index(doc_index, path)
+        header, arrays = split_index_file(path)
+        assert load_index(path) == doc_index  # the split and write below keep a good file good
+        corrupt(header, arrays)
+        write_index_file(path, header, arrays)
+        with pytest.raises(DatasetFormatError, match="bad-index.json") as err:
+            load_index(path)
+        assert problem in str(err.value)
+
+    def test_rewritten_file_loads(self, tmp_path, doc_index):
+        path = tmp_path / "index.json"
+        save_index(doc_index, path)
+        write_index_file(path, *split_index_file(path))
+        assert load_index(path) == doc_index
+
+    @pytest.mark.parametrize("header, problem", [
+        ({"version": 3, "terms": [], "n_postings": 0}, "'units'"),
+        ({"version": 3, "units": [], "n_postings": 0}, "'terms'"),
+        ({"version": 3, "units": [], "terms": []}, "'n_postings'"),
+        ({"version": 3, "units": [1], "terms": [], "n_postings": 0}, "'units'"),
+        ({"version": 3, "units": [], "terms": "t", "n_postings": 0}, "'terms'"),
+        ({"version": 3, "units": [], "terms": [], "n_postings": -1}, "'n_postings'"),
+        ([3], "header object"),
+    ], ids=["no units", "no terms", "no n_postings", "unit number", "terms string", "negative postings", "list"])
+    def test_malformed_header_is_refused(self, header, problem, tmp_path):
+        path = tmp_path / "bad-index.json"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(4))
+        with pytest.raises(DatasetFormatError, match="bad-index.json") as err:
+            load_index(path)
+        assert problem in str(err.value)
+
+    def test_header_that_is_not_json_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad-index.json"
+        path.write_bytes(b'{"version": 3,\n' + bytes(8))
+        with pytest.raises(ResourceFormatError, match="bad-index.json:1:"):
+            load_index(path)
+
+    def test_flipped_bytes_load_or_are_refused(self, tmp_path, doc_index):
+        # A random byte edit may keep the arrays in agreement; otherwise it
+        # must be refused with a located error, never crash oddly.
+        path = tmp_path / "index.json"
+        save_index(doc_index, path)
+        saved = path.read_bytes()
+        rng = random.Random(3)
+        for _ in range(200):
+            data = bytearray(saved)
+            for _ in range(rng.randint(1, 4)):
+                data[rng.randrange(len(data))] = rng.randrange(256)
+            path.write_bytes(bytes(data))
+            try:
+                load_index(path)
+            except (DatasetFormatError, IndexVersionError, ResourceFormatError):
+                pass
+
 
 class TestLoaderRobustness:
     def test_fuzzed_inputs_error_cleanly(self, tmp_path):
@@ -234,7 +379,7 @@ class TestLoaderRobustness:
             '{"doc_id": "1", "title": "t", "abstract": "a"}',
             '{"questions": [{"id": "1", "body": "b", "type": "yesno"}]}',
             "C1\talpha\tT1\tThing\ta|b",
-            '{"version": 2, "unit_order": ["d"], "lengths": {"d": 1}, "postings": {"t": {"d": 1}}}',
+            '{"version": 3, "units": ["d"], "terms": ["t"], "n_postings": 1}',
             '{"questions": [{"id": "1", "body": "b", "topics": ["Device"]}]}',
             '{"corpus": "c", "lexicon": "l", "graph": "g", "sentiment": "s", "stopwords": "w",'
             ' "tags": "t", "abbreviations": "a", "patterns": "p"}',
@@ -279,7 +424,6 @@ JSON_READERS = {
     "manifest": (load_resources, '"corpus lexicon graph sentiment stopwords tags abbreviations patterns"',
                  '{"corpus": 5, "lexicon": "l", "graph": "g", "sentiment": "s", "stopwords": "w",'
                  ' "tags": "t", "abbreviations": "a", "patterns": "p"}'),
-    "index": (load_index, "[]", '{"version": 2, "unit_order": [], "lengths": {}, "postings": {"t": "d1"}}'),
     "model": (qclass.load_model, "[]", '{"version": 2, "kind": "topics", "topics": {"Device": "w"}, "meta": {}}'),
     "run": (cli._load_run_entries, '"run"', '{"questions": ["answer"]}'),
 }
@@ -326,8 +470,6 @@ class TestJsonReaders:
         assert where in str(err.value)
 
     @pytest.mark.parametrize("reader, payload, key", [
-        ("index", {"version": 2, "unit_order": [], "lengths": {}}, "postings"),
-        ("index", {"version": 2, "lengths": {}, "postings": {}}, "unit_order"),
         ("model", {"version": 2, "kind": "type", "labels": ["yesno"], "meta": {}}, "weights"),
         ("model", {"version": 2, "kind": "topics", "meta": {}}, "topics"),
     ])
@@ -338,18 +480,6 @@ class TestJsonReaders:
             JSON_READERS[reader][0](path)
         assert not isinstance(err.value, KeyError)
         assert key in str(err.value)
-
-    @pytest.mark.parametrize("unit_order, lengths, problem", [
-        (["d1", "d2"], {"d1": 1}, "different units"),
-        (["d1"], {"d1": 1, "d2": 1}, "different units"),
-        (["d1", "d1"], {"d1": 1}, "repeats"),
-    ], ids=["length missing", "length of no unit", "repeated unit"])
-    def test_index_whose_lengths_and_unit_order_disagree_is_refused(self, unit_order, lengths, problem, tmp_path):
-        path = tmp_path / "bad-input.json"
-        path.write_text(json.dumps({"version": 2, "unit_order": unit_order, "lengths": lengths, "postings": {}}))
-        with pytest.raises(DatasetFormatError, match="bad-input.json") as err:
-            load_index(path)
-        assert problem in str(err.value)
 
 
 # Every line loader, with a line it accepts and, where it has one, a line it

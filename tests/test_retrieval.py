@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter, deque
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 from bioqa import ingest, retrieval
 from bioqa.conceptlex import Concept, ConceptGraph, ConceptLexicon, recognize
 from bioqa.retrieval import (
+    DEFAULT_B,
+    DEFAULT_K1,
     PASSAGE_MEMO_DOCS,
     DocumentRecord,
     DuplicateIdError,
-    IndexedCorpus,
     PassageCandidate,
     Query,
     UnknownUnitError,
@@ -26,20 +28,7 @@ from bioqa.retrieval import (
 )
 from bioqa.textproc import split_sentences, stem
 
-from conftest import RESOURCE_DIR, analysed, question_terms
-
-
-def make_index(term_lists, mode="document"):
-    """Build an IndexedCorpus directly from raw term lists (no text pipeline)."""
-    index = IndexedCorpus(mode=mode)
-    for i, terms in enumerate(term_lists):
-        uid = f"u{i}"
-        index.unit_order.append(uid)
-        index.lengths[uid] = len(terms)
-        for t in terms:
-            index.postings.setdefault(t, {})
-            index.postings[t][uid] = index.postings[t].get(uid, 0) + 1
-    return index
+from conftest import RESOURCE_DIR, analysed, index_from_terms, question_terms
 
 
 def bm25_oracle(query_terms, unit_terms, all_unit_terms, k1, b):
@@ -103,35 +92,35 @@ class TestBuildIndex:
 
 class TestBm25:
     def test_empty_query_scores_zero(self):
-        index = make_index([["a", "b"]])
+        index = index_from_terms([["a", "b"]])
         assert bm25_score([], "u0", index) == 0.0
 
     def test_average_length_case_is_ln_five_thirds(self):
-        index = make_index([["t", "x"], ["y", "z"], ["w", "v"]])
+        index = index_from_terms([["t", "x"], ["y", "z"], ["w", "v"]])
         got = bm25_score(["t"], "u0", index, k1=1.2, b=0.85)
         assert got == pytest.approx(math.log(5 / 3), abs=1e-9)
 
     def test_term_in_every_unit_contributes_zero(self):
-        index = make_index([["t"], ["t"], ["t"]])
+        index = index_from_terms([["t"], ["t"], ["t"]])
         assert bm25_score(["t"], "u0", index) == 0.0
 
     def test_unknown_unit(self):
-        index = make_index([["a"]])
+        index = index_from_terms([["a"]])
         with pytest.raises(UnknownUnitError):
             bm25_score(["a"], "nope", index)
 
     def test_monotone_in_term_frequency(self):
         # Same length, more occurrences of the query term scores higher;
         # the term stays in a minority of units so its IDF is positive.
-        index = make_index([["t", "t", "a"], ["t", "a", "b"], ["x", "y", "z"], ["x", "w", "v"], ["q", "r", "s"]])
+        index = index_from_terms([["t", "t", "a"], ["t", "a", "b"], ["x", "y", "z"], ["x", "w", "v"], ["q", "r", "s"]])
         assert bm25_score(["t"], "u0", index) > bm25_score(["t"], "u1", index) > 0.0
 
     def test_longer_unit_scores_lower_when_b_positive(self):
-        index = make_index([["t", "a", "a", "a"], ["t"], ["x"], ["y"], ["z"]])
+        index = index_from_terms([["t", "a", "a", "a"], ["t"], ["x"], ["y"], ["z"]])
         assert bm25_score(["t"], "u1", index, b=0.85) > bm25_score(["t"], "u0", index, b=0.85) > 0.0
 
     def test_b_zero_ignores_length(self):
-        index = make_index([["t", "a", "a", "a", "a"], ["t"], ["x", "y"], ["z"], ["w"]])
+        index = index_from_terms([["t", "a", "a", "a", "a"], ["t"], ["x", "y"], ["z"], ["w"]])
         score = bm25_score(["t"], "u0", index, b=0.0)
         assert score > 0.0
         assert score == pytest.approx(bm25_score(["t"], "u1", index, b=0.0), abs=1e-12)
@@ -144,7 +133,7 @@ class TestBm25:
                 [rng.choice(vocab) for _ in range(rng.randint(1, 9))]
                 for _ in range(rng.randint(1, 20))
             ]
-            index = make_index(units)
+            index = index_from_terms(units)
             query = [rng.choice(vocab) for _ in range(rng.randint(1, 5))]
             k1 = rng.choice([0.5, 1.2, 2.0])
             b = rng.choice([0.0, 0.5, 0.85, 1.0])
@@ -206,7 +195,7 @@ class TestBm25Parameters:
 
     @pytest.mark.parametrize("k1,b", BAD)
     def test_search_with_candidates(self, k1, b):
-        index = make_index([["aa", "bb"], ["aa"], ["cc"]])
+        index = index_from_terms([["aa", "bb"], ["aa"], ["cc"]])
         with pytest.raises(ValueError):
             search(index, Query((), ("aa",)), 10, set(), ConceptLexicon([]), k1=k1, b=b)
 
@@ -214,7 +203,7 @@ class TestBm25Parameters:
                              ids=["unmatched", "empty", "zero-limit"])
     @pytest.mark.parametrize("k1,b", BAD)
     def test_search_without_candidates(self, k1, b, query, limit):
-        index = make_index([["aa", "bb"], ["aa"], ["cc"]])
+        index = index_from_terms([["aa", "bb"], ["aa"], ["cc"]])
         with pytest.raises(ValueError):
             search(index, Query((), query), limit, set(), ConceptLexicon([]), k1=k1, b=b)
 
@@ -233,7 +222,7 @@ class TestBm25Parameters:
             rank_passages(question_terms(bundle, "Does imatinib treat leukemia?"), candidates, k1=k1, b=b, top_n=top_n)
 
     def test_boundary_values_accepted(self):
-        index = make_index([["aa", "bb"], ["aa"], ["cc"]])
+        index = index_from_terms([["aa", "bb"], ["aa"], ["cc"]])
         for b in (0.0, 1.0):
             assert search(index, Query((), ("bb",)), 10, set(), ConceptLexicon([]), k1=1e-9, b=b).docs
         assert rank_passages(["aa"], [], k1=1e-9, b=1.0) == []
@@ -618,15 +607,8 @@ def search_oracle(units, query_terms, limit, k1, b):
     return scored[:limit], relaxed
 
 
-def add_unit(index, units, terms):
-    """Append a unit to a hand-built index and to its raw term lists."""
-    uid = f"u{len(units)}"
-    units.append(list(terms))
-    index.unit_order.append(uid)
-    index.lengths[uid] = len(terms)
-    for t in terms:
-        index.postings.setdefault(t, {})
-        index.postings[t][uid] = index.postings[t].get(uid, 0) + 1
+# ARRAY_MIN_POSTINGS values that send every search to one ranking path.
+PATHS = pytest.mark.parametrize("array_min", [10**9, 0], ids=["lists", "arrays"])
 
 
 def check_search(index, units, query_terms, limit, k1, b):
@@ -663,44 +645,94 @@ class TestSearchOracle:
     @example(units=[["aa", "bb"], ["cc"], ["dd"]], query=["aa", "aa", "bb"], limit=2, k1=1.2, b=0.85)
     @example(units=[["aa"], ["bb"]], query=["zz"], limit=5, k1=1.2, b=0.85)
     @example(units=[["aa"], ["bb"], ["cc"]], query=["aa", "zz"], limit=5, k1=1.2, b=0.85)
-    def test_matches_brute_force(self, units, query, limit, k1, b):
-        check_search(make_index(units), units, query, limit, k1, b)
+    @PATHS
+    def test_matches_brute_force(self, array_min, units, query, limit, k1, b):
+        with mock.patch.object(retrieval, "ARRAY_MIN_POSTINGS", array_min):
+            check_search(index_from_terms(units), units, query, limit, k1, b)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(units=_unit_lists, added=_unit_lists, query=_query_terms, k1=_k1, b=_b)
     def test_index_mutated_between_searches(self, units, added, query, k1, b):
-        # N, the mean length and every document frequency change between
-        # the two searches; a statistic kept from the first would show.
-        units = [list(terms) for terms in units]
-        index = make_index(units)
-        check_search(index, units, query, 20, k1, b)
-        for terms in added:
-            add_unit(index, units, terms)
-        check_search(index, units, query, 20, k1, b)
+        # N, the mean length and every document frequency differ between
+        # the two indexes; a statistic shared between them would show.
+        first = index_from_terms(units)
+        before = check_search(first, units, query, 20, k1, b)
+        grown = units + added
+        check_search(index_from_terms(grown), grown, query, 20, k1, b)
+        assert check_search(first, units, query, 20, k1, b) == before
 
     def test_both_paths_and_ties_are_covered(self):
         units = [["aa"], ["aa"], ["bb"], ["cc"], ["dd"]]
-        index = make_index(units)
+        index = index_from_terms(units)
         assert not check_search(index, units, ["aa"], 10, 1.2, 0.85)
         assert check_search(index, units, ["aa", "bb"], 10, 1.2, 0.85)
         docs = search(index, Query((), ("aa",)), 10, set(), ConceptLexicon([])).docs
         assert [d.doc_id for d in docs] == ["u0", "u1"] and docs[0].score == docs[1].score
 
     def test_loaded_index_keeps_unit_order_on_ties(self, tmp_path):
-        # A saved index stores postings sorted by unit id; candidates must
-        # still come out in unit_order, not in that order.
+        # Unit ids out of sorted order: postings, candidates and ties must
+        # follow unit_order, before and after a save and load.
         units = [["aa"], ["aa"], ["aa"], ["bb"], ["cc"], ["dd"], ["ee"]]
-        index = IndexedCorpus(mode="document")
-        for uid, terms in zip(["u9", "u3", "u5", "u0", "u1", "u2", "u4"], units):
-            index.unit_order.append(uid)
-            index.lengths[uid] = len(terms)
-            for t in terms:
-                index.postings.setdefault(t, {})[uid] = 1
+        index = index_from_terms(units, ids=["u9", "u3", "u5", "u0", "u1", "u2", "u4"])
         ingest.save_index(index, tmp_path / "index.json")
         loaded = ingest.load_index(tmp_path / "index.json")
-        assert list(loaded.postings["aa"]) == ["u3", "u5", "u9"]
+        assert list(loaded.postings["aa"]) == ["u9", "u3", "u5"]
         docs = search(loaded, Query((), ("aa",)), 10, set(), ConceptLexicon([])).docs
         assert [d.doc_id for d in docs] == ["u9", "u3", "u5"]
+
+
+def reference_search(index, query_terms, limit, k1, b):
+    """search restated over index.postings and index.lengths: candidates by
+    set operations in unit order, ranked by bm25_rank."""
+    distinct = list(dict.fromkeys(query_terms))
+    if not distinct or limit <= 0:
+        return [], False
+    postings = index.postings
+    holding = [set(postings.get(t, {})) for t in distinct]
+    matched = set.intersection(*holding)
+    relaxed = not matched
+    if relaxed:
+        matched = set.union(*holding)
+    candidates = [uid for uid in index.unit_order if uid in matched]
+    ranked = retrieval.bm25_rank(query_terms, candidates, postings, index.lengths, limit, k1, b)
+    return [(candidates[i], score) for i, score in ranked], relaxed
+
+
+class TestSearchKernel:
+    """Either ranking path of search is bit-equal to bm25_rank, the dict
+    kernel, in scores, order and the relaxed flag, on a built and on a
+    loaded index."""
+
+    @PATHS
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(units=_unit_lists, query=_query_terms, limit=st.integers(0, 14), k1=_k1, b=_b)
+    @example(units=[["aa"], ["aa"], ["aa", "bb"], ["cc"]], query=["aa", "aa", "zz"], limit=10, k1=1.2, b=0.85)
+    def test_equals_bm25_rank_before_and_after_a_round_trip(
+        self, array_min, tmp_path_factory, units, query, limit, k1, b
+    ):
+        index = index_from_terms(units)
+        path = tmp_path_factory.mktemp("kernel") / "index.json"
+        ingest.save_index(index, path)
+        with mock.patch.object(retrieval, "ARRAY_MIN_POSTINGS", array_min):
+            for searched in (index, ingest.load_index(path)):
+                result = search(searched, Query((), tuple(query)), limit, set(), ConceptLexicon([]), k1=k1, b=b)
+                expected, relaxed = reference_search(searched, query, limit, k1, b)
+                assert [(d.doc_id, d.score) for d in result.docs] == expected
+                assert result.relaxed == relaxed
+
+    @PATHS
+    def test_bundled_questions(self, array_min, bundle, doc_index, appendix_questions):
+        lexicon, stopwords = bundle.concept_lexicon, bundle.stopwords
+        relaxed = 0
+        with mock.patch.object(retrieval, "ARRAY_MIN_POSTINGS", array_min):
+            for q in appendix_questions.questions:
+                query = formulate_query(q.body, lexicon, stopwords)
+                result = search(doc_index, query, 200, stopwords, lexicon)
+                terms = retrieval._query_index_terms(query, stopwords, lexicon)
+                expected = reference_search(doc_index, terms, 200, DEFAULT_K1, DEFAULT_B)
+                assert ([(d.doc_id, d.score) for d in result.docs], result.relaxed) == expected
+                relaxed += result.relaxed
+        assert 0 < relaxed < len(appendix_questions.questions)
 
 
 def test_index_unchanged_by_queries(bundle, corpus, doc_index, tmp_path):
