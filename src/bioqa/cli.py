@@ -59,17 +59,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_parser("validate", "manifest format", help="load and check every resource in the manifest")
 
-    p = add_parser("index", "manifest format", help="build the document index and save it")
+    p = add_parser("index", "manifest", help="build the document index and save it")
     p.add_argument("--out", required=True)
 
-    p = add_parser("train-type", "manifest seed format", help="train the question type model")
+    p = add_parser("train-type", "manifest seed", help="train the question type model")
     p.add_argument("--questions", help="typed question dataset (default: bundled)")
     p.add_argument("--space", choices=qclass.FEATURE_SPACES, default="patterns")
     p.add_argument("--C", type=float, default=1.01)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--out", required=True)
 
-    p = add_parser("train-topics", "manifest seed format", help="train the per-topic binary models")
+    p = add_parser("train-topics", "manifest seed", help="train the per-topic binary models")
     p.add_argument("--questions", help="topic-labeled question dataset (default: bundled)")
     p.add_argument("--deps", help="dependency sidecar TSV for BOSDR features")
     p.add_argument("--epochs", type=int, default=200)
@@ -167,11 +167,16 @@ def _question_rows(args) -> list[tuple[str, str]]:
     return [(q.id, q.body) for q in ingest.load_questions(args.dataset).questions]
 
 
-def _emit(args, payload, text_renderer=None):
-    if args.format == "text" and text_renderer is not None:
+def _print_json(payload) -> None:
+    print(json.dumps(payload, ensure_ascii=False))
+
+
+def _emit(args, payload, text_renderer) -> None:
+    """payload as JSON, or rendered by text_renderer under --format text."""
+    if args.format == "text":
         print(text_renderer(payload))
     else:
-        print(json.dumps(payload, ensure_ascii=False))
+        _print_json(payload)
 
 
 def cmd_validate(args) -> int:
@@ -193,7 +198,7 @@ def cmd_index(args) -> int:
     bundle = ingest.load_resources(args.manifest)
     index = _build_document_index(bundle, _load_corpus_docs(bundle))
     ingest.save_index(index, args.out)
-    _emit(args, {"indexed_units": index.n_units, "out": args.out})
+    _print_json({"indexed_units": index.n_units, "out": args.out})
     return 0
 
 
@@ -210,7 +215,7 @@ def cmd_train_type(args) -> int:
     model = qclass.train_type_classifier(examples, args.space, C=args.C, seed=args.seed, epochs=args.epochs)
     qclass.save_model(model, args.out)
     acc = qclass.training_accuracy(model, examples)
-    _emit(args, {"out": args.out, "questions": len(dataset), "space": args.space,
+    _print_json({"out": args.out, "questions": len(dataset), "space": args.space,
                  "seed": args.seed, "training_accuracy": acc})
     return 0
 
@@ -233,7 +238,7 @@ def cmd_train_topics(args) -> int:
     ]
     model_set = qclass.train_topic_models(examples, seed=args.seed, epochs=args.epochs)
     qclass.save_model(model_set, args.out)
-    _emit(args, {"out": args.out, "questions": len(rows), "topics": len(model_set.models), "seed": args.seed})
+    _print_json({"out": args.out, "questions": len(rows), "topics": len(model_set.models), "seed": args.seed})
     return 0
 
 
@@ -327,9 +332,32 @@ def cmd_answer(args) -> int:
     return 0
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_answer_item(value) -> bool:
+    """A name, or a non-empty list of a name and its synonyms."""
+    return isinstance(value, str) or (_is_strings(value) and bool(value))
+
+
+# Each answer field a run entry may have: what it must be, and its test.
+_RUN_FIELDS = {
+    "exact_answer": ("null, a string, or a list of names or non-empty name lists",
+                     lambda v: v is None or isinstance(v, str) or (isinstance(v, list) and all(map(_is_answer_item, v)))),
+    "ideal_answer": ("a string or a list of strings", lambda v: isinstance(v, str) or _is_strings(v)),
+    "documents": ("a list of strings", _is_strings),
+    "snippets": ("a list of objects with a string 'document' and a string 'text'",
+                 lambda v: isinstance(v, list) and all(
+                     isinstance(s, dict) and isinstance(s.get("document"), str) and isinstance(s.get("text"), str)
+                     for s in v)),
+}
+
+
 def _load_run_entries(path) -> list[dict]:
     """The answer objects of a run file: {"questions": [...]} or a bare list.
-    Each object has a string id that no other object has."""
+    Each object has a string id that no other object has, and each answer
+    field it has is of the type _RUN_FIELDS names."""
     payload = read_json(path)
     entries = payload.get("questions") if isinstance(payload, dict) else payload
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -342,6 +370,9 @@ def _load_run_entries(path) -> list[dict]:
         if qid in seen:
             raise ingest.DatasetFormatError(f"{path}: duplicate answer id {qid!r}")
         seen.add(qid)
+        for name, (expected, valid) in _RUN_FIELDS.items():
+            if name in entry and not valid(entry[name]):
+                raise ingest.DatasetFormatError(f"{path}: answer {qid!r}: {name!r} must be {expected}")
     return entries
 
 

@@ -58,7 +58,7 @@ class ConceptLexicon:
         # Title text -> cuis recognized in it; see title_cuis.
         self._title_cuis: dict[str, tuple[str, ...]] = {}
         # Document -> (stopwords, abbreviations, its analysed abstract
-        # sentences), for the documents seen last; see retrieval.extract_passages.
+        # sentences), for every document seen; see retrieval.extract_passages.
         self._passages: dict = {}
         for concept in concepts:
             if concept.cui in self.concepts:

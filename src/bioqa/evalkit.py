@@ -245,6 +245,12 @@ def _retrieval_scores(returned, gold) -> dict[str, float]:
     return {"precision": p, "recall": r, "f1": f1, "ap": average_precision(returned, gold)}
 
 
+def _named_entities(entry: dict) -> list:
+    """The entities a run entry's exact answer names: none unless it is a list."""
+    exact = entry.get("exact_answer")
+    return exact if isinstance(exact, list) else []
+
+
 def evaluate_run(
     gold_dataset,
     run_entries: list[dict],
@@ -254,8 +260,10 @@ def evaluate_run(
 ) -> EvalReport:
     """Score a run (list of answer objects) against a gold dataset.
 
-    Gold questions with no run entry count as unanswered. Run entries
-    whose id is not in the gold set are an error.
+    Gold questions with no run entry count as unanswered, and an exact
+    answer that is not a list (a yes/no reply) to a factoid or list
+    question names no entity. Run entries whose id is not in the gold set
+    are an error.
     """
     gold_by_id = {q.id: q for q in gold_dataset.questions}
     unknown = [e.get("id", "<missing>") for e in run_entries if e.get("id") not in gold_by_id]
@@ -280,11 +288,11 @@ def evaluate_run(
             yesno_pairs.append((predicted, q.exact_answer))
             detail["yesno_correct"] = predicted == q.exact_answer
         elif q.type.value == "factoid" and q.exact_answer:
-            rank = first_answer_rank(entry.get("exact_answer") or [], q.exact_answer)
+            rank = first_answer_rank(_named_entities(entry), q.exact_answer)
             factoid_ranks.append(rank)
             detail["factoid_rank"] = rank
         elif q.type.value == "list" and q.exact_answer:
-            predicted = entry.get("exact_answer") or []
+            predicted = _named_entities(entry)
             list_pairs.append((predicted, q.exact_answer))
             detail["list_prf1"] = prf1(*list_question_counts(predicted, q.exact_answer))
 
@@ -327,10 +335,4 @@ def evaluate_run(
                 metrics[f"{block}_{name}"] = _mean(row[name] for row in rows)
             metrics[f"{block}_map"] = mean_average_precision(row["ap"] for row in rows)
 
-    config = {
-        "max_skip": DEFAULT_MAX_SKIP,
-        "rouge_beta": rouge_beta,
-        "rouge_stem": rouge_stem,
-        "multiref": "max",
-    }
-    return EvalReport(metrics, per_question, config)
+    return EvalReport(metrics, per_question, {"rouge_beta": rouge_beta, "rouge_stem": rouge_stem})

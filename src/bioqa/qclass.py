@@ -77,10 +77,6 @@ class UnknownFeatureSpaceError(ValueError):
     pass
 
 
-class MissingClassError(ValueError):
-    pass
-
-
 class ModelFormatError(ValueError):
     pass
 
@@ -92,7 +88,7 @@ class ModelFormatError(ValueError):
 @dataclass(frozen=True)
 class LiteralSet:
     phrases: tuple[tuple[str, ...], ...]  # each phrase is a word tuple
-    capture: bool = True
+    capture: bool
     # First words of the phrases: a token outside them starts no phrase.
     starts: frozenset[str] = field(init=False, repr=False, compare=False)
 
@@ -127,7 +123,6 @@ _STAR = Star()
 class Pattern:
     category: QuestionType
     elements: tuple
-    source: str = ""
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,7 @@ def parse_patterns(text: str, path="<patterns>") -> list[Pattern]:
         )
         if not elements:
             raise ResourceFormatError(path, line_no, "pattern has no elements")
-        patterns.append(Pattern(category, elements, source=line))
+        patterns.append(Pattern(category, elements))
     return patterns
 
 
@@ -346,9 +341,9 @@ def _fallback_features(tagged) -> dict[str, int]:
 class FeatureExtractor:
     """Turns a raw question string into a sparse feature vector."""
 
-    def __init__(self, tag_lexicon: TagLexicon, patterns: list[Pattern] | None = None):
+    def __init__(self, tag_lexicon: TagLexicon, patterns: list[Pattern]):
         self.tag_lexicon = tag_lexicon
-        self.patterns = patterns or []
+        self.patterns = patterns
 
     def tag(self, question: str) -> list[tuple[str, str]]:
         """(surface, tag) of each token of the question."""
@@ -379,7 +374,7 @@ class LinearModel:
 
     labels: tuple[str, ...]
     weights: dict[str, dict[str, float]]
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def scores(self, features: dict[str, int]) -> dict[str, float]:
         out = {}
@@ -440,24 +435,17 @@ def train_type_classifier(
     C: float = 1.01,
     seed: int = 42,
     epochs: int = 200,
-    labels: tuple[QuestionType, ...] | None = None,
 ) -> LinearModel:
     """Train the multiclass type model on (feature vector, label) pairs.
 
-    The label set defaults to the types present in the data, in the fixed
-    YESNO < FACTOID < LIST < SUMMARY order; passing labels explicitly
-    makes an absent class an error. Training is deterministic given
+    The labels are the types present in the data, in the fixed
+    YESNO < FACTOID < LIST < SUMMARY order. Training is deterministic given
     (data, space, C, seed).
     """
     if not examples:
         raise ValueError("no training examples")
     present = {label for _, label in examples}
-    if labels is None:
-        labels = tuple(t for t in TYPE_ORDER if t in present)
-    else:
-        for label in labels:
-            if label not in present:
-                raise MissingClassError(f"no training examples for class {label.value}")
+    labels = tuple(t for t in TYPE_ORDER if t in present)
 
     seen: dict[tuple, QuestionType] = {}
     for features, label in examples:
@@ -485,7 +473,7 @@ def train_type_classifier(
 
 
 def classify_type(model: LinearModel, question: str, extractor: FeatureExtractor) -> QuestionType:
-    features = extractor.extract(question, model.meta.get("space", "patterns"))
+    features = extractor.extract(question, model.meta["space"])
     return QuestionType(model.predict(features))
 
 
@@ -509,7 +497,7 @@ def extract_topic_features(
     config: set[str],
     *,
     stopwords: set[str],
-    concept_lexicon: ConceptLexicon | None = None,
+    concept_lexicon: ConceptLexicon,
     dep_pairs: list[tuple[str, str, str]] | None = None,
 ) -> dict[str, int]:
     """Feature combination for topic models.
@@ -535,8 +523,6 @@ def extract_topic_features(
     if "BOS" in config:
         groups.append(Counter(stem(low) for _, low in content))
     if "BOCST" in config:
-        if concept_lexicon is None:
-            raise ValueError("BOCST features require a concept lexicon")
         counts: Counter = Counter()
         for _, _, cui in longest_matches(lowered, concept_lexicon):
             concept = concept_lexicon.get(cui)
@@ -559,7 +545,7 @@ class BinaryModel:
 @dataclass
 class TopicModelSet:
     models: dict[str, BinaryModel]
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def _sgd_binary(X, y, lam, epochs, seed):
@@ -645,22 +631,51 @@ def save_model(model: LinearModel | TopicModelSet, path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
+def _is_weight_map(value) -> bool:
+    """A map of feature -> number."""
+    return isinstance(value, dict) and all(
+        isinstance(w, (int, float)) and not isinstance(w, bool) for w in value.values()
+    )
+
+
 def load_model(path):
-    """A model saved by save_model; any other content is refused naming the file."""
+    """A model saved by save_model; any other content is refused naming the file.
+
+    Every label of a type model is a question type with a weights map of
+    feature -> number, and its meta names a space of FEATURE_SPACES; every
+    topic of a topics model has such a weights map.
+    """
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: expected a model object")
     version = payload.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"{path}: model format version {version!r}, expected {MODEL_FORMAT_VERSION}")
-    try:
-        if payload.get("kind") == "type":
-            return LinearModel(tuple(payload["labels"]), payload["weights"], payload.get("meta", {}))
-        if payload.get("kind") == "topics":
-            models = {name: BinaryModel(entry["weights"]) for name, entry in payload["topics"].items()}
-            return TopicModelSet(models, payload.get("meta", {}))
-    except KeyError as exc:
-        raise ModelFormatError(f"{path}: model has no {exc} entry") from None
-    except (AttributeError, TypeError) as exc:
-        raise ModelFormatError(f"{path}: malformed model ({exc})") from None
-    raise ModelFormatError(f"{path}: unknown model kind {payload.get('kind')!r}")
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ModelFormatError(f"{path}: model meta is not an object")
+    kind = payload.get("kind")
+    if kind == "type":
+        labels, weights = payload.get("labels"), payload.get("weights")
+        if not isinstance(labels, list) or not labels:
+            raise ModelFormatError(f"{path}: type model has no 'labels' list")
+        if not isinstance(weights, dict):
+            raise ModelFormatError(f"{path}: type model has no 'weights' object")
+        types = [t.value for t in QuestionType]
+        for label in labels:
+            if label not in types:
+                raise ModelFormatError(f"{path}: label {label!r} is not a question type")
+            if not _is_weight_map(weights.get(label)):
+                raise ModelFormatError(f"{path}: label {label!r} has no weights map of feature -> number")
+        if meta.get("space") not in FEATURE_SPACES:
+            raise ModelFormatError(f"{path}: meta space {meta.get('space')!r} is not one of {FEATURE_SPACES}")
+        return LinearModel(tuple(labels), weights, meta)
+    if kind == "topics":
+        topics = payload.get("topics")
+        if not isinstance(topics, dict):
+            raise ModelFormatError(f"{path}: topics model has no 'topics' object")
+        for name, entry in topics.items():
+            if not isinstance(entry, dict) or not _is_weight_map(entry.get("weights")):
+                raise ModelFormatError(f"{path}: topic {name!r} has no weights map of feature -> number")
+        return TopicModelSet({name: BinaryModel(entry["weights"]) for name, entry in topics.items()}, meta)
+    raise ModelFormatError(f"{path}: unknown model kind {kind!r}")

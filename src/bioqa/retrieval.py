@@ -40,8 +40,6 @@ DEFAULT_B = 0.85
 DEFAULT_RETRIEVE_DEPTH = 200
 DEFAULT_TOP_DOCS = 10
 DEFAULT_TOP_PASSAGES = 10
-# Documents whose analysed sentences a lexicon keeps; see extract_passages.
-PASSAGE_MEMO_DOCS = 2048
 
 
 class DuplicateIdError(ValueError):
@@ -96,7 +94,7 @@ class ScoredPassage:
 @dataclass
 class SearchResult:
     docs: list[ScoredDoc]
-    relaxed: bool = False
+    relaxed: bool
 
 
 class _TermRows(dict):
@@ -463,7 +461,7 @@ def rerank_documents(
 
 def _analyse_sentences(
     doc: DocumentRecord,
-    abbreviations: set[str] | None,
+    abbreviations: set[str],
     stopwords: set[str],
     lexicon: ConceptLexicon,
 ) -> tuple[PassageCandidate, ...]:
@@ -476,7 +474,7 @@ def _analyse_sentences(
 
 def extract_passages(
     docs: list[DocumentRecord],
-    abbreviations: set[str] | None,
+    abbreviations: set[str],
     stopwords: set[str],
     lexicon: ConceptLexicon,
 ) -> list[PassageCandidate]:
@@ -484,18 +482,17 @@ def extract_passages(
 
     Each document's candidates are memoised on the lexicon together with
     the stopword and abbreviation sets they were made with, and later
-    requests with those same sets share them. The memo keeps the
-    PASSAGE_MEMO_DOCS documents analysed last and drops the oldest first.
-    The lexicon, stopwords and abbreviations are therefore not to be
-    changed once passages have been extracted.
+    requests with those same sets share them. The memo keeps every
+    document it is given for as long as the lexicon lives, so its size
+    follows the corpus the lexicon serves. The lexicon, stopwords and
+    abbreviations are therefore not to be changed once passages have been
+    extracted.
     """
     memo = lexicon._passages
     candidates = []
     for doc in docs:
         entry = memo.get(doc)
         if entry is None or entry[0] is not stopwords or entry[1] is not abbreviations:
-            if entry is None and len(memo) >= PASSAGE_MEMO_DOCS:
-                del memo[next(iter(memo))]  # the oldest entry
             entry = memo[doc] = (stopwords, abbreviations, _analyse_sentences(doc, abbreviations, stopwords, lexicon))
         candidates.extend(entry[2])
     return candidates

@@ -109,14 +109,13 @@ _BOUNDARY_RE = re.compile(r"[.!?]")
 _LEADING_PUNCT = "([\"'"
 
 
-def split_sentences(text: str, abbreviations: set[str] | None = None) -> list[Sentence]:
+def split_sentences(text: str, abbreviations: set[str]) -> list[Sentence]:
     """Rule-based sentence splitting.
 
     A '.', '!' or '?' ends a sentence when it is followed by whitespace and
     then an uppercase letter or digit, unless the word it terminates is in
     the abbreviation list (compared with its trailing period, case folded).
     """
-    abbreviations = abbreviations or set()
     boundaries = []
     for m in _BOUNDARY_RE.finditer(text):
         pos = m.end()

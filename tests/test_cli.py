@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from conftest import RESOURCE_DIR
 
 QUESTIONS = str(RESOURCE_DIR / "questions.json")
 DEMO_GOLD = str(RESOURCE_DIR / "demo_gold.json")
+# The run file answer --out writes for demo_gold, pinned by test_golden.py.
+GOLDEN_RUN = str(Path(__file__).resolve().parent / "data" / "golden" / "answer_demo_gold.run.json")
 
 
 @pytest.fixture(scope="module")
@@ -103,14 +106,20 @@ class TestMalformedInputs:
         (["retrieve-docs", "--question", "Is it?", "--index", "{bad}"], '{"version": 3, "units": []}'),
         (["classify", "--question", "Is it?", "--model", "{bad}"], "{nope"),
         (["classify", "--question", "Is it?", "--model", "{bad}"], "[]"),
+        (["classify", "--question", "Is it?", "--model", "{bad}"],
+         '{"version": 2, "kind": "type", "labels": ["yesno", "factoid"], "weights": {"yesno": {}},'
+         ' "meta": {"space": "patterns"}}'),
         (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"], '["answer"]'),
         (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"], '{"questions": [{"id": ["x"]}]}'),
         (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"],
          '[{"id": "demo-imatinib-002", "exact_answer": "no"}, {"id": "demo-imatinib-002", "exact_answer": "yes"}]'),
+        (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"], '[{"id": "demo-pp-001", "snippets": ["abc"]}]'),
+        (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"], '[{"id": "demo-pp-001", "ideal_answer": 5}]'),
         (["train-topics", "--out", "{tmp}/t.json", "--questions", "{bad}"], "[]"),
         (["validate", "--manifest", "{bad}"], '"corpus lexicon graph sentiment stopwords tags abbreviations patterns"'),
-    ], ids=["index list", "index format 2", "index missing key", "model not JSON", "model list", "run string entry",
-            "run list id", "run repeated id",
+    ], ids=["index list", "index format 2", "index missing key", "model not JSON", "model list", "model label without weights",
+            "run string entry",
+            "run list id", "run repeated id", "run string snippet", "run ideal number",
             "topic questions list", "manifest string"])
     def test_malformed_input_file_exits_one_naming_it(self, argv, text, tmp_path, capsys):
         bad = tmp_path / "bad-input.json"
@@ -174,6 +183,68 @@ class TestEval:
         with pytest.raises(DatasetFormatError, match="run.json") as err:
             _load_run_entries(path)
         assert named in str(err.value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("exact_answer", 5),
+        ("exact_answer", {"name": "imatinib"}),
+        ("exact_answer", ["imatinib", 5]),
+        ("exact_answer", [[]]),
+        ("exact_answer", [["imatinib", 5]]),
+        ("ideal_answer", 5),
+        ("ideal_answer", None),
+        ("ideal_answer", ["An answer.", 5]),
+        ("documents", "18580948"),
+        ("documents", [18580948]),
+        ("snippets", ["abc"]),
+        ("snippets", "abc"),
+        ("snippets", [{"document": "18580948"}]),
+        ("snippets", [{"document": "18580948", "text": 5}]),
+        ("snippets", [{"document": 18580948, "text": "A sentence."}]),
+    ])
+    def test_run_answer_fields_are_checked_at_load(self, field, value, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps([{"id": "demo-pp-001", field: value}]))
+        with pytest.raises(DatasetFormatError, match="run.json") as err:
+            _load_run_entries(path)
+        assert "demo-pp-001" in str(err.value) and field in str(err.value)
+
+    def test_run_answer_fields_of_every_accepted_shape_load(self, tmp_path):
+        entries = [
+            {"id": "a", "exact_answer": None, "ideal_answer": ["One.", "Two."], "documents": [], "snippets": []},
+            {"id": "b", "exact_answer": "yes", "ideal_answer": "One."},
+            {"id": "c", "exact_answer": ["imatinib", ["Gleevec", "imatinib mesylate"]],
+             "snippets": [{"document": "1", "text": "One.", "rank": 1}]},
+        ]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"questions": entries}))
+        assert _load_run_entries(path) == entries
+
+    def test_metrics_keeps_the_named_prefixes(self, capsys):
+        assert main(["eval", "--gold", DEMO_GOLD, "--run", GOLDEN_RUN, "--metrics", "list_, rouge,"]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert set(metrics) == {"list_precision", "list_recall", "list_f1", "rouge_2", "rouge_su4"}
+
+    def test_rouge_flags_are_reported_and_move_the_score(self, tmp_path, capsys):
+        gold = tmp_path / "gold.json"
+        gold.write_text(json.dumps({"questions": [
+            {"id": "q", "body": "What do mutations cause?", "type": "summary", "ideal_answer": "Mutations cause disease."},
+        ]}))
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps([{"id": "q", "ideal_answer": "The mutations causing the disease were studied."}]))
+
+        def report(*flags):
+            assert main(["eval", "--gold", str(gold), "--run", str(run), *flags]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        plain, stemmed, weighted = report(), report("--rouge-stem"), report("--rouge-stem", "--rouge-beta", "1")
+        assert plain["config"] == {"rouge_beta": None, "rouge_stem": False}
+        assert stemmed["config"] == {"rouge_beta": None, "rouge_stem": True}
+        assert weighted["config"] == {"rouge_beta": 1.0, "rouge_stem": True}
+        # Only stems make "causing" meet "cause": one of the gold's two bigrams,
+        # and one of the candidate's six.
+        assert plain["metrics"]["rouge_2"] == 0.0
+        assert stemmed["metrics"]["rouge_2"] == 0.5
+        assert weighted["metrics"]["rouge_2"] == pytest.approx(2 * (1 / 6) * 0.5 / (1 / 6 + 0.5))
 
     def test_run_equal_to_gold_scores_one(self, tmp_path, capsys):
         gold = json.loads((RESOURCE_DIR / "demo_gold.json").read_text())
@@ -257,6 +328,15 @@ class TestClassifyAndTrain:
         obj = json.loads(capsys.readouterr().out)
         assert obj["type"] == "yesno"
 
+    def test_train_topics_deps_reach_the_saved_model(self, tmp_path, capsys):
+        deps = tmp_path / "deps.tsv"
+        deps.write_text("t01\tnsubj\tgives\tdevice\n")
+        out = tmp_path / "topics.json"
+        assert main(["train-topics", "--out", str(out), "--deps", str(deps)]) == 0
+        capsys.readouterr()
+        topics = json.loads(out.read_text())["topics"]
+        assert topics["Device"]["weights"]["nsubj(gives,device)"] > 0
+
     def test_train_topics_and_classify(self, tmp_path, capsys):
         out = tmp_path / "topics.json"
         assert main(["train-topics", "--out", str(out)]) == 0
@@ -339,9 +419,9 @@ SHARED_FLAGS = ("--manifest", "--index", "--model", "--seed", "--format")
 class TestFlags:
     @pytest.mark.parametrize("command, flags", [
         ("validate", {"--manifest", "--format"}),
-        ("index", {"--manifest", "--format"}),
-        ("train-type", {"--manifest", "--seed", "--format"}),
-        ("train-topics", {"--manifest", "--seed", "--format"}),
+        ("index", {"--manifest"}),
+        ("train-type", {"--manifest", "--seed"}),
+        ("train-topics", {"--manifest", "--seed"}),
         ("classify", {"--manifest", "--model", "--format"}),
         ("retrieve-docs", {"--manifest", "--index", "--format"}),
         ("retrieve-passages", {"--manifest", "--index", "--format"}),
@@ -363,8 +443,12 @@ class TestFlags:
         ["--format", "text", "validate"],
         ["index", "--out", "{tmp}/i.json", "--mode", "passage"],
         ["answer", "--mod", "{model}", "--question", "Is imatinib an antidepressant drug?"],
+        ["index", "--out", "{tmp}/i.json", "--format", "text"],
+        ["train-type", "--out", "{tmp}/m.json", "--format", "text"],
+        ["train-topics", "--out", "{tmp}/t.json", "--format", "text"],
     ], ids=["train-type --model", "eval --index", "eval --max-skip", "validate --seed", "repl --format",
-            "leading --format", "index --mode", "answer --mod"])
+            "leading --format", "index --mode", "answer --mod", "index --format", "train-type --format",
+            "train-topics --format"])
     def test_unread_leading_or_abbreviated_flag_is_usage_error(self, argv, model_path, tmp_path, monkeypatch):
         import io
 

@@ -294,6 +294,14 @@ class TestEvaluateRun:
         # q4 snippets absent in run -> 0
         assert report.metrics["snippets_map"] == 0.0
 
+    @pytest.mark.parametrize("qtype, metric", [(QuestionType.FACTOID, "factoid_mrr"), (QuestionType.LIST, "list_precision")])
+    def test_string_exact_answer_names_no_entity(self, qtype, metric):
+        # Read character by character, "imatinib" would name "i" and "abc" would name "a".
+        gold = QuestionDataset([QuestionRecord("q", "Which?", qtype, exact_answer=[["i"], ["a"]])])
+        for reply in ("imatinib", "abc", "yes"):
+            report = evaluate_run(gold, [{"id": "q", "exact_answer": reply}])
+            assert report.metrics[metric] == 0.0, reply
+
     def test_unknown_question_id_lists_ids(self):
         with pytest.raises(UnknownQuestionError, match="ghost"):
             evaluate_run(_gold_dataset(), [{"id": "ghost"}])

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,6 @@ from bioqa.qclass import (
     AnyTag,
     FeatureExtractor,
     LiteralSet,
-    MissingClassError,
     Pattern,
     PatternMatch,
     QuestionType,
@@ -32,6 +32,8 @@ from bioqa.qclass import (
 from bioqa.textproc import ResourceFormatError
 
 from conftest import RESOURCE_DIR
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 
 
 class TestMatchPatterns:
@@ -79,7 +81,7 @@ class TestMatchPatterns:
             elements = []
             for _ in range(k):
                 if rng.random() < 0.5:
-                    elements.append(LiteralSet(((rng.choice(vocab).lower(),),)))
+                    elements.append(LiteralSet(((rng.choice(vocab).lower(),),), capture=True))
                 else:
                     elements.append(TagMatch(rng.choice(["NN", "VBZ", "DT", "WP"])))
             pattern = Pattern(QuestionType.FACTOID, tuple(elements))
@@ -166,8 +168,8 @@ class TestPatternMatchOracle:
     @given(tagged=_tagged, patterns=st.one_of(_patterns, st.none()))
     # "stand for" matches first, but only "stand" leaves the rest a match.
     @example(tagged=[(w, "NN") for w in ("stand", "for")],
-             patterns=[Pattern(QuestionType.FACTOID, (LiteralSet((("stand", "for"), ("stand",))),
-                                                      LiteralSet((("for",),))))])
+             patterns=[Pattern(QuestionType.FACTOID, (LiteralSet((("stand", "for"), ("stand",)), capture=True),
+                                                      LiteralSet((("for",),), capture=True)))])
     def test_random_tagged_sequences(self, bundle, tagged, patterns):
         patterns = bundle.patterns if patterns is None else patterns
         assert pattern_matches(tagged, patterns) == reference_pattern_matches(tagged, patterns)
@@ -257,11 +259,6 @@ class TestTypeTrainer:
             model = train_type_classifier(examples, "patterns", seed=3)
         assert model.labels  # training proceeded
 
-    def test_missing_class_error_names_class(self):
-        examples = [({"a": 1}, QuestionType.YESNO)]
-        with pytest.raises(MissingClassError, match="factoid"):
-            train_type_classifier(examples, "patterns", labels=tuple(qclass.TYPE_ORDER))
-
     def test_seeded_training_is_bit_identical(self):
         examples = _toy_examples()
         m1 = train_type_classifier(examples, "patterns", seed=42)
@@ -283,6 +280,7 @@ class TestTypeTrainer:
         model = qclass.LinearModel(
             ("yesno", "factoid", "list", "summary"),
             {lab: {} for lab in ("yesno", "factoid", "list", "summary")},
+            {},
         )
         assert model.predict({"anything": 1}) == "yesno"
 
@@ -338,13 +336,14 @@ class TestTopicFeatures:
             "What is the dose?",
             {"BOSDR"},
             stopwords=bundle.stopwords,
+            concept_lexicon=bundle.concept_lexicon,
             dep_pairs=[("nsubj", "What", "dose")],
         )
         assert features == {"nsubj(what,dose)": 1}
 
     def test_empty_config_is_empty_vector(self, bundle):
         assert extract_topic_features(
-            "anything", set(), stopwords=bundle.stopwords,
+            "anything", set(), stopwords=bundle.stopwords, concept_lexicon=bundle.concept_lexicon,
         ) == {}
 
     def test_bow_drops_stopwords_and_punctuation(self, bundle):
@@ -352,6 +351,7 @@ class TestTopicFeatures:
             "What is the dose of Zithromax?",
             {"BOW"},
             stopwords=bundle.stopwords,
+            concept_lexicon=bundle.concept_lexicon,
         )
         assert features == {"dose": 1, "Zithromax": 1}
 
@@ -360,6 +360,7 @@ class TestTopicFeatures:
             "inheritance statistics",
             {"BOS"},
             stopwords=bundle.stopwords,
+            concept_lexicon=bundle.concept_lexicon,
         )
         assert features == {"inherit": 1, "statist": 1}
 
@@ -456,6 +457,35 @@ class TestPersistence:
         }))
         with pytest.raises(qclass.ModelFormatError, match="version 1"):
             load_model(path)
+
+    @pytest.mark.parametrize("payload, named", [
+        ({"kind": "type", "labels": ["yesno", "factoid"], "weights": {"yesno": {"is": 1.0}},
+          "meta": {"space": "patterns"}}, "'factoid'"),
+        ({"kind": "type", "labels": ["yesno", "maybe"], "weights": {"yesno": {"is": 1.0}, "maybe": {}},
+          "meta": {"space": "patterns"}}, "'maybe'"),
+        ({"kind": "type", "labels": ["yesno"], "weights": {"yesno": {"is": "1.0"}}, "meta": {"space": "patterns"}},
+         "'yesno'"),
+        ({"kind": "type", "labels": ["yesno"], "weights": {"yesno": ["is"]}, "meta": {"space": "patterns"}}, "'yesno'"),
+        ({"kind": "type", "labels": ["yesno"], "weights": {"yesno": {"is": True}}, "meta": {"space": "patterns"}},
+         "'yesno'"),
+        ({"kind": "type", "labels": ["yesno"], "weights": {"yesno": {}}, "meta": {"space": "trigram"}}, "'trigram'"),
+        ({"kind": "type", "labels": ["yesno"], "weights": {"yesno": {}}, "meta": {}}, "space"),
+        ({"kind": "topics", "topics": {"Device": {"weights": {"a": "x"}}}, "meta": {}}, "'Device'"),
+        ({"kind": "topics", "topics": {"Device": {"weights": ["a"]}}, "meta": {}}, "'Device'"),
+        ({"kind": "topics", "topics": {"Device": {}}, "meta": {}}, "'Device'"),
+    ], ids=["label without weights", "label not a type", "weight a string", "weights a list", "weight a bool",
+            "unknown space", "no space", "topic weight a string", "topic weights a list", "topic without weights"])
+    def test_hand_edited_model_refused_naming_the_file(self, payload, named, tmp_path):
+        path = tmp_path / "edited-model.json"
+        path.write_text(json.dumps({"version": qclass.MODEL_FORMAT_VERSION, **payload}))
+        with pytest.raises(qclass.ModelFormatError, match="edited-model.json") as err:
+            load_model(path)
+        assert named in str(err.value)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.glob("*.model.json")))
+    def test_pinned_models_load_unchanged(self, name, tmp_path):
+        save_model(load_model(GOLDEN_DIR / name), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
     def test_loaded_model_predicts_identically(self, tmp_path, type_model):
         path = tmp_path / "model.json"

@@ -12,7 +12,6 @@ from bioqa.conceptlex import Concept, ConceptGraph, ConceptLexicon, recognize
 from bioqa.retrieval import (
     DEFAULT_B,
     DEFAULT_K1,
-    PASSAGE_MEMO_DOCS,
     DocumentRecord,
     DuplicateIdError,
     PassageCandidate,
@@ -455,8 +454,7 @@ DR_ABSTRACT = "Dr. Smith found the FGFR3 mutation. It causes Muenke syndrome."
 
 class TestPassageMemo:
     """extract_passages keeps each document's candidates on the lexicon,
-    apart for each stopword and abbreviation set, and a bounded number of
-    documents."""
+    apart for each stopword and abbreviation set."""
 
     @staticmethod
     def lexicon(bundle):
@@ -484,24 +482,25 @@ class TestPassageMemo:
         again = extract_passages(docs, abbreviations, stopwords, lexicon)
         assert len(again) == len(got) and all(a is b for a, b in zip(again, got))
 
-    def test_bounded_and_evicted_document_reanalysed(self, bundle):
+    def test_every_document_kept_past_2048(self, bundle, monkeypatch):
+        # More documents than the memo once kept (2048): a second pass over
+        # them all analyses none of them again.
         lexicon = self.lexicon(bundle)
         resources = (bundle.abbreviations, bundle.stopwords, lexicon)
-        docs = [DocumentRecord(f"d{i}", "t", f"Trial {i} of imatinib ended. {DR_ABSTRACT}")
-                for i in range(PASSAGE_MEMO_DOCS + 300)]
-        first = extract_passages(docs[:1], *resources)
-        for start in range(0, len(docs), 256):
-            filled = extract_passages(docs[start:start + 256], *resources)
-            assert len(lexicon._passages) <= PASSAGE_MEMO_DOCS
-        assert len(lexicon._passages) == PASSAGE_MEMO_DOCS
-        # The oldest document was dropped and is analysed again; the newest
-        # is still kept.
-        again = extract_passages(docs[:1], *resources)
-        assert again == first == fresh_passages(docs[:1], *resources)
-        assert again[0] is not first[0]
-        newest = extract_passages(docs[-1:], *resources)
-        assert all(a is b for a, b in zip(newest, filled[-len(newest):]))
-        assert len(lexicon._passages) == PASSAGE_MEMO_DOCS
+        docs = [DocumentRecord(f"d{i}", "t", f"Trial {i} of imatinib ended. {DR_ABSTRACT}") for i in range(2100)]
+        analyses = Counter()
+        analyse_sentences = retrieval._analyse_sentences
+
+        def counting(doc, *args):
+            analyses[doc.doc_id] += 1
+            return analyse_sentences(doc, *args)
+
+        monkeypatch.setattr(retrieval, "_analyse_sentences", counting)
+        first = extract_passages(docs, *resources)
+        again = extract_passages(docs, *resources)
+        assert analyses == Counter(doc.doc_id for doc in docs)
+        assert len(again) == len(first) and all(a is b for a, b in zip(again, first))
+        assert first == fresh_passages(docs, *resources)
 
 
 class TestPassageOracle:
