@@ -137,8 +137,8 @@ def load_questions(path) -> QuestionDataset:
             raise DatasetFormatError(f"{where}: field 'documents' must be a list")
         snippets = tuple(obj.get("snippets") or ())
         for s in snippets:
-            if not isinstance(s, dict) or "document" not in s or "text" not in s:
-                raise DatasetFormatError(f"{where}: snippets need 'document' and 'text'")
+            if not isinstance(s, dict) or not isinstance(s.get("document"), str) or not isinstance(s.get("text"), str):
+                raise DatasetFormatError(f"{where}: snippets need a string 'document' and 'text'")
         questions.append(
             QuestionRecord(
                 qid,

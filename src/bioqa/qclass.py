@@ -8,6 +8,7 @@ one binary model per topic over a configurable feature combination.
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 from collections import Counter
@@ -123,6 +124,16 @@ _STAR = Star()
 class Pattern:
     category: QuestionType
     elements: tuple
+    # What a question must hold for the pattern to match: one of the first
+    # words of each literal set, and every tag a TagMatch names.
+    word_needs: tuple[frozenset[str], ...] = field(init=False, repr=False, compare=False)
+    tag_needs: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "word_needs", tuple(
+            el.starts for el in self.elements if isinstance(el, LiteralSet)))
+        object.__setattr__(self, "tag_needs", frozenset(
+            el.tag for el in self.elements if isinstance(el, TagMatch)))
 
 
 @dataclass(frozen=True)
@@ -278,8 +289,12 @@ def pattern_matches(tagged: list[tuple[str, str]], patterns: list[Pattern]) -> l
     positions: dict[str, list[int]] = {}
     for pos, word in enumerate(lowered):
         positions.setdefault(word, []).append(pos)
+    words = positions.keys()
+    tag_set = set(tags)
     matches = []
     for pattern in patterns:
+        if not pattern.tag_needs <= tag_set or any(words.isdisjoint(starts) for starts in pattern.word_needs):
+            continue  # a word or tag the pattern needs is missing
         match = _matcher(pattern.elements, tags, lowered)
         shifts = range(len(tagged))
         if pattern.elements and isinstance(pattern.elements[0], LiteralSet):
@@ -395,26 +410,32 @@ def _sgd_multiclass(X, y, n_labels, lam, epochs, seed):
     No bias term: with sparse question features a free intercept under the
     1/(lambda t) schedule swamps the evidence, and balanced margins do not
     need one.
+
+    The rival is the first highest-scoring other label, or the true label
+    itself when it is the only one; the margin update then adds and
+    subtracts the same step on that row.
     """
     n, d = len(X), X[0].shape[0] if X else 0
     W = np.zeros((n_labels, d), dtype=np.float64)
+    rows = list(W)  # row views, made once
     rng = np.random.default_rng(seed)
     t = 0
     for _ in range(epochs):
-        order = rng.permutation(n)
-        for i in order:
+        for i in rng.permutation(n).tolist():
             t += 1
             eta = 1.0 / (lam * t)
             x = X[i]
-            scores = W @ x
+            scores = (W @ x).tolist()
             yi = y[i]
-            rival_scores = scores.copy()
-            rival_scores[yi] = -np.inf
-            rival = int(np.argmax(rival_scores))
+            rival, best = yi, -math.inf
+            for j, score in enumerate(scores):
+                if j != yi and score > best:
+                    rival, best = j, score
             W *= max(0.0, 1.0 - eta * lam)
             if scores[yi] - scores[rival] < 1.0:
-                W[yi] += eta * x
-                W[rival] -= eta * x
+                step = eta * x
+                rows[yi] += step
+                rows[rival] -= step
     return W
 
 
@@ -534,6 +555,10 @@ def extract_topic_features(
     return _merge_sum(*[dict(g) for g in groups]) if groups else {}
 
 
+# The SVM constant C of every topic model; the saved meta records it.
+TOPIC_C = 1.01
+
+
 @dataclass
 class BinaryModel:
     weights: dict[str, float]
@@ -556,12 +581,11 @@ def _sgd_binary(X, y, lam, epochs, seed):
     rng = np.random.default_rng(seed)
     t = 0
     for _ in range(epochs):
-        order = rng.permutation(len(X))
-        for i in order:
+        for i in rng.permutation(len(X)).tolist():
             t += 1
             eta = 1.0 / (lam * t)
             w *= max(0.0, 1.0 - eta * lam)
-            if y[i] * (w @ X[i]) < 1.0:
+            if y[i] * float(w @ X[i]) < 1.0:
                 w += eta * y[i] * X[i]
     return w
 
@@ -569,11 +593,9 @@ def _sgd_binary(X, y, lam, epochs, seed):
 def train_topic_models(
     examples: list[tuple[dict[str, int], set[str]]],
     seed: int = 42,
-    topics: tuple[str, ...] = TOPICS,
-    C: float = 1.01,
     epochs: int = 200,
 ) -> TopicModelSet:
-    """One balanced binary model per topic.
+    """One balanced binary model per topic of TOPICS.
 
     Positives are the questions labeled with the topic; negatives are an
     equal-size uniform sample of the rest drawn with a per-topic seed
@@ -581,7 +603,7 @@ def train_topic_models(
     with a warning.
     """
     models: dict[str, BinaryModel] = {}
-    for topic_index, topic in enumerate(topics):
+    for topic_index, topic in enumerate(TOPICS):
         positives = [f for f, ts in examples if topic in ts]
         rest = [f for f, ts in examples if topic not in ts]
         if not positives:
@@ -595,10 +617,10 @@ def train_topic_models(
         vocabulary = sorted({f for feats, _ in data for f in feats})
         X = _vectorize([f for f, _ in data], vocabulary)
         y = [lab for _, lab in data]
-        lam = 1.0 / (C * len(data))
+        lam = 1.0 / (TOPIC_C * len(data))
         w = _sgd_binary(X, y, lam, epochs, seed + topic_index)
         models[topic] = BinaryModel({f: float(w[j]) for j, f in enumerate(vocabulary) if w[j] != 0.0})
-    return TopicModelSet(models, meta={"seed": seed, "C": C, "epochs": epochs, "kind": "topics"})
+    return TopicModelSet(models, meta={"seed": seed, "C": TOPIC_C, "epochs": epochs, "kind": "topics"})
 
 
 def classify_topics(model_set: TopicModelSet, features: dict[str, int]) -> set[str]:

@@ -106,6 +106,8 @@ def load_abbreviations(path) -> set[str]:
 
 
 _BOUNDARY_RE = re.compile(r"[.!?]")
+# \S matches exactly the characters str.isspace rejects.
+_NON_SPACE_RE = re.compile(r"\S")
 _LEADING_PUNCT = "([\"'"
 
 
@@ -123,8 +125,11 @@ def split_sentences(text: str, abbreviations: set[str]) -> list[Sentence]:
             continue
         if not text[pos].isspace():
             continue
-        rest = text[pos:].lstrip()
-        if not rest or not (rest[0].isupper() or rest[0].isdigit()):
+        following = _NON_SPACE_RE.search(text, pos)
+        if following is None:
+            continue
+        first = following.group()
+        if not (first.isupper() or first.isdigit()):
             continue
         if m.group(0) == ".":
             word_start = pos - 1

@@ -2,12 +2,19 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from bioqa import ingest, qclass, retrieval
 from bioqa.qclass import FeatureExtractor
 
 RESOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "bioqa" / "resources"
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+# Every property test draws the same examples on every run, has no
+# per-example deadline and keeps no example database; each sets only its
+# own max_examples.
+settings.register_profile("bioqa", deadline=None, derandomize=True, database=None)
+settings.load_profile("bioqa")
 
 
 def analysed(bundle, text, doc_id="d", sent_index=0) -> retrieval.PassageCandidate:

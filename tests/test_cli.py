@@ -115,11 +115,16 @@ class TestMalformedInputs:
          '[{"id": "demo-imatinib-002", "exact_answer": "no"}, {"id": "demo-imatinib-002", "exact_answer": "yes"}]'),
         (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"], '[{"id": "demo-pp-001", "snippets": ["abc"]}]'),
         (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"], '[{"id": "demo-pp-001", "ideal_answer": 5}]'),
+        (["eval", "--gold", "{bad}", "--run", GOLDEN_RUN],
+         '{"questions": [{"id": "q", "body": "Is it?", "type": "yesno", "snippets": [{"document": "1", "text": 5}]}]}'),
+        (["eval", "--gold", "{bad}", "--run", GOLDEN_RUN],
+         '{"questions": [{"id": "q", "body": "Is it?", "type": "yesno", "snippets": [{"document": 1, "text": "x"}]}]}'),
         (["train-topics", "--out", "{tmp}/t.json", "--questions", "{bad}"], "[]"),
         (["validate", "--manifest", "{bad}"], '"corpus lexicon graph sentiment stopwords tags abbreviations patterns"'),
     ], ids=["index list", "index format 2", "index missing key", "model not JSON", "model list", "model label without weights",
             "run string entry",
             "run list id", "run repeated id", "run string snippet", "run ideal number",
+            "gold snippet text number", "gold snippet document number",
             "topic questions list", "manifest string"])
     def test_malformed_input_file_exits_one_naming_it(self, argv, text, tmp_path, capsys):
         bad = tmp_path / "bad-input.json"

@@ -283,7 +283,7 @@ class TestRecognizeEquivalence:
     def test_collision_resolves_to_first_listed(self):
         assert [m.cui for m in recognize("smoking TOBACCO", OVERLAP_LEXICON)] == ["C5", "C1"]
 
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     @given(words=st.lists(st.sampled_from(OVERLAP_WORDS), max_size=14),
            separators=st.lists(st.sampled_from([" ", "  ", "\t", "\n"]), min_size=14, max_size=14))
     @example(words=["tobacco", "use", "disorder"], separators=[" "] * 14)

@@ -1,8 +1,11 @@
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from bioqa.qclass import (
     classify_type,
     extract_topic_features,
     load_model,
+    load_patterns,
     match_patterns,
     parse_patterns,
     pattern_matches,
@@ -164,7 +168,7 @@ _patterns = st.lists(st.lists(_elements, min_size=1, max_size=5).map(
 class TestPatternMatchOracle:
     """pattern_matches agrees with the recursive reference matcher."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(tagged=_tagged, patterns=st.one_of(_patterns, st.none()))
     # "stand for" matches first, but only "stand" leaves the rest a match.
     @example(tagged=[(w, "NN") for w in ("stand", "for")],
@@ -180,6 +184,66 @@ class TestPatternMatchOracle:
         for question in [q.body for q in appendix_questions.questions] + repeated:
             tagged = extractor.tag(question)
             assert pattern_matches(tagged, bundle.patterns) == reference_pattern_matches(tagged, bundle.patterns)
+
+
+# The bundled grammar, and sequences made of its own words and tags, so
+# that its patterns are often met in part and often met in full.
+BUNDLED_PATTERNS = load_patterns(RESOURCE_DIR / "patterns.txt")
+_PHRASES = sorted({phrase for pattern in BUNDLED_PATTERNS for el in pattern.elements
+                   if isinstance(el, LiteralSet) for phrase in el.phrases})
+_GRAMMAR_TAGS = sorted({el.tag for pattern in BUNDLED_PATTERNS for el in pattern.elements
+                        if isinstance(el, TagMatch)} | {"DT", "WP", "."})
+_grammar_tagged = st.lists(
+    st.tuples(st.sampled_from(_PHRASES + [("?",), ("the",), ("BMI",)]), st.sampled_from([str, str.title, str.upper])),
+    max_size=8,
+).flatmap(lambda pieces: st.tuples(*[
+    st.tuples(st.just(case(word)), st.sampled_from(_GRAMMAR_TAGS)) for phrase, case in pieces for word in phrase
+]).map(list))
+
+
+class TestPatternPrefilter:
+    """pattern_matches builds a matcher only for the patterns whose literal
+    sets each have a first word among the question's words and whose tags
+    are each on a token, and matches as the reference that tries every
+    pattern at every shift."""
+
+    @settings(max_examples=300)
+    @given(tagged=_grammar_tagged)
+    @example(tagged=[("What", "WP"), ("is", "VBZ"), ("the", "DT"), ("role", "NN"), ("?", ".")])
+    # Every word of "[what|which] [VBP] [*] [NN] [*] ?" but no VBP tag.
+    @example(tagged=[("Which", "WP"), ("genes", "NN"), ("?", ".")])
+    def test_equals_reference(self, tagged):
+        assert pattern_matches(tagged, BUNDLED_PATTERNS) == reference_pattern_matches(tagged, BUNDLED_PATTERNS)
+
+    @settings(max_examples=300)
+    @given(tagged=_grammar_tagged)
+    @example(tagged=[("Which", "WP"), ("genes", "NN"), ("?", ".")])
+    def test_matcher_built_only_where_needs_are_met(self, tagged):
+        words = {surface.lower() for surface, _ in tagged}
+        tags = {tag for _, tag in tagged}
+        expected = [
+            pattern.elements for pattern in BUNDLED_PATTERNS
+            if all(el.tag in tags for el in pattern.elements if isinstance(el, TagMatch))
+            and all(any(phrase[0] in words for phrase in el.phrases)
+                    for el in pattern.elements if isinstance(el, LiteralSet))
+        ]
+        built = []
+        real = qclass._matcher
+
+        def recording(elements, *args):
+            built.append(elements)
+            return real(elements, *args)
+
+        with mock.patch.object(qclass, "_matcher", recording):
+            pattern_matches(tagged, BUNDLED_PATTERNS)
+        assert built == expected
+
+    def test_needs_are_derived_from_the_elements(self):
+        pattern = parse_patterns("LIST := [what|which] [VBP] [*] [stand for|causes] [NN] ?")[0]
+        assert pattern.word_needs == (frozenset({"what", "which"}), frozenset({"stand", "causes"}),
+                                      frozenset({"?"}))
+        assert pattern.tag_needs == frozenset({"VBP", "NN"})
+        assert pattern == Pattern(pattern.category, pattern.elements)
 
 
 class TestExtractFeatures:
@@ -285,6 +349,108 @@ class TestTypeTrainer:
         assert model.predict({"anything": 1}) == "yesno"
 
 
+def reference_sgd_multiclass(X, y, n_labels, lam, epochs, seed):
+    """The multiclass Pegasos loop as first written, with numpy's argmax
+    picking the rival, kept verbatim as the oracle of _sgd_multiclass."""
+    n, d = len(X), X[0].shape[0] if X else 0
+    W = np.zeros((n_labels, d), dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for i in order:
+            t += 1
+            eta = 1.0 / (lam * t)
+            x = X[i]
+            scores = W @ x
+            yi = y[i]
+            rival_scores = scores.copy()
+            rival_scores[yi] = -np.inf
+            rival = int(np.argmax(rival_scores))
+            W *= max(0.0, 1.0 - eta * lam)
+            if scores[yi] - scores[rival] < 1.0:
+                W[yi] += eta * x
+                W[rival] -= eta * x
+    return W
+
+
+def reference_sgd_binary(X, y, lam, epochs, seed):
+    """The binary Pegasos loop as first written, kept verbatim as the
+    oracle of _sgd_binary."""
+    d = X[0].shape[0] if X else 0
+    w = np.zeros(d, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(len(X))
+        for i in order:
+            t += 1
+            eta = 1.0 / (lam * t)
+            w *= max(0.0, 1.0 - eta * lam)
+            if y[i] * (w @ X[i]) < 1.0:
+                w += eta * y[i] * X[i]
+    return w
+
+
+# With one label the margin update adds a step to the true label's row and
+# takes it off again. On a zero row that leaves zero unless the step
+# overflows, so single-label sets may hold a value whose step does.
+HUGE = sys.float_info.max
+
+
+@st.composite
+def _sparse_sets(draw, n_labels):
+    """(X, y) of sparse count rows, with all-zero and repeated rows, and
+    labels below n_labels (None: ±1 binary labels)."""
+    d = draw(st.integers(1, 6))
+    values = [0.0, 0.0, 0.0, 1.0, 2.0, 3.0] + ([HUGE] if n_labels == 1 else [])
+    rows = draw(st.lists(st.lists(st.sampled_from(values), min_size=d, max_size=d), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        rows.append([0.0] * d)
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    label = st.sampled_from([1, -1]) if n_labels is None else st.integers(0, n_labels - 1)
+    y = draw(st.lists(label, min_size=len(rows), max_size=len(rows)))
+    return [np.array(row) for row in rows], y
+
+
+_training = dict(C=st.sampled_from([0.01, 1.01, 100.0]), epochs=st.integers(1, 4), seed=st.integers(0, 999))
+
+
+class TestPegasosOracle:
+    """The trainers' weights are bit-identical to their verbatim references."""
+
+    @settings(max_examples=200)
+    @given(data=st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), _sparse_sets(k))), **_training)
+    @example(data=(1, ([np.array([HUGE, 1.0])], [0])), C=1.01, epochs=1, seed=0)
+    @example(data=(3, ([np.array([1.0]), np.array([0.0])], [1, 2])), C=1.01, epochs=2, seed=0)
+    def test_multiclass_equals_reference(self, data, C, epochs, seed):
+        n_labels, (X, y) = data
+        lam = 1.0 / (C * len(X))
+        with np.errstate(all="ignore"):  # an overflowing single-label step
+            got = qclass._sgd_multiclass(X, y, n_labels, lam, epochs, seed)
+            want = reference_sgd_multiclass(X, y, n_labels, lam, epochs, seed)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200)
+    @given(data=_sparse_sets(None), **_training)
+    def test_binary_equals_reference(self, data, C, epochs, seed):
+        X, y = data
+        lam = 1.0 / (C * len(X))
+        assert qclass._sgd_binary(X, y, lam, epochs, seed).tobytes() == \
+            reference_sgd_binary(X, y, lam, epochs, seed).tobytes()
+
+    @pytest.mark.parametrize("space", qclass.FEATURE_SPACES)
+    def test_bundled_questions_equal_reference(self, space, appendix_questions, extractor):
+        examples = [(extractor.extract(q.body, space), q.type) for q in appendix_questions.questions]
+        vocabulary = sorted({f for features, _ in examples for f in features})
+        X = qclass._vectorize([f for f, _ in examples], vocabulary)
+        labels = [t for t in qclass.TYPE_ORDER if t in {label for _, label in examples}]
+        y = [labels.index(label) for _, label in examples]
+        lam = 1.0 / (1.01 * len(examples))
+        got = qclass._sgd_multiclass(X, y, len(labels), lam, 200, 42)
+        assert got.tobytes() == reference_sgd_multiclass(X, y, len(labels), lam, 200, 42).tobytes()
+
+
 @pytest.fixture(scope="module")
 def four_class_model(bundle, extractor):
     questions = [
@@ -368,7 +534,8 @@ class TestTopicFeatures:
 class TestTopicModels:
     def test_separable_toy_weights(self):
         examples = [({"alpha": 1}, {"Device"}), ({"alpha": 1}, {"Device"}), ({"beta": 1}, set()), ({"beta": 1}, set())]
-        model_set = train_topic_models(examples, seed=0, topics=("Device",))
+        with pytest.warns(UserWarning, match="no positive examples"):
+            model_set = train_topic_models(examples, seed=0)
         model = model_set.models["Device"]
         assert model.score({"alpha": 1}) > 0 > model.score({"beta": 1})
 
@@ -413,13 +580,16 @@ class TestTopicModels:
 
     def test_topic_without_positives_is_skipped(self):
         examples = [({"a": 1}, {"Device"})]
-        with pytest.warns(UserWarning, match="Test"):
-            model_set = train_topic_models(examples, seed=0, topics=("Device", "Test"))
-        assert "Test" not in model_set.models
+        with pytest.warns(UserWarning, match="no positive examples") as record:
+            model_set = train_topic_models(examples, seed=0)
+        assert set(model_set.models) == {"Device"}
+        skipped = [f"topic {topic!r} has no positive examples; skipped" for topic in qclass.TOPICS if topic != "Device"]
+        assert [str(w.message) for w in record] == skipped
 
     def test_all_zero_features_yield_empty_set(self):
         examples = [({"a": 1}, {"Device"}), ({"b": 1}, set())]
-        model_set = train_topic_models(examples, seed=0, topics=("Device",))
+        with pytest.warns(UserWarning, match="no positive examples"):
+            model_set = train_topic_models(examples, seed=0)
         assert classify_topics(model_set, {}) == set()
 
 
@@ -433,7 +603,8 @@ class TestPersistence:
 
     def test_topics_model_round_trip(self, tmp_path):
         examples = [({"alpha": 1}, {"Device"}), ({"beta": 1}, set())]
-        model_set = train_topic_models(examples, seed=0, topics=("Device",))
+        with pytest.warns(UserWarning, match="no positive examples"):
+            model_set = train_topic_models(examples, seed=0)
         path = tmp_path / "topics.json"
         save_model(model_set, path)
         loaded = load_model(path)

@@ -429,7 +429,7 @@ class TestPassageAnalysis:
     def test_bundled_corpus(self, bundle, corpus):
         self.check(bundle, list(corpus.values()))
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(abstracts=st.lists(_abstracts, min_size=1, max_size=3))
     def test_generated_abstracts(self, bundle, abstracts):
         docs = [DocumentRecord(f"d{i}", "t", a) for i, a in enumerate(abstracts)]
@@ -461,7 +461,7 @@ class TestPassageMemo:
         """A lexicon equal to the bundled one, with an empty memo."""
         return ConceptLexicon(list(bundle.concept_lexicon.concepts.values()))
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(docs=st.lists(st.tuples(st.sampled_from("abc"), st.one_of(_sentences, st.just(DR_ABSTRACT))),
                          min_size=1, max_size=4),
            order=st.permutations(range(4)))
@@ -506,7 +506,7 @@ class TestPassageMemo:
 class TestPassageOracle:
     """rank_passages and the ideal re-rank against passage_oracle."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(texts=st.lists(_sentences, min_size=1, max_size=14), question=_sentences,
            k1=st.sampled_from([0.6, 1.2, 1.8]), b=st.sampled_from([0.0, 0.4, 0.85, 1.0]),
            top_n=st.integers(1, 12), subset=st.lists(st.integers(0, 13), unique=True, max_size=10))
@@ -637,7 +637,7 @@ class TestSearchOracle:
     def test_vocabulary_is_its_own_stems(self):
         assert [stem(t) for t in SEARCH_VOCAB + [SEARCH_MISSING]] == SEARCH_VOCAB + [SEARCH_MISSING]
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(units=_unit_lists, query=_query_terms, limit=st.integers(0, 14), k1=_k1, b=_b)
     @example(units=[["aa"], ["aa"], ["aa", "bb"], ["cc"]], query=["aa"], limit=10, k1=1.2, b=0.85)
     @example(units=[["aa"], ["bb"], ["bb"], ["cc"]], query=["aa", "bb"], limit=10, k1=1.2, b=0.85)
@@ -649,7 +649,7 @@ class TestSearchOracle:
         with mock.patch.object(retrieval, "ARRAY_MIN_POSTINGS", array_min):
             check_search(index_from_terms(units), units, query, limit, k1, b)
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(units=_unit_lists, added=_unit_lists, query=_query_terms, k1=_k1, b=_b)
     def test_index_mutated_between_searches(self, units, added, query, k1, b):
         # N, the mean length and every document frequency differ between
@@ -703,7 +703,7 @@ class TestSearchKernel:
     loaded index."""
 
     @PATHS
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(units=_unit_lists, query=_query_terms, limit=st.integers(0, 14), k1=_k1, b=_b)
     @example(units=[["aa"], ["aa"], ["aa", "bb"], ["cc"]], query=["aa", "aa", "zz"], limit=10, k1=1.2, b=0.85)
     def test_equals_bm25_rank_before_and_after_a_round_trip(

@@ -42,7 +42,19 @@ from bioqa.qclass import (
     pattern_matches,
 )
 from bioqa.retrieval import Query, analyse, formulate_query
-from bioqa.textproc import TagLexicon, ngrams, pos_tag, split_sentences, stem, token_surfaces, tokenize, word_tag
+from bioqa.textproc import (
+    _BOUNDARY_RE,
+    _LEADING_PUNCT,
+    Sentence,
+    TagLexicon,
+    ngrams,
+    pos_tag,
+    split_sentences,
+    stem,
+    token_surfaces,
+    tokenize,
+    word_tag,
+)
 
 from conftest import RESOURCE_DIR
 
@@ -98,7 +110,7 @@ def check_sentences(text):
 
 
 class TestTextLayer:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(text=_texts)
     @example(text="")
     @example(text=WHITESPACE)
@@ -108,7 +120,7 @@ class TestTextLayer:
         check_mentions(text)
         check_sentences(text)
 
-    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=3)
     @given(text=_long_texts)
     @example(text=LONG_CORPUS_TEXT)
     def test_offsets_slice_back_on_long_text(self, text):
@@ -117,8 +129,71 @@ class TestTextLayer:
         check_sentences(text)
 
 
+def reference_split_sentences(text, abbreviations):
+    """split_sentences as first written, kept verbatim as its oracle: it
+    copies the rest of the text at every boundary candidate, so its time
+    grows with the square of the number of sentences."""
+    boundaries = []
+    for m in _BOUNDARY_RE.finditer(text):
+        pos = m.end()
+        if pos >= len(text):
+            continue
+        if not text[pos].isspace():
+            continue
+        rest = text[pos:].lstrip()
+        if not rest or not (rest[0].isupper() or rest[0].isdigit()):
+            continue
+        if m.group(0) == ".":
+            word_start = pos - 1
+            while word_start > 0 and not text[word_start - 1].isspace():
+                word_start -= 1
+            word = text[word_start:pos].lstrip(_LEADING_PUNCT).lower()
+            if word in abbreviations:
+                continue
+        boundaries.append(pos)
+
+    sentences = []
+    cursor = 0
+    for b in boundaries + [len(text)]:
+        chunk = text[cursor:b]
+        stripped = chunk.strip()
+        if stripped:
+            start = cursor + (len(chunk) - len(chunk.lstrip()))
+            end = start + len(stripped)
+            sentences.append(Sentence(text[start:end], start, end))
+        cursor = b
+    return sentences
+
+
+# Sentence ends, abbreviations (bare, quoted, bracketed, upper case) and
+# what may follow them: upper case, lower case, digits, punctuation.
+_boundary_texts = st.lists(st.one_of(
+    st.sampled_from(["Ab.", "ab.", "e.g.", "E.G.", "(i.e.", '"Dr.', "Fig.", "3.", "x?", "Y!", "?", "!.", ".",
+                     "A", "b", "9", "Ünïcode.", "漢字。", "ǅ", "(", ""]),
+    st.text(alphabet=WHITESPACE, min_size=1),
+), max_size=40).map("".join)
+
+
+class TestSentenceSplitter:
+    @settings(max_examples=300)
+    @given(text=st.one_of(_texts, _boundary_texts))
+    @example(text="Dr. Smith arrived. e.g. He left! Did she? 3 more.")
+    @example(text="End.\u2003\u00a0Next" + "." + WHITESPACE)
+    def test_equals_reference(self, text):
+        assert split_sentences(text, BUNDLE.abbreviations) == reference_split_sentences(text, BUNDLE.abbreviations)
+
+    def test_splits_a_megabyte(self):
+        # Two sentences per 16 characters; "Fig." is not an end, since the
+        # bundled abbreviations hold "fig.".
+        text = "Ab. See Fig. 3. " * (2 ** 16)
+        sentences = split_sentences(text, BUNDLE.abbreviations)
+        assert len(text) == 2 ** 20 and len(sentences) == 2 ** 17
+        assert sentences[-2:] == [Sentence("Ab.", 2 ** 20 - 16, 2 ** 20 - 13),
+                                  Sentence("See Fig. 3.", 2 ** 20 - 12, 2 ** 20 - 1)]
+
+
 class TestPipelineOnAnyQuestion:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(question=_texts)
     @example(question="")
     @example(question=WHITESPACE)
@@ -129,7 +204,7 @@ class TestPipelineOnAnyQuestion:
     # Two shapes that do much work per character: many patterns start over
     # at each "which" and "what", and "A. " makes every other token a
     # sentence end.
-    @settings(max_examples=1, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=1)
     @given(question=_long_texts)
     @example(question=repeated("Which what is the ? "))
     @example(question=repeated("A. "))
@@ -185,7 +260,7 @@ class TestOnePassAnalysis:
     def fresh_lexicon():
         return ConceptLexicon(list(BUNDLE.concept_lexicon.concepts.values()))
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(text=_texts)
     @example(text="")
     @example(text=WHITESPACE)
@@ -193,7 +268,7 @@ class TestOnePassAnalysis:
     def test_equals_two_pass(self, text):
         check_one_pass(text, self.fresh_lexicon())
 
-    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=3)
     @given(text=_long_texts)
     @example(text=LONG_CORPUS_TEXT)
     def test_equals_two_pass_on_long_text(self, text):
@@ -238,7 +313,7 @@ class TestQuestionFeaturesFromSurfaces:
     """FeatureExtractor.tag and extract_topic_features, which read token
     surfaces, equal their references over Token objects and recognize."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(text=_texts)
     @example(text="")
     @example(text=WHITESPACE)
@@ -246,7 +321,7 @@ class TestQuestionFeaturesFromSurfaces:
     def test_equals_reference(self, text):
         check_question_features(text)
 
-    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=3)
     @given(text=_long_texts)
     @example(text=LONG_CORPUS_TEXT)
     @example(text=repeated("A. "))
@@ -311,14 +386,14 @@ class TestSentimentVote:
     """passage_sentiment tags only the words of the sentiment lexicon and
     scores the same as tagging every token."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(text=st.one_of(_texts, _sentiment_texts))
     @example(text="")
     @example(text=WHITESPACE)
     def test_equals_reference(self, text):
         check_sentiment(text)
 
-    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=3)
     @given(text=_long_texts)
     @example(text=LONG_CORPUS_TEXT)
     @example(text=repeated(" ".join(SENTIMENT_TEXTS)))
@@ -392,7 +467,7 @@ class TestPatternStarts:
                 matched += bool(check_pattern_matches(case(question)))
         assert matched > len(questions)
 
-    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=3)
     @given(question=_long_texts)
     @example(question=repeated("Which what is the ? "))
     @example(question=repeated("A. "))
