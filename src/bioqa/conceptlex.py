@@ -166,9 +166,10 @@ class ConceptGraph:
     """Undirected concept hierarchy used for path-length similarity."""
 
     adjacency: dict[str, set[str]] = field(default_factory=dict)
-    # (cui, cui) -> path_similarity, filled by similarity_sum. The graph is
-    # not to be changed once similarities have been asked of it.
-    _similarity_memo: dict[tuple[str, str], float | None] = field(
+    # Question cui -> {title cui: path_similarity, or None}, filled by
+    # similarity_rows and row_sum. The graph is not to be changed once
+    # similarities have been asked of it.
+    _similarity_rows: dict[str, dict[str, float | None]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -226,31 +227,48 @@ def path_similarity(c1: str, c2: str, graph: ConceptGraph) -> float | None:
     return None
 
 
-def similarity_sum(question_cuis, title_cuis, graph: ConceptGraph) -> float:
-    """Sum of path similarities over the full cross product.
+def similarity_rows(question_cuis, graph: ConceptGraph) -> list[tuple[str, dict[str, float | None]]]:
+    """(cui, its similarity row) for each question cui in the hierarchy, in
+    order; a cui listed twice is listed twice.
 
-    Each pair's similarity is computed once per graph and then looked up.
+    A row maps the title cuis asked of it so far to their path similarity,
+    None when there is no path or the title cui is not in the hierarchy. It
+    is kept on the graph, so each pair is computed once per graph. An empty
+    list means every title sums to 0.0.
+    """
+    rows = graph._similarity_rows
+    return [(qc, rows.setdefault(qc, {})) for qc in question_cuis if qc in graph]
+
+
+_UNSEEN = object()  # row_sum's mark for a pair its row has not been asked
+
+
+def row_sum(rows, title_cuis, graph: ConceptGraph) -> float:
+    """similarity_sum over rows from similarity_rows: question cuis outer,
+    title cuis inner, each pair looked up in its row or computed into it."""
+    total = 0.0
+    for qc, row in rows:
+        for tc in title_cuis:
+            sim = row.get(tc, _UNSEEN)
+            if sim is _UNSEEN:
+                sim = row[tc] = path_similarity(qc, tc, graph) if tc in graph else None
+            if sim is not None:
+                total += sim
+    return total
+
+
+def similarity_sum(question_cuis, title_cuis, graph: ConceptGraph) -> float:
+    """Sum of path similarities over the full cross product, question cuis
+    outer and title cuis inner.
+
+    Each pair's similarity is computed once per graph, into the question
+    cui's row (see similarity_rows), and then looked up.
 
     Pairs with no path contribute nothing, and concepts absent from the
     hierarchy are treated as unrelated rather than as errors so that
     arbitrary titles can be scored.
     """
-    memo = graph._similarity_memo
-    total = 0.0
-    for qc in question_cuis:
-        if qc not in graph:
-            continue
-        for tc in title_cuis:
-            if tc not in graph:
-                continue
-            pair = (qc, tc)
-            if pair in memo:
-                sim = memo[pair]
-            else:
-                sim = memo[pair] = path_similarity(qc, tc, graph)
-            if sim is not None:
-                total += sim
-    return total
+    return row_sum(similarity_rows(question_cuis, graph), title_cuis, graph)
 
 
 @dataclass(frozen=True)

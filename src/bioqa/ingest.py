@@ -133,8 +133,8 @@ def load_questions(path) -> QuestionDataset:
         if not isinstance(ideal, list) or not all(isinstance(a, str) for a in ideal):
             raise DatasetFormatError(f"{where}: field 'ideal_answer' must be a string or a list of strings")
         documents = obj.get("documents") or []
-        if not isinstance(documents, list):
-            raise DatasetFormatError(f"{where}: field 'documents' must be a list")
+        if not isinstance(documents, list) or not all(isinstance(d, str) for d in documents):
+            raise DatasetFormatError(f"{where}: field 'documents' must be a list of strings")
         snippets = tuple(obj.get("snippets") or ())
         for s in snippets:
             if not isinstance(s, dict) or not isinstance(s.get("document"), str) or not isinstance(s.get("text"), str):
@@ -146,7 +146,7 @@ def load_questions(path) -> QuestionDataset:
                 qtype,
                 exact_answer=exact,
                 ideal_answer=tuple(ideal),
-                documents=tuple(str(d) for d in documents),
+                documents=tuple(documents),
                 snippets=snippets,
             )
         )

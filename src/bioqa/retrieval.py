@@ -5,9 +5,13 @@ recognized concept identifiers; sentence-length passages are ranked from
 the same terms, which each passage carries. Document search is
 conjunctive over the query's index terms with a disjunctive fallback;
 reranking orders documents by summed concept-path similarity between the
-question and each title. Document search scores an array index (see
-IndexedCorpus) into a dense score vector; bm25_rank, over dict postings,
-ranks passages and is the reference document search is tested against.
+question and each title, read from per-question-cui similarity rows kept
+on the graph, and keeps the incoming order without reading a title when
+no question cui is in the hierarchy. Document search scores an array
+index (see IndexedCorpus) into a dense score vector; bm25_rank, over dict
+postings, ranks passages and is the reference document search is tested
+against. Its loop is term at a time: each query term adds into the units
+of its postings, in query order, so a unit no term holds is not probed.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +29,8 @@ from .conceptlex import (
     ConceptLexicon,
     longest_matches,
     recognize,  # not called here; perfbench/tracer.py counts calls through this binding
-    similarity_sum,
+    row_sum,
+    similarity_rows,
     title_cuis,
 )
 from .textproc import (
@@ -68,11 +75,21 @@ class Query:
     raw_terms: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ScoredDoc:
+class ScoredDoc(NamedTuple):
+    """A ranked document; a tuple, so that _scored_docs makes many in C."""
+
     doc_id: str
     score: float
     rank: int
+
+
+def _scored_docs(ids, scores) -> list[ScoredDoc]:
+    """ScoredDocs ranked 1, 2, ... from ids and their scores, in order.
+
+    tuple.__new__ is what ScoredDoc._make calls; mapped directly, no Python
+    frame is entered per document.
+    """
+    return list(map(tuple.__new__, repeat(ScoredDoc), zip(ids, scores, count(1))))
 
 
 @dataclass(frozen=True)
@@ -307,20 +324,27 @@ def bm25_rank(
 
 def _bm25_loop(units, weighted, lengths, avg, limit, k1, b) -> list[tuple[int, float]]:
     """bm25_rank's scores and order from (idf, {unit: count}) per query
-    term occurrence, in query order, and the collection's mean length."""
-    # Hoisted operands round as they would inside the loop, so each score
-    # is bit-equal to norm = 1 - b + b * len / avg and
-    # weight * (f * (k1 + 1)) / (f + k1 * norm) summed in query order.
+    term occurrence, in query order, and the collection's mean length.
+
+    Term at a time: each term occurrence adds its contribution to the units
+    of its postings that are among units, so a unit no term holds is never
+    probed and scores 0.0. A unit listed twice gets one score at both places.
+    """
+    # Hoisted operands round as they would inside the loop, and each unit's
+    # contributions are added in query order starting from 0.0, so each
+    # score is bit-equal to norm = 1 - b + b * len / avg and
+    # weight * (f * (k1 + 1)) / (f + k1 * norm) summed term after term.
     k1_plus_1, one_minus_b = k1 + 1.0, 1.0 - b
-    scores = []
-    for unit in units:
-        k1_norm = k1 * (one_minus_b + b * (lengths[unit] / avg) if avg > 0 else 1.0)
-        score = 0.0
-        for weight, holding in weighted:
-            f = holding.get(unit, 0)
-            if f:
-                score += weight * (f * k1_plus_1) / (f + k1_norm)
-        scores.append(score)
+    if avg > 0:
+        k1_norms = {unit: k1 * (one_minus_b + b * (lengths[unit] / avg)) for unit in units}
+    else:
+        k1_norms = dict.fromkeys(units, k1 * 1.0)
+    totals = {}
+    for weight, holding in weighted:
+        for unit, f in holding.items():
+            if f and unit in k1_norms:
+                totals[unit] = totals.get(unit, 0.0) + weight * (f * k1_plus_1) / (f + k1_norms[unit])
+    scores = [totals.get(unit, 0.0) for unit in units]
     order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)  # stable: ties keep input order
     return [(i, scores[i]) for i in order[:max(limit, 0)]]
 
@@ -390,16 +414,14 @@ def search(
     # (term, idf) of each query term occurrence that scores, in query order
     scored = [(term, idf[term]) for term in terms if idf.get(term, 0.0) > 0.0]
     ranker = _rank_lists if sum(end - start for start, end in spans.values()) < ARRAY_MIN_POSTINGS else _rank_arrays
-    ranked, relaxed = ranker(index, spans, scored, len(spans) == len(distinct), limit, k1, b)
-    return SearchResult(
-        [ScoredDoc(index.unit_order[unit], score, rank) for rank, (unit, score) in enumerate(ranked, 1)], relaxed
-    )
+    units, scores, relaxed = ranker(index, spans, scored, len(spans) == len(distinct), limit, k1, b)
+    return SearchResult(_scored_docs(map(index.unit_order.__getitem__, units), scores), relaxed)
 
 
 def _rank_lists(index, spans, scored, all_held, limit, k1, b):
-    """search's (unit position, score) pairs and relaxed flag, from the
-    postings read into dicts: candidates by set operations, scores by
-    bm25_rank's loop."""
+    """search's ranked unit positions, their scores and the relaxed flag,
+    from the postings read into dicts: candidates by set operations, scores
+    by bm25_rank's loop."""
     postings = {term: dict(zip(index.positions[start:end].tolist(), index.counts[start:end].tolist()))
                 for term, (start, end) in spans.items()}
     matched = set.intersection(*map(set, postings.values())) if all_held else set()
@@ -410,7 +432,7 @@ def _rank_lists(index, spans, scored, all_held, limit, k1, b):
     lengths = dict(zip(candidates, index.unit_lengths[candidates].tolist()))
     weighted = [(weight, postings[term]) for term, weight in scored]
     ranked = _bm25_loop(candidates, weighted, lengths, index.avg_len, limit, k1, b)
-    return [(candidates[i], score) for i, score in ranked], relaxed
+    return [candidates[i] for i, _ in ranked], [score for _, score in ranked], relaxed
 
 
 def _rank_arrays(index, spans, scored, all_held, limit, k1, b):
@@ -437,7 +459,7 @@ def _rank_arrays(index, spans, scored, all_held, limit, k1, b):
         scores = np.zeros(n_units)
     ranked = scores[candidates]
     order = (-ranked).argsort(kind="stable")[:limit]
-    return list(zip(candidates[order].tolist(), ranked[order].tolist())), relaxed
+    return candidates[order].tolist(), ranked[order].tolist(), relaxed
 
 
 def rerank_documents(
@@ -450,13 +472,19 @@ def rerank_documents(
     """Order documents by summed question/title concept similarity.
 
     Sorting is stable, so documents with equal scores keep their incoming
-    order; only the m top documents are returned.
+    order; only the m top documents are returned, none when m < 1. When no
+    question cui is in the hierarchy every title scores 0.0, so the first m
+    documents are returned without their titles being read.
     """
+    if m <= 0:
+        return []
     lowered = [s.lower() for s in token_surfaces(question)]
-    question_cuis = [cui for _, _, cui in longest_matches(lowered, lexicon)]
-    scored = [(similarity_sum(question_cuis, title_cuis(doc.title, lexicon), graph), doc) for doc in docs]
-    scored.sort(key=lambda pair: -pair[0])
-    return [ScoredDoc(doc.doc_id, score, rank) for rank, (score, doc) in enumerate(scored[:m], 1)]
+    rows = similarity_rows([cui for _, _, cui in longest_matches(lowered, lexicon)], graph)
+    if not rows:
+        return _scored_docs([doc.doc_id for doc in docs[:m]], repeat(0.0))
+    scores = [row_sum(rows, title_cuis(doc.title, lexicon), graph) for doc in docs]
+    kept = sorted(range(len(docs)), key=scores.__getitem__, reverse=True)[:m]  # stable: ties keep incoming order
+    return _scored_docs([docs[i].doc_id for i in kept], [scores[i] for i in kept])
 
 
 def _analyse_sentences(
@@ -509,13 +537,19 @@ def rank_passages(
 
     The statistics come from the candidates alone, over the terms they
     carry; postings are taken only for the question's terms, keyed by
-    candidate position. Ties keep candidate (document, sentence) order.
+    candidate position, in one pass over the candidates' terms. Ties keep
+    candidate (document, sentence) order.
     """
+    wanted = set(question_terms)
     postings = {}
-    for term in dict.fromkeys(question_terms):
-        holding = {i: c.terms.count(term) for i, c in enumerate(candidates) if term in c.terms}
-        if holding:
-            postings[term] = holding
+    for i, c in enumerate(candidates):
+        for term in c.terms:
+            if term in wanted:
+                holding = postings.get(term)
+                if holding is None:
+                    postings[term] = {i: 1}
+                else:
+                    holding[i] = holding.get(i, 0) + 1
     lengths = {i: len(c.terms) for i, c in enumerate(candidates)}
     ranked = bm25_rank(question_terms, range(len(candidates)), postings, lengths, top_n, k1, b)
     return [ScoredPassage(candidates[i], score, rank) for rank, (i, score) in enumerate(ranked, 1)]

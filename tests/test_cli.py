@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from bioqa.cli import _load_run_entries, main
-from bioqa.ingest import DatasetFormatError
+from bioqa.ingest import DatasetFormatError, load_questions
 
 from conftest import RESOURCE_DIR
 
@@ -134,6 +134,24 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert "bad-input.json" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("documents", ['["1", ["19240421"]]', '[{"a": 1}]', "[7]"],
+                             ids=["list", "object", "number"])
+    def test_gold_document_not_a_string_exits_one_naming_the_entry(self, documents, tmp_path, capsys):
+        # Once passed through str(), such an entry was a document id no run could name.
+        bad = tmp_path / "bad-input.json"
+        bad.write_text('{"questions": [{"id": "q0", "body": "Is it?", "type": "yesno", "documents": ["1"]},'
+                       f' {{"id": "q1", "body": "Is it?", "type": "yesno", "documents": {documents}}}]}}')
+        assert main(["eval", "--gold", str(bad), "--run", GOLDEN_RUN]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad-input.json: questions[1]: field 'documents'" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("name", ["questions.json", "demo_gold.json"])
+    def test_bundled_gold_files_load(self, name):
+        questions = load_questions(RESOURCE_DIR / name).questions
+        assert questions and all(isinstance(d, str) for q in questions for d in q.documents)
 
 
     @pytest.mark.parametrize("argv, text", [

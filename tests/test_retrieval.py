@@ -8,7 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bioqa import ingest, retrieval
-from bioqa.conceptlex import Concept, ConceptGraph, ConceptLexicon, recognize
+from bioqa.conceptlex import (
+    Concept,
+    ConceptGraph,
+    ConceptLexicon,
+    longest_matches,
+    path_similarity,
+    recognize,
+    similarity_sum,
+    title_cuis,
+)
 from bioqa.retrieval import (
     DEFAULT_B,
     DEFAULT_K1,
@@ -25,7 +34,7 @@ from bioqa.retrieval import (
     rerank_documents,
     search,
 )
-from bioqa.textproc import split_sentences, stem
+from bioqa.textproc import split_sentences, stem, token_surfaces
 
 from conftest import RESOURCE_DIR, analysed, index_from_terms, question_terms
 
@@ -247,6 +256,31 @@ class TestRerank:
     def test_m_larger_than_docs(self, bundle):
         docs = [DocumentRecord("x", "epilepsy", "")]
         assert len(rerank_documents("epilepsy", docs, bundle.concept_lexicon, bundle.graph, 99)) == 1
+
+    @pytest.mark.parametrize("m", [0, -1, -3])
+    def test_m_below_one_keeps_nothing(self, bundle, m):
+        # As search with limit <= 0 and rank_passages with top_n <= 0; a
+        # slice [:m] would keep all but the last |m| documents.
+        docs = [DocumentRecord(i, "Tuberous sclerosis", "") for i in ("x", "y", "z")]
+        assert rerank_documents("Is Tuberous Sclerosis a genetic disease?", docs,
+                                bundle.concept_lexicon, bundle.graph, m) == []
+
+    def test_question_without_hierarchy_cuis_reads_no_title(self):
+        lexicon = ConceptLexicon([Concept("K0", "alpha", "T0", "Thing"), Concept("K1", "beta", "T0", "Thing")])
+        graph = ConceptGraph.from_edges([("K1", "K9")])
+        docs = [DocumentRecord(i, "beta", "") for i in ("x", "y", "z")]
+        ranked = rerank_documents("alpha and gamma", docs, lexicon, graph, 2)
+        assert [tuple(d) for d in ranked] == [("x", 0.0, 1), ("y", 0.0, 2)]
+        assert lexicon._title_cuis == {}
+
+    def test_first_question_cui_outside_the_hierarchy_still_scores(self):
+        # Only the second question cui is in the hierarchy; the title
+        # holding it must move ahead of the one that does not.
+        lexicon = ConceptLexicon([Concept("K0", "alpha", "T0", "Thing"), Concept("K1", "beta", "T0", "Thing")])
+        graph = ConceptGraph.from_edges([("K1", "K9")])
+        docs = [DocumentRecord("x", "alpha", ""), DocumentRecord("y", "beta", "")]
+        ranked = rerank_documents("alpha or beta", docs, lexicon, graph, 2)
+        assert [tuple(d) for d in ranked] == [("y", 1.0, 1), ("x", 0.0, 2)]
 
     def test_returns_prefix_permutation(self, bundle, corpus):
         docs = list(corpus.values())
@@ -748,3 +782,181 @@ def test_index_unchanged_by_queries(bundle, corpus, doc_index, tmp_path):
     assert vars(doc_index).keys() == vars(fresh).keys()
     ingest.save_index(doc_index, tmp_path / "index.json")
     assert ingest.load_index(tmp_path / "index.json") == doc_index
+
+
+# ---------------------------------------------------------------------------
+# The search -> rerank -> passages funnel against its first, unit-at-a-time
+# form: these copies are the oracles of the term-at-a-time BM25 loop, the
+# one-pass passage postings and the similarity rows with the rerank shortcut.
+# ---------------------------------------------------------------------------
+
+def reference_bm25_loop(units, weighted, lengths, avg, limit, k1, b):
+    """_bm25_loop unit at a time, every unit probed for every term, as
+    first written; kept verbatim as the oracle of the term-at-a-time loop."""
+    k1_plus_1, one_minus_b = k1 + 1.0, 1.0 - b
+    scores = []
+    for unit in units:
+        k1_norm = k1 * (one_minus_b + b * (lengths[unit] / avg) if avg > 0 else 1.0)
+        score = 0.0
+        for weight, holding in weighted:
+            f = holding.get(unit, 0)
+            if f:
+                score += weight * (f * k1_plus_1) / (f + k1_norm)
+        scores.append(score)
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)  # stable: ties keep input order
+    return [(i, scores[i]) for i in order[:max(limit, 0)]]
+
+
+def reference_rank_passages(question_terms, candidates, k1, b, top_n):
+    """rank_passages with one scan of the candidates per distinct question
+    term, then bm25_rank over reference_bm25_loop, as first written; the
+    result as (candidate, score, rank) tuples."""
+    postings = {}
+    for term in dict.fromkeys(question_terms):
+        holding = {i: c.terms.count(term) for i, c in enumerate(candidates) if term in c.terms}
+        if holding:
+            postings[term] = holding
+    lengths = {i: len(c.terms) for i, c in enumerate(candidates)}
+    n_units = len(lengths)
+    avg = sum(lengths.values()) / n_units if n_units else 0.0
+    idf = {}
+    for term in dict.fromkeys(question_terms):
+        n_q = len(postings.get(term, {}))
+        idf[term] = math.log((n_units - n_q + 0.5) / (n_q + 0.5))
+    weighted = [(idf[term], postings[term]) for term in question_terms if idf[term] > 0.0 and term in postings]
+    ranked = reference_bm25_loop(range(len(candidates)), weighted, lengths, avg, top_n, k1, b)
+    return [(candidates[i], score, rank) for rank, (i, score) in enumerate(ranked, 1)]
+
+
+def reference_similarity_sum(question_cuis, title_cuis, graph, memo):
+    """similarity_sum over a memo keyed by (cui, cui) pairs, as first
+    written; memo stands for the graph's."""
+    total = 0.0
+    for qc in question_cuis:
+        if qc not in graph:
+            continue
+        for tc in title_cuis:
+            if tc not in graph:
+                continue
+            pair = (qc, tc)
+            if pair in memo:
+                sim = memo[pair]
+            else:
+                sim = memo[pair] = path_similarity(qc, tc, graph)
+            if sim is not None:
+                total += sim
+    return total
+
+
+def reference_rerank_documents(question, docs, lexicon, graph, m, memo):
+    """rerank_documents scoring every title whatever the question, as first
+    written; the result as (doc id, score, rank) tuples."""
+    lowered = [s.lower() for s in token_surfaces(question)]
+    question_cuis = [cui for _, _, cui in longest_matches(lowered, lexicon)]
+    scored = [(reference_similarity_sum(question_cuis, title_cuis(doc.title, lexicon), graph, memo), doc)
+              for doc in docs]
+    scored.sort(key=lambda pair: -pair[0])
+    return [(doc.doc_id, score, rank) for rank, (score, doc) in enumerate(scored[:m], 1)]
+
+
+# Loop units: u0-u3 may be listed twice or hold no posting; u4 and u5 hold
+# postings but are never listed. A count of 0 is a posting that adds nothing.
+_LOOP_UNITS = ["u0", "u1", "u2", "u3", "u4", "u5"]
+_loop_weighted = st.lists(
+    st.tuples(st.floats(-2.0, 4.0), st.dictionaries(st.sampled_from(_LOOP_UNITS), st.integers(0, 3), max_size=6)),
+    max_size=6,
+)
+
+# Rerank concepts: K0-K4 are recognized as word0-word4. The drawn edges put
+# only some of them in the hierarchy, and "other" is no concept at all.
+_RERANK_CUIS = [f"K{i}" for i in range(5)]
+_RERANK_LEXICON = ConceptLexicon([Concept(c, f"word{i}", "T0", "Thing") for i, c in enumerate(_RERANK_CUIS)])
+_rerank_text = st.lists(st.sampled_from([f"word{i}" for i in range(5)] + ["other"]), max_size=4).map(" ".join)
+_rerank_edges = st.lists(
+    st.tuples(st.sampled_from(_RERANK_CUIS + ["K9"]), st.sampled_from(_RERANK_CUIS + ["K9"])).filter(
+        lambda edge: edge[0] != edge[1]
+    ),
+    max_size=6,
+)
+
+
+class TestFunnelOracle:
+    """search's BM25 loop, rank_passages, similarity_sum and
+    rerank_documents are bit-equal, in scores and order, to their
+    unit-at-a-time references."""
+
+    @settings(max_examples=400)
+    @given(
+        units=st.lists(st.sampled_from(_LOOP_UNITS[:4]), max_size=8),
+        weighted=_loop_weighted,
+        lengths=st.fixed_dictionaries({u: st.integers(0, 30) for u in _LOOP_UNITS}),
+        avg=st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
+        limit=st.integers(-2, 10),
+        k1=st.floats(0.1, 3.0),
+        b=st.floats(0.0, 1.0),
+    )
+    # 0.0 + 1 + 1e-16 + 1e-16 rounds to 1.0; summed from the last term, to
+    # the next double above it.
+    @example(units=["u0"], weighted=[(1.0, {"u0": 1}), (1e-16, {"u0": 1}), (1e-16, {"u0": 1})],
+             lengths=dict.fromkeys(_LOOP_UNITS, 1), avg=0.0, limit=1, k1=1.0, b=0.0)
+    @example(units=["u1", "u0", "u1", "u2"], weighted=[(0.5, {"u4": 2, "u1": 1, "u0": 0})],
+             lengths=dict.fromkeys(_LOOP_UNITS, 2), avg=2.0, limit=3, k1=1.2, b=0.85)
+    def test_bm25_loop_equals_reference(self, units, weighted, lengths, avg, limit, k1, b):
+        got = retrieval._bm25_loop(units, weighted, lengths, avg, limit, k1, b)
+        assert repr(got) == repr(reference_bm25_loop(units, weighted, lengths, avg, limit, k1, b))
+
+    @settings(max_examples=300)
+    @given(
+        sentences=st.lists(st.lists(st.sampled_from(SEARCH_VOCAB), max_size=6), max_size=8),
+        question=st.lists(st.sampled_from(SEARCH_VOCAB + [SEARCH_MISSING]), max_size=6),
+        top_n=st.integers(-2, 10),
+        k1=st.floats(0.1, 3.0),
+        b=st.floats(0.0, 1.0),
+    )
+    @example(sentences=[[], []], question=["aa"], top_n=5, k1=1.2, b=0.85)
+    @example(sentences=[["aa", "aa", "bb"], ["cc"], ["aa"]], question=["aa", "aa", "zz"], top_n=2, k1=1.2, b=0.85)
+    def test_rank_passages_equals_reference(self, sentences, question, top_n, k1, b):
+        candidates = [PassageCandidate(" ".join(terms), "d", i, tuple(terms), ()) for i, terms in enumerate(sentences)]
+        got = [(p.passage, p.score, p.rank) for p in rank_passages(question, candidates, k1, b, top_n)]
+        assert repr(got) == repr(reference_rank_passages(question, candidates, k1, b, top_n))
+
+    @settings(max_examples=200)
+    @given(edges=_rerank_edges, pairs=st.lists(
+        st.tuples(st.lists(st.sampled_from(_RERANK_CUIS + ["K9", "X"])), st.lists(st.sampled_from(_RERANK_CUIS + ["X"]))),
+        max_size=4,
+    ))
+    def test_similarity_sum_equals_reference(self, edges, pairs):
+        # Later pairs read the rows filled by earlier ones.
+        graph, memo = ConceptGraph.from_edges(edges), {}
+        for question_cuis, cuis in pairs:
+            got = similarity_sum(question_cuis, cuis, graph)
+            assert repr(got) == repr(reference_similarity_sum(question_cuis, cuis, graph, memo))
+
+    @settings(max_examples=300)
+    @given(edges=_rerank_edges, titles=st.lists(_rerank_text, max_size=10),
+           asked=st.lists(st.tuples(_rerank_text, st.integers(-2, 12)), min_size=1, max_size=3))
+    @example(edges=[("K1", "K2")], titles=["word0", "word2", "word1"], asked=[("word0 word1", 3)])
+    def test_rerank_equals_reference(self, edges, titles, asked):
+        graph, memo = ConceptGraph.from_edges(edges), {}
+        docs = [DocumentRecord(f"d{j}", title, "") for j, title in enumerate(titles)]
+        for question, m in asked:
+            got = [tuple(d) for d in rerank_documents(question, docs, _RERANK_LEXICON, graph, m)]
+            # m < 0 keeps nothing now; the first form sliced [:m].
+            want = reference_rerank_documents(question, docs, _RERANK_LEXICON, graph, max(m, 0), memo)
+            assert repr(got) == repr(want)
+
+    def test_bundled_questions_equal_reference(self, bundle, corpus, doc_index, appendix_questions):
+        lexicon, stopwords = bundle.concept_lexicon, bundle.stopwords
+        memo, reranked = {}, 0
+        for q in appendix_questions.questions:
+            found = search(doc_index, formulate_query(q.body, lexicon, stopwords), 200, stopwords, lexicon)
+            docs = [corpus[d.doc_id] for d in found.docs]
+            got = [tuple(d) for d in rerank_documents(q.body, docs, lexicon, bundle.graph, 10)]
+            assert repr(got) == repr(reference_rerank_documents(q.body, docs, lexicon, bundle.graph, 10, memo))
+            reranked += any(score for _, score, _ in got)
+            candidates = extract_passages([corpus[doc_id] for doc_id, _, _ in got],
+                                          bundle.abbreviations, stopwords, lexicon)
+            terms = question_terms(bundle, q.body)
+            passages = [(p.passage, p.score, p.rank) for p in rank_passages(terms, candidates)]
+            assert repr(passages) == repr(reference_rank_passages(terms, candidates, DEFAULT_K1, DEFAULT_B, 10))
+        assert 0 < reranked < len(appendix_questions.questions)
