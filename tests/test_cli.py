@@ -138,7 +138,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("documents", ['["1", ["19240421"]]', '[{"a": 1}]', "[7]"],
                              ids=["list", "object", "number"])
     def test_gold_document_not_a_string_exits_one_naming_the_entry(self, documents, tmp_path, capsys):
-        # Once passed through str(), such an entry was a document id no run could name.
+        # No run names such an entry, so read through str() it would count as a missed document.
         bad = tmp_path / "bad-input.json"
         bad.write_text('{"questions": [{"id": "q0", "body": "Is it?", "type": "yesno", "documents": ["1"]},'
                        f' {{"id": "q1", "body": "Is it?", "type": "yesno", "documents": {documents}}}]}}')
@@ -150,8 +150,7 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("name", ["questions.json", "demo_gold.json"])
     def test_bundled_gold_files_load(self, name):
-        questions = load_questions(RESOURCE_DIR / name).questions
-        assert questions and all(isinstance(d, str) for q in questions for d in q.documents)
+        assert load_questions(RESOURCE_DIR / name).questions
 
 
     @pytest.mark.parametrize("argv, text", [

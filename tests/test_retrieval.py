@@ -270,7 +270,7 @@ class TestRerank:
         graph = ConceptGraph.from_edges([("K1", "K9")])
         docs = [DocumentRecord(i, "beta", "") for i in ("x", "y", "z")]
         ranked = rerank_documents("alpha and gamma", docs, lexicon, graph, 2)
-        assert [tuple(d) for d in ranked] == [("x", 0.0, 1), ("y", 0.0, 2)]
+        assert [(d.doc_id, d.score, d.rank) for d in ranked] == [("x", 0.0, 1), ("y", 0.0, 2)]
         assert lexicon._title_cuis == {}
 
     def test_first_question_cui_outside_the_hierarchy_still_scores(self):
@@ -280,7 +280,7 @@ class TestRerank:
         graph = ConceptGraph.from_edges([("K1", "K9")])
         docs = [DocumentRecord("x", "alpha", ""), DocumentRecord("y", "beta", "")]
         ranked = rerank_documents("alpha or beta", docs, lexicon, graph, 2)
-        assert [tuple(d) for d in ranked] == [("y", 1.0, 1), ("x", 0.0, 2)]
+        assert [(d.doc_id, d.score, d.rank) for d in ranked] == [("y", 1.0, 1), ("x", 0.0, 2)]
 
     def test_returns_prefix_permutation(self, bundle, corpus):
         docs = list(corpus.values())
