@@ -80,18 +80,9 @@ class FullAnswer:
     question: str
     question_type: QuestionType
     ideal: IdealAnswer
-    exact_yesno: YesNoResult | None = None
-    exact_entities: list[EntityAnswer] | None = None
+    exact: YesNoResult | list[EntityAnswer] | None = None
     supporting: list[ScoredPassage] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
-
-    @property
-    def exact(self):
-        if self.question_type is QuestionType.YESNO:
-            return self.exact_yesno
-        if self.question_type is QuestionType.SUMMARY:
-            return None
-        return self.exact_entities
 
 
 def passage_sentiment(text: str, sentiment: SentimentLexicon, tag_lexicon: TagLexicon) -> float:
@@ -266,26 +257,23 @@ def answer_pipeline(
         vote = answer_yesno([p.text for p in passages], resources.sentiment, resources.tag_lexicon)
         if vote.empty:
             flags.append("yesno_vote_empty")
-        answer.exact_yesno = vote
+        answer.exact = vote
     elif question_type is QuestionType.FACTOID:
-        answer.exact_entities = answer_factoid(passages, retrieved.question_cuis, resources.concept_lexicon)
+        answer.exact = answer_factoid(passages, retrieved.question_cuis, resources.concept_lexicon)
     elif question_type is QuestionType.LIST:
-        answer.exact_entities = answer_list(
-            passages, retrieved.question_cuis, resources.concept_lexicon, cap=config.list_cap
-        )
-        if not answer.exact_entities:
+        answer.exact = answer_list(passages, retrieved.question_cuis, resources.concept_lexicon, cap=config.list_cap)
+        if not answer.exact:
             flags.append("empty_entity_list")
     return answer
 
 
 def answer_to_json(answer: FullAnswer, question_id: str) -> dict:
     """Serialize a FullAnswer in the shape the question datasets use."""
-    if answer.question_type is QuestionType.YESNO and answer.exact_yesno is not None:
-        exact = answer.exact_yesno.value
-    elif answer.exact_entities is not None:
-        exact = [[e.name, *e.synonyms] for e in answer.exact_entities]
-    else:
-        exact = None
+    exact = answer.exact
+    if isinstance(exact, YesNoResult):
+        exact = exact.value
+    elif exact is not None:
+        exact = [[e.name, *e.synonyms] for e in exact]
     snippets = [
         {"document": sp.passage.doc_id, "text": sp.passage.text, "rank": sp.rank}
         for sp in answer.supporting

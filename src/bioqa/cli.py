@@ -17,7 +17,6 @@ from . import answer as answer_mod
 from . import evalkit, ingest, qclass, retrieval
 from .answer import PipelineConfig, answer_pipeline, answer_to_json
 from .qclass import FeatureExtractor
-from .textproc import read_json
 
 USAGE_ERROR = 2
 
@@ -332,53 +331,9 @@ def cmd_answer(args) -> int:
     return 0
 
 
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _is_answer_item(value) -> bool:
-    """A name, or a non-empty list of a name and its synonyms."""
-    return isinstance(value, str) or (_is_strings(value) and bool(value))
-
-
-# Each answer field a run entry may have: what it must be, and its test.
-_RUN_FIELDS = {
-    "exact_answer": ("null, a string, or a list of names or non-empty name lists",
-                     lambda v: v is None or isinstance(v, str) or (isinstance(v, list) and all(map(_is_answer_item, v)))),
-    "ideal_answer": ("a string or a list of strings", lambda v: isinstance(v, str) or _is_strings(v)),
-    "documents": ("a list of strings", _is_strings),
-    "snippets": ("a list of objects with a string 'document' and a string 'text'",
-                 lambda v: isinstance(v, list) and all(
-                     isinstance(s, dict) and isinstance(s.get("document"), str) and isinstance(s.get("text"), str)
-                     for s in v)),
-}
-
-
-def _load_run_entries(path) -> list[dict]:
-    """The answer objects of a run file: {"questions": [...]} or a bare list.
-    Each object has a string id that no other object has, and each answer
-    field it has is of the type _RUN_FIELDS names."""
-    payload = read_json(path)
-    entries = payload.get("questions") if isinstance(payload, dict) else payload
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ingest.DatasetFormatError(f"{path}: expected a list of answer objects or {{'questions': [...]}}")
-    seen = set()
-    for entry in entries:
-        qid = entry.get("id")
-        if not isinstance(qid, str):
-            raise ingest.DatasetFormatError(f"{path}: answer id {qid!r} is not a string")
-        if qid in seen:
-            raise ingest.DatasetFormatError(f"{path}: duplicate answer id {qid!r}")
-        seen.add(qid)
-        for name, (expected, valid) in _RUN_FIELDS.items():
-            if name in entry and not valid(entry[name]):
-                raise ingest.DatasetFormatError(f"{path}: answer {qid!r}: {name!r} must be {expected}")
-    return entries
-
-
 def cmd_eval(args) -> int:
     gold = ingest.load_questions(args.gold)
-    run = _load_run_entries(args.run)
+    run = ingest.load_run(args.run)
     report = evalkit.evaluate_run(gold, run, rouge_beta=args.rouge_beta, rouge_stem=args.rouge_stem)
     if args.metrics:
         wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]

@@ -244,8 +244,14 @@ _UNSEEN = object()  # row_sum's mark for a pair its row has not been asked
 
 
 def row_sum(rows, title_cuis, graph: ConceptGraph) -> float:
-    """similarity_sum over rows from similarity_rows: question cuis outer,
-    title cuis inner, each pair looked up in its row or computed into it."""
+    """Sum of path similarities over the cross product of the rows'
+    question cuis (outer) and title_cuis (inner), each pair looked up in
+    its row or computed into it.
+
+    Pairs with no path contribute nothing, and concepts absent from the
+    hierarchy are treated as unrelated rather than as errors so that
+    arbitrary titles can be scored.
+    """
     total = 0.0
     for qc, row in rows:
         for tc in title_cuis:
@@ -255,20 +261,6 @@ def row_sum(rows, title_cuis, graph: ConceptGraph) -> float:
             if sim is not None:
                 total += sim
     return total
-
-
-def similarity_sum(question_cuis, title_cuis, graph: ConceptGraph) -> float:
-    """Sum of path similarities over the full cross product, question cuis
-    outer and title cuis inner.
-
-    Each pair's similarity is computed once per graph, into the question
-    cui's row (see similarity_rows), and then looked up.
-
-    Pairs with no path contribute nothing, and concepts absent from the
-    hierarchy are treated as unrelated rather than as errors so that
-    arbitrary titles can be scored.
-    """
-    return row_sum(similarity_rows(question_cuis, graph), title_cuis, graph)
 
 
 @dataclass(frozen=True)

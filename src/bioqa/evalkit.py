@@ -228,8 +228,8 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _normalize_snippet(document: str, text: str) -> tuple[str, str]:
-    return str(document), " ".join(text.split()).lower()
+def _snippet_key(snippet: dict) -> tuple[str, str]:
+    return snippet["document"], " ".join(snippet["text"].split()).lower()
 
 
 def _mean(values) -> float:
@@ -258,7 +258,8 @@ def evaluate_run(
     rouge_beta=None,
     rouge_stem: bool = False,
 ) -> EvalReport:
-    """Score a run (list of answer objects) against a gold dataset.
+    """Score a run (answer objects of the shapes ingest.load_run accepts)
+    against a gold dataset.
 
     Gold questions with no run entry count as unanswered, and an exact
     answer that is not a list (a yes/no reply) to a factoid or list
@@ -308,11 +309,10 @@ def evaluate_run(
             detail["rouge_su"] = rsu
 
         if q.documents:
-            detail["documents"] = _retrieval_scores((str(d) for d in entry.get("documents") or []), q.documents)
+            detail["documents"] = _retrieval_scores(entry.get("documents", ()), q.documents)
         if q.snippets:
             detail["snippets"] = _retrieval_scores(
-                (_normalize_snippet(s.get("document", ""), s.get("text", "")) for s in entry.get("snippets") or []),
-                [_normalize_snippet(s["document"], s["text"]) for s in q.snippets],
+                map(_snippet_key, entry.get("snippets", ())), list(map(_snippet_key, q.snippets))
             )
 
         per_question[q.id] = detail

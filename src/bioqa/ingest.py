@@ -76,26 +76,59 @@ class QuestionDataset:
         return len(self.questions)
 
 
-def _validate_exact(qid: str, qtype: QuestionType, exact) -> object:
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_answer_item(value) -> bool:
+    """A name, or a non-empty list of a name and its synonyms."""
+    return isinstance(value, str) or (_is_strings(value) and bool(value))
+
+
+# Each answer field a gold question or a run answer may have: what it must
+# be, and its test.
+_ANSWER_FIELDS = {
+    "exact_answer": ("null, a string, or a list of names or non-empty name lists",
+                     lambda v: v is None or isinstance(v, str) or (isinstance(v, list) and all(map(_is_answer_item, v)))),
+    "ideal_answer": ("a string or a list of strings", lambda v: isinstance(v, str) or _is_strings(v)),
+    "documents": ("a list of strings", _is_strings),
+    "snippets": ("a list of objects with a string 'document' and a string 'text'",
+                 lambda v: isinstance(v, list) and all(
+                     isinstance(s, dict) and isinstance(s.get("document"), str) and isinstance(s.get("text"), str)
+                     for s in v)),
+}
+
+
+def _check_answer_entry(where: str, entry: dict, seen: set[str]) -> str:
+    """The rules gold and run entries share: the id is a string that no
+    entry in seen has, and each answer field present has the shape
+    _ANSWER_FIELDS names. Adds the id to seen and returns it."""
+    qid = entry.get("id")
+    if not isinstance(qid, str):
+        raise DatasetFormatError(f"{where}: field 'id' must be a string, not {qid!r}")
+    if qid in seen:
+        raise DatasetFormatError(f"{where}: duplicate id {qid!r}")
+    seen.add(qid)
+    for name, (expected, valid) in _ANSWER_FIELDS.items():
+        if name in entry and not valid(entry[name]):
+            raise DatasetFormatError(f"{where}: field {name!r} of question {qid!r} must be {expected}")
+    return qid
+
+
+def _validate_exact(where: str, qtype: QuestionType, exact) -> object:
+    """A gold exact answer, of a shape _ANSWER_FIELDS allows, checked
+    against its question type; list entries become name lists."""
     if exact is None:
         return None
     if qtype is QuestionType.SUMMARY:
-        raise DatasetFormatError(f"question {qid}: summary questions carry no exact answer")
+        raise DatasetFormatError(f"{where}: summary questions carry no exact answer")
     if qtype is QuestionType.YESNO:
         if not isinstance(exact, str) or exact.lower() not in ("yes", "no"):
-            raise DatasetFormatError(f"question {qid}: yes/no answer must be 'yes' or 'no'")
+            raise DatasetFormatError(f"{where}: field 'exact_answer' of a yes/no question must be 'yes' or 'no'")
         return exact.lower()
     if not isinstance(exact, list):
-        raise DatasetFormatError(f"question {qid}: {qtype.value} answer must be a list of name lists")
-    normalized = []
-    for entry in exact:
-        if isinstance(entry, str):
-            normalized.append([entry])
-        elif isinstance(entry, list) and entry and all(isinstance(n, str) for n in entry):
-            normalized.append(list(entry))
-        else:
-            raise DatasetFormatError(f"question {qid}: malformed answer entry {entry!r}")
-    return normalized
+        raise DatasetFormatError(f"{where}: field 'exact_answer' of a {qtype.value} question must be a list")
+    return [[entry] if isinstance(entry, str) else list(entry) for entry in exact]
 
 
 def _question_entries(path) -> list[dict]:
@@ -108,7 +141,8 @@ def _question_entries(path) -> list[dict]:
 
 
 def load_questions(path) -> QuestionDataset:
-    """BioASQ-shaped question file: {"questions": [{id, body, type, ...}]}."""
+    """BioASQ-shaped question file: {"questions": [{id, body, type, ...}]}.
+    An empty ideal answer, document list or snippet list loads as none."""
     questions = []
     seen: set[str] = set()
     for i, obj in enumerate(_question_entries(path)):
@@ -116,41 +150,39 @@ def load_questions(path) -> QuestionDataset:
         for required in ("id", "body", "type"):
             if required not in obj:
                 raise DatasetFormatError(f"{where}: missing field {required!r}")
+        qid = _check_answer_entry(where, obj, seen)
         if not isinstance(obj["body"], str):
             raise DatasetFormatError(f"{where}: field 'body' must be a string")
-        qid = str(obj["id"])
-        if qid in seen:
-            raise DatasetFormatError(f"{where}: duplicate id {qid!r}")
-        seen.add(qid)
         try:
             qtype = QuestionType(obj["type"])
         except ValueError:
             raise DatasetFormatError(f"{where}: unknown type {obj['type']!r}") from None
-        exact = _validate_exact(qid, qtype, obj.get("exact_answer"))
-        ideal = obj.get("ideal_answer") or []
-        if isinstance(ideal, str):
-            ideal = [ideal]
-        if not isinstance(ideal, list) or not all(isinstance(a, str) for a in ideal):
-            raise DatasetFormatError(f"{where}: field 'ideal_answer' must be a string or a list of strings")
-        documents = obj.get("documents") or []
-        if not isinstance(documents, list) or not all(isinstance(d, str) for d in documents):
-            raise DatasetFormatError(f"{where}: field 'documents' must be a list of strings")
-        snippets = tuple(obj.get("snippets") or ())
-        for s in snippets:
-            if not isinstance(s, dict) or not isinstance(s.get("document"), str) or not isinstance(s.get("text"), str):
-                raise DatasetFormatError(f"{where}: snippets need a string 'document' and 'text'")
+        ideal = obj.get("ideal_answer") or ()
         questions.append(
             QuestionRecord(
                 qid,
                 obj["body"],
                 qtype,
-                exact_answer=exact,
-                ideal_answer=tuple(ideal),
-                documents=tuple(documents),
-                snippets=snippets,
+                exact_answer=_validate_exact(where, qtype, obj.get("exact_answer")),
+                ideal_answer=(ideal,) if isinstance(ideal, str) else tuple(ideal),
+                documents=tuple(obj.get("documents", ())),
+                snippets=tuple(obj.get("snippets", ())),
             )
         )
     return QuestionDataset(questions)
+
+
+def load_run(path) -> list[dict]:
+    """The answer objects of a run file: {"questions": [...]} or a bare list,
+    each checked by the rules gold entries share (_check_answer_entry)."""
+    payload = read_json(path)
+    entries = payload.get("questions") if isinstance(payload, dict) else payload
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise DatasetFormatError(f"{path}: expected a list of answer objects or {{'questions': [...]}}")
+    seen: set[str] = set()
+    for i, entry in enumerate(entries):
+        _check_answer_entry(f"{path}: questions[{i}]", entry, seen)
+    return entries
 
 
 def load_dep_pairs(path) -> dict[str, list[tuple[str, str, str]]]:
@@ -193,7 +225,6 @@ class ResourceBundle:
     abbreviations: set[str]
     patterns: list[Pattern]
     corpus_path: Path | None = None
-    paths: dict[str, str] = field(default_factory=dict)
     hashes: dict[str, str] = field(default_factory=dict)
 
 
@@ -238,7 +269,6 @@ def load_resources(manifest_path) -> ResourceBundle:
         abbreviations=load_abbreviations(paths["abbreviations"]),
         patterns=load_patterns(paths["patterns"]),
         corpus_path=paths["corpus"],
-        paths={k: str(p) for k, p in paths.items()},
         hashes={k: _sha256(p) for k, p in paths.items()},
     )
     return bundle

@@ -64,10 +64,6 @@ class Sentence:
 # apostrophes stay inside words ("35-kilogram", "and/or", "Bruton's").
 _TOKEN_RE = re.compile(r"[()\[\]{},?.:;!\"]|[^\s()\[\]{},?.:;!\"]+")
 
-# Tags the suffix heuristics can emit on top of whatever the lexicon declares.
-_HEURISTIC_TAGS = frozenset({"NN", "NNS", "NNP", "JJ", "VBZ", "VBG", "VBN", "RB"})
-
-
 def tokenize(text: str) -> list[Token]:
     """Split text into tokens with character offsets.
 
@@ -157,13 +153,12 @@ class TagLexicon:
     """Word -> POS lookup table read from a TSV file.
 
     The file also implicitly declares the verb stems used by the '-s' rule
-    (every entry tagged VB) and the closed tag inventory.
+    (every entry tagged VB).
     """
 
     def __init__(self, entries: dict[str, str]):
         self.entries = dict(entries)
         self.verb_stems = {w for w, t in self.entries.items() if t == "VB"}
-        self.inventory = frozenset(self.entries.values()) | _HEURISTIC_TAGS
 
     @classmethod
     def from_file(cls, path) -> "TagLexicon":

@@ -181,7 +181,7 @@ class TestPipeline:
         full = answer_pipeline("What is the cause of Phthiriasis Palpebrarum?",
                                corpus, doc_index, type_model, bundle)
         assert full.question_type is QuestionType.FACTOID
-        assert full.exact_entities[0].name == "Pthirus pubis"
+        assert full.exact[0].name == "Pthirus pubis"
 
     def test_summary_dispatch_has_no_exact(self, bundle, corpus, doc_index, extractor):
         from bioqa.qclass import train_type_classifier
@@ -240,7 +240,7 @@ class TestPipeline:
         q = "What is the cause of Phthiriasis Palpebrarum?"
         full = answer_pipeline(q, corpus, doc_index, type_model, bundle)
         question_cuis = {m.cui for m in recognize(q, bundle.concept_lexicon)}
-        for entity in full.exact_entities:
+        for entity in full.exact:
             cuis = {
                 c for c in bundle.concept_lexicon.concepts
                 if bundle.concept_lexicon.get(c).preferred == entity.name

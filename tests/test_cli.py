@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from bioqa.cli import _load_run_entries, main
-from bioqa.ingest import DatasetFormatError, load_questions
+from bioqa.cli import main
+from bioqa.ingest import DatasetFormatError, load_questions, load_run
 
 from conftest import RESOURCE_DIR
 
@@ -203,7 +203,7 @@ class TestEval:
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"questions": entries}))
         with pytest.raises(DatasetFormatError, match="run.json") as err:
-            _load_run_entries(path)
+            load_run(path)
         assert named in str(err.value)
 
     @pytest.mark.parametrize("field, value", [
@@ -227,7 +227,7 @@ class TestEval:
         path = tmp_path / "run.json"
         path.write_text(json.dumps([{"id": "demo-pp-001", field: value}]))
         with pytest.raises(DatasetFormatError, match="run.json") as err:
-            _load_run_entries(path)
+            load_run(path)
         assert "demo-pp-001" in str(err.value) and field in str(err.value)
 
     def test_run_answer_fields_of_every_accepted_shape_load(self, tmp_path):
@@ -239,7 +239,7 @@ class TestEval:
         ]
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"questions": entries}))
-        assert _load_run_entries(path) == entries
+        assert load_run(path) == entries
 
     def test_metrics_keeps_the_named_prefixes(self, capsys):
         assert main(["eval", "--gold", DEMO_GOLD, "--run", GOLDEN_RUN, "--metrics", "list_, rouge,"]) == 0

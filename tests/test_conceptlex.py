@@ -16,7 +16,8 @@ from bioqa.conceptlex import (
     coarse_tag_class,
     path_similarity,
     recognize,
-    similarity_sum,
+    row_sum,
+    similarity_rows,
     synonyms_of,
     title_cuis,
     word_sentiment,
@@ -128,15 +129,15 @@ class TestPathSimilarity:
 
 class TestSimilaritySum:
     def test_empty_side_is_zero(self, bundle):
-        assert similarity_sum([], ["C0041341"], bundle.graph) == 0.0
+        assert row_sum(similarity_rows([], bundle.graph), ["C0041341"], bundle.graph) == 0.0
 
     def test_one_shared_concept(self):
         graph = ConceptGraph.from_edges([("a", "b")])
-        assert similarity_sum(["a"], ["a"], graph) == 1.0
+        assert row_sum(similarity_rows(["a"], graph), ["a"], graph) == 1.0
 
     def test_pairs_without_path_contribute_zero(self):
         graph = ConceptGraph.from_edges([("a", "b"), ("b", "c"), ("d", "e")])
-        assert similarity_sum(["a"], ["c", "d"], graph) == pytest.approx(1 / 3)
+        assert row_sum(similarity_rows(["a"], graph), ["c", "d"], graph) == pytest.approx(1 / 3)
 
     def test_monotone_under_adding_concepts(self):
         graph = ConceptGraph.from_edges([("a", "b"), ("b", "c"), ("c", "d")])
@@ -145,10 +146,10 @@ class TestSimilaritySum:
         for _ in range(100):
             left = [rng.choice(nodes) for _ in range(rng.randint(0, 3))]
             right = [rng.choice(nodes) for _ in range(rng.randint(0, 3))]
-            base = similarity_sum(left, right, graph)
+            base = row_sum(similarity_rows(left, graph), right, graph)
             assert base >= 0.0
-            assert similarity_sum(left + [rng.choice(nodes)], right, graph) >= base
-            assert similarity_sum(left, right + [rng.choice(nodes)], graph) >= base
+            assert row_sum(similarity_rows(left + [rng.choice(nodes)], graph), right, graph) >= base
+            assert row_sum(similarity_rows(left, graph), right + [rng.choice(nodes)], graph) >= base
 
 
 class TestSynonyms:
@@ -352,11 +353,11 @@ class TestMemos:
                         count = bfs_node_count(graph.adjacency, qc, tc) if qc in graph and tc in graph else None
                         if count is not None:
                             expected += 1.0 / count
-                assert similarity_sum(qs, ts, graph) == expected
+                assert row_sum(similarity_rows(qs, graph), ts, graph) == expected
 
     def test_similarity_memo_is_per_graph(self):
         chain = ConceptGraph.from_edges([("a", "b"), ("b", "c")])
         direct = ConceptGraph.from_edges([("a", "c"), ("c", "b")])
-        assert similarity_sum(["a"], ["c"], chain) == pytest.approx(1 / 3)
-        assert similarity_sum(["a"], ["c"], direct) == 0.5
+        assert row_sum(similarity_rows(["a"], chain), ["c"], chain) == pytest.approx(1 / 3)
+        assert row_sum(similarity_rows(["a"], direct), ["c"], direct) == 0.5
         assert chain == ConceptGraph.from_edges([("a", "b"), ("b", "c")])

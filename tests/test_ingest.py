@@ -76,6 +76,20 @@ class TestLoadQuestions:
         ]}))
         assert load_questions(path).questions[0].exact_answer == "yes"
 
+    def test_empty_answer_fields_load_as_none(self, tmp_path):
+        # A run's answers written back as gold: an empty ideal answer, no
+        # documents, and snippets that keep their rank.
+        snippet = {"document": "d1", "text": "One.", "rank": 1}
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"questions": [
+            {"id": "1", "body": "b?", "type": "summary", "exact_answer": None, "ideal_answer": "",
+             "documents": [], "snippets": [snippet]},
+            {"id": "2", "body": "b?", "type": "list", "exact_answer": [], "ideal_answer": [], "snippets": []},
+        ]}))
+        first, second = load_questions(path).questions
+        assert (first.exact_answer, first.ideal_answer, first.documents, first.snippets) == (None, (), (), (snippet,))
+        assert (second.exact_answer, second.ideal_answer, second.documents, second.snippets) == ([], (), (), ())
+
     def test_factoid_string_entries_normalized_to_lists(self, tmp_path):
         path = tmp_path / "q.json"
         path.write_text(json.dumps({"questions": [
@@ -103,7 +117,7 @@ class TestLoadResources:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
         bundle = load_resources(path)
-        assert "model" not in bundle.paths and "model" not in bundle.hashes
+        assert "model" not in bundle.hashes
         assert cli.main(["validate", "--manifest", str(path)]) == 0
 
     def test_graph_edge_with_unknown_cui(self, tmp_path):
@@ -126,8 +140,8 @@ class TestLoadResources:
     def test_hashes_change_iff_bytes_change(self, tmp_path, bundle):
         import shutil
 
-        for key, src in bundle.paths.items():
-            shutil.copy(src, tmp_path / ingest.Path(src).name)
+        for name in json.loads((RESOURCE_DIR / "manifest.json").read_text()).values():
+            shutil.copy(RESOURCE_DIR / name, tmp_path / name)
         manifest = tmp_path / "manifest.json"
         manifest.write_text((RESOURCE_DIR / "manifest.json").read_text())
         again = load_resources(manifest)
@@ -425,7 +439,7 @@ JSON_READERS = {
                  '{"corpus": 5, "lexicon": "l", "graph": "g", "sentiment": "s", "stopwords": "w",'
                  ' "tags": "t", "abbreviations": "a", "patterns": "p"}'),
     "model": (qclass.load_model, "[]", '{"version": 2, "kind": "topics", "topics": {"Device": "w"}, "meta": {}}'),
-    "run": (cli._load_run_entries, '"run"', '{"questions": ["answer"]}'),
+    "run": (ingest.load_run, '"run"', '{"questions": ["answer"]}'),
 }
 
 
@@ -457,10 +471,20 @@ class TestJsonReaders:
          "questions[0]"),
         (load_questions, '{"questions": [{"id": "1", "body": "b", "type": "summary", "ideal_answer": [5]}]}',
          "questions[0]"),
+        *[(load_questions, f'{{"questions": [{{"id": "1", "body": "b", "type": "list", "{name}": {value}}}]}}',
+           f"questions[0]: field '{name}'")
+          for name, value in [("documents", "null"), ("documents", "{}"), ("documents", '""'),
+                              ("ideal_answer", "0"), ("ideal_answer", "{}"), ("snippets", "{}"), ("snippets", "0"),
+                              ("exact_answer", '[["imatinib", 5]]')]],
+        (load_questions, '{"questions": [{"id": ["x"], "body": "b", "type": "list"}]}', "questions[0]: field 'id'"),
+        (load_questions, '{"questions": [{"id": 7, "body": "b", "type": "list"}]}', "questions[0]: field 'id'"),
         (load_corpus, '{"doc_id": "1", "title": "t", "abstract": 5}', ":1:"),
         (load_corpus, '# note\n{"doc_id": "1", "title": ["t"], "abstract": "a"}', ":2:"),
     ], ids=["question body number", "question body list", "topic body number", "topic number",
             "question documents string", "question ideal number", "question ideal number list",
+            "question documents null", "question documents object", "question documents empty string",
+            "question ideal zero", "question ideal object", "question snippets object", "question snippets zero",
+            "question exact entry with a number", "question id list", "question id number",
             "corpus abstract number", "corpus title list"])
     def test_wrong_field_type_is_a_format_error_naming_file_and_entry(self, loader, text, where, tmp_path):
         path = tmp_path / "bad-input.json"

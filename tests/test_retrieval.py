@@ -15,7 +15,8 @@ from bioqa.conceptlex import (
     longest_matches,
     path_similarity,
     recognize,
-    similarity_sum,
+    row_sum,
+    similarity_rows,
     title_cuis,
 )
 from bioqa.retrieval import (
@@ -79,16 +80,12 @@ class TestBuildIndex:
 
     def test_term_frequency_counts_casefolded(self, bundle):
         index = build_index([("d1", "Epilepsy epilepsy")], "document", bundle.stopwords, ConceptLexicon([]))
-        from bioqa.textproc import split_sentences, stem
-
         assert index.postings[stem("epilepsy")]["d1"] == 2
 
     def test_concept_phrase_contributes_stems_and_cui(self, bundle):
         index = build_index(
             [("d1", "tuberous sclerosis")], "document", bundle.stopwords, bundle.concept_lexicon
         )
-        from bioqa.textproc import split_sentences, stem
-
         assert "C0041341" in index.postings
         assert stem("tuberous") in index.postings
         assert stem("sclerosis") in index.postings
@@ -829,8 +826,8 @@ def reference_rank_passages(question_terms, candidates, k1, b, top_n):
 
 
 def reference_similarity_sum(question_cuis, title_cuis, graph, memo):
-    """similarity_sum over a memo keyed by (cui, cui) pairs, as first
-    written; memo stands for the graph's."""
+    """The title's summed path similarity over a memo keyed by (cui, cui)
+    pairs, as first written; memo stands for the graph's."""
     total = 0.0
     for qc in question_cuis:
         if qc not in graph:
@@ -881,7 +878,7 @@ _rerank_edges = st.lists(
 
 
 class TestFunnelOracle:
-    """search's BM25 loop, rank_passages, similarity_sum and
+    """search's BM25 loop, rank_passages, row_sum over similarity_rows and
     rerank_documents are bit-equal, in scores and order, to their
     unit-at-a-time references."""
 
@@ -929,7 +926,7 @@ class TestFunnelOracle:
         # Later pairs read the rows filled by earlier ones.
         graph, memo = ConceptGraph.from_edges(edges), {}
         for question_cuis, cuis in pairs:
-            got = similarity_sum(question_cuis, cuis, graph)
+            got = row_sum(similarity_rows(question_cuis, graph), cuis, graph)
             assert repr(got) == repr(reference_similarity_sum(question_cuis, cuis, graph, memo))
 
     @settings(max_examples=300)
