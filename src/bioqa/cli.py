@@ -224,11 +224,10 @@ def cmd_train_topics(args) -> int:
     questions_path = args.questions or Path(__file__).parent / "resources" / "topic_questions.json"
     rows = ingest.load_topic_questions(questions_path)
     dep_pairs = ingest.load_dep_pairs(args.deps) if args.deps else {}
-    config = qclass.TOPIC_FEATURES | {"BOSDR"} if dep_pairs else qclass.TOPIC_FEATURES
     examples = [
         (
             qclass.extract_topic_features(
-                body, config, stopwords=bundle.stopwords, concept_lexicon=bundle.concept_lexicon,
+                body, stopwords=bundle.stopwords, concept_lexicon=bundle.concept_lexicon,
                 dep_pairs=dep_pairs.get(qid),
             ),
             topics,
@@ -263,7 +262,7 @@ def cmd_classify(args) -> int:
     for qid, body in _question_rows(args):
         if isinstance(model, qclass.TopicModelSet):
             features = qclass.extract_topic_features(
-                body, qclass.TOPIC_FEATURES, stopwords=bundle.stopwords, concept_lexicon=bundle.concept_lexicon,
+                body, stopwords=bundle.stopwords, concept_lexicon=bundle.concept_lexicon,
             )
             topics = sorted(qclass.classify_topics(model, features))
             _emit(args, {"id": qid, "topics": topics}, lambda r: f"{r['id']}\t{','.join(r['topics'])}")

@@ -44,10 +44,10 @@ def load_corpus(path) -> list[DocumentRecord]:
         for required in ("doc_id", "title", "abstract"):
             if required not in obj:
                 raise DatasetFormatError(f"{path}:{line_no}: missing field {required!r}")
-        for text_field in ("title", "abstract"):
+        for text_field in ("doc_id", "title", "abstract"):
             if not isinstance(obj[text_field], str):
                 raise DatasetFormatError(f"{path}:{line_no}: field {text_field!r} must be a string")
-        doc_id = str(obj["doc_id"])
+        doc_id = obj["doc_id"]
         if not obj["title"]:
             raise DatasetFormatError(f"{path}:{line_no}: empty title")
         if doc_id in seen:
@@ -204,14 +204,18 @@ def load_dep_pairs(path) -> dict[str, list[tuple[str, str, str]]]:
 
 
 def load_topic_questions(path) -> list[tuple[str, str, set[str]]]:
-    """Topic-labeled questions: {"questions": [{"id", "body", "topics": [...]}]}."""
+    """Topic-labeled questions: {"questions": [{"id", "body", "topics": [...]}]},
+    each checked by the rules gold entries share (_check_answer_entry)."""
     rows = []
+    seen: set[str] = set()
     for i, obj in enumerate(_question_entries(path)):
+        where = f"{path}: questions[{i}]"
+        qid = _check_answer_entry(where, obj, seen)
         if "body" not in obj or not isinstance(obj.get("topics"), list):
-            raise DatasetFormatError(f"{path}: questions[{i}] needs 'body' and a 'topics' list")
+            raise DatasetFormatError(f"{where} needs 'body' and a 'topics' list")
         if not isinstance(obj["body"], str) or not all(isinstance(t, str) for t in obj["topics"]):
-            raise DatasetFormatError(f"{path}: questions[{i}] needs a string 'body' and string topics")
-        rows.append((str(obj.get("id", i)), obj["body"], set(obj["topics"])))
+            raise DatasetFormatError(f"{where} needs a string 'body' and string topics")
+        rows.append((qid, obj["body"], set(obj["topics"])))
     return rows
 
 

@@ -2,7 +2,7 @@
 
 The type classifier feeds features from a handcrafted question-shape
 grammar into a seeded linear max-margin model; topic classification runs
-one binary model per topic over a configurable feature combination.
+one binary model per topic over word, bigram, stem and concept features.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from .conceptlex import (
 from .textproc import (
     ResourceFormatError,
     TagLexicon,
-    ngrams,
+    bigrams,
     pos_tag,
     read_json,
+    read_text,
     stem,
     token_surfaces,
     tokenize,  # not called here; perfbench/tracer.py counts calls through this binding
@@ -218,7 +219,7 @@ def parse_patterns(text: str, path="<patterns>") -> list[Pattern]:
 
 
 def load_patterns(path) -> list[Pattern]:
-    return parse_patterns(Path(path).read_text(encoding="utf-8"), path=path)
+    return parse_patterns(read_text(path), path=path)
 
 
 _UNSET = object()
@@ -282,50 +283,44 @@ def _matcher(elements, tags: list[str], lowered: list[str]):
 
 
 def pattern_matches(tagged: list[tuple[str, str]], patterns: list[Pattern]) -> list[PatternMatch]:
-    """First (smallest-shift) match of every pattern that matches at all,
-    over (surface, tag) pairs."""
+    """The matches, in pattern order, of every pattern that matches at the
+    earliest token position where any pattern matches, over (surface, tag)
+    pairs; [] when no pattern matches anywhere.
+
+    A pattern missing a word or tag it needs is never tried. Each other
+    pattern's matcher is built once, so its memo serves every position.
+    """
     tags = [tag for _, tag in tagged]
     lowered = [surface.lower() for surface, _ in tagged]
-    positions: dict[str, list[int]] = {}
-    for pos, word in enumerate(lowered):
-        positions.setdefault(word, []).append(pos)
-    words = positions.keys()
-    tag_set = set(tags)
-    matches = []
-    for pattern in patterns:
-        if not pattern.tag_needs <= tag_set or any(words.isdisjoint(starts) for starts in pattern.word_needs):
-            continue  # a word or tag the pattern needs is missing
-        match = _matcher(pattern.elements, tags, lowered)
-        shifts = range(len(tagged))
-        if pattern.elements and isinstance(pattern.elements[0], LiteralSet):
-            # Only where one of its first words stands can the pattern match.
-            # A position holds one word, so the words' position lists are disjoint.
-            shifts = sorted(pos for word in pattern.elements[0].starts for pos in positions.get(word, ()))
-        for shift in shifts:
+    words, tag_set = set(lowered), set(tags)
+    candidates = [
+        (pattern, _matcher(pattern.elements, tags, lowered)) for pattern in patterns
+        if pattern.tag_needs <= tag_set and not any(words.isdisjoint(starts) for starts in pattern.word_needs)
+    ]
+    for shift in range(len(tagged)):
+        matches = []
+        for pattern, match in candidates:
             captured = match(0, shift)
             if captured is not None:
-                feats = tuple(sorted(Counter(captured).items()))
-                matches.append(PatternMatch(pattern, shift, feats))
-                break
-    return matches
+                matches.append(PatternMatch(pattern, shift, tuple(sorted(Counter(captured).items()))))
+        if matches:
+            return matches
+    return []
 
 
 def match_patterns(tagged: list[tuple[str, str]], patterns: list[Pattern]) -> dict[str, int]:
     """Feature vector from the pattern grammar.
 
-    All patterns are anchored as far left as possible; the ones anchored at
-    the earliest position contribute, and their feature multisets merge by
-    maximum count so the result is independent of pattern file order.
-    Questions matching no pattern fall back to unigrams plus POS tags.
+    The patterns that match at the earliest position where any matches
+    contribute; their feature multisets merge by maximum count, so the
+    result is independent of pattern file order. Questions matching no
+    pattern fall back to unigrams plus POS tags.
     """
     matches = pattern_matches(tagged, patterns)
     if not matches:
         return _fallback_features(tagged)
-    best_shift = min(m.shift for m in matches)
     merged: dict[str, int] = {}
     for m in matches:
-        if m.shift != best_shift:
-            continue
         for feat, count in m.features:
             merged[feat] = max(merged.get(feat, 0), count)
     return merged
@@ -335,7 +330,7 @@ def _unigram_features(tagged) -> dict[str, int]:
     return dict(Counter(surface for surface, _ in tagged))
 
 def _bigram_features(tagged) -> dict[str, int]:
-    return dict(Counter(ngrams([surface for surface, _ in tagged], 2)))
+    return dict(Counter(bigrams([surface for surface, _ in tagged])))
 
 def _pos_features(tagged) -> dict[str, int]:
     return dict(Counter(tag for _, tag in tagged if tag not in _PUNCT_TAGS))
@@ -509,50 +504,36 @@ def training_accuracy(model: LinearModel, examples) -> float:
 # Topic classification
 # ---------------------------------------------------------------------------
 
-# The feature groups topic models use when no dependency sidecar is given.
-TOPIC_FEATURES = frozenset({"BOW", "BOB", "BOS", "BOCST"})
-
-
 def extract_topic_features(
     question: str,
-    config: set[str],
     *,
     stopwords: set[str],
     concept_lexicon: ConceptLexicon,
     dep_pairs: list[tuple[str, str, str]] | None = None,
 ) -> dict[str, int]:
-    """Feature combination for topic models.
-
-    config selects any subset of BOW (unigrams minus stopwords), BOB
-    (bigrams), BOS (Porter stems), BOCST (concept cuis and tuis) and
-    BOSDR (externally supplied dependency relations).
+    """Feature vector for topic models: the counts of BOW (unigrams minus
+    stopwords), BOB (bigrams), BOS (Porter stems) and BOCST (concept cuis
+    and tuis) summed, plus BOSDR (the externally supplied dependency
+    relations) when dep_pairs is given.
     """
-    unknown = config - TOPIC_FEATURES - {"BOSDR"}
-    if unknown:
-        raise UnknownFeatureSpaceError(f"unknown topic feature group(s): {sorted(unknown)}")
     surfaces = token_surfaces(question)
     lowered = [s.lower() for s in surfaces]
     content = [
         (s, low) for s, low in zip(surfaces, lowered)
         if low not in stopwords and any(ch.isalnum() for ch in s)
     ]
-    groups = []
-    if "BOW" in config:
-        groups.append(Counter(s for s, _ in content))
-    if "BOB" in config:
-        groups.append(Counter(ngrams(surfaces, 2)))
-    if "BOS" in config:
-        groups.append(Counter(stem(low) for _, low in content))
-    if "BOCST" in config:
-        counts: Counter = Counter()
-        for _, _, cui in longest_matches(lowered, concept_lexicon):
-            concept = concept_lexicon.get(cui)
-            counts[concept.cui] += 1
-            counts[concept.tui] += 1
-        groups.append(counts)
-    if "BOSDR" in config:
-        groups.append(Counter(f"{rel.lower()}({head.lower()},{dep.lower()})" for rel, head, dep in (dep_pairs or [])))
-    return _merge_sum(*[dict(g) for g in groups]) if groups else {}
+    concepts: Counter = Counter()
+    for _, _, cui in longest_matches(lowered, concept_lexicon):
+        concept = concept_lexicon.get(cui)
+        concepts[concept.cui] += 1
+        concepts[concept.tui] += 1
+    return _merge_sum(
+        Counter(s for s, _ in content),
+        Counter(bigrams(surfaces)),
+        Counter(stem(low) for _, low in content),
+        concepts,
+        Counter(f"{rel.lower()}({head.lower()},{dep.lower()})" for rel, head, dep in dep_pairs or ()),
+    )
 
 
 # The SVM constant C of every topic model; the saved meta records it.

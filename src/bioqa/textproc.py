@@ -25,6 +25,18 @@ class ResourceFormatError(ValueError):
         self.line_no = line_no
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 is refused naming
+    the file and the line of its first bad byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # read_text decodes the whole file in one call, so exc.object is all of it.
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        bad = exc.object[exc.start]
+        raise ResourceFormatError(path, line_no, f"not UTF-8 (byte {bad:#04x}: {exc.reason})") from None
+
+
 def data_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, line) for each line of a text file that carries data.
 
@@ -32,7 +44,7 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
     skipped; line numbers still count them, so errors cite the line an
     editor shows.
     """
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         stripped = line.lstrip()
         if stripped and not stripped.startswith("#"):
             yield line_no, line
@@ -41,7 +53,7 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
 def read_json(path):
     """The decoded value of a JSON file; invalid JSON names the file and line."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ResourceFormatError(path, exc.lineno, f"invalid JSON ({exc.msg})") from None
 
@@ -78,11 +90,9 @@ def token_surfaces(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def ngrams(tokens: Sequence[str], n: int) -> list[str]:
-    """Sliding window of size n over the token surfaces, joined with '-'."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return ["-".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+def bigrams(tokens: Sequence[str]) -> list[str]:
+    """Each pair of adjacent token surfaces, joined with '-'."""
+    return [f"{a}-{b}" for a, b in zip(tokens, tokens[1:])]
 
 
 def load_stopwords(path) -> set[str]:

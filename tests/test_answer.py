@@ -15,7 +15,7 @@ from bioqa.answer import (
 )
 from bioqa.conceptlex import SentimentEntry, SentimentLexicon, recognize
 from bioqa.ingest import load_resources
-from bioqa.qclass import FEATURE_SPACES, TOPIC_FEATURES, FeatureExtractor, QuestionType, extract_topic_features
+from bioqa.qclass import FEATURE_SPACES, FeatureExtractor, QuestionType, extract_topic_features
 
 from conftest import RESOURCE_DIR, analysed, question_cuis, question_terms
 
@@ -357,7 +357,7 @@ class TestNoOffsetViews:
             answer_pipeline(q.body, corpus, doc_index, type_model, bundle)
             for space in FEATURE_SPACES:
                 extractor.extract(q.body, space)
-            features = extract_topic_features(q.body, TOPIC_FEATURES, stopwords=bundle.stopwords,
+            features = extract_topic_features(q.body, stopwords=bundle.stopwords,
                                               concept_lexicon=bundle.concept_lexicon)
             concept_features += sum(f in bundle.concept_lexicon for f in features)
         assert concept_features > 0

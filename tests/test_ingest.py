@@ -480,12 +480,20 @@ class TestJsonReaders:
         (load_questions, '{"questions": [{"id": 7, "body": "b", "type": "list"}]}', "questions[0]: field 'id'"),
         (load_corpus, '{"doc_id": "1", "title": "t", "abstract": 5}', ":1:"),
         (load_corpus, '# note\n{"doc_id": "1", "title": ["t"], "abstract": "a"}', ":2:"),
+        (load_corpus, '{"doc_id": ["x"], "title": "t", "abstract": "a"}', ":1: field 'doc_id'"),
+        (load_corpus, '{"doc_id": 7, "title": "t", "abstract": "a"}', ":1: field 'doc_id'"),
+        (load_topic_questions, '{"questions": [{"body": "b", "topics": ["Device"]}]}', "questions[0]: field 'id'"),
+        (load_topic_questions, '{"questions": [{"id": ["x"], "body": "b", "topics": ["Device"]}]}',
+         "questions[0]: field 'id'"),
+        (load_topic_questions, '{"questions": [{"id": "x", "body": "b", "topics": ["Device"]},'
+                               ' {"id": "x", "body": "c", "topics": ["Test"]}]}', "questions[1]: duplicate id"),
     ], ids=["question body number", "question body list", "topic body number", "topic number",
             "question documents string", "question ideal number", "question ideal number list",
             "question documents null", "question documents object", "question documents empty string",
             "question ideal zero", "question ideal object", "question snippets object", "question snippets zero",
             "question exact entry with a number", "question id list", "question id number",
-            "corpus abstract number", "corpus title list"])
+            "corpus abstract number", "corpus title list", "corpus doc_id list", "corpus doc_id number",
+            "topic id missing", "topic id list", "topic id repeated"])
     def test_wrong_field_type_is_a_format_error_naming_file_and_entry(self, loader, text, where, tmp_path):
         path = tmp_path / "bad-input.json"
         path.write_text(text)
@@ -542,3 +550,21 @@ class TestLineLoaders:
         path.write_text(f"{good}\n\n   # note\n{bad}\n")
         with pytest.raises(ValueError, match=r"resource\.txt:4:"):
             load(path)
+
+
+# Every reader of a text file: the JSON readers, the line loaders and the
+# pattern grammar.
+TEXT_READERS = {
+    **{name: reader for name, (reader, *_) in JSON_READERS.items()},
+    **{name: loader for name, (loader, *_) in LINE_LOADERS.items()},
+    "patterns": qclass.load_patterns,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(TEXT_READERS))
+def test_non_utf8_input_names_file_and_line(reader, tmp_path):
+    path = tmp_path / "bad-input.txt"
+    path.write_bytes(b"# note\n\xff\n")
+    with pytest.raises(ResourceFormatError, match=r"bad-input\.txt:2: not UTF-8") as err:
+        TEXT_READERS[reader](path)
+    assert err.value.line_no == 2

@@ -8,8 +8,9 @@ then stems and longest_matches over the same lowercased surfaces) must
 equal a two-pass analysis over Token objects and recognize, on the same
 texts and on every bundled sentence, title and question. So must the
 yes/no vote's passage_sentiment, which tags only sentiment words, equal
-one that tags every token, and pattern_matches, which takes a pattern's
-shifts from the positions of its start words, equal a scan of every token.
+one that tags every token, and pattern_matches, which tries every pattern
+at one token position before the next, equal a scan of every token by each
+pattern in turn, filtered to the earliest shift.
 The question's tags and topic features, read from its token surfaces,
 must equal references over Token objects and recognize.
 """
@@ -33,7 +34,6 @@ from bioqa.conceptlex import (
 )
 from bioqa.ingest import load_corpus, load_questions, load_resources
 from bioqa.qclass import (
-    TOPIC_FEATURES,
     FeatureExtractor,
     LiteralSet,
     PatternMatch,
@@ -47,7 +47,6 @@ from bioqa.textproc import (
     _LEADING_PUNCT,
     Sentence,
     TagLexicon,
-    ngrams,
     pos_tag,
     split_sentences,
     stem,
@@ -56,7 +55,7 @@ from bioqa.textproc import (
     word_tag,
 )
 
-from conftest import RESOURCE_DIR
+from conftest import RESOURCE_DIR, earliest
 
 BUNDLE = load_resources(RESOURCE_DIR / "manifest.json")
 DOCS = load_corpus(RESOURCE_DIR / "corpus.jsonl")
@@ -290,13 +289,14 @@ def reference_tag(text, tag_lexicon):
 
 
 def reference_topic_features(question, stopwords, lexicon):
-    """Reference extract_topic_features over TOPIC_FEATURES: words from
-    the Token objects of tokenize, concepts from recognize."""
+    """Reference extract_topic_features without dependency pairs: words
+    from the Token objects of tokenize, concepts from recognize."""
     words = [t.surface for t in tokenize(question)]
     content = [w for w in words if w.lower() not in stopwords and any(ch.isalnum() for ch in w)]
     concepts = [lexicon.get(m.cui) for m in recognize(question, lexicon)]
     return dict(
-        Counter(content) + Counter(ngrams(words, 2)) + Counter(stem(w.lower()) for w in content)
+        Counter(content) + Counter(f"{a}-{b}" for a, b in zip(words, words[1:]))
+        + Counter(stem(w.lower()) for w in content)
         + Counter(c.cui for c in concepts) + Counter(c.tui for c in concepts)
     )
 
@@ -304,8 +304,7 @@ def reference_topic_features(question, stopwords, lexicon):
 def check_question_features(text):
     extractor = FeatureExtractor(BUNDLE.tag_lexicon, BUNDLE.patterns)
     assert extractor.tag(text) == [(t.surface, tag) for t, tag in reference_tag(text, BUNDLE.tag_lexicon)]
-    features = extract_topic_features(text, TOPIC_FEATURES, stopwords=BUNDLE.stopwords,
-                                      concept_lexicon=BUNDLE.concept_lexicon)
+    features = extract_topic_features(text, stopwords=BUNDLE.stopwords, concept_lexicon=BUNDLE.concept_lexicon)
     assert features == reference_topic_features(text, BUNDLE.stopwords, BUNDLE.concept_lexicon)
 
 
@@ -432,8 +431,9 @@ class TestSentimentVote:
 
 
 def reference_pattern_matches(tagged, patterns):
-    """Reference pattern_matches: every pattern that starts with a word set
-    scans every token position for one of its start words."""
+    """Reference pattern_matches before the earliest-shift filter: every
+    pattern that starts with a word set scans every token position for one
+    of its start words, and each pattern gives its first match."""
     tags = [tag for _, tag in tagged]
     lowered = [surface.lower() for surface, _ in tagged]
     matches = []
@@ -453,7 +453,7 @@ def reference_pattern_matches(tagged, patterns):
 def check_pattern_matches(question):
     tagged = FeatureExtractor(BUNDLE.tag_lexicon, BUNDLE.patterns).tag(question)
     got = pattern_matches(tagged, BUNDLE.patterns)
-    assert got == reference_pattern_matches(tagged, BUNDLE.patterns)
+    assert got == earliest(reference_pattern_matches(tagged, BUNDLE.patterns))
     return got
 
 

@@ -7,8 +7,8 @@ from bioqa import textproc
 from bioqa.textproc import (
     ResourceFormatError,
     TagLexicon,
+    bigrams,
     load_abbreviations,
-    ngrams,
     pos_tag,
     split_sentences,
     stem,
@@ -178,25 +178,21 @@ class TestStem:
         assert retrieval.stem is qclass.stem is evalkit.porter_stem is textproc.stem is stem
 
 
-class TestNgrams:
+class TestBigrams:
     def test_bigrams_of_question(self):
         tokens = [t.surface for t in tokenize("What is the definition of autophagy ?")]
-        assert ngrams(tokens, 2) == [
+        assert bigrams(tokens) == [
             "What-is", "is-the", "the-definition", "definition-of", "of-autophagy", "autophagy-?",
         ]
 
-    def test_unigrams_are_identity(self):
-        assert ngrams(["a", "b"], 1) == ["a", "b"]
-
-    def test_window_longer_than_input(self):
-        assert ngrams(["a", "b", "c"], 5) == []
+    def test_fewer_than_two_tokens(self):
+        assert bigrams([]) == bigrams(["a"]) == []
 
     def test_length_formula(self):
         rng = random.Random(3)
         for _ in range(100):
             tokens = [str(i) for i in range(rng.randint(0, 12))]
-            n = rng.randint(1, 6)
-            assert len(ngrams(tokens, n)) == max(0, len(tokens) - n + 1)
+            assert len(bigrams(tokens)) == max(0, len(tokens) - 1)
 
 
 def test_bad_abbreviation_file(tmp_path):
