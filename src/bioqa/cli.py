@@ -234,9 +234,11 @@ def cmd_train_topics(args) -> int:
         )
         for qid, body, topics in rows
     ]
-    model_set = qclass.train_topic_models(examples, seed=args.seed, epochs=args.epochs)
-    qclass.save_model(model_set, args.out)
-    _print_json({"out": args.out, "questions": len(rows), "topics": len(model_set.models), "seed": args.seed})
+    model = qclass.train_topic_models(examples, seed=args.seed, epochs=args.epochs)
+    if args.deps:
+        model.meta["dependency_features"] = True
+    qclass.save_model(model, args.out)
+    _print_json({"out": args.out, "questions": len(rows), "topics": len(model.labels), "seed": args.seed})
     return 0
 
 
@@ -250,7 +252,7 @@ def _require_model(args):
 
 def _require_type_model(args):
     model = _require_model(args)
-    if isinstance(model, qclass.TopicModelSet):
+    if model.meta["kind"] == "topics":
         raise CliError(f"{args.command} needs a question type model, not a topics model")
     return model
 
@@ -258,9 +260,11 @@ def _require_type_model(args):
 def cmd_classify(args) -> int:
     bundle = ingest.load_resources(args.manifest)
     model = _require_model(args)
+    if model.meta.get("dependency_features"):
+        raise CliError(f"{args.model}: topics model trained with --deps; classify cannot supply dependency features")
     extractor = FeatureExtractor(bundle.tag_lexicon, bundle.patterns)
     for qid, body in _question_rows(args):
-        if isinstance(model, qclass.TopicModelSet):
+        if model.meta["kind"] == "topics":
             features = qclass.extract_topic_features(
                 body, stopwords=bundle.stopwords, concept_lexicon=bundle.concept_lexicon,
             )

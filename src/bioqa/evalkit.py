@@ -2,7 +2,8 @@
 
 Classification accuracy and P/R/F1, ranked-retrieval AP/MAP, exact-answer
 accuracy/MRR/list-F1 with synonym-aware matching, and ROUGE-2/ROUGE-SU4
-for ideal answers.
+for ideal answers. evaluate_run scores each gold question once, into its
+per-question row, and averages every metric from those rows.
 """
 
 from __future__ import annotations
@@ -106,19 +107,6 @@ def list_question_counts(predicted, gold) -> tuple[int, int, int]:
     tp = len(matched_gold)
     fn = len(gold_sets) - tp
     return tp, fp, fn
-
-
-def list_metrics(per_question) -> tuple[float, float, float]:
-    """Mean precision, recall and F1 over (predicted, gold) list pairs."""
-    rows = [prf1(*list_question_counts(pred, gold)) for pred, gold in per_question]
-    if not rows:
-        return 0.0, 0.0, 0.0
-    n = len(rows)
-    return (
-        sum(r[0] for r in rows) / n,
-        sum(r[1] for r in rows) / n,
-        sum(r[2] for r in rows) / n,
-    )
 
 
 def first_answer_rank(candidates, gold) -> int | None:
@@ -261,6 +249,9 @@ def evaluate_run(
     """Score a run (answer objects of the shapes ingest.load_run accepts)
     against a gold dataset.
 
+    Each gold question is scored once, into its per_question row, and each
+    metric is the mean over the rows that hold its score: yesno_correct,
+    factoid_rank, list_prf1, rouge_2 and rouge_su, documents and snippets.
     Gold questions with no run entry count as unanswered, and an exact
     answer that is not a list (a yes/no reply) to a factoid or list
     question names no entity. Run entries whose id is not in the gold set
@@ -273,12 +264,6 @@ def evaluate_run(
     run_by_id = {e["id"]: e for e in run_entries}
 
     per_question: dict[str, dict] = {}
-    yesno_pairs: list[tuple[str | None, str]] = []
-    factoid_ranks: list[int | None] = []
-    list_pairs = []
-    rouge2_scores: list[float] = []
-    rougesu_scores: list[float] = []
-
     for q in gold_dataset.questions:
         entry = run_by_id.get(q.id, {})
         detail: dict = {"type": q.type.value}
@@ -286,27 +271,18 @@ def evaluate_run(
         if q.type.value == "yesno" and q.exact_answer is not None:
             predicted = entry.get("exact_answer")
             predicted = predicted.lower() if isinstance(predicted, str) else None
-            yesno_pairs.append((predicted, q.exact_answer))
             detail["yesno_correct"] = predicted == q.exact_answer
         elif q.type.value == "factoid" and q.exact_answer:
-            rank = first_answer_rank(_named_entities(entry), q.exact_answer)
-            factoid_ranks.append(rank)
-            detail["factoid_rank"] = rank
+            detail["factoid_rank"] = first_answer_rank(_named_entities(entry), q.exact_answer)
         elif q.type.value == "list" and q.exact_answer:
-            predicted = _named_entities(entry)
-            list_pairs.append((predicted, q.exact_answer))
-            detail["list_prf1"] = prf1(*list_question_counts(predicted, q.exact_answer))
+            detail["list_prf1"] = prf1(*list_question_counts(_named_entities(entry), q.exact_answer))
 
         if q.ideal_answer:
             candidate = entry.get("ideal_answer") or ""
             if isinstance(candidate, list):
                 candidate = candidate[0] if candidate else ""
-            r2 = rouge_n(candidate, q.ideal_answer, 2, beta=rouge_beta, stem_tokens=rouge_stem)
-            rsu = rouge_su(candidate, q.ideal_answer, beta=rouge_beta, stem_tokens=rouge_stem)
-            rouge2_scores.append(r2)
-            rougesu_scores.append(rsu)
-            detail["rouge_2"] = r2
-            detail["rouge_su"] = rsu
+            detail["rouge_2"] = rouge_n(candidate, q.ideal_answer, 2, beta=rouge_beta, stem_tokens=rouge_stem)
+            detail["rouge_su"] = rouge_su(candidate, q.ideal_answer, beta=rouge_beta, stem_tokens=rouge_stem)
 
         if q.documents:
             detail["documents"] = _retrieval_scores(entry.get("documents", ()), q.documents)
@@ -317,20 +293,22 @@ def evaluate_run(
 
         per_question[q.id] = detail
 
+    def column(key) -> list:
+        return [detail[key] for detail in per_question.values() if key in detail]
+
     metrics: dict[str, float] = {}
-    if yesno_pairs:
-        metrics["yesno_accuracy"] = accuracy([p for p, _ in yesno_pairs], [g for _, g in yesno_pairs])
-    if factoid_ranks:
-        metrics["factoid_mrr"] = mrr(factoid_ranks)
-    if list_pairs:
-        p, r, f1 = list_metrics(list_pairs)
-        metrics["list_precision"], metrics["list_recall"], metrics["list_f1"] = p, r, f1
-    if rouge2_scores:
-        metrics["rouge_2"] = _mean(rouge2_scores)
-        metrics["rouge_su4"] = _mean(rougesu_scores)
+    if yesno := column("yesno_correct"):
+        metrics["yesno_accuracy"] = _mean(yesno)
+    if ranks := column("factoid_rank"):
+        metrics["factoid_mrr"] = mrr(ranks)
+    if lists := column("list_prf1"):
+        for i, name in enumerate(("precision", "recall", "f1")):
+            metrics[f"list_{name}"] = _mean(row[i] for row in lists)
+    if rouge2 := column("rouge_2"):
+        metrics["rouge_2"] = _mean(rouge2)
+        metrics["rouge_su4"] = _mean(column("rouge_su"))
     for block in ("documents", "snippets"):
-        rows = [detail[block] for detail in per_question.values() if block in detail]
-        if rows:
+        if rows := column(block):
             for name in ("precision", "recall", "f1"):
                 metrics[f"{block}_{name}"] = _mean(row[name] for row in rows)
             metrics[f"{block}_map"] = mean_average_precision(row["ap"] for row in rows)

@@ -1,8 +1,9 @@
 """Question classification: type (yesno/factoid/list/summary) and topics.
 
 The type classifier feeds features from a handcrafted question-shape
-grammar into a seeded linear max-margin model; topic classification runs
-one binary model per topic over word, bigram, stem and concept features.
+grammar into a seeded linear max-margin model; topic classification trains
+one binary max-margin model per topic over word, bigram, stem and concept
+features. Both kinds are LinearModels: one weight map per label.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .conceptlex import (
     longest_matches,
     recognize,  # not called here; perfbench/tracer.py counts calls through this binding
 )
+from .evalkit import accuracy
 from .textproc import (
     ResourceFormatError,
     TagLexicon,
@@ -140,7 +142,6 @@ class Pattern:
 @dataclass(frozen=True)
 class PatternMatch:
     pattern: Pattern
-    shift: int
     features: tuple[tuple[str, int], ...]
 
 
@@ -302,7 +303,7 @@ def pattern_matches(tagged: list[tuple[str, str]], patterns: list[Pattern]) -> l
         for pattern, match in candidates:
             captured = match(0, shift)
             if captured is not None:
-                matches.append(PatternMatch(pattern, shift, tuple(sorted(Counter(captured).items()))))
+                matches.append(PatternMatch(pattern, tuple(sorted(Counter(captured).items()))))
         if matches:
             return matches
     return []
@@ -380,7 +381,13 @@ class FeatureExtractor:
 
 @dataclass
 class LinearModel:
-    """Multiclass linear model: argmax of weights . features (no bias)."""
+    """Linear model with no bias: one weight map per label, scored as
+    weights . features.
+
+    meta["kind"] says how the scores are read: a "type" model predicts the
+    argmax label, a "topics" model (one binary model per topic) assigns
+    every label scoring above 0.
+    """
 
     labels: tuple[str, ...]
     weights: dict[str, dict[str, float]]
@@ -494,10 +501,7 @@ def classify_type(model: LinearModel, question: str, extractor: FeatureExtractor
 
 
 def training_accuracy(model: LinearModel, examples) -> float:
-    if not examples:
-        return 0.0
-    hits = sum(1 for f, label in examples if model.predict(f) == label.value)
-    return hits / len(examples)
+    return accuracy([model.predict(f) for f, _ in examples], [label.value for _, label in examples])
 
 
 # ---------------------------------------------------------------------------
@@ -540,20 +544,6 @@ def extract_topic_features(
 TOPIC_C = 1.01
 
 
-@dataclass
-class BinaryModel:
-    weights: dict[str, float]
-
-    def score(self, features: dict[str, int]) -> float:
-        return sum(self.weights.get(f, 0.0) * c for f, c in features.items())
-
-
-@dataclass
-class TopicModelSet:
-    models: dict[str, BinaryModel]
-    meta: dict
-
-
 def _sgd_binary(X, y, lam, epochs, seed):
     # Bias-free for the same reason as the multiclass trainer: the
     # positive/negative sets are balanced by construction.
@@ -575,15 +565,16 @@ def train_topic_models(
     examples: list[tuple[dict[str, int], set[str]]],
     seed: int = 42,
     epochs: int = 200,
-) -> TopicModelSet:
-    """One balanced binary model per topic of TOPICS.
+) -> LinearModel:
+    """One balanced binary model per topic of TOPICS, as a topics
+    LinearModel whose labels are the trained topics.
 
     Positives are the questions labeled with the topic; negatives are an
     equal-size uniform sample of the rest drawn with a per-topic seed
     (master seed + topic index). Topics with no positives are skipped
     with a warning.
     """
-    models: dict[str, BinaryModel] = {}
+    weights: dict[str, dict[str, float]] = {}
     for topic_index, topic in enumerate(TOPICS):
         positives = [f for f, ts in examples if topic in ts]
         rest = [f for f, ts in examples if topic not in ts]
@@ -600,21 +591,21 @@ def train_topic_models(
         y = [lab for _, lab in data]
         lam = 1.0 / (TOPIC_C * len(data))
         w = _sgd_binary(X, y, lam, epochs, seed + topic_index)
-        models[topic] = BinaryModel({f: float(w[j]) for j, f in enumerate(vocabulary) if w[j] != 0.0})
-    return TopicModelSet(models, meta={"seed": seed, "C": TOPIC_C, "epochs": epochs, "kind": "topics"})
+        weights[topic] = {f: float(w[j]) for j, f in enumerate(vocabulary) if w[j] != 0.0}
+    return LinearModel(tuple(weights), weights, meta={"seed": seed, "C": TOPIC_C, "epochs": epochs, "kind": "topics"})
 
 
-def classify_topics(model_set: TopicModelSet, features: dict[str, int]) -> set[str]:
-    """Every topic whose binary score is strictly positive."""
-    return {topic for topic, model in model_set.models.items() if model.score(features) > 0.0}
+def classify_topics(model: LinearModel, features: dict[str, int]) -> set[str]:
+    """Every label of a topics model whose score is strictly positive."""
+    return {topic for topic, score in model.scores(features).items() if score > 0.0}
 
 
 # ---------------------------------------------------------------------------
 # Model persistence
 # ---------------------------------------------------------------------------
 
-def save_model(model: LinearModel | TopicModelSet, path) -> None:
-    if isinstance(model, LinearModel):
+def save_model(model: LinearModel, path) -> None:
+    if model.meta["kind"] == "type":
         payload = {
             "version": MODEL_FORMAT_VERSION,
             "kind": "type",
@@ -626,9 +617,7 @@ def save_model(model: LinearModel | TopicModelSet, path) -> None:
         payload = {
             "version": MODEL_FORMAT_VERSION,
             "kind": "topics",
-            "topics": {
-                name: {"weights": m.weights} for name, m in model.models.items()
-            },
+            "topics": {name: {"weights": model.weights[name]} for name in model.labels},
             "meta": model.meta,
         }
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
@@ -646,7 +635,8 @@ def load_model(path):
 
     Every label of a type model is a question type with a weights map of
     feature -> number, and its meta names a space of FEATURE_SPACES; every
-    topic of a topics model has such a weights map.
+    topic of a topics model has such a weights map. The meta kind of either
+    is the model's kind.
     """
     payload = read_json(path)
     if not isinstance(payload, dict):
@@ -672,13 +662,16 @@ def load_model(path):
                 raise ModelFormatError(f"{path}: label {label!r} has no weights map of feature -> number")
         if meta.get("space") not in FEATURE_SPACES:
             raise ModelFormatError(f"{path}: meta space {meta.get('space')!r} is not one of {FEATURE_SPACES}")
-        return LinearModel(tuple(labels), weights, meta)
-    if kind == "topics":
+    elif kind == "topics":
         topics = payload.get("topics")
         if not isinstance(topics, dict):
             raise ModelFormatError(f"{path}: topics model has no 'topics' object")
         for name, entry in topics.items():
             if not isinstance(entry, dict) or not _is_weight_map(entry.get("weights")):
                 raise ModelFormatError(f"{path}: topic {name!r} has no weights map of feature -> number")
-        return TopicModelSet({name: BinaryModel(entry["weights"]) for name, entry in topics.items()}, meta)
-    raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+        labels, weights = list(topics), {name: entry["weights"] for name, entry in topics.items()}
+    else:
+        raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+    if meta.get("kind") != kind:
+        raise ModelFormatError(f"{path}: meta kind {meta.get('kind')!r} is not the model kind {kind!r}")
+    return LinearModel(tuple(labels), weights, meta)

@@ -30,10 +30,12 @@ def index_from_terms(rows, ids=None) -> retrieval.IndexedCorpus:
     return retrieval.IndexedCorpus.from_terms(zip(ids, rows))
 
 
-def earliest(matches):
-    """The matches at the smallest shift among them, in their order: what
-    pattern_matches gives where a reference gives each pattern's first match."""
-    return [m for m in matches if m.shift == min(m.shift for m in matches)]
+def earliest(shifted):
+    """The matches at the smallest shift among (shift, match) pairs, in
+    their order: what pattern_matches gives where a reference gives each
+    pattern's first match and the shift it starts at."""
+    first = min((shift for shift, _ in shifted), default=None)
+    return [match for shift, match in shifted if shift == first]
 
 
 def question_terms(bundle, question):

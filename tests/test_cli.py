@@ -356,13 +356,27 @@ class TestClassifyAndTrain:
         out = tmp_path / "topics.json"
         assert main(["train-topics", "--out", str(out), "--deps", str(deps)]) == 0
         capsys.readouterr()
-        topics = json.loads(out.read_text())["topics"]
-        assert topics["Device"]["weights"]["nsubj(gives,device)"] > 0
+        saved = json.loads(out.read_text())
+        assert saved["topics"]["Device"]["weights"]["nsubj(gives,device)"] > 0
+        assert saved["meta"]["dependency_features"] is True
+
+    def test_classify_refuses_topics_model_trained_with_deps(self, tmp_path, capsys):
+        deps = tmp_path / "deps.tsv"
+        deps.write_text("t01\tnsubj\tgives\tdevice\n")
+        out = tmp_path / "deps-topics.json"
+        assert main(["train-topics", "--out", str(out), "--deps", str(deps)]) == 0
+        capsys.readouterr()
+        assert main(["classify", "--model", str(out), "--question", "Can Lorabid cause headaches?"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "deps-topics.json" in captured.err
+        assert "classify cannot supply dependency features" in captured.err
 
     def test_train_topics_and_classify(self, tmp_path, capsys):
         out = tmp_path / "topics.json"
         assert main(["train-topics", "--out", str(out)]) == 0
         capsys.readouterr()
+        assert "dependency_features" not in json.loads(out.read_text())["meta"]
         assert main(["classify", "--model", str(out),
                      "--question", "Can Lorabid cause headaches?"]) == 0
         obj = json.loads(capsys.readouterr().out)

@@ -10,7 +10,6 @@ from bioqa.evalkit import (
     average_precision,
     evaluate_run,
     first_answer_rank,
-    list_metrics,
     list_question_counts,
     mean_average_precision,
     mrr,
@@ -135,16 +134,12 @@ class TestMrr:
 
 
 class TestListMetrics:
-    def test_exact_match(self):
-        pairs = [([["a"], ["b"]], [["a"], ["b"]])]
-        assert list_metrics(pairs) == (1.0, 1.0, 1.0)
-
     def test_hand_counts(self):
         # 3 predictions, 2 hit distinct gold entries, 1 misses; 4 gold entries.
         predicted = [["a"], ["b"], ["zzz"]]
         gold = [["a"], ["b"], ["c"], ["d"]]
         assert list_question_counts(predicted, gold) == (2, 1, 2)
-        p, r, f1 = list_metrics([(predicted, gold)])
+        p, r, f1 = prf1(*list_question_counts(predicted, gold))
         assert (p, r) == (2 / 3, 1 / 2)
         assert f1 == pytest.approx(4 / 7)
 
@@ -293,6 +288,35 @@ class TestEvaluateRun:
         assert report.metrics["rouge_2"] == pytest.approx(1.0)
         # q4 snippets absent in run -> 0
         assert report.metrics["snippets_map"] == 0.0
+
+    def test_list_metrics_are_means_over_list_questions(self):
+        # A yes/no question beside two list questions, one of them unanswered.
+        gold = QuestionDataset([
+            QuestionRecord("y", "Is it?", QuestionType.YESNO, exact_answer="yes"),
+            QuestionRecord("l1", "List them.", QuestionType.LIST, exact_answer=[["a"], ["b"], ["c"], ["d"]]),
+            QuestionRecord("l2", "List more.", QuestionType.LIST, exact_answer=[["e"], ["f"]]),
+        ])
+        report = evaluate_run(gold, [{"id": "y", "exact_answer": "yes"},
+                                     {"id": "l1", "exact_answer": [["a"], ["b"], ["zzz"]]}])
+        # l1: P=2/3 R=1/2 F=4/7; l2 unanswered: 0, 0, 0.
+        assert report.per_question["l1"]["list_prf1"] == pytest.approx((2 / 3, 1 / 2, 4 / 7))
+        assert report.per_question["l2"]["list_prf1"] == (0.0, 0.0, 0.0)
+        assert report.metrics["list_precision"] == pytest.approx(1 / 3)
+        assert report.metrics["list_recall"] == pytest.approx(1 / 4)
+        assert report.metrics["list_f1"] == pytest.approx(2 / 7)
+        assert report.metrics["yesno_accuracy"] == 1.0
+
+    def test_rouge_metrics_are_means_of_their_own_rows(self):
+        gold = QuestionDataset([
+            QuestionRecord("s1", "Summarize.", QuestionType.SUMMARY, ideal_answer=("a b c d",)),
+            QuestionRecord("s2", "Summarize.", QuestionType.SUMMARY, ideal_answer=("a b c d",)),
+        ])
+        report = evaluate_run(gold, [{"id": "s1", "ideal_answer": "a c b d"}, {"id": "s2", "ideal_answer": "a b c d"}])
+        # s1 shares no bigram with its reference, but all 4 unigrams and 5 of
+        # the 6 skip-bigrams: ROUGE-2 0, ROUGE-SU4 9/10.
+        assert (report.per_question["s1"]["rouge_2"], report.per_question["s1"]["rouge_su"]) == (0.0, 0.9)
+        assert report.metrics["rouge_2"] == 0.5
+        assert report.metrics["rouge_su4"] == pytest.approx(0.95)
 
     @pytest.mark.parametrize("qtype, metric", [(QuestionType.FACTOID, "factoid_mrr"), (QuestionType.LIST, "list_precision")])
     def test_string_exact_answer_names_no_entity(self, qtype, metric):

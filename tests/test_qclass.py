@@ -138,12 +138,13 @@ def reference_match_at(elements, tagged, pos):
 
 
 def reference_pattern_matches(tagged, patterns):
+    """(shift, match) of each pattern's first match."""
     matches = []
     for pattern in patterns:
         for shift in range(len(tagged)):
             captured = reference_match_at(pattern.elements, tagged, shift)
             if captured is not None:
-                matches.append(PatternMatch(pattern, shift, tuple(sorted(Counter(captured).items()))))
+                matches.append((shift, PatternMatch(pattern, tuple(sorted(Counter(captured).items())))))
                 break
     return matches
 
@@ -543,9 +544,9 @@ class TestTopicModels:
     def test_separable_toy_weights(self):
         examples = [({"alpha": 1}, {"Device"}), ({"alpha": 1}, {"Device"}), ({"beta": 1}, set()), ({"beta": 1}, set())]
         with pytest.warns(UserWarning, match="no positive examples"):
-            model_set = train_topic_models(examples, seed=0)
-        model = model_set.models["Device"]
-        assert model.score({"alpha": 1}) > 0 > model.score({"beta": 1})
+            model = train_topic_models(examples, seed=0)
+        assert model.labels == ("Device",)
+        assert model.scores({"alpha": 1})["Device"] > 0 > model.scores({"beta": 1})["Device"]
 
     def test_seed_reproducibility(self):
         rng = random.Random(12)
@@ -555,7 +556,7 @@ class TestTopicModels:
             examples.append((feats, {random.Random(i).choice(qclass.TOPICS)}))
         a = train_topic_models(examples, seed=7)
         b = train_topic_models(examples, seed=7)
-        assert {t: m.weights for t, m in a.models.items()} == {t: m.weights for t, m in b.models.items()}
+        assert (a.labels, a.weights) == (b.labels, b.weights)
 
     def test_bundled_mini_dataset_trains_all_topics(self, bundle):
         from bioqa import ingest
@@ -570,32 +571,32 @@ class TestTopicModels:
             )
             for _, body, topics in rows
         ]
-        model_set = train_topic_models(examples, seed=42)
-        assert set(model_set.models) == set(qclass.TOPICS)
+        model = train_topic_models(examples, seed=42)
+        assert model.labels == qclass.TOPICS
         # paper-table probes classify to exactly their listed topics
         feats = lambda body: extract_topic_features(
             body, stopwords=bundle.stopwords, concept_lexicon=bundle.concept_lexicon,
         )
         probe1 = ("Mother is alcoholic and abuses tobacco. What are statistics regarding "
                   "inheritance of tobacco abuse and relationship to social situation?")
-        assert classify_topics(model_set, feats(probe1)) == {"Epidemiology"}
+        assert classify_topics(model, feats(probe1)) == {"Epidemiology"}
         probe2 = ("Coronary angioplasty and stent placed last week. Started on Ticlid, looks "
                   "like she is allergic to it. Do they want her on something else or just stop it?")
-        assert classify_topics(model_set, feats(probe2)) == {"Management", "Treatment & Prevention", "Pharmacological"}
+        assert classify_topics(model, feats(probe2)) == {"Management", "Treatment & Prevention", "Pharmacological"}
 
     def test_topic_without_positives_is_skipped(self):
         examples = [({"a": 1}, {"Device"})]
         with pytest.warns(UserWarning, match="no positive examples") as record:
-            model_set = train_topic_models(examples, seed=0)
-        assert set(model_set.models) == {"Device"}
+            model = train_topic_models(examples, seed=0)
+        assert model.labels == ("Device",)
         skipped = [f"topic {topic!r} has no positive examples; skipped" for topic in qclass.TOPICS if topic != "Device"]
         assert [str(w.message) for w in record] == skipped
 
     def test_all_zero_features_yield_empty_set(self):
         examples = [({"a": 1}, {"Device"}), ({"b": 1}, set())]
         with pytest.warns(UserWarning, match="no positive examples"):
-            model_set = train_topic_models(examples, seed=0)
-        assert classify_topics(model_set, {}) == set()
+            model = train_topic_models(examples, seed=0)
+        assert classify_topics(model, {}) == set()
 
 
 class TestPersistence:
@@ -609,11 +610,13 @@ class TestPersistence:
     def test_topics_model_round_trip(self, tmp_path):
         examples = [({"alpha": 1}, {"Device"}), ({"beta": 1}, set())]
         with pytest.warns(UserWarning, match="no positive examples"):
-            model_set = train_topic_models(examples, seed=0)
+            model = train_topic_models(examples, seed=0)
         path = tmp_path / "topics.json"
-        save_model(model_set, path)
+        save_model(model, path)
         loaded = load_model(path)
-        assert loaded.models["Device"].weights == model_set.models["Device"].weights
+        assert loaded.labels == ("Device",)
+        assert loaded.weights["Device"] == model.weights["Device"]
+        assert loaded.meta == model.meta
 
     def test_version_mismatch(self, tmp_path, type_model):
         path = tmp_path / "model.json"
@@ -649,8 +652,12 @@ class TestPersistence:
         ({"kind": "topics", "topics": {"Device": {"weights": {"a": "x"}}}, "meta": {}}, "'Device'"),
         ({"kind": "topics", "topics": {"Device": {"weights": ["a"]}}, "meta": {}}, "'Device'"),
         ({"kind": "topics", "topics": {"Device": {}}, "meta": {}}, "'Device'"),
+        ({"kind": "type", "labels": ["yesno"], "weights": {"yesno": {}}, "meta": {"space": "patterns", "kind": "topics"}},
+         "meta kind 'topics'"),
+        ({"kind": "topics", "topics": {"Device": {"weights": {"a": 1.0}}}, "meta": {"seed": 42}}, "meta kind None"),
     ], ids=["label without weights", "label not a type", "weight a string", "weights a list", "weight a bool",
-            "unknown space", "no space", "topic weight a string", "topic weights a list", "topic without weights"])
+            "unknown space", "no space", "topic weight a string", "topic weights a list", "topic without weights",
+            "type file with topics meta kind", "topics file without meta kind"])
     def test_hand_edited_model_refused_naming_the_file(self, payload, named, tmp_path):
         path = tmp_path / "edited-model.json"
         path.write_text(json.dumps({"version": qclass.MODEL_FORMAT_VERSION, **payload}))

@@ -433,7 +433,8 @@ class TestSentimentVote:
 def reference_pattern_matches(tagged, patterns):
     """Reference pattern_matches before the earliest-shift filter: every
     pattern that starts with a word set scans every token position for one
-    of its start words, and each pattern gives its first match."""
+    of its start words, and each pattern gives its first match and the
+    shift it starts at."""
     tags = [tag for _, tag in tagged]
     lowered = [surface.lower() for surface, _ in tagged]
     matches = []
@@ -445,7 +446,7 @@ def reference_pattern_matches(tagged, patterns):
         for shift in shifts:
             captured = match(0, shift)
             if captured is not None:
-                matches.append(PatternMatch(pattern, shift, tuple(sorted(Counter(captured).items()))))
+                matches.append((shift, PatternMatch(pattern, tuple(sorted(Counter(captured).items())))))
                 break
     return matches
 
