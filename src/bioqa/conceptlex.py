@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress, count
 
 from .textproc import ResourceFormatError, data_lines, token_surfaces, tokenize
 
@@ -60,6 +61,9 @@ class ConceptLexicon:
         # Document -> (stopwords, abbreviations, its analysed abstract
         # sentences), for every document seen; see retrieval.extract_passages.
         self._passages: dict = {}
+        # Lowercased word -> its index term, for one stopword set; see
+        # retrieval.analyse.
+        self._word_terms = None
         for concept in concepts:
             if concept.cui in self.concepts:
                 raise ValueError(f"duplicate concept identifier {concept.cui}")
@@ -115,26 +119,28 @@ def longest_matches(lowered: list[str], lexicon: ConceptLexicon) -> list[tuple[i
     surfaces, left to right: (first token, token count, cui) per mention.
 
     At each token position the longest surface form present in the lexicon
-    wins and scanning resumes after it, so mentions never overlap. Only the
-    phrase lengths of surface forms starting with the token are tried.
+    wins and scanning resumes after it, so mentions never overlap. Only
+    positions whose token starts some surface form are visited, and there
+    only the phrase lengths of the surface forms starting with it are tried;
+    a position inside the previous mention is skipped.
     """
     phrase_lengths = lexicon._phrase_lengths
     surface_to_cui = lexicon._surface_to_cui
     matches = []
-    i = 0
     n = len(lowered)
-    while i < n:
-        matched = 0
-        for length in phrase_lengths.get(lowered[i], ()):
+    resume = 0
+    for i in compress(count(), map(phrase_lengths.__contains__, lowered)):
+        if i < resume:
+            continue
+        for length in phrase_lengths[lowered[i]]:
             if i + length > n:
                 continue
             key = lowered[i] if length == 1 else " ".join(lowered[i : i + length])
             cui = surface_to_cui.get(key)
             if cui is not None:
                 matches.append((i, length, cui))
-                matched = length
+                resume = i + length
                 break
-        i += matched or 1
     return matches
 
 
@@ -156,7 +162,7 @@ def title_cuis(title: str, lexicon: ConceptLexicon) -> tuple[str, ...]:
     """
     cuis = lexicon._title_cuis.get(title)
     if cuis is None:
-        lowered = [s.lower() for s in token_surfaces(title)]
+        lowered = list(map(str.lower, token_surfaces(title)))
         cuis = lexicon._title_cuis[title] = tuple(cui for _, _, cui in longest_matches(lowered, lexicon))
     return cuis
 

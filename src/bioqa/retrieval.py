@@ -34,6 +34,7 @@ from .conceptlex import (
     title_cuis,
 )
 from .textproc import (
+    WORD_MEMO_BOUND,
     split_sentences,
     stem,
     token_surfaces,
@@ -229,20 +230,47 @@ class _PostingsView(Mapping):
         return len(self._index.terms)
 
 
+class _WordTerms(dict):
+    """analyse's word table: lowercased word -> stem(word), or None for a
+    word not indexed (a stopword, or one without any alphanumeric
+    character). A miss is filled by that rule, under the stopword set the
+    table was made with."""
+
+    def __init__(self, stopwords: set[str]):
+        super().__init__()
+        self.stopwords = stopwords
+
+    def __missing__(self, word):
+        if len(self) >= WORD_MEMO_BOUND:
+            self.clear()
+        # isalnum() first: most words are all alphanumeric, and then the any() is not needed.
+        indexed = word not in self.stopwords and (word.isalnum() or any(ch.isalnum() for ch in word))
+        term = self[word] = stem(word) if indexed else None
+        return term
+
+
 def analyse(text: str, stopwords: set[str], lexicon: ConceptLexicon) -> tuple[list[str], list[str]]:
     """Index terms of a text: stems of non-stopword words, then cuis; and
     those cuis alone, in mention order.
 
     Tokens without any alphanumeric character are skipped. Every concept
     mention contributes one occurrence of its cui. Stems and cuis come from
-    one pass over the lowercased token surfaces.
+    one pass over the lowercased token surfaces, each lowered on its own.
+
+    Each word's index term is read from a word table kept on the lexicon,
+    which maps a lowercased word to its stem, or marks it as not indexed,
+    and is filled on a miss. The table holds only for the stopword set
+    object it was made with: analysis with another set starts a new one.
+    It is cleared when it reaches WORD_MEMO_BOUND words, stem's memo bound.
+    The lexicon and the stopwords are therefore not to be changed once text
+    has been analysed.
     """
-    lowered = [s.lower() for s in token_surfaces(text)]
-    # isalnum() first: most words are all alphanumeric, and then the any() is not needed.
-    terms = [
-        stem(s) for s in lowered
-        if s not in stopwords and (s.isalnum() or any(ch.isalnum() for ch in s))
-    ]
+    lowered = list(map(str.lower, token_surfaces(text)))
+    table = lexicon._word_terms
+    if table is None or table.stopwords is not stopwords:
+        table = lexicon._word_terms = _WordTerms(stopwords)
+    # A stem is never empty, so filter(None, ...) drops exactly the words not indexed.
+    terms = list(filter(None, map(table.__getitem__, lowered)))
     cuis = [cui for _, _, cui in longest_matches(lowered, lexicon)]
     return terms + cuis, cuis
 
@@ -260,7 +288,7 @@ def formulate_query(question: str, lexicon: ConceptLexicon, stopwords: set[str])
     conjunctive, so the order carries no ranking weight).
     """
     surfaces = token_surfaces(question)
-    lowered = [s.lower() for s in surfaces]
+    lowered = list(map(str.lower, surfaces))
     concept_terms = dict.fromkeys(lexicon.get(cui).preferred for _, _, cui in longest_matches(lowered, lexicon))
     raw_terms = tuple(
         surface
@@ -478,7 +506,7 @@ def rerank_documents(
     """
     if m <= 0:
         return []
-    lowered = [s.lower() for s in token_surfaces(question)]
+    lowered = list(map(str.lower, token_surfaces(question)))
     rows = similarity_rows([cui for _, _, cui in longest_matches(lowered, lexicon)], graph)
     if not rows:
         return _scored_docs([doc.doc_id for doc in docs[:m]], repeat(0.0))

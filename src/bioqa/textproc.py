@@ -362,13 +362,20 @@ def _step5(word: str) -> str:
     return word
 
 
-@lru_cache(maxsize=1 << 16)
+# Words stem memoises; a lexicon's word table (retrieval.analyse) is
+# cleared when it holds as many.
+WORD_MEMO_BOUND = 1 << 16
+
+
+@lru_cache(maxsize=WORD_MEMO_BOUND)
 def stem(word: str) -> str:
     """Porter stem of a word (lowercased first).
 
     Memoised by the word as given: a corpus repeats a small vocabulary, so
     most calls are lookups. The bound keeps arbitrary text from growing the
-    memo without limit.
+    memo without limit. Index terms mostly do not reach it: retrieval.analyse
+    reads them from a word table kept on the lexicon and calls stem only for
+    a word that table has not seen.
     """
     word = word.lower()
     if len(word) <= 2:

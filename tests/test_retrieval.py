@@ -534,6 +534,68 @@ class TestPassageMemo:
         assert first == fresh_passages(docs, *resources)
 
 
+class TestWordTable:
+    """analyse reads each word's index term from a table kept on the
+    lexicon: one table per stopword set object, cleared at its bound."""
+
+    @staticmethod
+    def lexicon(bundle):
+        """A lexicon equal to the bundled one, with an empty word table."""
+        return ConceptLexicon(list(bundle.concept_lexicon.concepts.values()))
+
+    @staticmethod
+    def texts(corpus):
+        return [f"{doc.title} {doc.abstract}" for doc in corpus.values()]
+
+    def test_each_stopword_set_gets_its_own_terms(self, bundle, corpus):
+        texts = self.texts(corpus)
+        units = list(zip(corpus, texts))
+        lexicon = self.lexicon(bundle)
+        indexed = []
+        for stopwords in (bundle.stopwords, {"mutation"}, bundle.stopwords, set()):
+            for text in texts:
+                got = retrieval.analyse(text, stopwords, lexicon)
+                assert got == retrieval.analyse(text, stopwords, self.lexicon(bundle))
+            index = build_index(units, "document", stopwords, lexicon)
+            assert index == build_index(units, "document", stopwords, self.lexicon(bundle))
+            indexed.append(int(index.unit_lengths.sum()))
+        # The three sets index different numbers of words.
+        assert indexed[0] == indexed[2] and len(set(indexed)) == 3
+
+    def test_second_pass_reads_the_table(self, bundle, corpus, monkeypatch):
+        texts = self.texts(corpus)
+        lexicon = self.lexicon(bundle)
+        first = [retrieval.analyse(text, bundle.stopwords, lexicon) for text in texts]
+        stemmed = Counter()
+
+        def counting(word):
+            stemmed[word] += 1
+            return stem(word)
+
+        monkeypatch.setattr(retrieval, "stem", counting)
+        assert [retrieval.analyse(text, bundle.stopwords, lexicon) for text in texts] == first
+        assert not stemmed
+        # A new set starts a new table, which stems each indexed word once.
+        stopwords = set(bundle.stopwords)
+        assert [retrieval.analyse(text, stopwords, lexicon) for text in texts] == first
+        assert stemmed and set(stemmed.values()) == {1}
+
+    def test_bound(self, bundle, corpus, monkeypatch):
+        assert retrieval.WORD_MEMO_BOUND == stem.cache_info().maxsize
+        texts = self.texts(corpus)
+        words = [f"w{i}" for i in range(50)]
+        expected = [retrieval.analyse(text, bundle.stopwords, self.lexicon(bundle)) for text in texts]
+        monkeypatch.setattr(retrieval, "WORD_MEMO_BOUND", 16)
+        lexicon = self.lexicon(bundle)
+        for word in words:
+            assert retrieval.analyse(word, bundle.stopwords, lexicon) == ([stem(word)], [])
+            assert len(lexicon._word_terms) <= 16
+        # One text with more distinct words than the bound.
+        assert retrieval.index_terms(" ".join(words), bundle.stopwords, lexicon) == list(map(stem, words))
+        assert len(lexicon._word_terms) <= 16
+        assert [retrieval.analyse(text, bundle.stopwords, lexicon) for text in texts] == expected
+
+
 class TestPassageOracle:
     """rank_passages and the ideal re-rank against passage_oracle."""
 

@@ -264,6 +264,10 @@ class TestOnePassAnalysis:
     @example(text="")
     @example(text=WHITESPACE)
     @example(text="The Tuberous Sclerosis patients, e.g. THE ones with EPILEPSY.")
+    # A final sigma: lowered on its own, "ΟΔΟΣ" ends in "ς"; lowered with
+    # the text around it, before "." or ":" and a letter, it ends in "σ".
+    @example(text="ΟΔΟΣ.Α ΟΔΟΣ:Β")
+    @example(text="ΟΔΟΣ.Α Tuberous Sclerosis ΟΔΟΣ:Β")
     def test_equals_two_pass(self, text):
         check_one_pass(text, self.fresh_lexicon())
 
