@@ -40,6 +40,7 @@ from .retrieval import (
     search,
 )
 from .textproc import (
+    WORD_MEMO_BOUND,
     TagLexicon,
     token_surfaces,
     tokenize,  # not called here; perfbench/tracer.py counts calls through this binding
@@ -108,10 +109,25 @@ def answer_yesno(
     and the answer is yes when positives are not outnumbered.
 
     An empty passage list yields yes (the 0 >= 0 branch) with a flag.
+
+    Each passage's passage_sentiment is memoised by its text on the
+    sentiment lexicon. The memo holds only for the tag lexicon object it was
+    made with: a vote with another starts a new one. It is cleared when it
+    reaches WORD_MEMO_BOUND passages. The two lexicons are therefore not to
+    be changed once a vote has been taken.
     """
+    memo = sentiment._passage_scores
+    if memo is None or memo[0] is not tag_lexicon:
+        memo = sentiment._passage_scores = (tag_lexicon, {})
+    scores = memo[1]
     positives = negatives = 0
     for text in passages:
-        if passage_sentiment(text, sentiment, tag_lexicon) >= 0.0:
+        score = scores.get(text)
+        if score is None:
+            if len(scores) >= WORD_MEMO_BOUND:
+                scores.clear()
+            score = scores[text] = passage_sentiment(text, sentiment, tag_lexicon)
+        if score >= 0.0:
             positives += 1
         else:
             negatives += 1
@@ -123,16 +139,19 @@ def rank_entities(
     passages: list[PassageCandidate],
     question_cuis: list[str],
     lexicon: ConceptLexicon,
+    cap: int | None = None,
 ) -> list[EntityAnswer]:
     """Frequency-ranked concepts the passages carry, question concepts excluded.
 
     Exclusion happens at the concept level, so a synonym of a question
-    entity is excluded too. Ties keep first-mention order.
+    entity is excluded too. Ties keep first-mention order. With a cap, the
+    ranking is cut to ranked[:cap] before any answer is made, so only the
+    kept concepts have their names and synonyms looked up.
     """
     excluded = set(question_cuis)
     # A Counter keeps first-mention order, and the sort is stable.
     counts = Counter(cui for passage in passages for cui in passage.cuis if cui not in excluded)
-    ranked = sorted(counts, key=lambda cui: -counts[cui])
+    ranked = sorted(counts, key=lambda cui: -counts[cui])[:cap]
     return [
         EntityAnswer(lexicon.get(cui).preferred, tuple(synonyms_of(cui, lexicon)))
         for cui in ranked
@@ -141,7 +160,7 @@ def rank_entities(
 
 def answer_factoid(passages: list[PassageCandidate], question_cuis: list[str], lexicon: ConceptLexicon) -> list[EntityAnswer]:
     """Up to five candidate entities, most frequent first."""
-    return rank_entities(passages, question_cuis, lexicon)[:FACTOID_CAP]
+    return rank_entities(passages, question_cuis, lexicon, FACTOID_CAP)
 
 
 def answer_list(
@@ -151,7 +170,7 @@ def answer_list(
     cap: int = DEFAULT_LIST_CAP,
 ) -> list[EntityAnswer]:
     """Single list of entities; same ranking as factoid, different reading."""
-    return rank_entities(passages, question_cuis, lexicon)[:cap]
+    return rank_entities(passages, question_cuis, lexicon, cap)
 
 
 def ideal_answer(
@@ -203,17 +222,26 @@ def retrieve(
     """concept query -> BM25 search -> title rerank -> sentence BM25.
 
     documents must hold every unit of the index. The question is analysed
-    here once for the passage ranking and the stages after it.
+    here once, before the search, for the search depth, the passage ranking
+    and the stages after it.
+
+    Rerank can reorder documents only when a question cui is in the
+    hierarchy. Otherwise it keeps search's first top_docs in search order,
+    a prefix of any deeper search's, so search goes only that deep. It
+    still goes at least one deep, so that it reports whether it relaxed.
     """
     lexicon, stopwords = resources.concept_lexicon, resources.stopwords
+    question_terms, question_cuis = analyse(question, stopwords, lexicon)
+    depth = config.retrieve_depth
+    if not any(cui in resources.graph for cui in question_cuis):
+        depth = min(depth, max(config.top_docs, 1))
     query = formulate_query(question, lexicon, stopwords)
-    result = search(index, query, config.retrieve_depth, stopwords, lexicon, k1=config.k1, b=config.b)
+    result = search(index, query, depth, stopwords, lexicon, k1=config.k1, b=config.b)
     found = [documents[sd.doc_id] for sd in result.docs]
     reranked = rerank_documents(question, found, lexicon, resources.graph, config.top_docs)
     candidates = extract_passages(
         [documents[sd.doc_id] for sd in reranked], resources.abbreviations, stopwords, lexicon
     )
-    question_terms, question_cuis = analyse(question, stopwords, lexicon)
     passages = rank_passages(question_terms, candidates, k1=config.k1, b=config.b, top_n=config.top_passages)
     return Retrieved(query, result.relaxed, reranked, passages, question_terms, question_cuis)
 

@@ -287,6 +287,9 @@ class SentimentLexicon:
         for e in self.entries:
             self._by_key.setdefault((e.word, e.tag_class), []).append(e)
         self.words = frozenset(word for word, _ in self._by_key)
+        # (tag lexicon, passage text -> score), for one tag lexicon; see
+        # answer.answer_yesno.
+        self._passage_scores = None
 
     @classmethod
     def from_file(cls, path) -> "SentimentLexicon":

@@ -8,7 +8,8 @@ reranking orders documents by summed concept-path similarity between the
 question and each title, read from per-question-cui similarity rows kept
 on the graph, and keeps the incoming order without reading a title when
 no question cui is in the hierarchy. Document search scores an array
-index (see IndexedCorpus) into a dense score vector; bm25_rank, over dict
+index (see IndexedCorpus) into a dense score vector, of which it sorts
+only the scores that can make its limit; bm25_rank, over dict
 postings, ranks passages and is the reference document search is tested
 against. Its loop is term at a time: each query term adds into the units
 of its postings, in query order, so a unit no term holds is not probed.
@@ -486,8 +487,30 @@ def _rank_arrays(index, spans, scored, all_held, limit, k1, b):
     else:
         scores = np.zeros(n_units)
     ranked = scores[candidates]
-    order = (-ranked).argsort(kind="stable")[:limit]
+    order = _top_order(ranked, limit)
     return candidates[order].tolist(), ranked[order].tolist(), relaxed
+
+
+# _top_order stable-sorts every score while they number at most this many
+# times limit; past it, a partition first finds the scores that can be kept.
+PARTITION_MIN_RATIO = 4
+
+
+def _top_order(scores: np.ndarray, limit: int) -> np.ndarray:
+    """Positions of the limit best scores, best first, ties in position
+    order: (-scores).argsort(kind="stable")[:limit] for limit >= 1.
+
+    When the scores far outnumber limit, only those at or above the
+    limit-th best, found by np.partition, are sorted. Every score tied with
+    it is kept, in position order, so the stable sort still decides which
+    of the tied ones make the cut.
+    """
+    n = len(scores)
+    if n <= PARTITION_MIN_RATIO * limit:
+        return (-scores).argsort(kind="stable")[:limit]
+    cut = np.partition(scores, n - limit)[n - limit]
+    kept = (scores >= cut).nonzero()[0]
+    return kept[(-scores[kept]).argsort(kind="stable")][:limit]
 
 
 def rerank_documents(

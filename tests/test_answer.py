@@ -1,21 +1,31 @@
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bioqa import answer, retrieval
 from bioqa.answer import (
     ConfigurationError,
+    PipelineConfig,
+    Retrieved,
     answer_factoid,
     answer_list,
     answer_pipeline,
     answer_to_json,
     answer_yesno,
     ideal_answer,
+    passage_sentiment,
     rank_entities,
+    retrieve,
 )
 from bioqa.conceptlex import SentimentEntry, SentimentLexicon, recognize
 from bioqa.ingest import load_resources
 from bioqa.qclass import FEATURE_SPACES, FeatureExtractor, QuestionType, extract_topic_features
+from bioqa.retrieval import DocumentRecord, build_index, extract_passages
+from bioqa.textproc import TagLexicon
 
 from conftest import RESOURCE_DIR, analysed, question_cuis, question_terms
 
@@ -362,3 +372,177 @@ class TestNoOffsetViews:
             concept_features += sum(f in bundle.concept_lexicon for f in features)
         assert concept_features > 0
         assert calls == Counter()
+
+
+def reference_retrieve(question, documents, index, resources, config):
+    """retrieve with search always at retrieve_depth, then rerank."""
+    lexicon, stopwords = resources.concept_lexicon, resources.stopwords
+    query = retrieval.formulate_query(question, lexicon, stopwords)
+    result = retrieval.search(index, query, config.retrieve_depth, stopwords, lexicon, k1=config.k1, b=config.b)
+    found = [documents[sd.doc_id] for sd in result.docs]
+    reranked = retrieval.rerank_documents(question, found, lexicon, resources.graph, config.top_docs)
+    candidates = extract_passages(
+        [documents[sd.doc_id] for sd in reranked], resources.abbreviations, stopwords, lexicon
+    )
+    terms, cuis = retrieval.analyse(question, stopwords, lexicon)
+    passages = retrieval.rank_passages(terms, candidates, k1=config.k1, b=config.b, top_n=config.top_passages)
+    return Retrieved(query, result.relaxed, reranked, passages, terms, cuis)
+
+
+@pytest.fixture(scope="module")
+def grown(bundle, corpus):
+    """80 documents with titles and abstracts drawn from the bundled ones,
+    so that many match a query and many tie, and their index."""
+    rng = random.Random(31)
+    records = list(corpus.values())
+    documents = {}
+    for i in range(80):
+        abstract = " ".join(rng.choice(records).abstract for _ in range(rng.randint(1, 2)))
+        documents[f"g{i}"] = DocumentRecord(f"g{i}", rng.choice(records).title, abstract)
+    units = [(d.doc_id, f"{d.title} {d.abstract}") for d in documents.values()]
+    return documents, build_index(units, "document", bundle.stopwords, bundle.concept_lexicon)
+
+
+# Words of the bundled titles and concepts: "tobacco", "chromatin" and
+# "calcium" name concepts outside the hierarchy, "imatinib", "epilepsy" and
+# "seizures" concepts in it, the rest no concept.
+_question_words = st.sampled_from([
+    "imatinib", "epilepsy", "seizures", "muenke", "syndrome", "tobacco", "chromatin", "calcium",
+    "mutation", "patients", "treatment", "effects", "gene", "protein", "zorbifen",
+])
+_questions = st.lists(_question_words, min_size=1, max_size=5).map(lambda words: f"What is {' '.join(words)}?")
+
+
+def cui_kind(cuis, graph) -> str:
+    if not cuis:
+        return "none"
+    return "in" if any(cui in graph for cui in cuis) else "outside"
+
+
+class TestSearchDepth:
+    """retrieve searches only top_docs deep when rerank cannot reorder,
+    and gives what a search at retrieve_depth followed by rerank gives."""
+
+    @staticmethod
+    def check(question, documents, index, resources, config):
+        with mock.patch.object(answer, "search", wraps=answer.search) as spy:
+            got = retrieve(question, documents, index, resources, config)
+        assert got == reference_retrieve(question, documents, index, resources, config)
+        limit = spy.call_args.args[2]
+        if cui_kind(got.question_cuis, resources.graph) == "in":
+            assert limit == config.retrieve_depth
+        else:
+            assert limit == min(config.retrieve_depth, max(config.top_docs, 1))
+        return got
+
+    @settings(max_examples=150)
+    @given(question=_questions, retrieve_depth=st.integers(1, 40), top_docs=st.integers(0, 50))
+    @example(question="What is zorbifen?", retrieve_depth=200, top_docs=10)  # no cuis
+    @example(question="What is tobacco chromatin?", retrieve_depth=200, top_docs=10)  # cuis outside
+    @example(question="What is imatinib tobacco?", retrieve_depth=200, top_docs=10)  # a cui in it
+    @example(question="What is tobacco mutation?", retrieve_depth=5, top_docs=30)  # top_docs > depth
+    @example(question="What is patients effects?", retrieve_depth=30, top_docs=0)  # relaxed, nothing kept
+    def test_equals_search_at_depth_then_rerank(self, bundle, grown, question, retrieve_depth, top_docs):
+        documents, index = grown
+        config = PipelineConfig(retrieve_depth=retrieve_depth, top_docs=top_docs)
+        self.check(question, documents, index, bundle, config)
+
+    def test_bundled_questions(self, bundle, corpus, doc_index, grown, appendix_questions):
+        kinds = Counter()
+        for documents, index in ((corpus, doc_index), grown):
+            for config in (PipelineConfig(), PipelineConfig(retrieve_depth=3, top_docs=7),
+                           PipelineConfig(retrieve_depth=12, top_docs=2)):
+                for q in appendix_questions.questions:
+                    got = self.check(q.body, documents, index, bundle, config)
+                    kinds[cui_kind(got.question_cuis, bundle.graph)] += 1
+        # No bundled question has cuis only outside the hierarchy; the
+        # examples of the drawn test above do.
+        assert set(kinds) == {"none", "in"}
+
+    def test_examples_cover_each_kind(self, bundle):
+        kinds = [cui_kind(retrieval.analyse(q, bundle.stopwords, bundle.concept_lexicon)[1], bundle.graph)
+                 for q in ("What is zorbifen?", "What is tobacco chromatin?", "What is imatinib tobacco?")]
+        assert kinds == ["none", "outside", "in"]
+
+    def test_relaxed_flag_kept_when_nothing_is_kept(self, bundle, grown):
+        documents, index = grown
+        got = self.check("What is patients effects zorbifen?", documents, index, bundle, PipelineConfig(top_docs=0))
+        assert got.relaxed and got.documents == []
+
+
+class TestVoteMemo:
+    """answer_yesno scores each passage text once per sentiment lexicon and
+    tag lexicon object, and keeps at most WORD_MEMO_BOUND scores."""
+
+    @staticmethod
+    def passages(bundle, corpus):
+        docs = list(corpus.values())
+        return [c.text for c in extract_passages(docs, bundle.abbreviations, bundle.stopwords, bundle.concept_lexicon)]
+
+    @staticmethod
+    def fresh_vote(passages, sentiment, tag_lexicon):
+        scores = [passage_sentiment(text, sentiment, tag_lexicon) for text in passages]
+        positives = sum(score >= 0.0 for score in scores)
+        negatives = len(scores) - positives
+        return answer.YesNoResult("yes" if positives >= negatives else "no", positives, negatives, not passages)
+
+    def test_vote_equals_fresh_scores(self, bundle, corpus):
+        sentiment = SentimentLexicon(bundle.sentiment.entries)
+        texts = self.passages(bundle, corpus)
+        rng = random.Random(5)
+        for _ in range(40):
+            chosen = rng.sample(texts, rng.randint(0, 8))
+            assert answer_yesno(chosen, sentiment, bundle.tag_lexicon) == self.fresh_vote(
+                chosen, sentiment, bundle.tag_lexicon)
+        tag_lexicon, scores = sentiment._passage_scores
+        assert tag_lexicon is bundle.tag_lexicon and scores
+        assert scores == {text: passage_sentiment(text, sentiment, bundle.tag_lexicon) for text in scores}
+
+    def test_each_tag_lexicon_gets_its_own_scores(self):
+        # "well" scores +0.5 as an adverb and -0.5 as a noun.
+        sentiment = SentimentLexicon([SentimentEntry("well", "r", 0.5, 0.0), SentimentEntry("well", "n", 0.0, 0.5)])
+        adverb, noun = TagLexicon({"well": "RB"}), TagLexicon({"well": "NN"})
+        passages = ["They did well.", "Patients did well too."]
+        for tag_lexicon, value in [(adverb, "yes"), (noun, "no"), (adverb, "yes"), (TagLexicon({"well": "RB"}), "yes")]:
+            vote = answer_yesno(passages, sentiment, tag_lexicon)
+            assert vote == self.fresh_vote(passages, sentiment, tag_lexicon) and vote.value == value
+            assert sentiment._passage_scores[0] is tag_lexicon
+
+    def test_bound(self, bundle, corpus, monkeypatch):
+        monkeypatch.setattr(answer, "WORD_MEMO_BOUND", 3)
+        sentiment = SentimentLexicon(bundle.sentiment.entries)
+        texts = self.passages(bundle, corpus)[:10]
+        assert len(set(texts)) == 10
+        for chosen in [texts[:2], texts[2:4], texts[4:9], texts[:1], texts]:
+            assert answer_yesno(chosen, sentiment, bundle.tag_lexicon) == self.fresh_vote(
+                chosen, sentiment, bundle.tag_lexicon)
+            assert len(sentiment._passage_scores[1]) <= 3
+
+
+class TestEntityCap:
+    def test_capped_is_a_prefix_and_only_kept_cuis_get_synonyms(self, bundle, monkeypatch):
+        lexicon = bundle.concept_lexicon
+        synonyms_of = answer.synonyms_of
+        looked_up = []
+
+        def recording(cui, lex):
+            looked_up.append(cui)
+            return synonyms_of(cui, lex)
+
+        monkeypatch.setattr(answer, "synonyms_of", recording)
+        rng = random.Random(23)
+        vocab = ["imatinib", "cohesin", "chromatin", "epilepsy", "tobacco", "mother", "statistics", "gleevec",
+                 "seizures", "calcium", "words"]
+        capped_some = 0
+        for _ in range(80):
+            passages = [analysed(bundle, " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 9))))
+                        for _ in range(rng.randint(0, 4))]
+            cuis = question_cuis(bundle, rng.choice(vocab))
+            uncapped = rank_entities(passages, cuis, lexicon)
+            for cap in range(len(uncapped) + 2):
+                looked_up.clear()
+                capped = rank_entities(passages, cuis, lexicon, cap)
+                assert capped == uncapped[:cap]
+                assert [lexicon.get(cui).preferred for cui in looked_up] == [e.name for e in capped]
+                capped_some += len(capped) < len(uncapped)
+        assert capped_some

@@ -3,6 +3,7 @@ import random
 from collections import Counter, deque
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -468,9 +469,11 @@ class TestPassageAnalysis:
             self.check(bundle, docs)
 
 
-def fresh_passages(docs, abbreviations, stopwords, lexicon):
-    """The candidates of docs, each sentence analysed anew."""
+def fresh_passages(docs, abbreviations, stopwords, bundle):
+    """The candidates of docs, each sentence analysed anew with a lexicon of
+    its own, which no earlier analysis has left state on."""
     candidates = []
+    lexicon = TestPassageMemo.lexicon(bundle)
     for doc in docs:
         for i, sentence in enumerate(split_sentences(doc.abstract, abbreviations)):
             terms, cuis = retrieval.analyse(sentence.text, stopwords, lexicon)
@@ -508,7 +511,7 @@ class TestPassageMemo:
         for k in [*order, *order]:
             abbreviations, stopwords = resources[k]
             got = extract_passages(docs, abbreviations, stopwords, lexicon)
-            assert got == fresh_passages(docs, abbreviations, stopwords, lexicon)
+            assert got == fresh_passages(docs, abbreviations, stopwords, bundle)
         # A later request with the same sets reuses the memoised candidates.
         again = extract_passages(docs, abbreviations, stopwords, lexicon)
         assert len(again) == len(got) and all(a is b for a, b in zip(again, got))
@@ -531,7 +534,7 @@ class TestPassageMemo:
         again = extract_passages(docs, *resources)
         assert analyses == Counter(doc.doc_id for doc in docs)
         assert len(again) == len(first) and all(a is b for a, b in zip(again, first))
-        assert first == fresh_passages(docs, *resources)
+        assert first == fresh_passages(docs, bundle.abbreviations, bundle.stopwords, bundle)
 
 
 class TestWordTable:
@@ -825,6 +828,46 @@ class TestSearchKernel:
                 assert ([(d.doc_id, d.score) for d in result.docs], result.relaxed) == expected
                 relaxed += result.relaxed
         assert 0 < relaxed < len(appendix_questions.questions)
+
+
+# A few score values, so that many scores tie at the cut.
+_tied_scores = st.lists(st.sampled_from([0.0, 0.25, 1.5, 1.5000000000000002, 3.0]), max_size=80)
+
+
+class TestTopOrder:
+    """_top_order is the limit-long prefix of the full stable argsort, with
+    and without the partition, ties at the cut kept in position order."""
+
+    @staticmethod
+    def check(scores, limit):
+        scores = np.array(scores, dtype=float)
+        expected = (-scores).argsort(kind="stable")[:limit]
+        for ratio in (retrieval.PARTITION_MIN_RATIO, 1):
+            with mock.patch.object(retrieval, "PARTITION_MIN_RATIO", ratio):
+                assert retrieval._top_order(scores, limit).tolist() == expected.tolist()
+
+    @settings(max_examples=400)
+    @given(scores=_tied_scores, limit=st.integers(1, 90))
+    @example(scores=[1.0] * 40, limit=1)
+    @example(scores=[0.0, 2.0, 1.0, 2.0, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0], limit=4)
+    def test_equals_full_stable_argsort(self, scores, limit):
+        self.check(scores, limit)
+
+    @settings(max_examples=100)
+    @given(scores=_tied_scores.filter(len))
+    def test_limit_one_len_and_beyond(self, scores):
+        for limit in (1, len(scores) - 1, len(scores), len(scores) + 1, 4 * len(scores)):
+            if limit >= 1:
+                self.check(scores, limit)
+
+    def test_partition_path_runs_on_relaxed_search(self):
+        # 300 units of a few shapes, enough postings for the array path: the
+        # relaxed query holds 225 of them, with many tied scores at a cut of 5.
+        units = [[["aa"], ["aa", "bb"], ["bb", "cc", "cc"], ["cc", "dd"]][i % 4] for i in range(300)]
+        index = index_from_terms(units)
+        with mock.patch.object(retrieval, "_top_order", wraps=retrieval._top_order) as spy:
+            relaxed = check_search(index, units, ["aa", "dd"], 5, DEFAULT_K1, DEFAULT_B)
+        assert relaxed and spy.call_args.args[1] * retrieval.PARTITION_MIN_RATIO < len(spy.call_args.args[0])
 
 
 def test_index_unchanged_by_queries(bundle, corpus, doc_index, tmp_path):
