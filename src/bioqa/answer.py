@@ -139,7 +139,7 @@ def rank_entities(
     passages: list[PassageCandidate],
     question_cuis: list[str],
     lexicon: ConceptLexicon,
-    cap: int | None = None,
+    cap: int | None,
 ) -> list[EntityAnswer]:
     """Frequency-ranked concepts the passages carry, question concepts excluded.
 

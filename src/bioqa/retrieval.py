@@ -491,23 +491,18 @@ def _rank_arrays(index, spans, scored, all_held, limit, k1, b):
     return candidates[order].tolist(), ranked[order].tolist(), relaxed
 
 
-# _top_order stable-sorts every score while they number at most this many
-# times limit; past it, a partition first finds the scores that can be kept.
-PARTITION_MIN_RATIO = 4
-
-
 def _top_order(scores: np.ndarray, limit: int) -> np.ndarray:
     """Positions of the limit best scores, best first, ties in position
     order: (-scores).argsort(kind="stable")[:limit] for limit >= 1.
 
-    When the scores far outnumber limit, only those at or above the
-    limit-th best, found by np.partition, are sorted. Every score tied with
-    it is kept, in position order, so the stable sort still decides which
-    of the tied ones make the cut.
+    When the scores outnumber limit, only those at or above the limit-th
+    best, found by np.partition, are sorted. Every score tied with it is
+    kept, in position order, so the stable sort still decides which of the
+    tied ones make the cut.
     """
     n = len(scores)
-    if n <= PARTITION_MIN_RATIO * limit:
-        return (-scores).argsort(kind="stable")[:limit]
+    if n <= limit:
+        return (-scores).argsort(kind="stable")
     cut = np.partition(scores, n - limit)[n - limit]
     kept = (scores >= cut).nonzero()[0]
     return kept[(-scores[kept]).argsort(kind="stable")][:limit]

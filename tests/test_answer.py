@@ -78,17 +78,17 @@ class TestRankEntities:
             "Imatinib is studied with cohesin.",
         ]
         ranked = rank_entities([analysed(bundle, p) for p in passages],
-                               question_cuis(bundle, "What about leukemia?"), bundle.concept_lexicon)
+                               question_cuis(bundle, "What about leukemia?"), bundle.concept_lexicon, None)
         assert ranked[0].name == "Imatinib"
 
     def test_question_entities_excluded_by_concept(self, bundle):
         passages = [analysed(bundle, "Imatinib and gleevec again imatinib.")]
         # gleevec is a synonym of the question concept, so nothing remains
-        assert rank_entities(passages, question_cuis(bundle, "Is imatinib safe?"), bundle.concept_lexicon) == []
+        assert rank_entities(passages, question_cuis(bundle, "Is imatinib safe?"), bundle.concept_lexicon, None) == []
 
     def test_no_concepts_recognized(self, bundle):
         passages = [analysed(bundle, "plain words only")]
-        assert rank_entities(passages, question_cuis(bundle, "question"), bundle.concept_lexicon) == []
+        assert rank_entities(passages, question_cuis(bundle, "question"), bundle.concept_lexicon, None) == []
 
     def test_counts_match_bruteforce_oracle(self, bundle):
         rng = random.Random(77)
@@ -100,7 +100,7 @@ class TestRankEntities:
             ]
             question = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 3)))
             ranked = rank_entities([analysed(bundle, p) for p in passages],
-                                   question_cuis(bundle, question), bundle.concept_lexicon)
+                                   question_cuis(bundle, question), bundle.concept_lexicon, None)
 
             exclude = {m.cui for m in recognize(question, bundle.concept_lexicon)}
             counts = Counter()
@@ -538,7 +538,7 @@ class TestEntityCap:
             passages = [analysed(bundle, " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 9))))
                         for _ in range(rng.randint(0, 4))]
             cuis = question_cuis(bundle, rng.choice(vocab))
-            uncapped = rank_entities(passages, cuis, lexicon)
+            uncapped = rank_entities(passages, cuis, lexicon, None)
             for cap in range(len(uncapped) + 2):
                 looked_up.clear()
                 capped = rank_entities(passages, cuis, lexicon, cap)

@@ -835,16 +835,14 @@ _tied_scores = st.lists(st.sampled_from([0.0, 0.25, 1.5, 1.5000000000000002, 3.0
 
 
 class TestTopOrder:
-    """_top_order is the limit-long prefix of the full stable argsort, with
-    and without the partition, ties at the cut kept in position order."""
+    """_top_order is the limit-long prefix of the full stable argsort, ties
+    at the cut kept in position order."""
 
     @staticmethod
     def check(scores, limit):
         scores = np.array(scores, dtype=float)
         expected = (-scores).argsort(kind="stable")[:limit]
-        for ratio in (retrieval.PARTITION_MIN_RATIO, 1):
-            with mock.patch.object(retrieval, "PARTITION_MIN_RATIO", ratio):
-                assert retrieval._top_order(scores, limit).tolist() == expected.tolist()
+        assert retrieval._top_order(scores, limit).tolist() == expected.tolist()
 
     @settings(max_examples=400)
     @given(scores=_tied_scores, limit=st.integers(1, 90))
@@ -867,7 +865,7 @@ class TestTopOrder:
         index = index_from_terms(units)
         with mock.patch.object(retrieval, "_top_order", wraps=retrieval._top_order) as spy:
             relaxed = check_search(index, units, ["aa", "dd"], 5, DEFAULT_K1, DEFAULT_B)
-        assert relaxed and spy.call_args.args[1] * retrieval.PARTITION_MIN_RATIO < len(spy.call_args.args[0])
+        assert relaxed and spy.call_args.args[1] < len(spy.call_args.args[0])
 
 
 def test_index_unchanged_by_queries(bundle, corpus, doc_index, tmp_path):
