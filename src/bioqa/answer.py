@@ -40,8 +40,8 @@ from .retrieval import (
     search,
 )
 from .textproc import (
-    WORD_MEMO_BOUND,
     TagLexicon,
+    memo_of,
     token_surfaces,
     tokenize,  # not called here; perfbench/tracer.py counts calls through this binding
     word_tag,
@@ -110,24 +110,13 @@ def answer_yesno(
 
     An empty passage list yields yes (the 0 >= 0 branch) with a flag.
 
-    Each passage's passage_sentiment is memoised by its text on the
-    sentiment lexicon. The memo holds only for the tag lexicon object it was
-    made with: a vote with another starts a new one. It is cleared when it
-    reaches WORD_MEMO_BOUND passages. The two lexicons are therefore not to
-    be changed once a vote has been taken.
+    Each passage's score is read from the sentiment lexicon's vote memo,
+    memo_of(sentiment, passage_sentiment, tag_lexicon).
     """
-    memo = sentiment._passage_scores
-    if memo is None or memo[0] is not tag_lexicon:
-        memo = sentiment._passage_scores = (tag_lexicon, {})
-    scores = memo[1]
+    scores = memo_of(sentiment, passage_sentiment, tag_lexicon)
     positives = negatives = 0
     for text in passages:
-        score = scores.get(text)
-        if score is None:
-            if len(scores) >= WORD_MEMO_BOUND:
-                scores.clear()
-            score = scores[text] = passage_sentiment(text, sentiment, tag_lexicon)
-        if score >= 0.0:
+        if scores[text] >= 0.0:
             positives += 1
         else:
             negatives += 1

@@ -119,6 +119,9 @@ def _check_args(args) -> None:
         raise CliError(f"--b must lie in [0, 1], got {b}")
     if C is not None and C <= 0:
         raise CliError(f"--C must be positive, got {C}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise CliError(f"--seed must not be negative, got {seed}")
     for name in ("retrieve_depth", "top_docs", "top_passages", "list_cap", "epochs"):
         count = getattr(args, name, None)
         if count is not None and count < 1:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress, count
 
-from .textproc import ResourceFormatError, data_lines, token_surfaces, tokenize
+from .textproc import Memo, ResourceFormatError, data_lines, memo_of, token_surfaces, tokenize
 
 
 class UnknownConceptError(KeyError):
@@ -56,14 +56,6 @@ class ConceptLexicon:
     def __init__(self, concepts: list[Concept]):
         self.concepts: dict[str, Concept] = {}
         self._surface_to_cui: dict[str, str] = {}
-        # Title text -> cuis recognized in it; see title_cuis.
-        self._title_cuis: dict[str, tuple[str, ...]] = {}
-        # Document -> (stopwords, abbreviations, its analysed abstract
-        # sentences), for every document seen; see retrieval.extract_passages.
-        self._passages: dict = {}
-        # Lowercased word -> its index term, for one stopword set; see
-        # retrieval.analyse.
-        self._word_terms = None
         for concept in concepts:
             if concept.cui in self.concepts:
                 raise ValueError(f"duplicate concept identifier {concept.cui}")
@@ -155,16 +147,13 @@ def recognize(text: str, lexicon: ConceptLexicon) -> list[ConceptMention]:
 
 
 def title_cuis(title: str, lexicon: ConceptLexicon) -> tuple[str, ...]:
-    """Cuis recognized in a document title, memoised per lexicon by title.
+    """Cuis recognized in a document title, in mention order.
 
-    Rerank asks for the same titles question after question; a corpus has
-    a bounded set of them, so the memo is not bounded.
+    Rerank asks for the same titles question after question, so it reads
+    them from memo_of(lexicon, title_cuis).
     """
-    cuis = lexicon._title_cuis.get(title)
-    if cuis is None:
-        lowered = list(map(str.lower, token_surfaces(title)))
-        cuis = lexicon._title_cuis[title] = tuple(cui for _, _, cui in longest_matches(lowered, lexicon))
-    return cuis
+    lowered = list(map(str.lower, token_surfaces(title)))
+    return tuple(cui for _, _, cui in longest_matches(lowered, lexicon))
 
 
 @dataclass
@@ -172,12 +161,6 @@ class ConceptGraph:
     """Undirected concept hierarchy used for path-length similarity."""
 
     adjacency: dict[str, set[str]] = field(default_factory=dict)
-    # Question cui -> {title cui: path_similarity, or None}, filled by
-    # similarity_rows and row_sum. The graph is not to be changed once
-    # similarities have been asked of it.
-    _similarity_rows: dict[str, dict[str, float | None]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def from_edges(cls, edges: list[tuple[str, str]]) -> "ConceptGraph":
@@ -233,37 +216,40 @@ def path_similarity(c1: str, c2: str, graph: ConceptGraph) -> float | None:
     return None
 
 
-def similarity_rows(question_cuis, graph: ConceptGraph) -> list[tuple[str, dict[str, float | None]]]:
-    """(cui, its similarity row) for each question cui in the hierarchy, in
-    order; a cui listed twice is listed twice.
+def _title_similarity(tc: str, graph: ConceptGraph, qc: str) -> float | None:
+    return path_similarity(qc, tc, graph) if tc in graph else None
 
-    A row maps the title cuis asked of it so far to their path similarity,
-    None when there is no path or the title cui is not in the hierarchy. It
-    is kept on the graph, so each pair is computed once per graph. An empty
-    list means every title sums to 0.0.
+
+def _similarity_row(qc: str, graph: ConceptGraph) -> Memo:
+    return Memo(_title_similarity, graph, (qc,))
+
+
+def similarity_rows(question_cuis, graph: ConceptGraph) -> list[Memo]:
+    """The similarity row of each question cui in the hierarchy, in order;
+    a cui listed twice is listed twice.
+
+    A row maps a title cui to its path similarity from the row's question
+    cui, None when there is no path or the title cui is not in the
+    hierarchy. Rows are kept in memo_of(graph, _similarity_row), so each
+    pair is computed once per graph. An empty list means every title sums
+    to 0.0.
     """
-    rows = graph._similarity_rows
-    return [(qc, rows.setdefault(qc, {})) for qc in question_cuis if qc in graph]
+    rows = memo_of(graph, _similarity_row)
+    return [rows[qc] for qc in question_cuis if qc in graph]
 
 
-_UNSEEN = object()  # row_sum's mark for a pair its row has not been asked
-
-
-def row_sum(rows, title_cuis, graph: ConceptGraph) -> float:
+def row_sum(rows, title_cuis) -> float:
     """Sum of path similarities over the cross product of the rows'
-    question cuis (outer) and title_cuis (inner), each pair looked up in
-    its row or computed into it.
+    question cuis (outer) and title_cuis (inner).
 
     Pairs with no path contribute nothing, and concepts absent from the
     hierarchy are treated as unrelated rather than as errors so that
     arbitrary titles can be scored.
     """
     total = 0.0
-    for qc, row in rows:
+    for row in rows:
         for tc in title_cuis:
-            sim = row.get(tc, _UNSEEN)
-            if sim is _UNSEEN:
-                sim = row[tc] = path_similarity(qc, tc, graph) if tc in graph else None
+            sim = row[tc]
             if sim is not None:
                 total += sim
     return total
@@ -287,9 +273,6 @@ class SentimentLexicon:
         for e in self.entries:
             self._by_key.setdefault((e.word, e.tag_class), []).append(e)
         self.words = frozenset(word for word, _ in self._by_key)
-        # (tag lexicon, passage text -> score), for one tag lexicon; see
-        # answer.answer_yesno.
-        self._passage_scores = None
 
     @classmethod
     def from_file(cls, path) -> "SentimentLexicon":

@@ -13,6 +13,9 @@ only the scores that can make its limit; bm25_rank, over dict
 postings, ranks passages and is the reference document search is tested
 against. Its loop is term at a time: each query term adds into the units
 of its postings, in query order, so a unit no term holds is not probed.
+
+Word terms, title cuis and analysed passages are kept on the lexicon, and
+similarity rows on the graph, in textproc memos (see memo_of).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .conceptlex import (
     title_cuis,
 )
 from .textproc import (
-    WORD_MEMO_BOUND,
+    memo_of,
     split_sentences,
     stem,
     token_surfaces,
@@ -231,23 +234,12 @@ class _PostingsView(Mapping):
         return len(self._index.terms)
 
 
-class _WordTerms(dict):
-    """analyse's word table: lowercased word -> stem(word), or None for a
-    word not indexed (a stopword, or one without any alphanumeric
-    character). A miss is filled by that rule, under the stopword set the
-    table was made with."""
-
-    def __init__(self, stopwords: set[str]):
-        super().__init__()
-        self.stopwords = stopwords
-
-    def __missing__(self, word):
-        if len(self) >= WORD_MEMO_BOUND:
-            self.clear()
-        # isalnum() first: most words are all alphanumeric, and then the any() is not needed.
-        indexed = word not in self.stopwords and (word.isalnum() or any(ch.isalnum() for ch in word))
-        term = self[word] = stem(word) if indexed else None
-        return term
+def _word_term(word: str, lexicon: ConceptLexicon, stopwords: set[str]) -> str | None:
+    """The index term of a lowercased word: its stem, or None for a word
+    not indexed (a stopword, or one without any alphanumeric character)."""
+    # isalnum() first: most words are all alphanumeric, and then the any() is not needed.
+    indexed = word not in stopwords and (word.isalnum() or any(ch.isalnum() for ch in word))
+    return stem(word) if indexed else None
 
 
 def analyse(text: str, stopwords: set[str], lexicon: ConceptLexicon) -> tuple[list[str], list[str]]:
@@ -258,18 +250,11 @@ def analyse(text: str, stopwords: set[str], lexicon: ConceptLexicon) -> tuple[li
     mention contributes one occurrence of its cui. Stems and cuis come from
     one pass over the lowercased token surfaces, each lowered on its own.
 
-    Each word's index term is read from a word table kept on the lexicon,
-    which maps a lowercased word to its stem, or marks it as not indexed,
-    and is filled on a miss. The table holds only for the stopword set
-    object it was made with: analysis with another set starts a new one.
-    It is cleared when it reaches WORD_MEMO_BOUND words, stem's memo bound.
-    The lexicon and the stopwords are therefore not to be changed once text
-    has been analysed.
+    Each word's index term is read from the lexicon's word memo,
+    memo_of(lexicon, _word_term, stopwords).
     """
     lowered = list(map(str.lower, token_surfaces(text)))
-    table = lexicon._word_terms
-    if table is None or table.stopwords is not stopwords:
-        table = lexicon._word_terms = _WordTerms(stopwords)
+    table = memo_of(lexicon, _word_term, stopwords)
     # A stem is never empty, so filter(None, ...) drops exactly the words not indexed.
     terms = list(filter(None, map(table.__getitem__, lowered)))
     cuis = [cui for _, _, cui in longest_matches(lowered, lexicon)]
@@ -528,16 +513,17 @@ def rerank_documents(
     rows = similarity_rows([cui for _, _, cui in longest_matches(lowered, lexicon)], graph)
     if not rows:
         return _scored_docs([doc.doc_id for doc in docs[:m]], repeat(0.0))
-    scores = [row_sum(rows, title_cuis(doc.title, lexicon), graph) for doc in docs]
+    titles = memo_of(lexicon, title_cuis)
+    scores = [row_sum(rows, titles[doc.title]) for doc in docs]
     kept = sorted(range(len(docs)), key=scores.__getitem__, reverse=True)[:m]  # stable: ties keep incoming order
     return _scored_docs([docs[i].doc_id for i in kept], [scores[i] for i in kept])
 
 
 def _analyse_sentences(
     doc: DocumentRecord,
+    lexicon: ConceptLexicon,
     abbreviations: set[str],
     stopwords: set[str],
-    lexicon: ConceptLexicon,
 ) -> tuple[PassageCandidate, ...]:
     candidates = []
     for i, sentence in enumerate(split_sentences(doc.abstract, abbreviations)):
@@ -554,21 +540,14 @@ def extract_passages(
 ) -> list[PassageCandidate]:
     """One analysed candidate per abstract sentence, in document order.
 
-    Each document's candidates are memoised on the lexicon together with
-    the stopword and abbreviation sets they were made with, and later
-    requests with those same sets share them. The memo keeps every
-    document it is given for as long as the lexicon lives, so its size
-    follows the corpus the lexicon serves. The lexicon, stopwords and
-    abbreviations are therefore not to be changed once passages have been
-    extracted.
+    Each document's candidates are read from the lexicon's passage memo,
+    memo_of(lexicon, _analyse_sentences, abbreviations, stopwords), so
+    later requests with those same sets share them.
     """
-    memo = lexicon._passages
+    memo = memo_of(lexicon, _analyse_sentences, abbreviations, stopwords)
     candidates = []
     for doc in docs:
-        entry = memo.get(doc)
-        if entry is None or entry[0] is not stopwords or entry[1] is not abbreviations:
-            entry = memo[doc] = (stopwords, abbreviations, _analyse_sentences(doc, abbreviations, stopwords, lexicon))
-        candidates.extend(entry[2])
+        candidates.extend(memo[doc])
     return candidates
 
 

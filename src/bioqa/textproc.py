@@ -4,14 +4,20 @@ Everything in here is deterministic and resource-driven: the tagger is a
 lexicon plus a handful of suffix heuristics (coarse tags are all the
 question patterns need), sentence splitting is rule based with an editable
 abbreviation list, and stemming is the Porter algorithm.
+
+Memo is the one kind of state kept across requests: a dict on a resource
+object that fills a miss from a function and is cleared at MEMO_BOUND
+entries; memo_of holds its identity rule.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import is_not
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -221,6 +227,50 @@ def _heuristic_tag(surface: str, lower: str, index: int, lexicon: TagLexicon) ->
     return "NN"
 
 
+# Entries any one Memo holds before it is cleared; also stem's memo bound.
+MEMO_BOUND = 1 << 16
+
+
+class Memo(dict):
+    """key -> fill(key, owner, *deps), computed on a miss and kept.
+
+    A miss on a memo holding MEMO_BOUND entries clears it first. The owner
+    is held through a weakref, so a memo kept on its owner forms no cycle.
+    """
+
+    def __init__(self, fill, owner, deps):
+        super().__init__()
+        self.fill = fill
+        self.owner = weakref.ref(owner)
+        self.deps = deps
+
+    def __missing__(self, key):
+        if len(self) >= MEMO_BOUND:
+            self.clear()
+        value = self[key] = self.fill(key, self.owner(), *self.deps)
+        return value
+
+
+def memo_of(owner, fill, *deps) -> Memo:
+    """owner's Memo of fill over deps, kept in owner._memos by fill.
+
+    A memo holds for the dep objects it was made with: asked with any dep
+    that is another object, even an equal one, it is replaced by a new,
+    empty memo. An owner or dep is therefore not to be changed once a memo
+    has been filled from it. Callers fetch a memo once per stage call, not
+    per key, and pass fill by its module global, so that a patched fill
+    gets a memo of its own.
+    """
+    try:
+        memos = owner._memos
+    except AttributeError:
+        memos = owner._memos = {}
+    memo = memos.get(fill)
+    if memo is None or any(map(is_not, memo.deps, deps)):
+        memo = memos[fill] = Memo(fill, owner, deps)
+    return memo
+
+
 # ---------------------------------------------------------------------------
 # Porter stemmer
 # ---------------------------------------------------------------------------
@@ -362,20 +412,14 @@ def _step5(word: str) -> str:
     return word
 
 
-# Words stem memoises; a lexicon's word table (retrieval.analyse) is
-# cleared when it holds as many.
-WORD_MEMO_BOUND = 1 << 16
-
-
-@lru_cache(maxsize=WORD_MEMO_BOUND)
+@lru_cache(maxsize=MEMO_BOUND)
 def stem(word: str) -> str:
     """Porter stem of a word (lowercased first).
 
     Memoised by the word as given: a corpus repeats a small vocabulary, so
     most calls are lookups. The bound keeps arbitrary text from growing the
     memo without limit. Index terms mostly do not reach it: retrieval.analyse
-    reads them from a word table kept on the lexicon and calls stem only for
-    a word that table has not seen.
+    reads them from the lexicon's word memo and calls stem only on a miss.
     """
     word = word.lower()
     if len(word) <= 2:

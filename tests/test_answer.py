@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bioqa import answer, retrieval
+from bioqa import answer, retrieval, textproc
 from bioqa.answer import (
     ConfigurationError,
     PipelineConfig,
@@ -472,7 +472,7 @@ class TestSearchDepth:
 
 class TestVoteMemo:
     """answer_yesno scores each passage text once per sentiment lexicon and
-    tag lexicon object, and keeps at most WORD_MEMO_BOUND scores."""
+    tag lexicon object, and keeps at most textproc.MEMO_BOUND scores."""
 
     @staticmethod
     def passages(bundle, corpus):
@@ -494,8 +494,8 @@ class TestVoteMemo:
             chosen = rng.sample(texts, rng.randint(0, 8))
             assert answer_yesno(chosen, sentiment, bundle.tag_lexicon) == self.fresh_vote(
                 chosen, sentiment, bundle.tag_lexicon)
-        tag_lexicon, scores = sentiment._passage_scores
-        assert tag_lexicon is bundle.tag_lexicon and scores
+        scores = sentiment._memos[answer.passage_sentiment]
+        assert scores.deps == (bundle.tag_lexicon,) and scores
         assert scores == {text: passage_sentiment(text, sentiment, bundle.tag_lexicon) for text in scores}
 
     def test_each_tag_lexicon_gets_its_own_scores(self):
@@ -506,17 +506,17 @@ class TestVoteMemo:
         for tag_lexicon, value in [(adverb, "yes"), (noun, "no"), (adverb, "yes"), (TagLexicon({"well": "RB"}), "yes")]:
             vote = answer_yesno(passages, sentiment, tag_lexicon)
             assert vote == self.fresh_vote(passages, sentiment, tag_lexicon) and vote.value == value
-            assert sentiment._passage_scores[0] is tag_lexicon
+            assert sentiment._memos[answer.passage_sentiment].deps == (tag_lexicon,)
 
     def test_bound(self, bundle, corpus, monkeypatch):
-        monkeypatch.setattr(answer, "WORD_MEMO_BOUND", 3)
+        monkeypatch.setattr(textproc, "MEMO_BOUND", 3)
         sentiment = SentimentLexicon(bundle.sentiment.entries)
         texts = self.passages(bundle, corpus)[:10]
         assert len(set(texts)) == 10
         for chosen in [texts[:2], texts[2:4], texts[4:9], texts[:1], texts]:
             assert answer_yesno(chosen, sentiment, bundle.tag_lexicon) == self.fresh_vote(
                 chosen, sentiment, bundle.tag_lexicon)
-            assert len(sentiment._passage_scores[1]) <= 3
+            assert len(sentiment._memos[answer.passage_sentiment]) <= 3
 
 
 class TestEntityCap:

@@ -344,6 +344,15 @@ class TestClassifyAndTrain:
         assert "--epochs must be at least 1" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-type", "train-topics"])
+    def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main([command, "--out", str(out), "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed must not be negative, got -1" in captured.err
+        assert not out.exists()
+
     def test_classify_single_question(self, model_path, capsys):
         assert main(["classify", "--model", model_path,
                      "--question", "Is the gene MAOA epigenetically modified by methylation?"]) == 0

@@ -22,7 +22,7 @@ from bioqa.conceptlex import (
     title_cuis,
     word_sentiment,
 )
-from bioqa.textproc import ResourceFormatError, tokenize, word_tag
+from bioqa.textproc import ResourceFormatError, memo_of, tokenize, word_tag
 
 
 def bfs_node_count(adj, a, b):
@@ -129,15 +129,15 @@ class TestPathSimilarity:
 
 class TestSimilaritySum:
     def test_empty_side_is_zero(self, bundle):
-        assert row_sum(similarity_rows([], bundle.graph), ["C0041341"], bundle.graph) == 0.0
+        assert row_sum(similarity_rows([], bundle.graph), ["C0041341"]) == 0.0
 
     def test_one_shared_concept(self):
         graph = ConceptGraph.from_edges([("a", "b")])
-        assert row_sum(similarity_rows(["a"], graph), ["a"], graph) == 1.0
+        assert row_sum(similarity_rows(["a"], graph), ["a"]) == 1.0
 
     def test_pairs_without_path_contribute_zero(self):
         graph = ConceptGraph.from_edges([("a", "b"), ("b", "c"), ("d", "e")])
-        assert row_sum(similarity_rows(["a"], graph), ["c", "d"], graph) == pytest.approx(1 / 3)
+        assert row_sum(similarity_rows(["a"], graph), ["c", "d"]) == pytest.approx(1 / 3)
 
     def test_monotone_under_adding_concepts(self):
         graph = ConceptGraph.from_edges([("a", "b"), ("b", "c"), ("c", "d")])
@@ -146,10 +146,10 @@ class TestSimilaritySum:
         for _ in range(100):
             left = [rng.choice(nodes) for _ in range(rng.randint(0, 3))]
             right = [rng.choice(nodes) for _ in range(rng.randint(0, 3))]
-            base = row_sum(similarity_rows(left, graph), right, graph)
+            base = row_sum(similarity_rows(left, graph), right)
             assert base >= 0.0
-            assert row_sum(similarity_rows(left + [rng.choice(nodes)], graph), right, graph) >= base
-            assert row_sum(similarity_rows(left, graph), right + [rng.choice(nodes)], graph) >= base
+            assert row_sum(similarity_rows(left + [rng.choice(nodes)], graph), right) >= base
+            assert row_sum(similarity_rows(left, graph), right + [rng.choice(nodes)]) >= base
 
 
 class TestSynonyms:
@@ -329,14 +329,15 @@ class TestMemos:
         lexicon = ConceptLexicon(list(bundle.concept_lexicon.concepts.values()))
         titles = [doc.title for doc in corpus.values()] + ["", "Tobacco and TOBACCO use"]
         for _ in range(2):  # the second pass reads the memo
+            memo = memo_of(lexicon, title_cuis)
             for title in titles:
-                assert title_cuis(title, lexicon) == tuple(m.cui for m in recognize(title, lexicon))
+                assert memo[title] == tuple(m.cui for m in recognize(title, lexicon))
 
     def test_title_memo_is_per_lexicon(self):
         first = ConceptLexicon([Concept("C1", "aspirin", "T109", "Chemical")])
         second = ConceptLexicon([Concept("C2", "aspirin", "T109", "Chemical")])
-        assert title_cuis("Aspirin trial", first) == ("C1",)
-        assert title_cuis("Aspirin trial", second) == ("C2",)
+        assert memo_of(first, title_cuis)["Aspirin trial"] == ("C1",)
+        assert memo_of(second, title_cuis)["Aspirin trial"] == ("C2",)
 
     def test_similarity_sum_equals_fresh_bfs(self):
         rng = random.Random(5)
@@ -353,11 +354,11 @@ class TestMemos:
                         count = bfs_node_count(graph.adjacency, qc, tc) if qc in graph and tc in graph else None
                         if count is not None:
                             expected += 1.0 / count
-                assert row_sum(similarity_rows(qs, graph), ts, graph) == expected
+                assert row_sum(similarity_rows(qs, graph), ts) == expected
 
     def test_similarity_memo_is_per_graph(self):
         chain = ConceptGraph.from_edges([("a", "b"), ("b", "c")])
         direct = ConceptGraph.from_edges([("a", "c"), ("c", "b")])
-        assert row_sum(similarity_rows(["a"], chain), ["c"], chain) == pytest.approx(1 / 3)
-        assert row_sum(similarity_rows(["a"], direct), ["c"], direct) == 0.5
+        assert row_sum(similarity_rows(["a"], chain), ["c"]) == pytest.approx(1 / 3)
+        assert row_sum(similarity_rows(["a"], direct), ["c"]) == 0.5
         assert chain == ConceptGraph.from_edges([("a", "b"), ("b", "c")])

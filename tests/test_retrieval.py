@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bioqa import ingest, retrieval
+from bioqa import conceptlex, ingest, retrieval, textproc
 from bioqa.conceptlex import (
     Concept,
     ConceptGraph,
@@ -269,7 +269,7 @@ class TestRerank:
         docs = [DocumentRecord(i, "beta", "") for i in ("x", "y", "z")]
         ranked = rerank_documents("alpha and gamma", docs, lexicon, graph, 2)
         assert [(d.doc_id, d.score, d.rank) for d in ranked] == [("x", 0.0, 1), ("y", 0.0, 2)]
-        assert lexicon._title_cuis == {}
+        assert title_cuis not in vars(lexicon).get("_memos", {})
 
     def test_first_question_cui_outside_the_hierarchy_still_scores(self):
         # Only the second question cui is in the hierarchy; the title
@@ -538,8 +538,8 @@ class TestPassageMemo:
 
 
 class TestWordTable:
-    """analyse reads each word's index term from a table kept on the
-    lexicon: one table per stopword set object, cleared at its bound."""
+    """analyse reads each word's index term from the lexicon's word memo:
+    one memo per stopword set object, cleared at textproc.MEMO_BOUND."""
 
     @staticmethod
     def lexicon(bundle):
@@ -578,24 +578,46 @@ class TestWordTable:
         monkeypatch.setattr(retrieval, "stem", counting)
         assert [retrieval.analyse(text, bundle.stopwords, lexicon) for text in texts] == first
         assert not stemmed
-        # A new set starts a new table, which stems each indexed word once.
+        # A new set starts a new memo, which stems each indexed word once.
         stopwords = set(bundle.stopwords)
         assert [retrieval.analyse(text, stopwords, lexicon) for text in texts] == first
         assert stemmed and set(stemmed.values()) == {1}
 
+        # The same holds for the graph's similarity rows: once they exist,
+        # every pair new to them, and no other, reaches path_similarity.
+        graph = ConceptGraph(bundle.graph.adjacency)
+        docs = list(corpus.values())
+        question = "Is Tuberous Sclerosis a genetic disease?"
+        rerank_documents(question, docs[:3], lexicon, graph, 10)
+        rows = graph._memos[conceptlex._similarity_row]
+        before = {(qc, tc) for qc, row in rows.items() for tc in row}
+        expected = rerank_documents(question, docs, lexicon, ConceptGraph(graph.adjacency), 10)
+        asked = Counter()
+
+        def counting(c1, c2, g):
+            asked[c1, c2] += 1
+            return path_similarity(c1, c2, g)
+
+        monkeypatch.setattr(conceptlex, "path_similarity", counting)
+        rerank_documents(question, docs[:3], lexicon, graph, 10)
+        assert not asked
+        assert rerank_documents(question, docs, lexicon, graph, 10) == expected
+        new = {(qc, tc) for qc, row in rows.items() for tc in row if tc in graph} - before
+        assert new and set(asked) == new and set(asked.values()) == {1}
+
     def test_bound(self, bundle, corpus, monkeypatch):
-        assert retrieval.WORD_MEMO_BOUND == stem.cache_info().maxsize
+        assert textproc.MEMO_BOUND == stem.cache_info().maxsize
         texts = self.texts(corpus)
         words = [f"w{i}" for i in range(50)]
         expected = [retrieval.analyse(text, bundle.stopwords, self.lexicon(bundle)) for text in texts]
-        monkeypatch.setattr(retrieval, "WORD_MEMO_BOUND", 16)
+        monkeypatch.setattr(textproc, "MEMO_BOUND", 16)
         lexicon = self.lexicon(bundle)
         for word in words:
             assert retrieval.analyse(word, bundle.stopwords, lexicon) == ([stem(word)], [])
-            assert len(lexicon._word_terms) <= 16
+            assert len(lexicon._memos[retrieval._word_term]) <= 16
         # One text with more distinct words than the bound.
         assert retrieval.index_terms(" ".join(words), bundle.stopwords, lexicon) == list(map(stem, words))
-        assert len(lexicon._word_terms) <= 16
+        assert len(lexicon._memos[retrieval._word_term]) <= 16
         assert [retrieval.analyse(text, bundle.stopwords, lexicon) for text in texts] == expected
 
 
@@ -1029,7 +1051,7 @@ class TestFunnelOracle:
         # Later pairs read the rows filled by earlier ones.
         graph, memo = ConceptGraph.from_edges(edges), {}
         for question_cuis, cuis in pairs:
-            got = row_sum(similarity_rows(question_cuis, graph), cuis, graph)
+            got = row_sum(similarity_rows(question_cuis, graph), cuis)
             assert repr(got) == repr(reference_similarity_sum(question_cuis, cuis, graph, memo))
 
     @settings(max_examples=300)

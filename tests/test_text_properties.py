@@ -252,8 +252,8 @@ def bundled_texts():
 
 
 class TestOnePassAnalysis:
-    """A lexicon of its own for each test, so that title_cuis computes
-    rather than reads a title memoised by another test."""
+    """A lexicon of its own for each test, so that analyse computes rather
+    than reads word terms memoised by another test."""
 
     @staticmethod
     def fresh_lexicon():
