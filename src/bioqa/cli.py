@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -110,15 +111,16 @@ def _check_args(args) -> None:
     question = getattr(args, "question", None)
     if question is not None and not question.strip():
         raise CliError("empty question")
-    k1 = getattr(args, "k1", None)
+    for name in ("k1", "C", "rouge_beta"):
+        value = getattr(args, name, None)
+        flag = "--" + name.replace("_", "-")
+        if value is not None and not math.isfinite(value):
+            raise CliError(f"{flag} must be finite, got {value}")
+        if value is not None and value <= 0 and name != "rouge_beta":  # beta 0 weighs precision alone
+            raise CliError(f"{flag} must be positive, got {value}")
     b = getattr(args, "b", None)
-    C = getattr(args, "C", None)
-    if k1 is not None and k1 <= 0:
-        raise CliError(f"--k1 must be positive, got {k1}")
     if b is not None and not 0 <= b <= 1:
         raise CliError(f"--b must lie in [0, 1], got {b}")
-    if C is not None and C <= 0:
-        raise CliError(f"--C must be positive, got {C}")
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise CliError(f"--seed must not be negative, got {seed}")

@@ -3,7 +3,8 @@
 The type classifier feeds features from a handcrafted question-shape
 grammar into a seeded linear max-margin model; topic classification trains
 one binary max-margin model per topic over word, bigram, stem and concept
-features. Both kinds are LinearModels: one weight map per label.
+features. Both kinds are LinearModels, one weight map per label, and are
+saved in one file shape.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .textproc import (
     ResourceFormatError,
     TagLexicon,
     bigrams,
+    is_content_word,
     pos_tag,
     read_json,
     read_text,
@@ -37,7 +39,7 @@ from .textproc import (
     tokenize,  # not called here; perfbench/tracer.py counts calls through this binding
 )
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 TOPICS = (
     "Device",
@@ -522,10 +524,7 @@ def extract_topic_features(
     """
     surfaces = token_surfaces(question)
     lowered = [s.lower() for s in surfaces]
-    content = [
-        (s, low) for s, low in zip(surfaces, lowered)
-        if low not in stopwords and any(ch.isalnum() for ch in s)
-    ]
+    content = [(s, low) for s, low in zip(surfaces, lowered) if is_content_word(low, stopwords)]
     concepts: Counter = Counter()
     for _, _, cui in longest_matches(lowered, concept_lexicon):
         concept = concept_lexicon.get(cui)
@@ -605,38 +604,25 @@ def classify_topics(model: LinearModel, features: dict[str, int]) -> set[str]:
 # ---------------------------------------------------------------------------
 
 def save_model(model: LinearModel, path) -> None:
-    if model.meta["kind"] == "type":
-        payload = {
-            "version": MODEL_FORMAT_VERSION,
-            "kind": "type",
-            "labels": list(model.labels),
-            "weights": model.weights,
-            "meta": model.meta,
-        }
-    else:
-        payload = {
-            "version": MODEL_FORMAT_VERSION,
-            "kind": "topics",
-            "topics": {name: {"weights": model.weights[name]} for name in model.labels},
-            "meta": model.meta,
-        }
+    payload = {"version": MODEL_FORMAT_VERSION, "labels": list(model.labels),
+               "weights": model.weights, "meta": model.meta}
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
 def _is_weight_map(value) -> bool:
-    """A map of feature -> number."""
+    """A map of feature -> finite number."""
     return isinstance(value, dict) and all(
-        isinstance(w, (int, float)) and not isinstance(w, bool) for w in value.values()
+        isinstance(w, (int, float)) and not isinstance(w, bool) and math.isfinite(w) for w in value.values()
     )
 
 
 def load_model(path):
     """A model saved by save_model; any other content is refused naming the file.
 
-    Every label of a type model is a question type with a weights map of
-    feature -> number, and its meta names a space of FEATURE_SPACES; every
-    topic of a topics model has such a weights map. The meta kind of either
-    is the model's kind.
+    Both kinds are one shape: labels, one weights map of feature -> finite
+    number per label, and meta, whose kind ("type" or "topics") is the
+    model's. A type model has at least one label, each a question type,
+    and its meta names a space of FEATURE_SPACES.
     """
     payload = read_json(path)
     if not isinstance(payload, dict):
@@ -644,34 +630,23 @@ def load_model(path):
     version = payload.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"{path}: model format version {version!r}, expected {MODEL_FORMAT_VERSION}")
-    meta = payload.get("meta", {})
+    meta = payload.get("meta")
     if not isinstance(meta, dict):
         raise ModelFormatError(f"{path}: model meta is not an object")
-    kind = payload.get("kind")
-    if kind == "type":
-        labels, weights = payload.get("labels"), payload.get("weights")
-        if not isinstance(labels, list) or not labels:
-            raise ModelFormatError(f"{path}: type model has no 'labels' list")
-        if not isinstance(weights, dict):
-            raise ModelFormatError(f"{path}: type model has no 'weights' object")
-        types = [t.value for t in QuestionType]
-        for label in labels:
-            if label not in types:
-                raise ModelFormatError(f"{path}: label {label!r} is not a question type")
-            if not _is_weight_map(weights.get(label)):
-                raise ModelFormatError(f"{path}: label {label!r} has no weights map of feature -> number")
-        if meta.get("space") not in FEATURE_SPACES:
-            raise ModelFormatError(f"{path}: meta space {meta.get('space')!r} is not one of {FEATURE_SPACES}")
-    elif kind == "topics":
-        topics = payload.get("topics")
-        if not isinstance(topics, dict):
-            raise ModelFormatError(f"{path}: topics model has no 'topics' object")
-        for name, entry in topics.items():
-            if not isinstance(entry, dict) or not _is_weight_map(entry.get("weights")):
-                raise ModelFormatError(f"{path}: topic {name!r} has no weights map of feature -> number")
-        labels, weights = list(topics), {name: entry["weights"] for name, entry in topics.items()}
-    else:
+    kind = meta.get("kind")
+    if kind not in ("type", "topics"):
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
-    if meta.get("kind") != kind:
-        raise ModelFormatError(f"{path}: meta kind {meta.get('kind')!r} is not the model kind {kind!r}")
+    labels, weights = payload.get("labels"), payload.get("weights")
+    if not isinstance(labels, list) or (kind == "type" and not labels):
+        raise ModelFormatError(f"{path}: {kind} model has no 'labels' list")
+    if not isinstance(weights, dict):
+        raise ModelFormatError(f"{path}: {kind} model has no 'weights' object")
+    types = [t.value for t in QuestionType]
+    for label in labels:
+        if kind == "type" and label not in types:
+            raise ModelFormatError(f"{path}: label {label!r} is not a question type")
+        if not isinstance(label, str) or not _is_weight_map(weights.get(label)):
+            raise ModelFormatError(f"{path}: label {label!r} has no weights map of feature -> finite number")
+    if kind == "type" and meta.get("space") not in FEATURE_SPACES:
+        raise ModelFormatError(f"{path}: meta space {meta.get('space')!r} is not one of {FEATURE_SPACES}")
     return LinearModel(tuple(labels), weights, meta)

@@ -38,6 +38,7 @@ from .conceptlex import (
     title_cuis,
 )
 from .textproc import (
+    is_content_word,
     memo_of,
     split_sentences,
     stem,
@@ -67,8 +68,9 @@ class UnknownUnitError(KeyError):
         return f"unit not in index: {self.unit_id}"
 
 
-@dataclass(frozen=True)
-class DocumentRecord:
+class DocumentRecord(NamedTuple):
+    """A corpus document; a tuple, so that it hashes in C as the passage memo's key."""
+
     doc_id: str
     title: str
     abstract: str
@@ -236,10 +238,8 @@ class _PostingsView(Mapping):
 
 def _word_term(word: str, lexicon: ConceptLexicon, stopwords: set[str]) -> str | None:
     """The index term of a lowercased word: its stem, or None for a word
-    not indexed (a stopword, or one without any alphanumeric character)."""
-    # isalnum() first: most words are all alphanumeric, and then the any() is not needed.
-    indexed = word not in stopwords and (word.isalnum() or any(ch.isalnum() for ch in word))
-    return stem(word) if indexed else None
+    that is not a content word (is_content_word)."""
+    return stem(word) if is_content_word(word, stopwords) else None
 
 
 def analyse(text: str, stopwords: set[str], lexicon: ConceptLexicon) -> tuple[list[str], list[str]]:
@@ -276,11 +276,7 @@ def formulate_query(question: str, lexicon: ConceptLexicon, stopwords: set[str])
     surfaces = token_surfaces(question)
     lowered = list(map(str.lower, surfaces))
     concept_terms = dict.fromkeys(lexicon.get(cui).preferred for _, _, cui in longest_matches(lowered, lexicon))
-    raw_terms = tuple(
-        surface
-        for surface, low in zip(surfaces, lowered)
-        if low not in stopwords and any(ch.isalnum() for ch in surface)
-    )
+    raw_terms = tuple(surface for surface, low in zip(surfaces, lowered) if is_content_word(low, stopwords))
     return Query(tuple(concept_terms), raw_terms)
 
 
@@ -300,6 +296,8 @@ def build_index(
 
 
 def _check_bm25_parameters(k1: float, b: float) -> None:
+    if not math.isfinite(k1):
+        raise ValueError(f"k1 must be finite, got {k1}")
     if k1 <= 0:
         raise ValueError(f"k1 must be positive, got {k1}")
     if not 0.0 <= b <= 1.0:

@@ -5,9 +5,10 @@ lexicon plus a handful of suffix heuristics (coarse tags are all the
 question patterns need), sentence splitting is rule based with an editable
 abbreviation list, and stemming is the Porter algorithm.
 
-Memo is the one kind of state kept across requests: a dict on a resource
-object that fills a miss from a function and is cleared at MEMO_BOUND
-entries; memo_of holds its identity rule.
+Memo is the one kind of state resource objects keep across requests: a
+dict on the object that fills a miss from a function and is cleared at
+MEMO_BOUND entries; memo_of holds its identity rule. The one other cache
+is stem's process-wide lru_cache, of the same bound.
 """
 
 from __future__ import annotations
@@ -104,6 +105,13 @@ def bigrams(tokens: Sequence[str]) -> list[str]:
 def load_stopwords(path) -> set[str]:
     """One word per line, lowercased."""
     return {line.strip().lower() for _, line in data_lines(path)}
+
+
+def is_content_word(lower: str, stopwords: set[str]) -> bool:
+    """Whether a token, lowercased as lower, is a content word: not a
+    stopword, and holding an alphanumeric character."""
+    # isalnum() first: most words are all alphanumeric, and then the any() is not needed.
+    return lower not in stopwords and (lower.isalnum() or any(ch.isalnum() for ch in lower))
 
 
 def load_abbreviations(path) -> set[str]:

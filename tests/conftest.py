@@ -10,6 +10,15 @@ from bioqa.qclass import FeatureExtractor
 RESOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "bioqa" / "resources"
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
+# A model in each shape of format 2, which kept the kind at the top level
+# as well as in meta, and wrapped each topic's weights in an object.
+VERSION_TWO_MODELS = {
+    "type": {"version": 2, "kind": "type", "labels": ["yesno"], "weights": {"yesno": {"is": 1.0}},
+             "meta": {"space": "patterns", "kind": "type"}},
+    "topics": {"version": 2, "kind": "topics", "topics": {"Device": {"weights": {"a": 1.0}}},
+               "meta": {"seed": 42, "kind": "topics"}},
+}
+
 # Every property test draws the same examples on every run, has no
 # per-example deadline and keeps no example database; each sets only its
 # own max_examples.

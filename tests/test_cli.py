@@ -7,7 +7,7 @@ import pytest
 from bioqa.cli import main
 from bioqa.ingest import DatasetFormatError, load_questions, load_run
 
-from conftest import RESOURCE_DIR
+from conftest import RESOURCE_DIR, VERSION_TWO_MODELS
 
 QUESTIONS = str(RESOURCE_DIR / "questions.json")
 DEMO_GOLD = str(RESOURCE_DIR / "demo_gold.json")
@@ -107,8 +107,8 @@ class TestMalformedInputs:
         (["classify", "--question", "Is it?", "--model", "{bad}"], "{nope"),
         (["classify", "--question", "Is it?", "--model", "{bad}"], "[]"),
         (["classify", "--question", "Is it?", "--model", "{bad}"],
-         '{"version": 2, "kind": "type", "labels": ["yesno", "factoid"], "weights": {"yesno": {}},'
-         ' "meta": {"space": "patterns"}}'),
+         '{"version": 3, "labels": ["yesno", "factoid"], "weights": {"yesno": {}},'
+         ' "meta": {"kind": "type", "space": "patterns"}}'),
         (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"], '["answer"]'),
         (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"], '{"questions": [{"id": ["x"]}]}'),
         (["eval", "--gold", DEMO_GOLD, "--run", "{bad}"],
@@ -134,6 +134,16 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert "bad-input.json" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["answer", "classify"])
+    @pytest.mark.parametrize("kind", sorted(VERSION_TWO_MODELS))
+    def test_version_two_model_exits_one_naming_it(self, command, kind, tmp_path, capsys):
+        old = tmp_path / f"old-{kind}.json"
+        old.write_text(json.dumps(VERSION_TWO_MODELS[kind]))
+        assert main([command, "--model", str(old), "--question", "Is imatinib an antidepressant drug?"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"old-{kind}.json: model format version 2, expected 3" in captured.err
 
     @pytest.mark.parametrize("documents", ['["1", ["19240421"]]', '[{"a": 1}]', "[7]"],
                              ids=["list", "object", "number"])
@@ -366,7 +376,7 @@ class TestClassifyAndTrain:
         assert main(["train-topics", "--out", str(out), "--deps", str(deps)]) == 0
         capsys.readouterr()
         saved = json.loads(out.read_text())
-        assert saved["topics"]["Device"]["weights"]["nsubj(gives,device)"] > 0
+        assert saved["weights"]["Device"]["nsubj(gives,device)"] > 0
         assert saved["meta"]["dependency_features"] is True
 
     def test_classify_refuses_topics_model_trained_with_deps(self, tmp_path, capsys):
@@ -427,6 +437,26 @@ class TestRetrieveCommands:
         argv = ["retrieve-docs", "--question", "Which enzyme is deficient in Krabbe disease?", "--top-docs", "1"]
         assert main(argv) == 0
         assert len(json.loads(capsys.readouterr().out)["documents"]) == 1
+
+
+class TestNumberFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["retrieve-passages", "--question", "Is it?"], "--k1"),
+        (["train-type", "--out", "{tmp}/m.json"], "--C"),
+        (["eval", "--gold", DEMO_GOLD, "--run", GOLDEN_RUN], "--rouge-beta"),
+    ], ids=["k1", "C", "rouge-beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_number_is_usage_error(self, argv, flag, value, tmp_path, capsys):
+        assert main([a.format(tmp=tmp_path) for a in argv] + [flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} must be finite, got {value}" in captured.err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_rouge_beta_zero_is_accepted(self, capsys):
+        # An F-measure with beta 0 is precision alone.
+        assert main(["eval", "--gold", DEMO_GOLD, "--run", GOLDEN_RUN, "--rouge-beta", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["rouge_beta"] == 0.0
 
 
 class TestRepl:

@@ -119,8 +119,15 @@ def test_demo_metrics(regenerated):
 
 
 if __name__ == "__main__":
+    # Rewrites every pinned file and reports, for each, whether it moved.
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    moved = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for file_name, data in generate(Path(tmp)).items():
-            (GOLDEN_DIR / file_name).write_bytes(data)
-            print(f"wrote {GOLDEN_DIR / file_name} ({len(data)} bytes)", file=sys.stderr)
+        for file_name, data in sorted(generate(Path(tmp)).items()):
+            path = GOLDEN_DIR / file_name
+            old = path.read_bytes() if path.exists() else None
+            status = "new" if old is None else "identical" if old == data else "changed"
+            moved += status != "identical"
+            path.write_bytes(data)
+            print(f"{status:9}  {path} ({len(data)} bytes)", file=sys.stderr)
+    print(f"{moved} of {len(list(GOLDEN_DIR.iterdir()))} pinned files changed or new", file=sys.stderr)

@@ -397,7 +397,7 @@ class TestLoaderRobustness:
             '{"questions": [{"id": "1", "body": "b", "topics": ["Device"]}]}',
             '{"corpus": "c", "lexicon": "l", "graph": "g", "sentiment": "s", "stopwords": "w",'
             ' "tags": "t", "abbreviations": "a", "patterns": "p"}',
-            '{"version": 2, "kind": "topics", "topics": {"Device": {"weights": {"a": 1.0}}}, "meta": {}}',
+            '{"version": 3, "labels": ["Device"], "weights": {"Device": {"a": 1.0}}, "meta": {"kind": "topics"}}',
         ]
         loaders = [load_corpus, load_questions, ConceptLexicon.from_file, load_index,
                    load_topic_questions, load_resources, qclass.load_model]
@@ -438,7 +438,8 @@ JSON_READERS = {
     "manifest": (load_resources, '"corpus lexicon graph sentiment stopwords tags abbreviations patterns"',
                  '{"corpus": 5, "lexicon": "l", "graph": "g", "sentiment": "s", "stopwords": "w",'
                  ' "tags": "t", "abbreviations": "a", "patterns": "p"}'),
-    "model": (qclass.load_model, "[]", '{"version": 2, "kind": "topics", "topics": {"Device": "w"}, "meta": {}}'),
+    "model": (qclass.load_model, "[]",
+              '{"version": 3, "labels": ["Device"], "weights": {"Device": "w"}, "meta": {"kind": "topics"}}'),
     "run": (ingest.load_run, '"run"', '{"questions": ["answer"]}'),
 }
 
@@ -502,8 +503,8 @@ class TestJsonReaders:
         assert where in str(err.value)
 
     @pytest.mark.parametrize("reader, payload, key", [
-        ("model", {"version": 2, "kind": "type", "labels": ["yesno"], "meta": {}}, "weights"),
-        ("model", {"version": 2, "kind": "topics", "meta": {}}, "topics"),
+        ("model", {"version": 3, "labels": ["yesno"], "meta": {"kind": "type", "space": "patterns"}}, "weights"),
+        ("model", {"version": 3, "weights": {}, "meta": {"kind": "topics"}}, "labels"),
     ])
     def test_missing_key_is_a_format_error_naming_the_file(self, reader, payload, key, tmp_path):
         path = tmp_path / "bad-input.json"

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -35,9 +36,10 @@ from bioqa.qclass import (
 )
 from bioqa.textproc import ResourceFormatError
 
-from conftest import RESOURCE_DIR, earliest
+from conftest import RESOURCE_DIR, VERSION_TWO_MODELS, earliest
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
+TYPE_META = {"kind": "type", "space": "patterns"}
 
 
 class TestMatchPatterns:
@@ -618,6 +620,13 @@ class TestPersistence:
         assert loaded.weights["Device"] == model.weights["Device"]
         assert loaded.meta == model.meta
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.glob("*.model.json")))
+    def test_one_file_shape_for_both_kinds(self, name):
+        saved = json.loads((GOLDEN_DIR / name).read_text())
+        assert list(saved) == ["labels", "meta", "version", "weights"]
+        assert saved["meta"]["kind"] == ("topics" if name.startswith("train-topics") else "type")
+        assert sorted(saved["weights"]) == sorted(saved["labels"])
+
     def test_version_mismatch(self, tmp_path, type_model):
         path = tmp_path / "model.json"
         save_model(type_model, path)
@@ -637,29 +646,44 @@ class TestPersistence:
         with pytest.raises(qclass.ModelFormatError, match="version 1"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind", sorted(VERSION_TWO_MODELS))
+    def test_version_two_model_refused(self, kind, tmp_path):
+        path = tmp_path / f"old-{kind}.json"
+        path.write_text(json.dumps(VERSION_TWO_MODELS[kind]))
+        with pytest.raises(qclass.ModelFormatError, match=f"old-{kind}.json: model format version 2, expected 3"):
+            load_model(path)
+
     @pytest.mark.parametrize("payload, named", [
-        ({"kind": "type", "labels": ["yesno", "factoid"], "weights": {"yesno": {"is": 1.0}},
-          "meta": {"space": "patterns"}}, "'factoid'"),
-        ({"kind": "type", "labels": ["yesno", "maybe"], "weights": {"yesno": {"is": 1.0}, "maybe": {}},
-          "meta": {"space": "patterns"}}, "'maybe'"),
-        ({"kind": "type", "labels": ["yesno"], "weights": {"yesno": {"is": "1.0"}}, "meta": {"space": "patterns"}},
-         "'yesno'"),
-        ({"kind": "type", "labels": ["yesno"], "weights": {"yesno": ["is"]}, "meta": {"space": "patterns"}}, "'yesno'"),
-        ({"kind": "type", "labels": ["yesno"], "weights": {"yesno": {"is": True}}, "meta": {"space": "patterns"}},
-         "'yesno'"),
-        ({"kind": "type", "labels": ["yesno"], "weights": {"yesno": {}}, "meta": {"space": "trigram"}}, "'trigram'"),
-        ({"kind": "type", "labels": ["yesno"], "weights": {"yesno": {}}, "meta": {}}, "space"),
-        ({"kind": "topics", "topics": {"Device": {"weights": {"a": "x"}}}, "meta": {}}, "'Device'"),
-        ({"kind": "topics", "topics": {"Device": {"weights": ["a"]}}, "meta": {}}, "'Device'"),
-        ({"kind": "topics", "topics": {"Device": {}}, "meta": {}}, "'Device'"),
-        ({"kind": "type", "labels": ["yesno"], "weights": {"yesno": {}}, "meta": {"space": "patterns", "kind": "topics"}},
-         "meta kind 'topics'"),
-        ({"kind": "topics", "topics": {"Device": {"weights": {"a": 1.0}}}, "meta": {"seed": 42}}, "meta kind None"),
+        ({"labels": ["yesno", "factoid"], "weights": {"yesno": {"is": 1.0}}, "meta": TYPE_META}, "'factoid'"),
+        ({"labels": ["yesno", "maybe"], "weights": {"yesno": {"is": 1.0}, "maybe": {}}, "meta": TYPE_META},
+         "'maybe'"),
+        ({"labels": ["yesno"], "weights": {"yesno": {"is": "1.0"}}, "meta": TYPE_META}, "'yesno'"),
+        ({"labels": ["yesno"], "weights": {"yesno": ["is"]}, "meta": TYPE_META}, "'yesno'"),
+        ({"labels": ["yesno"], "weights": {"yesno": {"is": True}}, "meta": TYPE_META}, "'yesno'"),
+        ({"labels": ["yesno"], "weights": {"yesno": {"is": math.nan}}, "meta": TYPE_META}, "'yesno'"),
+        ({"labels": ["yesno"], "weights": {"yesno": {"is": math.inf}}, "meta": TYPE_META}, "'yesno'"),
+        ({"labels": ["yesno"], "weights": {"yesno": {}}, "meta": {"kind": "type", "space": "trigram"}}, "'trigram'"),
+        ({"labels": ["yesno"], "weights": {"yesno": {}}, "meta": {"kind": "type"}}, "space"),
+        ({"labels": [], "weights": {}, "meta": TYPE_META}, "'labels'"),
+        ({"labels": "yesno", "weights": {"yesno": {}}, "meta": TYPE_META}, "'labels'"),
+        ({"labels": ["yesno"], "weights": [], "meta": TYPE_META}, "'weights'"),
+        ({"labels": ["Device"], "weights": {"Device": {"a": "x"}}, "meta": {"kind": "topics"}}, "'Device'"),
+        ({"labels": ["Device"], "weights": {"Device": ["a"]}, "meta": {"kind": "topics"}}, "'Device'"),
+        ({"labels": ["Device"], "weights": {}, "meta": {"kind": "topics"}}, "'Device'"),
+        ({"labels": ["Device"], "weights": {"Device": {"a": -math.inf}}, "meta": {"kind": "topics"}}, "'Device'"),
+        ({"labels": [["Device"]], "weights": {}, "meta": {"kind": "topics"}}, "['Device']"),
+        ({"labels": [], "weights": {}, "meta": {"seed": 42}}, "kind None"),
+        ({"labels": [], "weights": {}, "meta": {"kind": "bayes"}}, "kind 'bayes'"),
+        ({"labels": [], "weights": {}, "meta": ["kind", "topics"]}, "meta"),
+        ({"labels": [], "weights": {}}, "meta"),
     ], ids=["label without weights", "label not a type", "weight a string", "weights a list", "weight a bool",
-            "unknown space", "no space", "topic weight a string", "topic weights a list", "topic without weights",
-            "type file with topics meta kind", "topics file without meta kind"])
+            "weight NaN", "weight infinite", "unknown space", "no space", "type without labels", "labels a string",
+            "weights not an object", "topic weight a string", "topic weights a list", "topic without weights",
+            "topic weight infinite", "topic not a string", "no meta kind", "unknown meta kind", "meta a list",
+            "no meta"])
     def test_hand_edited_model_refused_naming_the_file(self, payload, named, tmp_path):
         path = tmp_path / "edited-model.json"
+        # json.dumps writes NaN and Infinity, which json.loads reads back.
         path.write_text(json.dumps({"version": qclass.MODEL_FORMAT_VERSION, **payload}))
         with pytest.raises(qclass.ModelFormatError, match="edited-model.json") as err:
             load_model(path)

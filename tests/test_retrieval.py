@@ -194,10 +194,11 @@ class TestSearch:
 
 
 class TestBm25Parameters:
-    """search and rank_passages reject k1 <= 0 and b outside [0, 1] whether
-    or not any unit is scored."""
+    """search and rank_passages reject k1 <= 0, a k1 that is not finite and
+    b outside [0, 1] whether or not any unit is scored."""
 
-    BAD = [(0.0, 0.85), (-1.2, 0.85), (1.2, -0.1), (1.2, 1.5)]
+    BAD = [(0.0, 0.85), (-1.2, 0.85), (math.nan, 0.85), (math.inf, 0.85),
+           (1.2, -0.1), (1.2, 1.5), (1.2, math.nan)]
 
     @pytest.mark.parametrize("k1,b", BAD)
     def test_search_with_candidates(self, k1, b):
@@ -515,6 +516,15 @@ class TestPassageMemo:
         # A later request with the same sets reuses the memoised candidates.
         again = extract_passages(docs, abbreviations, stopwords, lexicon)
         assert len(again) == len(got) and all(a is b for a, b in zip(again, got))
+
+    def test_records_with_one_id_keep_their_own_passages(self, bundle):
+        # The memo's key is the whole record, so a second abstract under an id is analysed on its own.
+        lexicon = self.lexicon(bundle)
+        records = [DocumentRecord("d", "t", DR_ABSTRACT), DocumentRecord("d", "t", "The seizures of Muenke syndrome.")]
+        for doc in [*records, *records]:
+            got = extract_passages([doc], bundle.abbreviations, bundle.stopwords, lexicon)
+            assert got == fresh_passages([doc], bundle.abbreviations, bundle.stopwords, bundle)
+        assert len(textproc.memo_of(lexicon, retrieval._analyse_sentences, bundle.abbreviations, bundle.stopwords)) == 2
 
     def test_every_document_kept_past_2048(self, bundle, monkeypatch):
         # More documents than the memo once kept (2048): a second pass over

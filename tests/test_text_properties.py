@@ -12,7 +12,8 @@ one that tags every token, and pattern_matches, which tries every pattern
 at one token position before the next, equal a scan of every token by each
 pattern in turn, filtered to the earliest shift.
 The question's tags and topic features, read from its token surfaces,
-must equal references over Token objects and recognize.
+must equal references over Token objects and recognize, and its query's
+raw terms must be the surfaces analyse indexes as stems.
 """
 
 from collections import Counter
@@ -284,6 +285,26 @@ class TestOnePassAnalysis:
         assert len(texts) > 50
         for text in texts:
             check_one_pass(case(text), lexicon)
+
+
+def indexed_stems(text, lexicon):
+    """The stems analyse indexes for a text, without its cuis."""
+    terms, cuis = analyse(text, BUNDLE.stopwords, lexicon)
+    return terms[:len(terms) - len(cuis)]
+
+
+class TestQueryWords:
+    """formulate_query's raw terms are the question's surfaces whose
+    lowercased form analyse indexes as a stem: one content-word rule."""
+
+    @settings(max_examples=200)
+    @given(text=_texts)
+    @example(text="The İstanbul ΟΔΟΣ and/or ǅ ﬃ ẞ ½ -- of 35-kilogram THE")
+    def test_raw_terms_are_the_indexed_surfaces(self, text):
+        lexicon = TestOnePassAnalysis.fresh_lexicon()
+        query = formulate_query(text, BUNDLE.concept_lexicon, BUNDLE.stopwords)
+        assert query.raw_terms == tuple(s for s in token_surfaces(text) if indexed_stems(s.lower(), lexicon))
+        assert [stem(s.lower()) for s in query.raw_terms] == indexed_stems(text, lexicon)
 
 
 def reference_tag(text, tag_lexicon):
