@@ -9,7 +9,7 @@ against the question.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .conceptlex import (
     ConceptLexicon,
@@ -60,7 +60,6 @@ class YesNoResult:
     value: str  # "yes" or "no"
     positives: int
     negatives: int
-    empty: bool = False
 
 
 @dataclass(frozen=True)
@@ -73,17 +72,15 @@ class EntityAnswer:
 class IdealAnswer:
     text: str
     sources: tuple[tuple[str, int], ...] = ()
-    empty: bool = False
 
 
 @dataclass
 class FullAnswer:
-    question: str
     question_type: QuestionType
     ideal: IdealAnswer
-    exact: YesNoResult | list[EntityAnswer] | None = None
-    supporting: list[ScoredPassage] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
+    exact: YesNoResult | list[EntityAnswer] | None
+    supporting: list[ScoredPassage]
+    flags: list[str]
 
 
 def passage_sentiment(text: str, sentiment: SentimentLexicon, tag_lexicon: TagLexicon) -> float:
@@ -108,7 +105,7 @@ def answer_yesno(
     """Sentiment vote: a passage with non-negative score counts positive,
     and the answer is yes when positives are not outnumbered.
 
-    An empty passage list yields yes (the 0 >= 0 branch) with a flag.
+    An empty passage list yields yes (the 0 >= 0 branch).
 
     Each passage's score is read from the sentiment lexicon's vote memo,
     memo_of(sentiment, passage_sentiment, tag_lexicon).
@@ -121,7 +118,7 @@ def answer_yesno(
         else:
             negatives += 1
     value = "yes" if positives >= negatives else "no"
-    return YesNoResult(value, positives, negatives, empty=not passages)
+    return YesNoResult(value, positives, negatives)
 
 
 def rank_entities(
@@ -168,10 +165,8 @@ def ideal_answer(
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> IdealAnswer:
-    """Concatenation of the two passages ranking highest for the question's terms."""
+    """Concatenation of the two passages ranking highest for the question's terms; "" with no candidates."""
     top = rank_passages(question_terms, candidates, k1=k1, b=b, top_n=2)
-    if not top:
-        return IdealAnswer("", (), empty=True)
     text = " ".join(sp.passage.text for sp in top)
     sources = tuple((sp.passage.doc_id, sp.passage.sent_index) for sp in top)
     return IdealAnswer(text, sources)
@@ -256,32 +251,28 @@ def answer_pipeline(
     extractor = FeatureExtractor(resources.tag_lexicon, resources.patterns)
     question_type = classify_type(model, question, extractor)
 
-    flags: list[str] = []
     retrieved = retrieve(question, documents, index, resources, config)
-    if retrieved.relaxed:
-        flags.append("search_relaxed")
     supporting = retrieved.passages
-    if not supporting:
-        flags.append("no_passages")
     passages = [sp.passage for sp in supporting]
-
     ideal = ideal_answer(retrieved.question_terms, passages, k1=config.k1, b=config.b)
-    if ideal.empty:
-        flags.append("empty_ideal")
-
-    answer = FullAnswer(question, question_type, ideal, supporting=supporting, flags=flags)
+    exact = None
     if question_type is QuestionType.YESNO:
-        vote = answer_yesno([p.text for p in passages], resources.sentiment, resources.tag_lexicon)
-        if vote.empty:
-            flags.append("yesno_vote_empty")
-        answer.exact = vote
+        exact = answer_yesno([p.text for p in passages], resources.sentiment, resources.tag_lexicon)
     elif question_type is QuestionType.FACTOID:
-        answer.exact = answer_factoid(passages, retrieved.question_cuis, resources.concept_lexicon)
+        exact = answer_factoid(passages, retrieved.question_cuis, resources.concept_lexicon)
     elif question_type is QuestionType.LIST:
-        answer.exact = answer_list(passages, retrieved.question_cuis, resources.concept_lexicon, cap=config.list_cap)
-        if not answer.exact:
-            flags.append("empty_entity_list")
-    return answer
+        exact = answer_list(passages, retrieved.question_cuis, resources.concept_lexicon, cap=config.list_cap)
+
+    flags = ["search_relaxed"] if retrieved.relaxed else []
+    if not supporting:
+        # The ideal answer ranks these same passages and the vote counts
+        # them, so both are empty exactly when there are none.
+        flags += ["no_passages", "empty_ideal"]
+        if question_type is QuestionType.YESNO:
+            flags.append("yesno_vote_empty")
+    if question_type is QuestionType.LIST and not exact:
+        flags.append("empty_entity_list")
+    return FullAnswer(question_type, ideal, exact, supporting, flags)
 
 
 def answer_to_json(answer: FullAnswer, question_id: str) -> dict:

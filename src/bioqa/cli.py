@@ -118,6 +118,8 @@ def _check_args(args) -> None:
             raise CliError(f"{flag} must be finite, got {value}")
         if value is not None and value <= 0 and name != "rouge_beta":  # beta 0 weighs precision alone
             raise CliError(f"{flag} must be positive, got {value}")
+        if value is not None and value < 0:
+            raise CliError(f"{flag} must not be negative, got {value}")
     b = getattr(args, "b", None)
     if b is not None and not 0 <= b <= 1:
         raise CliError(f"--b must lie in [0, 1], got {b}")
@@ -130,22 +132,17 @@ def _check_args(args) -> None:
             raise CliError(f"--{name.replace('_', '-')} must be at least 1, got {count}")
 
 
-def _load_corpus_docs(bundle):
-    docs = ingest.load_corpus(bundle.corpus_path)
-    return {d.doc_id: d for d in docs}
-
-
 def _build_document_index(bundle, documents):
-    units = [(d.doc_id, f"{d.title} {d.abstract}") for d in documents.values()]
+    units = [(d.doc_id, f"{d.title} {d.abstract}") for d in documents]
     return retrieval.build_index(units, "document", bundle.stopwords, bundle.concept_lexicon)
 
 
 def _load_retrieval_state(args):
     """Resources, documents by id, and the --index file or an index built from the corpus."""
     bundle = ingest.load_resources(args.manifest)
-    documents = _load_corpus_docs(bundle)
+    documents = {d.doc_id: d for d in ingest.load_corpus(bundle.corpus_path)}
     if not args.index:
-        return bundle, documents, _build_document_index(bundle, documents)
+        return bundle, documents, _build_document_index(bundle, documents.values())
     # A named index that does not exist is an error, never a silent rebuild.
     index = ingest.load_index(args.index)
     units = set(index.unit_order)
@@ -200,7 +197,7 @@ def cmd_validate(args) -> int:
 
 def cmd_index(args) -> int:
     bundle = ingest.load_resources(args.manifest)
-    index = _build_document_index(bundle, _load_corpus_docs(bundle))
+    index = _build_document_index(bundle, ingest.load_corpus(bundle.corpus_path))
     ingest.save_index(index, args.out)
     _print_json({"indexed_units": index.n_units, "out": args.out})
     return 0

@@ -64,9 +64,8 @@ class ConceptLexicon:
             self.concepts[concept.cui] = concept
             for surface in (concept.preferred, *concept.synonyms):
                 key = _normalize_surface(surface)
-                if not key:
-                    continue
-                self._surface_to_cui.setdefault(key, concept.cui)
+                if key:
+                    self._surface_to_cui.setdefault(key, concept.cui)
         # First token of a surface form -> token counts of the surface forms
         # starting with it, longest first.
         lengths: dict[str, set[int]] = {}
@@ -92,16 +91,18 @@ class ConceptLexicon:
     @classmethod
     def from_file(cls, path) -> "ConceptLexicon":
         concepts = []
+        first_lines: dict[str, int] = {}  # cui -> line it is first listed on
         for i, line in data_lines(path):
             parts = line.split("\t")
             if len(parts) < 4:
                 raise ResourceFormatError(path, i, f"expected at least 4 tab-separated fields, got {len(parts)}")
             cui, preferred, tui, semantic_type = (p.strip() for p in parts[:4])
-            synonyms = ()
-            if len(parts) >= 5 and parts[4].strip():
-                synonyms = tuple(s.strip().lower() for s in parts[4].split("|") if s.strip())
+            synonyms = tuple(s.strip().lower() for s in parts[4].split("|") if s.strip()) if len(parts) >= 5 else ()
             if not cui or not preferred:
                 raise ResourceFormatError(path, i, "cui and preferred name are required")
+            first = first_lines.setdefault(cui, i)
+            if first != i:
+                raise ResourceFormatError(path, i, f"duplicate concept identifier {cui} (first listed on line {first})")
             concepts.append(Concept(cui, preferred, tui, semantic_type, synonyms))
         return cls(concepts)
 
@@ -146,13 +147,13 @@ def recognize(text: str, lexicon: ConceptLexicon) -> list[ConceptMention]:
     return mentions
 
 
-def title_cuis(title: str, lexicon: ConceptLexicon) -> tuple[str, ...]:
-    """Cuis recognized in a document title, in mention order.
+def title_cuis(text: str, lexicon: ConceptLexicon) -> tuple[str, ...]:
+    """Cuis recognized in any text, in mention order.
 
-    Rerank asks for the same titles question after question, so it reads
-    them from memo_of(lexicon, title_cuis).
+    Rerank calls it once on the question, and reads document titles, which
+    it asks for question after question, from memo_of(lexicon, title_cuis).
     """
-    lowered = list(map(str.lower, token_surfaces(title)))
+    lowered = list(map(str.lower, token_surfaces(text)))
     return tuple(cui for _, _, cui in longest_matches(lowered, lexicon))
 
 
@@ -267,12 +268,19 @@ _TAG_CLASSES = {"n", "v", "a", "r", "any"}
 
 
 class SentimentLexicon:
+    """Sentiment entries and, per (word, tag class) key, the one score
+    word_sentiment reads: the mean of (positivity - negativity) over the
+    key's entries in file order, computed here once."""
+
     def __init__(self, entries: list[SentimentEntry]):
         self.entries = list(entries)
-        self._by_key: dict[tuple[str, str], list[SentimentEntry]] = {}
+        grouped: dict[tuple[str, str], list[SentimentEntry]] = {}
         for e in self.entries:
-            self._by_key.setdefault((e.word, e.tag_class), []).append(e)
-        self.words = frozenset(word for word, _ in self._by_key)
+            grouped.setdefault((e.word, e.tag_class), []).append(e)
+        self._scores = {
+            key: sum(e.positivity - e.negativity for e in group) / len(group) for key, group in grouped.items()
+        }
+        self.words = frozenset(word for word, _ in self._scores)
 
     @classmethod
     def from_file(cls, path) -> "SentimentLexicon":
@@ -308,18 +316,14 @@ def coarse_tag_class(tag: str) -> str:
 
 
 def word_sentiment(word: str, tag_class: str, lexicon: SentimentLexicon) -> float:
-    """Mean of (positivity - negativity) over matching entries, else 0.
+    """The lexicon's score of (word, tag_class), else of (word, any), else 0.
 
-    Looks up (word, tag_class) first and falls back to (word, any);
-    unknown words score 0 so arbitrary corpus text stays processable.
+    Unknown words score 0 so arbitrary corpus text stays processable.
     """
     word = word.lower()
-    entries = lexicon._by_key.get((word, tag_class))
-    if not entries:
-        entries = lexicon._by_key.get((word, "any"))
-    if not entries:
-        return 0.0
-    return sum(e.positivity - e.negativity for e in entries) / len(entries)
+    scores = lexicon._scores
+    score = scores.get((word, tag_class))
+    return scores.get((word, "any"), 0.0) if score is None else score
 
 
 def synonyms_of(cui: str, lexicon: ConceptLexicon) -> list[str]:

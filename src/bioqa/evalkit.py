@@ -8,6 +8,7 @@ per-question row, and averages every metric from those rows.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -134,6 +135,13 @@ def _rouge_tokens(text: str, stem_tokens: bool) -> list[str]:
     return tokens
 
 
+def _check_beta(beta) -> None:
+    """A ROUGE F-measure's beta: None for recall alone, else finite and not
+    negative (0 weighs precision alone)."""
+    if beta is not None and not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and not negative, got {beta}")
+
+
 def _score_from_counts(matches: float, ref_total: float, cand_total: float, beta) -> float:
     recall = matches / ref_total if ref_total else 0.0
     if beta is None:
@@ -146,6 +154,7 @@ def _score_from_counts(matches: float, ref_total: float, cand_total: float, beta
 
 
 def _rouge_units_score(cand_units: Counter, ref_units_per_ref: list[Counter], beta) -> float:
+    _check_beta(beta)
     # With several references the best one counts; with none the score is 0.
     cand_total = sum(cand_units.values())
     scores = [
@@ -161,7 +170,7 @@ def rouge_n(candidate: str, references, n: int = 2, *, beta=None, stem_tokens: b
 
     Clipped n-gram matches over reference n-gram counts; with several
     references the score is the best one. beta switches to an F-measure
-    with the given recall weight.
+    with the given recall weight, which must be finite and not negative.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -255,8 +264,9 @@ def evaluate_run(
     Gold questions with no run entry count as unanswered, and an exact
     answer that is not a list (a yes/no reply) to a factoid or list
     question names no entity. Run entries whose id is not in the gold set
-    are an error.
+    are an error, and so is a rouge_beta that rouge_n refuses.
     """
+    _check_beta(rouge_beta)
     gold_by_id = {q.id: q for q in gold_dataset.questions}
     unknown = [e.get("id", "<missing>") for e in run_entries if e.get("id") not in gold_by_id]
     if unknown:

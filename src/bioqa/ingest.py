@@ -41,12 +41,11 @@ def load_corpus(path) -> list[DocumentRecord]:
             raise DatasetFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
         if not isinstance(obj, dict):
             raise DatasetFormatError(f"{path}:{line_no}: expected a JSON object")
-        for required in ("doc_id", "title", "abstract"):
-            if required not in obj:
-                raise DatasetFormatError(f"{path}:{line_no}: missing field {required!r}")
-        for text_field in ("doc_id", "title", "abstract"):
-            if not isinstance(obj[text_field], str):
-                raise DatasetFormatError(f"{path}:{line_no}: field {text_field!r} must be a string")
+        for name in ("doc_id", "title", "abstract"):
+            if name not in obj:
+                raise DatasetFormatError(f"{path}:{line_no}: missing field {name!r}")
+            if not isinstance(obj[name], str):
+                raise DatasetFormatError(f"{path}:{line_no}: field {name!r} must be a string")
         doc_id = obj["doc_id"]
         if not obj["title"]:
             raise DatasetFormatError(f"{path}:{line_no}: empty title")
@@ -264,7 +263,7 @@ def load_resources(manifest_path) -> ResourceBundle:
     for cui in sorted(graph.nodes):
         if cui not in lexicon:
             raise DatasetFormatError(f"{paths['graph']}: edge references unknown cui {cui}")
-    bundle = ResourceBundle(
+    return ResourceBundle(
         concept_lexicon=lexicon,
         graph=graph,
         sentiment=SentimentLexicon.from_file(paths["sentiment"]),
@@ -275,7 +274,6 @@ def load_resources(manifest_path) -> ResourceBundle:
         corpus_path=paths["corpus"],
         hashes={k: _sha256(p) for k, p in paths.items()},
     )
-    return bundle
 
 
 def default_manifest_path() -> Path:

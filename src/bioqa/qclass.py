@@ -396,11 +396,7 @@ class LinearModel:
     meta: dict
 
     def scores(self, features: dict[str, int]) -> dict[str, float]:
-        out = {}
-        for label in self.labels:
-            w = self.weights[label]
-            out[label] = sum(w.get(f, 0.0) * c for f, c in features.items())
-        return out
+        return {label: sum(self.weights[label].get(f, 0.0) * c for f, c in features.items()) for label in self.labels}
 
     def predict(self, features: dict[str, int]) -> str:
         scores = self.scores(features)
@@ -465,10 +461,15 @@ def train_type_classifier(
 
     The labels are the types present in the data, in the fixed
     YESNO < FACTOID < LIST < SUMMARY order. Training is deterministic given
-    (data, space, C, seed).
+    (data, space, C, seed). C must be finite and positive, and so must lam = 1/(C*n).
     """
     if not examples:
         raise ValueError("no training examples")
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and positive, got {C}")
+    lam = 1.0 / (C * len(examples))
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"C={C} is out of range for {len(examples)} examples: 1/(C*n) = {lam}")
     present = {label for _, label in examples}
     labels = tuple(t for t in TYPE_ORDER if t in present)
 
@@ -486,7 +487,6 @@ def train_type_classifier(
     X = _vectorize([f for f, _ in examples], vocabulary)
     label_index = {lab: i for i, lab in enumerate(labels)}
     y = [label_index[label] for _, label in examples]
-    lam = 1.0 / (C * len(examples))
     W = _sgd_multiclass(X, y, len(labels), lam, epochs, seed)
 
     weights = {

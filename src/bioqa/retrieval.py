@@ -376,13 +376,13 @@ def bm25_score(
 
 
 def _query_index_terms(query: Query, stopwords: set[str], lexicon: ConceptLexicon) -> list[str]:
-    terms: list[str] = []
+    """The index terms a query searches for: those of each concept name in
+    turn, or, when there is none, the index term of each raw term that is a
+    content word, read from the word memo that analyse reads."""
     if query.concept_terms:
-        for concept_term in query.concept_terms:
-            terms.extend(index_terms(concept_term, stopwords, lexicon))
-    else:
-        terms.extend(stem(t.lower()) for t in query.raw_terms)
-    return terms
+        return [term for name in query.concept_terms for term in index_terms(name, stopwords, lexicon)]
+    table = memo_of(lexicon, _word_term, stopwords)
+    return list(filter(None, map(table.__getitem__, map(str.lower, query.raw_terms))))
 
 
 # Queries whose terms have fewer postings than this are ranked over Python
@@ -507,8 +507,7 @@ def rerank_documents(
     """
     if m <= 0:
         return []
-    lowered = list(map(str.lower, token_surfaces(question)))
-    rows = similarity_rows([cui for _, _, cui in longest_matches(lowered, lexicon)], graph)
+    rows = similarity_rows(title_cuis(question, lexicon), graph)
     if not rows:
         return _scored_docs([doc.doc_id for doc in docs[:m]], repeat(0.0))
     titles = memo_of(lexicon, title_cuis)

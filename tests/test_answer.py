@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bioqa import answer, retrieval, textproc
 from bioqa.answer import (
     ConfigurationError,
+    IdealAnswer,
     PipelineConfig,
     Retrieved,
     answer_factoid,
@@ -22,7 +23,7 @@ from bioqa.answer import (
     retrieve,
 )
 from bioqa.conceptlex import SentimentEntry, SentimentLexicon, recognize
-from bioqa.ingest import load_resources
+from bioqa.ingest import load_corpus, load_resources
 from bioqa.qclass import FEATURE_SPACES, FeatureExtractor, QuestionType, extract_topic_features
 from bioqa.retrieval import DocumentRecord, build_index, extract_passages
 from bioqa.textproc import TagLexicon
@@ -52,10 +53,9 @@ class TestAnswerYesNo:
         assert result.value == "no"
         assert (result.positives, result.negatives) == (1, 2)
 
-    def test_empty_passages_vote_yes_with_flag(self, bundle):
-        result = answer_yesno([], bundle.sentiment, bundle.tag_lexicon)
-        assert result.value == "yes"
-        assert result.empty
+    def test_empty_passages_vote_yes(self, bundle):
+        # The pipeline flags an empty vote (yesno_vote_empty) from its passages.
+        assert answer_yesno([], bundle.sentiment, bundle.tag_lexicon) == answer.YesNoResult("yes", 0, 0)
 
     def test_vote_is_order_invariant(self, bundle):
         lex = SentimentLexicon([
@@ -172,9 +172,9 @@ class TestIdealAnswer:
         assert ideal.text.startswith("Imatinib acts on kinases")
         assert len(ideal.sources) == 2
 
-    def test_empty_candidates_flagged(self, bundle):
-        ideal = ideal_answer(question_terms(bundle, "q"), [])
-        assert ideal.empty and ideal.text == ""
+    def test_empty_candidates_give_empty_answer(self, bundle):
+        # The pipeline flags an empty ideal answer (empty_ideal) from its passages.
+        assert ideal_answer(question_terms(bundle, "q"), []) == IdealAnswer("", ())
 
     def test_text_length_bound(self, bundle, corpus):
         from bioqa.retrieval import extract_passages
@@ -184,6 +184,37 @@ class TestIdealAnswer:
         ideal = ideal_answer(question_terms(bundle, "What symptoms characterize the Muenke syndrome?"), candidates)
         total = sum(len(c.text) for c in candidates if (c.doc_id, c.sent_index) in ideal.sources)
         assert len(ideal.text) <= total + 1
+
+
+# Questions against the bundled corpus: a question word, then title words
+# and words no document holds, or only the latter, which match nothing.
+_UNMATCHED_WORDS = ["zorbifen", "quuxamine", "the", "of", "?", "-"]
+_TITLE_WORDS = sorted({w for d in load_corpus(RESOURCE_DIR / "corpus.jsonl") for w in d.title.split()})
+_questions = st.builds(
+    lambda lead, words: " ".join([lead, *words]) + "?",
+    st.sampled_from(["Is", "Does", "Which", "What is", "List", ""]),
+    st.one_of(st.lists(st.sampled_from(_TITLE_WORDS + _UNMATCHED_WORDS), max_size=8),
+              st.lists(st.sampled_from(_UNMATCHED_WORDS), max_size=4)),
+)
+
+
+class TestEmptyAnswerFlags:
+    """The pipeline derives its empty-answer flags from the passages: the
+    ideal answer and the yes/no vote are empty exactly when none support
+    the answer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(question=_questions)
+    @example(question="?")
+    @example(question="Is zorbifen a quuxamine?")
+    @example(question="Which zorbifen?")
+    @example(question="Is imatinib an antidepressant drug?")
+    def test_flags_fire_exactly_without_snippets(self, bundle, corpus, doc_index, type_model, question):
+        out = answer_to_json(answer_pipeline(question, corpus, doc_index, type_model, bundle), "q")
+        empty = not out["snippets"]
+        assert ("no_passages" in out["flags"]) == empty
+        assert ("empty_ideal" in out["flags"]) == empty == (out["ideal_answer"] == "")
+        assert ("yesno_vote_empty" in out["flags"]) == (empty and out["type"] == "yesno")
 
 
 class TestPipeline:
@@ -215,9 +246,11 @@ class TestPipeline:
 
     def test_no_matching_documents_degrades_gracefully(self, bundle, corpus, doc_index, type_model):
         full = answer_pipeline("Is zorbifen a quuxamine?", corpus, doc_index, type_model, bundle)
+        assert full.question_type is QuestionType.YESNO
         assert full.supporting == []
-        assert full.ideal.empty
-        assert "no_passages" in full.flags
+        assert full.ideal == IdealAnswer("", ())
+        assert full.exact == answer.YesNoResult("yes", 0, 0)
+        assert full.flags == ["search_relaxed", "no_passages", "empty_ideal", "yesno_vote_empty"]
 
     def test_pipeline_deterministic(self, bundle, corpus, doc_index, type_model):
         q = "Is imatinib an antidepressant drug?"
@@ -484,7 +517,7 @@ class TestVoteMemo:
         scores = [passage_sentiment(text, sentiment, tag_lexicon) for text in passages]
         positives = sum(score >= 0.0 for score in scores)
         negatives = len(scores) - positives
-        return answer.YesNoResult("yes" if positives >= negatives else "no", positives, negatives, not passages)
+        return answer.YesNoResult("yes" if positives >= negatives else "no", positives, negatives)
 
     def test_vote_equals_fresh_scores(self, bundle, corpus):
         sentiment = SentimentLexicon(bundle.sentiment.entries)

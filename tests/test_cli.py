@@ -46,6 +46,22 @@ class TestValidate:
         assert main(["validate", "--manifest", str(tmp_path / "manifest.json")]) != 0
         assert ":1" in capsys.readouterr().err
 
+    def test_repeated_cui_names_the_file_and_both_lines(self, tmp_path, capsys):
+        import shutil
+
+        for name in ("corpus.jsonl", "hierarchy.tsv", "sentiment.tsv", "stopwords.txt",
+                     "tags.tsv", "abbreviations.txt", "patterns.txt", "manifest.json", "concepts.tsv"):
+            shutil.copy(RESOURCE_DIR / name, tmp_path / name)
+        lexicon = tmp_path / "concepts.tsv"
+        lines = lexicon.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines, 1) if line.strip() and not line.lstrip().startswith("#"))
+        lexicon.write_text("".join(lines) + lines[first - 1], encoding="utf-8")
+        cui = lines[first - 1].split("\t")[0]
+        assert main(["validate", "--manifest", str(tmp_path / "manifest.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {lexicon}:{len(lines) + 1}: duplicate concept identifier {cui} (first listed on line {first})\n"
+        )
+
     def test_missing_file(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({
             k: "missing.dat" for k in
@@ -354,6 +370,23 @@ class TestClassifyAndTrain:
         assert "--epochs must be at least 1" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("C", ["1e307", "1e-320"])
+    def test_C_outside_the_trainable_range_exits_one(self, C, tmp_path, capsys):
+        # Finite and positive, but 1/(C * 30 questions) is 0 or overflows.
+        out = tmp_path / "m.json"
+        assert main(["train-type", "--out", str(out), "--C", C]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: C=\S+ is out of range for 30 examples: 1/\(C\*n\) = \S+\n", captured.err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("C", ["-1", "0"])
+    def test_C_not_positive_is_usage_error(self, C, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["train-type", "--out", str(out), "--C", C]) == 2
+        assert f"--C must be positive, got {float(C)}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train-type", "train-topics"])
     def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -452,6 +485,12 @@ class TestNumberFlags:
         assert captured.out == ""
         assert f"{flag} must be finite, got {value}" in captured.err
         assert not (tmp_path / "m.json").exists()
+
+    def test_negative_rouge_beta_is_usage_error(self, capsys):
+        assert main(["eval", "--gold", DEMO_GOLD, "--run", GOLDEN_RUN, "--rouge-beta", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--rouge-beta must not be negative, got -1.0" in captured.err
 
     def test_rouge_beta_zero_is_accepted(self, capsys):
         # An F-measure with beta 0 is precision alone.

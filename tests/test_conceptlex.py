@@ -202,6 +202,29 @@ class TestWordSentiment:
         ]
         assert unreachable == []
 
+    @given(st.lists(
+        st.tuples(st.sampled_from(["up", "down", "well"]), st.sampled_from(["n", "v", "a", "r", "any"]),
+                  st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        max_size=12,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_score_is_the_mean_of_the_key_entries(self, rows):
+        # Each (word, class) key may repeat; the reference takes the mean of
+        # its entries, in file order, on every call.
+        entries = [SentimentEntry(*row) for row in rows]
+        lex = SentimentLexicon(entries)
+
+        def mean(word, tag_class):
+            values = [e.positivity - e.negativity for e in entries if (e.word, e.tag_class) == (word, tag_class)]
+            return sum(values) / len(values) if values else None
+
+        for word in ("up", "down", "well", "missing"):
+            for tag_class in ("n", "v", "a", "r", "any"):
+                expected = mean(word, tag_class)
+                if expected is None:
+                    expected = mean(word, "any")
+                assert word_sentiment(word, tag_class, lex) == (0.0 if expected is None else expected)
+
     def test_score_range(self, bundle):
         rng = random.Random(31)
         words = [e.word for e in bundle.sentiment.entries] + ["missing"]
@@ -236,6 +259,14 @@ class TestLoaders:
         with pytest.raises(ResourceFormatError) as err:
             ConceptLexicon.from_file(path)
         assert err.value.line_no == 3
+
+    def test_repeated_cui_names_file_and_both_lines(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("# concepts\nC1\talpha\tT1\tThing\nC2\tbeta\tT1\tThing\n\nC1\tgamma\tT1\tThing\n")
+        with pytest.raises(ResourceFormatError) as err:
+            ConceptLexicon.from_file(path)
+        assert (err.value.path, err.value.line_no) == (str(path), 5)
+        assert str(err.value) == f"{path}:5: duplicate concept identifier C1 (first listed on line 2)"
 
 
 def windowed_recognize(text, lexicon):

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -352,3 +353,24 @@ class TestEvaluateRun:
         report = evaluate_run(_gold_dataset(), _perfect_run())
         text = report.render_text()
         assert "yesno_accuracy" in text and "1.0000" in text
+
+
+class TestRougeBeta:
+    """A ROUGE F-measure's beta must be finite and not negative; beta 0 is
+    precision alone."""
+
+    @pytest.mark.parametrize("beta", [-1.0, -1e-300, -math.inf, math.inf, math.nan])
+    def test_bad_beta_refused(self, beta):
+        scorers = [
+            lambda: rouge_n("a b", ["a b"], 2, beta=beta),
+            lambda: rouge_su("a b", ["a b"], beta=beta),
+            lambda: evaluate_run(_gold_dataset(), _perfect_run(), rouge_beta=beta),
+        ]
+        for score in scorers:
+            with pytest.raises(ValueError, match="beta must be finite and not negative"):
+                score()
+
+    def test_beta_zero_is_precision(self):
+        # Candidate unigrams a b x against reference a b c d: precision 2/3.
+        assert rouge_n("a b x", ["a b c d"], 1, beta=0) == pytest.approx(2 / 3)
+        assert evaluate_run(_gold_dataset(), _perfect_run(), rouge_beta=0.0).config["rouge_beta"] == 0.0

@@ -333,6 +333,17 @@ class TestTypeTrainer:
             model = train_type_classifier(examples, "patterns", seed=3)
         assert model.labels  # training proceeded
 
+    @pytest.mark.parametrize("C", [math.inf, -math.inf, math.nan, 0.0, -1.0, 1e307, 1e-320])
+    def test_C_outside_the_trainable_range_is_refused(self, C, typed_examples):
+        # 1e307 * 30 overflows, so 1/(C*n) is 0; 1/(1e-320 * 30) overflows to inf.
+        with pytest.raises(ValueError, match=r"^C must be finite and positive|^C=.* is out of range"):
+            train_type_classifier(typed_examples, "patterns", C=C)
+
+    @pytest.mark.parametrize("C", [1e300, 1e-300])
+    def test_extreme_C_inside_the_range_trains(self, C):
+        model = train_type_classifier(_toy_examples(), "patterns", C=C, seed=42)
+        assert all(math.isfinite(w) for ws in model.weights.values() for w in ws.values())
+
     def test_seeded_training_is_bit_identical(self):
         examples = _toy_examples()
         m1 = train_type_classifier(examples, "patterns", seed=42)

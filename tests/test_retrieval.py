@@ -36,7 +36,7 @@ from bioqa.retrieval import (
     rerank_documents,
     search,
 )
-from bioqa.textproc import split_sentences, stem, token_surfaces
+from bioqa.textproc import is_content_word, split_sentences, stem, token_surfaces
 
 from conftest import RESOURCE_DIR, analysed, index_from_terms, question_terms
 
@@ -860,6 +860,48 @@ class TestSearchKernel:
                 assert ([(d.doc_id, d.score) for d in result.docs], result.relaxed) == expected
                 relaxed += result.relaxed
         assert 0 < relaxed < len(appendix_questions.questions)
+
+
+def reference_query_index_terms(query, stopwords, lexicon):
+    """A query's index terms by the rule written out for raw terms: each
+    concept name's index terms, otherwise each raw term's lowercased stem."""
+    if query.concept_terms:
+        return [term for name in query.concept_terms for term in retrieval.index_terms(name, stopwords, lexicon)]
+    return [stem(raw.lower()) for raw in query.raw_terms]
+
+
+class TestQueryIndexTerms:
+    """Raw query terms are read through the word memo that analyse reads."""
+
+    @settings(max_examples=300)
+    @given(text=st.one_of(_sentences, st.text(max_size=60)))
+    @example(text="Is zorbifen a quuxamine?")
+    @example(text="Is imatinib an antidepressant drug?")
+    def test_formulated_query_equals_reference(self, bundle, text):
+        lexicon, stopwords = bundle.concept_lexicon, bundle.stopwords
+        query = formulate_query(text, lexicon, stopwords)
+        got = retrieval._query_index_terms(query, stopwords, lexicon)
+        assert got == reference_query_index_terms(query, stopwords, lexicon)
+
+    @staticmethod
+    def search_both(bundle, doc_index, raw):
+        """search of raw as given and of its content words alone."""
+        lexicon, stopwords = bundle.concept_lexicon, bundle.stopwords
+        content = [t for t in raw if is_content_word(t.lower(), stopwords)]
+        return [search(doc_index, Query((), tuple(terms)), 200, stopwords, lexicon) for terms in (raw, content)]
+
+    def test_stopword_raw_term_is_dropped(self, bundle, doc_index):
+        # "the" is held by no index, so keeping it would force a relaxed search.
+        given_raw, content_only = self.search_both(bundle, doc_index, ["Muenke", "the", "syndrome", "?"])
+        assert given_raw == content_only and given_raw.docs and not given_raw.relaxed
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_stopword_raw_terms_search_as_without_them(self, bundle, doc_index, data):
+        words = CORPUS_WORDS[::7] + sorted(bundle.stopwords)[::5]
+        raw = data.draw(st.lists(st.sampled_from(words), max_size=6))
+        given_raw, content_only = self.search_both(bundle, doc_index, raw)
+        assert given_raw == content_only
 
 
 # A few score values, so that many scores tie at the cut.
