@@ -30,13 +30,31 @@ class IndexVersionError(ValueError):
         self.expected = expected
 
 
+# json.loads(s) is JSONDecoder().decode(s): a check for a leading BOM, then
+# raw_decode between the whitespace it skips.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str):
+    """json.loads(line), without its per-call checks when the line is one
+    JSON value: any other line is left to json.loads, which refuses it."""
+    text = line.strip(" \t\n\r")
+    try:
+        obj, end = _raw_decode(text)
+        if end == len(text):
+            return obj
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
+
+
 def load_corpus(path) -> list[DocumentRecord]:
     """JSON Lines corpus: one {doc_id, title, abstract} object per line."""
     records: list[DocumentRecord] = []
     seen: set[str] = set()
     for line_no, line in data_lines(path):
         try:
-            obj = json.loads(line)
+            obj = _decode_line(line)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
         if not isinstance(obj, dict):

@@ -191,7 +191,7 @@ def parse_patterns(text: str, path="<patterns>") -> list[Pattern]:
     """Parse the line-oriented pattern DSL; see the bundled patterns file."""
     synonym_sets: dict[str, list[str]] = {}
     patterns: list[Pattern] = []
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -404,6 +404,11 @@ class LinearModel:
         return max(self.labels, key=lambda lab: scores[lab])
 
 
+def _check_epochs(epochs: int) -> None:
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
+
+
 def _sgd_multiclass(X, y, n_labels, lam, epochs, seed):
     """Pegasos-style subgradient descent on the multiclass hinge loss.
 
@@ -414,28 +419,34 @@ def _sgd_multiclass(X, y, n_labels, lam, epochs, seed):
     The rival is the first highest-scoring other label, or the true label
     itself when it is the only one; the margin update then adds and
     subtracts the same step on that row.
+
+    The margin update touches only the example's nonzero columns: a zero
+    column's step is 0.0, which leaves its weight as it is.
     """
     n, d = len(X), X[0].shape[0] if X else 0
     W = np.zeros((n_labels, d), dtype=np.float64)
-    rows = list(W)  # row views, made once
+    rows = [memoryview(row) for row in W]  # row buffers, made once: items are read and written as Python floats
+    nonzero = [[(j, x[j].item()) for j in np.flatnonzero(x).tolist()] for x in X]
+    others = [[j for j in range(n_labels) if j != label] for label in range(n_labels)]
     rng = np.random.default_rng(seed)
     t = 0
     for _ in range(epochs):
         for i in rng.permutation(n).tolist():
             t += 1
             eta = 1.0 / (lam * t)
-            x = X[i]
-            scores = (W @ x).tolist()
+            scores = (W @ X[i]).tolist()
             yi = y[i]
             rival, best = yi, -math.inf
-            for j, score in enumerate(scores):
-                if j != yi and score > best:
-                    rival, best = j, score
+            for j in others[yi]:
+                if scores[j] > best:
+                    rival, best = j, scores[j]
             W *= max(0.0, 1.0 - eta * lam)
             if scores[yi] - scores[rival] < 1.0:
-                step = eta * x
-                rows[yi] += step
-                rows[rival] -= step
+                gain, loss = rows[yi], rows[rival]
+                for j, count in nonzero[i]:
+                    step = eta * count
+                    gain[j] += step
+                    loss[j] -= step
     return W
 
 
@@ -461,10 +472,12 @@ def train_type_classifier(
 
     The labels are the types present in the data, in the fixed
     YESNO < FACTOID < LIST < SUMMARY order. Training is deterministic given
-    (data, space, C, seed). C must be finite and positive, and so must lam = 1/(C*n).
+    (data, space, C, seed). C must be finite and positive, and so must
+    lam = 1/(C*n); epochs must be at least 1.
     """
     if not examples:
         raise ValueError("no training examples")
+    _check_epochs(epochs)
     if not (math.isfinite(C) and C > 0):
         raise ValueError(f"C must be finite and positive, got {C}")
     lam = 1.0 / (C * len(examples))
@@ -571,8 +584,9 @@ def train_topic_models(
     Positives are the questions labeled with the topic; negatives are an
     equal-size uniform sample of the rest drawn with a per-topic seed
     (master seed + topic index). Topics with no positives are skipped
-    with a warning.
+    with a warning. epochs must be at least 1.
     """
+    _check_epochs(epochs)
     weights: dict[str, dict[str, float]] = {}
     for topic_index, topic in enumerate(TOPICS):
         positives = [f for f, ts in examples if topic in ts]

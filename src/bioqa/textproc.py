@@ -49,9 +49,11 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
 
     Blank lines and lines whose first non-blank character is '#' are
     skipped; line numbers still count them, so errors cite the line an
-    editor shows.
+    editor shows. Lines end at "\n" only (read_text has already turned
+    "\r\n" and "\r" into it): U+2028, U+0085 and the other breaks
+    str.splitlines knows may stand raw inside a JSON string.
     """
-    for line_no, line in enumerate(read_text(path).splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
         stripped = line.lstrip()
         if stripped and not stripped.startswith("#"):
             yield line_no, line

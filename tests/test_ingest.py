@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bioqa import cli, ingest, qclass, retrieval
 from bioqa.conceptlex import ConceptGraph, ConceptLexicon, SentimentLexicon
@@ -17,8 +18,8 @@ from bioqa.ingest import (
     load_topic_questions,
     save_index,
 )
-from bioqa.retrieval import INDEX_FORMAT_VERSION, DuplicateIdError
-from bioqa.textproc import ResourceFormatError, TagLexicon, load_abbreviations, load_stopwords
+from bioqa.retrieval import INDEX_FORMAT_VERSION, DocumentRecord, DuplicateIdError
+from bioqa.textproc import ResourceFormatError, TagLexicon, data_lines, load_abbreviations, load_stopwords
 
 from conftest import RESOURCE_DIR
 
@@ -44,6 +45,141 @@ class TestLoadCorpus:
         path.write_text(line + line)
         with pytest.raises(DuplicateIdError):
             load_corpus(path)
+
+    @pytest.mark.parametrize("ensure_ascii", [True, False])
+    def test_line_breaking_characters_inside_strings_load(self, ensure_ascii, tmp_path):
+        # json.dumps(..., ensure_ascii=False) writes U+0085, U+2028 and U+2029
+        # raw; they are not line ends of a JSON Lines file.
+        record = {"doc_id": "1", "title": "t\u2029", "abstract": "a\u2028b\x85c"}
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(record, ensure_ascii=ensure_ascii) + "\n", encoding="utf-8")
+        assert load_corpus(path) == [DocumentRecord("1", "t\u2029", "a\u2028b\x85c")]
+
+
+def reference_load_corpus(path) -> list[DocumentRecord]:
+    """load_corpus as first written, with one json.loads per line, kept
+    verbatim as the oracle of its decoder."""
+    records: list[DocumentRecord] = []
+    seen: set[str] = set()
+    for line_no, line in data_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise DatasetFormatError(f"{path}:{line_no}: expected a JSON object")
+        for name in ("doc_id", "title", "abstract"):
+            if name not in obj:
+                raise DatasetFormatError(f"{path}:{line_no}: missing field {name!r}")
+            if not isinstance(obj[name], str):
+                raise DatasetFormatError(f"{path}:{line_no}: field {name!r} must be a string")
+        doc_id = obj["doc_id"]
+        if not obj["title"]:
+            raise DatasetFormatError(f"{path}:{line_no}: empty title")
+        if doc_id in seen:
+            raise DuplicateIdError(f"{path}:{line_no}: duplicate doc_id {doc_id!r}")
+        seen.add(doc_id)
+        records.append(DocumentRecord(doc_id, obj["title"], obj["abstract"]))
+    return records
+
+
+def _outcome(load, path):
+    """What a loader gives for a file: its records, or its error's type and message."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Text for corpus fields: any character but a lone surrogate, with the line
+# breaks str.splitlines knows, quotes, backslashes and controls favoured.
+_field_text = st.text(st.one_of(
+    st.sampled_from("\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e\r\n\t\"\\\x00\x7f\ufeff \u00e9\U0001f600"),
+    st.characters(exclude_categories=("Cs",)),
+), max_size=12)
+
+_records = st.lists(
+    st.fixed_dictionaries({"doc_id": _field_text, "title": _field_text.filter(bool), "abstract": _field_text}),
+    min_size=1, max_size=5, unique_by=lambda r: r["doc_id"],
+)
+
+_padding = st.text(" \t", max_size=2)
+
+# A line load_corpus skips: blank, or a comment that may hold line breaks
+# other than "\n".
+_skipped_line = st.one_of(_padding, st.builds("{}# {}".format, _padding, _field_text.map(
+    lambda text: text.replace("\n", " ").replace("\r", " "))))
+
+
+def _malformed(draw, record) -> str:
+    """A corpus line load_corpus refuses, made from a well-formed record."""
+    text = json.dumps(record, ensure_ascii=draw(st.booleans()))
+    kind = draw(st.sampled_from(["truncated", "trailing", "two objects", "bom", "not an object",
+                                 "missing field", "wrong field type", "empty title", "bad escape",
+                                 "raw control", "other space"]))
+    if kind == "truncated":
+        return text[:draw(st.integers(1, len(text) - 1))]
+    if kind == "trailing":
+        return text + draw(_padding) + draw(st.sampled_from(["x", "]", "}", "1", ",", '"', "null"]))
+    if kind == "two objects":
+        return text + draw(_padding) + text
+    if kind == "bom":
+        return "\ufeff" + draw(_padding) + text
+    if kind == "other space":
+        # Whitespace to str.strip, but not to JSON.
+        space = draw(st.sampled_from(["\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]))
+        return space + text if draw(st.booleans()) else text + space
+    if kind == "not an object":
+        return json.dumps(draw(st.sampled_from([[record], list(record), record["title"], 3, None, True])))
+    if kind == "missing field":
+        name = draw(st.sampled_from(sorted(record)))
+        return json.dumps({k: v for k, v in record.items() if k != name})
+    if kind == "wrong field type":
+        value = draw(st.sampled_from([None, 5, 1.5, True, [], ["t"], {}, {"t": "t"}]))
+        return json.dumps({**record, draw(st.sampled_from(sorted(record))): value})
+    if kind == "empty title":
+        return json.dumps({**record, "title": ""})
+    if kind == "bad escape":
+        return text.replace('"title": "', '"title": "\\' + draw(st.sampled_from(["x", "u12", "uz", "'"])), 1)
+    return text.replace('"title": "', '"title": "' + draw(st.sampled_from(["\t", "\x00", "\x1f"])), 1)
+
+
+@st.composite
+def _corpus_file(draw, malformed=False) -> str:
+    """The text of a corpus file: the records' lines, each padded, ended
+    by "\n" or "\r\n" and mixed with skipped lines; with malformed, one line
+    is replaced by one load_corpus refuses."""
+    records = draw(_records)
+    lines = [draw(_padding) + json.dumps(r, ensure_ascii=draw(st.booleans())) + draw(_padding) for r in records]
+    if malformed:
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(_padding) + _malformed(draw, draw(st.sampled_from(records)))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_skipped_line))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+class TestCorpusDecoderOracle:
+    """load_corpus gives what its verbatim json.loads reference gives: the
+    same records, or the same error type and message."""
+
+    @settings(max_examples=60)
+    @given(text=_corpus_file())
+    def test_well_formed_files_give_equal_records(self, text, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "oracle-corpus.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
+        got = _outcome(load_corpus, path)
+        assert isinstance(got, list) and got == reference_load_corpus(path)
+
+    @settings(max_examples=100)
+    @given(text=_corpus_file(malformed=True))
+    @example(text='{"doc_id": "1", "title": "t", "abstract": "a"}{"doc_id": "2", "title": "t", "abstract": "a"}\n')
+    @example(text='\ufeff{"doc_id": "1", "title": "t", "abstract": "a"}\n')
+    @example(text='{"doc_id": "1", "title": "t", "abstract": "a"} \t x\n')
+    def test_malformed_files_give_equal_errors(self, text, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "oracle-corpus.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
+        got = _outcome(load_corpus, path)
+        assert isinstance(got, tuple) and got == _outcome(reference_load_corpus, path)
 
 
 class TestLoadQuestions:
@@ -550,6 +686,17 @@ class TestLineLoaders:
         path = tmp_path / "resource.txt"
         path.write_text(f"{good}\n\n   # note\n{bad}\n")
         with pytest.raises(ValueError, match=r"resource\.txt:4:"):
+            load(path)
+
+    @pytest.mark.parametrize("loader", sorted(k for k, v in LINE_LOADERS.items() if v[2] is not None))
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_only_newline_ends_a_line(self, loader, separator, tmp_path):
+        # The other line boundaries of str.splitlines stay inside a line: the
+        # comment that holds one is one line, and the bad line is line 3.
+        load, good, bad = LINE_LOADERS[loader]
+        path = tmp_path / "resource.txt"
+        path.write_text(f"# note{separator}{bad}\n{good}\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"resource\.txt:3:"):
             load(path)
 
 

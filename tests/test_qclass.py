@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -339,6 +340,11 @@ class TestTypeTrainer:
         with pytest.raises(ValueError, match=r"^C must be finite and positive|^C=.* is out of range"):
             train_type_classifier(typed_examples, "patterns", C=C)
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_epochs_below_one_is_refused(self, epochs):
+        with pytest.raises(ValueError, match=rf"^epochs must be at least 1, got {epochs}$"):
+            train_type_classifier(_toy_examples(), "patterns", epochs=epochs)
+
     @pytest.mark.parametrize("C", [1e300, 1e-300])
     def test_extreme_C_inside_the_range_trains(self, C):
         model = train_type_classifier(_toy_examples(), "patterns", C=C, seed=42)
@@ -419,13 +425,26 @@ def reference_sgd_binary(X, y, lam, epochs, seed):
 HUGE = sys.float_info.max
 
 
+def _wide_row(d, values):
+    """A row of d columns with 1 to 4 nonzero counts, as question feature
+    vectors are over a larger vocabulary."""
+    return st.dictionaries(st.integers(0, d - 1), st.sampled_from(values), min_size=1, max_size=4).map(
+        lambda counts: [counts.get(j, 0.0) for j in range(d)])
+
+
 @st.composite
 def _sparse_sets(draw, n_labels):
     """(X, y) of sparse count rows, with all-zero and repeated rows, and
-    labels below n_labels (None: ±1 binary labels)."""
-    d = draw(st.integers(1, 6))
-    values = [0.0, 0.0, 0.0, 1.0, 2.0, 3.0] + ([HUGE] if n_labels == 1 else [])
-    rows = draw(st.lists(st.lists(st.sampled_from(values), min_size=d, max_size=d), min_size=1, max_size=8))
+    labels below n_labels (None: ±1 binary labels). Rows are either short
+    and dense or up to 40 columns wide with at most 4 nonzero counts."""
+    values = [1.0, 2.0, 3.0, 5.0] + ([HUGE] if n_labels == 1 else [])
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 6))
+        row = st.lists(st.sampled_from([0.0, 0.0, 0.0, *values]), min_size=d, max_size=d)
+    else:
+        d = draw(st.integers(7, 40))
+        row = _wide_row(d, values)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
     if draw(st.booleans()):
         rows.append([0.0] * d)
     rows += draw(st.lists(st.sampled_from(rows), max_size=3))
@@ -560,6 +579,14 @@ class TestTopicModels:
             model = train_topic_models(examples, seed=0)
         assert model.labels == ("Device",)
         assert model.scores({"alpha": 1})["Device"] > 0 > model.scores({"beta": 1})["Device"]
+
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_epochs_below_one_is_refused_before_training(self, epochs):
+        examples = [({"alpha": 1}, {"Device"}), ({"beta": 1}, set())]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the skipped-topic warnings come from training
+            with pytest.raises(ValueError, match=rf"^epochs must be at least 1, got {epochs}$"):
+                train_topic_models(examples, epochs=epochs)
 
     def test_seed_reproducibility(self):
         rng = random.Random(12)
@@ -736,3 +763,10 @@ class TestPatternParser:
     def test_bad_category(self):
         with pytest.raises(ResourceFormatError):
             parse_patterns("NOPE := [is] ?")
+
+    def test_only_newline_ends_a_line(self):
+        # A comment holding U+2028 stays one comment line, so the bad
+        # category is on line 3.
+        with pytest.raises(ResourceFormatError, match="NOPE") as err:
+            parse_patterns("# note\u2028NOPE := [is] ?\nYESNO := [is] ?\nNOPE := [is] ?\n")
+        assert err.value.line_no == 3
