@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -185,7 +186,7 @@ def cmd_validate(args) -> int:
     documents = ingest.load_corpus(bundle.corpus_path)
     report = {
         "manifest": str(args.manifest),
-        "resources": {k: bundle.hashes[k] for k in sorted(bundle.hashes)},
+        "resources": {k: hashlib.sha256(bundle.paths[k].read_bytes()).hexdigest() for k in sorted(bundle.paths)},
         "documents": len(documents),
         "concepts": len(bundle.concept_lexicon),
         "patterns": len(bundle.patterns),

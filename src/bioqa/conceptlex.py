@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress, count
 
-from .textproc import Memo, ResourceFormatError, data_lines, memo_of, token_surfaces, tokenize
+from .textproc import Memo, ResourceFormatError, data_fields, memo_of, token_surfaces, tokenize
 
 
 class UnknownConceptError(KeyError):
@@ -92,12 +92,11 @@ class ConceptLexicon:
     def from_file(cls, path) -> "ConceptLexicon":
         concepts = []
         first_lines: dict[str, int] = {}  # cui -> line it is first listed on
-        for i, line in data_lines(path):
-            parts = line.split("\t")
-            if len(parts) < 4:
-                raise ResourceFormatError(path, i, f"expected at least 4 tab-separated fields, got {len(parts)}")
-            cui, preferred, tui, semantic_type = (p.strip() for p in parts[:4])
-            synonyms = tuple(s.strip().lower() for s in parts[4].split("|") if s.strip()) if len(parts) >= 5 else ()
+        for i, _, fields in data_fields(path):
+            if len(fields) < 4:
+                raise ResourceFormatError(path, i, f"expected at least 4 tab-separated fields, got {len(fields)}")
+            cui, preferred, tui, semantic_type = fields[:4]
+            synonyms = tuple(s.strip().lower() for s in fields[4].split("|") if s.strip()) if len(fields) >= 5 else ()
             if not cui or not preferred:
                 raise ResourceFormatError(path, i, "cui and preferred name are required")
             first = first_lines.setdefault(cui, i)
@@ -176,13 +175,13 @@ class ConceptGraph:
     @classmethod
     def from_file(cls, path) -> "ConceptGraph":
         edges = []
-        for i, line in data_lines(path):
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+        for i, line, fields in data_fields(path):
+            if len(fields) != 2 or not all(fields):
                 raise ResourceFormatError(path, i, f"expected 'parent_cui<TAB>child_cui', got {line!r}")
-            if parts[0].strip() == parts[1].strip():
-                raise ResourceFormatError(path, i, f"self-loop on {parts[0].strip()}")
-            edges.append((parts[0].strip(), parts[1].strip()))
+            parent, child = fields
+            if parent == child:
+                raise ResourceFormatError(path, i, f"self-loop on {parent}")
+            edges.append((parent, child))
         return cls.from_edges(edges)
 
     @property
@@ -285,15 +284,14 @@ class SentimentLexicon:
     @classmethod
     def from_file(cls, path) -> "SentimentLexicon":
         entries = []
-        for i, line in data_lines(path):
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ResourceFormatError(path, i, f"expected 4 tab-separated fields, got {len(parts)}")
-            word, tag_class = parts[0].strip().lower(), parts[1].strip().lower()
+        for i, line, fields in data_fields(path):
+            if len(fields) != 4:
+                raise ResourceFormatError(path, i, f"expected 4 tab-separated fields, got {len(fields)}")
+            word, tag_class = fields[0].lower(), fields[1].lower()
             if tag_class not in _TAG_CLASSES:
                 raise ResourceFormatError(path, i, f"tag class must be one of n/v/a/r/any, got {tag_class!r}")
             try:
-                pos, neg = float(parts[2]), float(parts[3])
+                pos, neg = float(fields[2]), float(fields[3])
             except ValueError:
                 raise ResourceFormatError(path, i, f"scores must be numeric: {line!r}") from None
             if not (0.0 <= pos <= 1.0 and 0.0 <= neg <= 1.0):

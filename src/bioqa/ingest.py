@@ -6,17 +6,16 @@ line-oriented formats, the line; nothing downstream has to re-validate.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .conceptlex import ConceptGraph, ConceptLexicon, SentimentLexicon
 from .qclass import Pattern, QuestionType, load_patterns
-from .retrieval import INDEX_FORMAT_VERSION, DocumentRecord, DuplicateIdError, IndexedCorpus
-from .textproc import ResourceFormatError, TagLexicon, data_lines, load_abbreviations, load_stopwords, read_json
+from .retrieval import DocumentRecord, DuplicateIdError, IndexedCorpus
+from .textproc import ResourceFormatError, TagLexicon, data_fields, data_lines, load_abbreviations, load_stopwords, read_json
 
 
 class DatasetFormatError(ValueError):
@@ -209,13 +208,12 @@ def load_dep_pairs(path) -> dict[str, list[tuple[str, str, str]]]:
     dependency features.
     """
     pairs: dict[str, list[tuple[str, str, str]]] = {}
-    for line_no, line in data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 4 or not all(p.strip() for p in parts):
+    for line_no, _, fields in data_fields(path):
+        if len(fields) != 4 or not all(fields):
             raise DatasetFormatError(
                 f"{path}:{line_no}: expected 'question_id<TAB>rel<TAB>head<TAB>dependent'"
             )
-        qid, rel, head, dep = (p.strip() for p in parts)
+        qid, rel, head, dep = fields
         pairs.setdefault(qid, []).append((rel, head, dep))
     return pairs
 
@@ -245,15 +243,14 @@ class ResourceBundle:
     tag_lexicon: TagLexicon
     abbreviations: set[str]
     patterns: list[Pattern]
-    corpus_path: Path | None = None
-    hashes: dict[str, str] = field(default_factory=dict)
+    paths: dict[str, Path]  # manifest key -> the file it names, resolved against the manifest's directory
+
+    @property
+    def corpus_path(self) -> Path:
+        return self.paths["corpus"]
 
 
 _MANIFEST_KEYS = ("corpus", "lexicon", "graph", "sentiment", "stopwords", "tags", "abbreviations", "patterns")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def load_resources(manifest_path) -> ResourceBundle:
@@ -289,8 +286,7 @@ def load_resources(manifest_path) -> ResourceBundle:
         tag_lexicon=TagLexicon.from_file(paths["tags"]),
         abbreviations=load_abbreviations(paths["abbreviations"]),
         patterns=load_patterns(paths["patterns"]),
-        corpus_path=paths["corpus"],
-        hashes={k: _sha256(p) for k, p in paths.items()},
+        paths=paths,
     )
 
 
@@ -306,6 +302,7 @@ def default_manifest_path() -> Path:
 # "n_postings"}, then four little-endian int32 arrays back to back: unit
 # lengths (one per unit), offsets (one per term, plus one), positions and
 # counts (n_postings each). See IndexedCorpus for what they hold.
+INDEX_FORMAT_VERSION = 3
 _INDEX_INT = np.dtype("<i4")
 
 

@@ -35,6 +35,7 @@ from .textproc import (
     read_json,
     read_text,
     stem,
+    text_lines,
     token_surfaces,
     tokenize,  # not called here; perfbench/tracer.py counts calls through this binding
 )
@@ -147,8 +148,9 @@ class PatternMatch:
     features: tuple[tuple[str, int], ...]
 
 
-# Elements are bracketed groups (which may contain spaces) or bare tokens.
-_ELEMENT_RE = re.compile(r"\[[^\]]*\]|\S+")
+# What a pattern element is, stated once: a [...] group holding no bracket, or
+# a bare token holding no bracket or whitespace. Only whitespace lies between.
+_ELEMENT_RE = re.compile(r"(\[[^\[\]]*\]|[^\s\[\]]+)")
 
 
 def _parse_alternatives(body: str, synonym_sets: dict[str, list[str]], path, line_no) -> list[str]:
@@ -168,13 +170,13 @@ def _parse_alternatives(body: str, synonym_sets: dict[str, list[str]], path, lin
 
 
 def _parse_element(raw: str, synonym_sets: dict[str, list[str]], path, line_no):
-    if raw.startswith("[") and raw.endswith("]"):
+    if raw.startswith("["):
         body = raw[1:-1].strip()
         if body == "*":
             return _STAR
         if body == "TAG":
             return _ANY_TAG
-        if "|" not in body and not body.startswith("@") and body.upper() == body and body in _KNOWN_TAGS:
+        if body in _KNOWN_TAGS:
             return TagMatch(body)
         alternatives = _parse_alternatives(body, synonym_sets, path, line_no)
         if not alternatives:
@@ -191,10 +193,8 @@ def parse_patterns(text: str, path="<patterns>") -> list[Pattern]:
     """Parse the line-oriented pattern DSL; see the bundled patterns file."""
     synonym_sets: dict[str, list[str]] = {}
     patterns: list[Pattern] = []
-    for line_no, line in enumerate(text.split("\n"), 1):
+    for line_no, line in text_lines(text):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         if line.startswith("@"):
             name, _, rhs = line.partition("=")
             name = name.strip().lstrip("@")
@@ -209,11 +209,11 @@ def parse_patterns(text: str, path="<patterns>") -> list[Pattern]:
             category = QuestionType[head.strip().upper()]
         except KeyError:
             raise ResourceFormatError(path, line_no, f"unknown category {head.strip()!r}") from None
-        raw_elements = _ELEMENT_RE.findall(rhs)
-        if "".join(raw_elements).replace(" ", "") != rhs.replace(" ", ""):
+        pieces = _ELEMENT_RE.split(rhs)  # gap, element, gap, ..., element, gap
+        if any(gap.strip() for gap in pieces[::2]):
             raise ResourceFormatError(path, line_no, f"malformed element list: {rhs.strip()!r}")
         elements = tuple(
-            _parse_element(tok, synonym_sets, path, line_no) for tok in raw_elements
+            _parse_element(tok, synonym_sets, path, line_no) for tok in pieces[1::2]
         )
         if not elements:
             raise ResourceFormatError(path, line_no, "pattern has no elements")

@@ -46,8 +46,6 @@ from .textproc import (
     tokenize,  # not called here; perfbench/tracer.py counts calls through this binding
 )
 
-INDEX_FORMAT_VERSION = 3
-
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.85
 DEFAULT_RETRIEVE_DEPTH = 200

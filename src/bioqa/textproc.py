@@ -5,6 +5,10 @@ lexicon plus a handful of suffix heuristics (coarse tags are all the
 question patterns need), sentence splitting is rule based with an editable
 abbreviation list, and stemming is the Porter algorithm.
 
+Every input file is read here (read_text), and the rules of resource files
+are stated here once: text_lines says which lines of a text carry data, and
+data_fields how a tab-separated line splits into stripped fields.
+
 Memo is the one kind of state resource objects keep across requests: a
 dict on the object that fills a miss from a function and is cleared at
 MEMO_BOUND entries; memo_of holds its identity rule. The one other cache
@@ -44,8 +48,8 @@ def read_text(path) -> str:
         raise ResourceFormatError(path, line_no, f"not UTF-8 (byte {bad:#04x}: {exc.reason})") from None
 
 
-def data_lines(path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each line of a text file that carries data.
+def text_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a resource text that carries data.
 
     Blank lines and lines whose first non-blank character is '#' are
     skipped; line numbers still count them, so errors cite the line an
@@ -53,10 +57,22 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
     "\r\n" and "\r" into it): U+2028, U+0085 and the other breaks
     str.splitlines knows may stand raw inside a JSON string.
     """
-    for line_no, line in enumerate(read_text(path).split("\n"), 1):
+    for line_no, line in enumerate(text.split("\n"), 1):
         stripped = line.lstrip()
         if stripped and not stripped.startswith("#"):
             yield line_no, line
+
+
+def data_lines(path) -> Iterator[tuple[int, str]]:
+    """The text_lines of a UTF-8 file."""
+    return text_lines(read_text(path))
+
+
+def data_fields(path) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line, fields) for each data line of a tab-separated
+    file: the line split at every tab, each field stripped."""
+    for line_no, line in data_lines(path):
+        yield line_no, line, [field.strip() for field in line.split("\t")]
 
 
 def read_json(path):
@@ -189,11 +205,10 @@ class TagLexicon:
     @classmethod
     def from_file(cls, path) -> "TagLexicon":
         entries: dict[str, str] = {}
-        for i, line in data_lines(path):
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1].strip():
+        for i, line, fields in data_fields(path):
+            if len(fields) != 2 or not all(fields):
                 raise ResourceFormatError(path, i, f"expected 'word<TAB>tag', got {line!r}")
-            entries[parts[0].lower()] = parts[1].strip()
+            entries[fields[0].lower()] = fields[1]
         return cls(entries)
 
 

@@ -1,13 +1,22 @@
+import builtins
+import hashlib
+import io
 import json
+import os
 import random
+import re
+import shutil
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bioqa import cli, ingest, qclass, retrieval
-from bioqa.conceptlex import ConceptGraph, ConceptLexicon, SentimentLexicon
+from bioqa.conceptlex import ConceptGraph, ConceptLexicon, SentimentEntry, SentimentLexicon
 from bioqa.ingest import (
+    INDEX_FORMAT_VERSION,
     DatasetFormatError,
     IndexVersionError,
     load_corpus,
@@ -18,8 +27,8 @@ from bioqa.ingest import (
     load_topic_questions,
     save_index,
 )
-from bioqa.retrieval import INDEX_FORMAT_VERSION, DocumentRecord, DuplicateIdError
-from bioqa.textproc import ResourceFormatError, TagLexicon, data_lines, load_abbreviations, load_stopwords
+from bioqa.retrieval import DocumentRecord, DuplicateIdError
+from bioqa.textproc import ResourceFormatError, TagLexicon, data_lines, load_abbreviations, load_stopwords, pos_tag
 
 from conftest import RESOURCE_DIR
 
@@ -234,9 +243,26 @@ class TestLoadQuestions:
         assert load_questions(path).questions[0].exact_answer == [["name"], ["other", "syn"]]
 
 
+def validate_report(manifest, capsys) -> dict:
+    """The JSON report `bioqa validate` prints for a manifest."""
+    capsys.readouterr()
+    assert cli.main(["validate", "--manifest", str(manifest)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+BUNDLED_MANIFEST = json.loads((RESOURCE_DIR / "manifest.json").read_text())
+
+
 class TestLoadResources:
-    def test_bundled_manifest_loads_everything(self, bundle):
-        assert len(bundle.hashes) == 8
+    def test_bundled_manifest_loads_everything(self, bundle, capsys):
+        report = validate_report(RESOURCE_DIR / "manifest.json", capsys)
+        assert len(report["resources"]) == 8
+        assert report["resources"] == {key: sha256_of(RESOURCE_DIR / name) for key, name in BUNDLED_MANIFEST.items()}
+        assert bundle.paths == {key: RESOURCE_DIR / name for key, name in BUNDLED_MANIFEST.items()}
         assert len(bundle.concept_lexicon) > 0
         assert bundle.patterns
 
@@ -246,15 +272,13 @@ class TestLoadResources:
         with pytest.raises(DatasetFormatError, match="sentiment"):
             load_resources(path)
 
-    def test_model_entry_is_not_read(self, tmp_path):
+    def test_model_entry_is_not_read(self, tmp_path, capsys):
         # A manifest may still carry a "model" entry; nothing loads it.
-        manifest = json.loads((RESOURCE_DIR / "manifest.json").read_text())
-        manifest = {k: str(RESOURCE_DIR / v) for k, v in manifest.items()} | {"model": 5}
+        manifest = {k: str(RESOURCE_DIR / v) for k, v in BUNDLED_MANIFEST.items()} | {"model": 5}
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
-        bundle = load_resources(path)
-        assert "model" not in bundle.hashes
-        assert cli.main(["validate", "--manifest", str(path)]) == 0
+        assert "model" not in load_resources(path).paths
+        assert "model" not in validate_report(path, capsys)["resources"]
 
     def test_graph_edge_with_unknown_cui(self, tmp_path):
         for name in ("corpus.jsonl", "stopwords.txt", "abbreviations.txt"):
@@ -273,22 +297,46 @@ class TestLoadResources:
         with pytest.raises(DatasetFormatError, match="C404"):
             load_resources(manifest)
 
-    def test_hashes_change_iff_bytes_change(self, tmp_path, bundle):
-        import shutil
-
-        for name in json.loads((RESOURCE_DIR / "manifest.json").read_text()).values():
+    def test_hashes_change_iff_bytes_change(self, tmp_path, capsys):
+        for name in BUNDLED_MANIFEST.values():
             shutil.copy(RESOURCE_DIR / name, tmp_path / name)
         manifest = tmp_path / "manifest.json"
         manifest.write_text((RESOURCE_DIR / "manifest.json").read_text())
-        again = load_resources(manifest)
-        assert again.hashes == bundle.hashes
+        bundled = validate_report(RESOURCE_DIR / "manifest.json", capsys)["resources"]
+        assert validate_report(manifest, capsys)["resources"] == bundled
         with open(tmp_path / "stopwords.txt", "a") as f:
             f.write("zzznew\n")
-        changed = load_resources(manifest)
-        assert changed.hashes["stopwords"] != bundle.hashes["stopwords"]
-        assert {k: v for k, v in changed.hashes.items() if k != "stopwords"} == {
-            k: v for k, v in bundle.hashes.items() if k != "stopwords"
+        changed = validate_report(manifest, capsys)["resources"]
+        assert changed["stopwords"] == sha256_of(tmp_path / "stopwords.txt") != bundled["stopwords"]
+        assert {k: v for k, v in changed.items() if k != "stopwords"} == {
+            k: v for k, v in bundled.items() if k != "stopwords"
         }
+
+    def test_load_reads_each_parsed_file_once_and_hashes_nothing(self, monkeypatch):
+        manifest = RESOURCE_DIR / "manifest.json"
+        opened = Counter()
+        hashed = []
+        real_open, real_sha256 = io.open, hashlib.sha256
+
+        def spy_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened[Path(file).resolve()] += 1
+            return real_open(file, *args, **kwargs)
+
+        def spy_sha256(*args, **kwargs):
+            hashed.append(args)
+            return real_sha256(*args, **kwargs)
+
+        with monkeypatch.context() as patched:
+            # pathlib opens through io.open; a direct open() goes through builtins.
+            patched.setattr(io, "open", spy_open)
+            patched.setattr(builtins, "open", spy_open)
+            patched.setattr(hashlib, "sha256", spy_sha256)
+            load_resources(manifest)
+        parsed = [RESOURCE_DIR / name for key, name in BUNDLED_MANIFEST.items() if key != "corpus"]
+        assert len(parsed) == 7
+        assert opened == Counter([manifest, *parsed])
+        assert hashed == []
 
 
 class TestTopicQuestions:
@@ -698,6 +746,59 @@ class TestLineLoaders:
         path.write_text(f"# note{separator}{bad}\n{good}\n{bad}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"resource\.txt:3:"):
             load(path)
+
+
+# Every tab-separated loader: the fields of a line it accepts, and, for each
+# field it requires, the message that refuses the line when that field is
+# blank.
+TAB_LOADERS = {
+    "tags": (TagLexicon.from_file, ["Imatinib", "NN"], dict.fromkeys([0, 1], "expected 'word<TAB>tag'")),
+    "concepts": (ConceptLexicon.from_file, ["C1", "alpha", "T1", "Thing", "Alpha | a-1"],
+                 dict.fromkeys([0, 1], "cui and preferred name are required")),
+    "hierarchy": (ConceptGraph.from_file, ["C1", "C2"], dict.fromkeys([0, 1], "expected 'parent_cui<TAB>child_cui'")),
+    "sentiment": (SentimentLexicon.from_file, ["Good", "ANY", "0.5", "0"],
+                  {1: "tag class must be one of n/v/a/r/any", 2: "scores must be numeric", 3: "scores must be numeric"}),
+    "dependencies": (load_dep_pairs, ["q1", "nsubj", "What", "dose"],
+                     dict.fromkeys(range(4), "expected 'question_id<TAB>rel<TAB>head<TAB>dependent'")),
+}
+
+
+class TestTabSeparatedFields:
+    @pytest.mark.parametrize("loader", sorted(TAB_LOADERS))
+    def test_padded_fields_and_lines_load_the_same_entries(self, loader, tmp_path):
+        load, fields, _ = TAB_LOADERS[loader]
+        plain, padded = tmp_path / "plain.tsv", tmp_path / "padded.tsv"
+        plain.write_text("\t".join(fields) + "\n")
+        padded.write_text("  " + "\t".join(f"  {field}   " for field in fields) + " \n")
+        loaded = _contents(load(plain))
+        assert loaded and _contents(load(padded)) == loaded
+
+    @pytest.mark.parametrize("loader, blank", [
+        (loader, blank) for loader, (_, _, required) in sorted(TAB_LOADERS.items()) for blank in required
+    ])
+    def test_a_required_field_blank_after_stripping_is_refused(self, loader, blank, tmp_path):
+        load, fields, required = TAB_LOADERS[loader]
+        path = tmp_path / "resource.tsv"
+        path.write_text("\t".join(fields) + "\n" + "\t".join(fields[:blank] + ["   "] + fields[blank + 1:]) + "\n")
+        with pytest.raises(ValueError, match=rf"resource\.tsv:2: {re.escape(required[blank])}"):
+            load(path)
+
+    def test_tag_lexicon_key_is_stripped(self, tmp_path):
+        path = tmp_path / "tags.tsv"
+        path.write_text("imatinib \tNN\n")
+        lexicon = TagLexicon.from_file(path)
+        assert lexicon.entries == {"imatinib": "NN"}
+        assert pos_tag(["Imatinib", "imatinib"], lexicon) == [("Imatinib", "NN"), ("imatinib", "NN")]
+
+    @pytest.mark.parametrize("pad", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_sentiment_score_padded_with_separator_controls_loads(self, pad, tmp_path):
+        # str.strip removes these, while float refuses them: stripped first,
+        # the score loads.
+        with pytest.raises(ValueError):
+            float(f"{pad}0.5")
+        path = tmp_path / "senti.tsv"
+        path.write_text(f"good\tany\t{pad}0.5{pad}\t0\n")
+        assert SentimentLexicon.from_file(path).entries == [SentimentEntry("good", "any", 0.5, 0.0)]
 
 
 # Every reader of a text file: the JSON readers, the line loaders and the

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 import warnings
 from collections import Counter
@@ -770,3 +771,124 @@ class TestPatternParser:
         with pytest.raises(ResourceFormatError, match="NOPE") as err:
             parse_patterns("# note\u2028NOPE := [is] ?\nYESNO := [is] ?\nNOPE := [is] ?\n")
         assert err.value.line_no == 3
+
+    def test_any_whitespace_separates_elements(self):
+        assert parse_patterns("YESNO := [is]\t?") == parse_patterns("YESNO := [is] ?")
+
+    @pytest.mark.parametrize("rhs", ["[a b ?", "a] ?", "[is|are [*] ?", "[is] ]?", "[[is] ?"])
+    def test_bracket_outside_a_group_is_refused_naming_the_line(self, rhs):
+        with pytest.raises(ResourceFormatError, match=r"^grammar\.txt:2: malformed element list: "):
+            parse_patterns(f"YESNO := [is] ?\nYESNO := {rhs}\n", path="grammar.txt")
+
+
+_REFERENCE_ELEMENT_RE = re.compile(r"\[[^\]]*\]|\S+")
+
+
+def reference_parse_element(raw, synonym_sets, path, line_no):
+    """qclass._parse_element as it was before the element grammar was
+    stated once, kept verbatim as the oracle of the parser."""
+    if raw.startswith("[") and raw.endswith("]"):
+        body = raw[1:-1].strip()
+        if body == "*":
+            return qclass._STAR
+        if body == "TAG":
+            return qclass._ANY_TAG
+        if "|" not in body and not body.startswith("@") and body.upper() == body and body in qclass._KNOWN_TAGS:
+            return TagMatch(body)
+        alternatives = qclass._parse_alternatives(body, synonym_sets, path, line_no)
+        if not alternatives:
+            raise ResourceFormatError(path, line_no, f"empty alternation in {raw!r}")
+        phrases = [tuple(a.split()) for a in alternatives]
+        # Longer phrases first so "stand for" wins over a bare "stand".
+        phrases.sort(key=lambda p: (-len(p), p))
+        return LiteralSet(tuple(phrases), capture=True)
+    # Bare token: must match but emits no feature (the trailing ? in patterns).
+    return LiteralSet(((raw.lower(),),), capture=False)
+
+
+def reference_parse_patterns(text, path="<patterns>"):
+    """qclass.parse_patterns as it was before it read its lines through
+    textproc.text_lines and its elements through one grammar, verbatim."""
+    synonym_sets = {}
+    patterns = []
+    for line_no, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("@"):
+            name, _, rhs = line.partition("=")
+            name = name.strip().lstrip("@")
+            if not name or not rhs.strip():
+                raise ResourceFormatError(path, line_no, f"bad synonym set definition: {line!r}")
+            synonym_sets[name] = qclass._parse_alternatives(rhs, synonym_sets, path, line_no)
+            continue
+        head, sep, rhs = line.partition(":=")
+        if not sep:
+            raise ResourceFormatError(path, line_no, f"expected 'CATEGORY := elements', got {line!r}")
+        try:
+            category = QuestionType[head.strip().upper()]
+        except KeyError:
+            raise ResourceFormatError(path, line_no, f"unknown category {head.strip()!r}") from None
+        raw_elements = _REFERENCE_ELEMENT_RE.findall(rhs)
+        if "".join(raw_elements).replace(" ", "") != rhs.replace(" ", ""):
+            raise ResourceFormatError(path, line_no, f"malformed element list: {rhs.strip()!r}")
+        elements = tuple(
+            reference_parse_element(tok, synonym_sets, path, line_no) for tok in raw_elements
+        )
+        if not elements:
+            raise ResourceFormatError(path, line_no, "pattern has no elements")
+        patterns.append(Pattern(category, elements))
+    return patterns
+
+
+# Drawn pattern lines: two synonym sets, then one pattern whose elements are
+# literal groups (words, phrases, @ sets, inner padding), tags, [*], [TAG]
+# and bare tokens.
+_SET_LINES = "@S1 = alpha | beta gamma\n@S2 = delta\n"
+_WHITESPACE = [" ", "\t", "\v", "\f", "\u00a0", "\u2028"]
+_alternative = st.one_of(
+    st.lists(st.sampled_from(["is", "what", "stand", "for", "x-y", "Does"]), min_size=1, max_size=2).map(" ".join),
+    st.sampled_from(["@S1", "@S2"]),
+)
+_group = st.tuples(st.lists(_alternative, min_size=1, max_size=3), st.sampled_from(["", " "])).map(
+    lambda drawn: "[" + drawn[1] + "|".join(drawn[0]) + drawn[1] + "]")
+_element = st.one_of(
+    _group,
+    st.sampled_from(sorted(qclass._KNOWN_TAGS)).map(lambda tag: f"[{tag}]"),
+    st.sampled_from(["[*]", "[TAG]", "[ * ]"]),
+    st.sampled_from(["?", "what", "x-y", "Is"]),
+)
+_element_lists = st.lists(_element, min_size=1, max_size=6)
+
+
+def _grammar(rhs: str) -> str:
+    """The drawn set lines, then a YESNO pattern line (line 3) of rhs."""
+    return f"{_SET_LINES}YESNO := {rhs}\n"
+
+
+class TestPatternLines:
+    @settings(max_examples=150)
+    @given(elements=_element_lists, data=st.data())
+    def test_any_whitespace_run_between_elements_parses_as_one_space(self, elements, data):
+        runs = st.lists(st.sampled_from(_WHITESPACE), min_size=1, max_size=3).map("".join)
+        rhs = elements[0] + "".join(data.draw(runs) + element for element in elements[1:])
+        spaced = parse_patterns(_grammar(" ".join(elements)))
+        assert parse_patterns(_grammar(rhs)) == spaced
+        # Single-spaced lines parse as they did before.
+        assert spaced == reference_parse_patterns(_grammar(" ".join(elements)))
+
+    @settings(max_examples=150)
+    @given(elements=_element_lists, bracket=st.sampled_from("[]"), data=st.data())
+    def test_bracket_outside_a_group_is_refused(self, elements, bracket, data):
+        # Any offset outside a group: between elements, against a group's
+        # edge, or inside a bare token.
+        rhs = " ".join(elements)
+        outside = [k for k in range(len(rhs) + 1) if rhs.count("[", 0, k) == rhs.count("]", 0, k)]
+        at = data.draw(st.sampled_from(outside))
+        with pytest.raises(ResourceFormatError, match=r"^grammar\.txt:3: malformed element list: "):
+            parse_patterns(_grammar(rhs[:at] + bracket + rhs[at:]), path="grammar.txt")
+
+    def test_bundled_grammar_parses_as_before(self):
+        text = (RESOURCE_DIR / "patterns.txt").read_text(encoding="utf-8")
+        assert parse_patterns(text) == reference_parse_patterns(text)
+        assert len(parse_patterns(text)) == 22
