@@ -15,6 +15,7 @@ from .conceptlex import (
     ConceptLexicon,
     SentimentLexicon,
     coarse_tag_class,
+    question_of,
     recognize,  # not called here; perfbench/tracer.py counts calls through this binding
     synonyms_of,
     word_sentiment,
@@ -32,12 +33,12 @@ from .retrieval import (
     Query,
     ScoredDoc,
     ScoredPassage,
-    analyse,
     extract_passages,
     formulate_query,
     rank_passages,
     rerank_documents,
     search,
+    word_terms,
 )
 from .textproc import (
     TagLexicon,
@@ -206,8 +207,8 @@ def retrieve(
     """concept query -> BM25 search -> title rerank -> sentence BM25.
 
     documents must hold every unit of the index. The question is analysed
-    here once, before the search, for the search depth, the passage ranking
-    and the stages after it.
+    once, by question_of: the query, search depth, rerank and passage ranking
+    read that Question, whose index terms are word_terms(lowered) + cuis.
 
     Rerank can reorder documents only when a question cui is in the
     hierarchy. Otherwise it keeps search's first top_docs in search order,
@@ -215,9 +216,10 @@ def retrieve(
     still goes at least one deep, so that it reports whether it relaxed.
     """
     lexicon, stopwords = resources.concept_lexicon, resources.stopwords
-    question_terms, question_cuis = analyse(question, stopwords, lexicon)
+    question = question_of(question, lexicon)
+    question_terms = word_terms(question.lowered, stopwords, lexicon) + question.cuis
     depth = config.retrieve_depth
-    if not any(cui in resources.graph for cui in question_cuis):
+    if not any(cui in resources.graph for cui in question.cuis):
         depth = min(depth, max(config.top_docs, 1))
     query = formulate_query(question, lexicon, stopwords)
     result = search(index, query, depth, stopwords, lexicon, k1=config.k1, b=config.b)
@@ -227,7 +229,7 @@ def retrieve(
         [documents[sd.doc_id] for sd in reranked], resources.abbreviations, stopwords, lexicon
     )
     passages = rank_passages(question_terms, candidates, k1=config.k1, b=config.b, top_n=config.top_passages)
-    return Retrieved(query, result.relaxed, reranked, passages, question_terms, question_cuis)
+    return Retrieved(query, result.relaxed, reranked, passages, question_terms, question.cuis)
 
 
 def answer_pipeline(

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress, count
+from typing import NamedTuple
 
 from .textproc import Memo, ResourceFormatError, data_fields, memo_of, token_surfaces, tokenize
 
@@ -146,14 +147,29 @@ def recognize(text: str, lexicon: ConceptLexicon) -> list[ConceptMention]:
     return mentions
 
 
-def title_cuis(text: str, lexicon: ConceptLexicon) -> tuple[str, ...]:
-    """Cuis recognized in any text, in mention order.
+class Question(NamedTuple):
+    """A question analysed once: token surfaces, their lowercased forms, cuis."""
 
-    Rerank calls it once on the question, and reads document titles, which
-    it asks for question after question, from memo_of(lexicon, title_cuis).
-    """
-    lowered = list(map(str.lower, token_surfaces(text)))
-    return tuple(cui for _, _, cui in longest_matches(lowered, lexicon))
+    text: str
+    surfaces: list[str]
+    lowered: list[str]
+    cuis: list[str]
+
+
+def question_of(question: str | Question, lexicon: ConceptLexicon) -> Question:
+    """question tokenized and its concepts recognized, the one place either
+    is done to a question; a Question is returned as it is."""
+    if isinstance(question, Question):
+        return question
+    surfaces = token_surfaces(question)
+    lowered = list(map(str.lower, surfaces))
+    return Question(question, surfaces, lowered, [cui for _, _, cui in longest_matches(lowered, lexicon)])
+
+
+def title_cuis(text: str, lexicon: ConceptLexicon) -> tuple[str, ...]:
+    """The cuis of question_of(text), as a tuple: what rerank reads from the
+    title memo, memo_of(lexicon, title_cuis), question after question."""
+    return tuple(question_of(text, lexicon).cuis)
 
 
 @dataclass

@@ -22,7 +22,7 @@ import numpy as np
 
 from .conceptlex import (
     ConceptLexicon,
-    longest_matches,
+    question_of,
     recognize,  # not called here; perfbench/tracer.py counts calls through this binding
 )
 from .evalkit import accuracy
@@ -535,17 +535,12 @@ def extract_topic_features(
     and tuis) summed, plus BOSDR (the externally supplied dependency
     relations) when dep_pairs is given.
     """
-    surfaces = token_surfaces(question)
-    lowered = [s.lower() for s in surfaces]
-    content = [(s, low) for s, low in zip(surfaces, lowered) if is_content_word(low, stopwords)]
-    concepts: Counter = Counter()
-    for _, _, cui in longest_matches(lowered, concept_lexicon):
-        concept = concept_lexicon.get(cui)
-        concepts[concept.cui] += 1
-        concepts[concept.tui] += 1
+    question = question_of(question, concept_lexicon)
+    content = [(s, low) for s, low in zip(question.surfaces, question.lowered) if is_content_word(low, stopwords)]
+    concepts = Counter(key for cui in question.cuis for key in (cui, concept_lexicon.get(cui).tui))
     return _merge_sum(
         Counter(s for s, _ in content),
-        Counter(bigrams(surfaces)),
+        Counter(bigrams(question.surfaces)),
         Counter(stem(low) for _, low in content),
         concepts,
         Counter(f"{rel.lower()}({head.lower()},{dep.lower()})" for rel, head, dep in dep_pairs or ()),

@@ -14,8 +14,9 @@ postings, ranks passages and is the reference document search is tested
 against. Its loop is term at a time: each query term adds into the units
 of its postings, in query order, so a unit no term holds is not probed.
 
-Word terms, title cuis and analysed passages are kept on the lexicon, and
-similarity rows on the graph, in textproc memos (see memo_of).
+Query formulation and rerank read a question as conceptlex.question_of
+analyses it. Word terms, title cuis and analysed passages are kept on the
+lexicon, and similarity rows on the graph, in textproc memos (see memo_of).
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ import numpy as np
 from .conceptlex import (
     ConceptGraph,
     ConceptLexicon,
+    Question,
     longest_matches,
+    question_of,
     recognize,  # not called here; perfbench/tracer.py counts calls through this binding
     row_sum,
     similarity_rows,
@@ -240,23 +243,23 @@ def _word_term(word: str, lexicon: ConceptLexicon, stopwords: set[str]) -> str |
     return stem(word) if is_content_word(word, stopwords) else None
 
 
+def word_terms(lowered, stopwords: set[str], lexicon: ConceptLexicon) -> list[str]:
+    """Index terms of lowercased words, read from memo_of(lexicon, _word_term, stopwords)."""
+    # A stem is never empty, so filter(None, ...) drops exactly the words not indexed.
+    return list(filter(None, map(memo_of(lexicon, _word_term, stopwords).__getitem__, lowered)))
+
+
 def analyse(text: str, stopwords: set[str], lexicon: ConceptLexicon) -> tuple[list[str], list[str]]:
     """Index terms of a text: stems of non-stopword words, then cuis; and
     those cuis alone, in mention order.
 
     Tokens without any alphanumeric character are skipped. Every concept
-    mention contributes one occurrence of its cui. Stems and cuis come from
-    one pass over the lowercased token surfaces, each lowered on its own.
-
-    Each word's index term is read from the lexicon's word memo,
-    memo_of(lexicon, _word_term, stopwords).
+    mention contributes one occurrence of its cui. Stems (word_terms) and cuis
+    come from one pass over the token surfaces, each lowered on its own.
     """
     lowered = list(map(str.lower, token_surfaces(text)))
-    table = memo_of(lexicon, _word_term, stopwords)
-    # A stem is never empty, so filter(None, ...) drops exactly the words not indexed.
-    terms = list(filter(None, map(table.__getitem__, lowered)))
     cuis = [cui for _, _, cui in longest_matches(lowered, lexicon)]
-    return terms + cuis, cuis
+    return word_terms(lowered, stopwords, lexicon) + cuis, cuis
 
 
 def index_terms(text: str, stopwords: set[str], lexicon: ConceptLexicon) -> list[str]:
@@ -264,17 +267,16 @@ def index_terms(text: str, stopwords: set[str], lexicon: ConceptLexicon) -> list
     return analyse(text, stopwords, lexicon)[0]
 
 
-def formulate_query(question: str, lexicon: ConceptLexicon, stopwords: set[str]) -> Query:
+def formulate_query(question: str | Question, lexicon: ConceptLexicon, stopwords: set[str]) -> Query:
     """Concept-based query; falls back to content tokens when nothing maps.
 
     Concept terms are the preferred names of recognized concepts,
     deduplicated in order of first mention (the downstream search is
     conjunctive, so the order carries no ranking weight).
     """
-    surfaces = token_surfaces(question)
-    lowered = list(map(str.lower, surfaces))
-    concept_terms = dict.fromkeys(lexicon.get(cui).preferred for _, _, cui in longest_matches(lowered, lexicon))
-    raw_terms = tuple(surface for surface, low in zip(surfaces, lowered) if is_content_word(low, stopwords))
+    question = question_of(question, lexicon)
+    concept_terms = dict.fromkeys(lexicon.get(cui).preferred for cui in question.cuis)
+    raw_terms = tuple(s for s, low in zip(question.surfaces, question.lowered) if is_content_word(low, stopwords))
     return Query(tuple(concept_terms), raw_terms)
 
 
@@ -375,12 +377,10 @@ def bm25_score(
 
 def _query_index_terms(query: Query, stopwords: set[str], lexicon: ConceptLexicon) -> list[str]:
     """The index terms a query searches for: those of each concept name in
-    turn, or, when there is none, the index term of each raw term that is a
-    content word, read from the word memo that analyse reads."""
+    turn, or, when there is none, the word_terms of the raw terms."""
     if query.concept_terms:
         return [term for name in query.concept_terms for term in index_terms(name, stopwords, lexicon)]
-    table = memo_of(lexicon, _word_term, stopwords)
-    return list(filter(None, map(table.__getitem__, map(str.lower, query.raw_terms))))
+    return word_terms(map(str.lower, query.raw_terms), stopwords, lexicon)
 
 
 # Queries whose terms have fewer postings than this are ranked over Python
@@ -490,7 +490,7 @@ def _top_order(scores: np.ndarray, limit: int) -> np.ndarray:
 
 
 def rerank_documents(
-    question: str,
+    question: str | Question,
     docs: list[DocumentRecord],
     lexicon: ConceptLexicon,
     graph: ConceptGraph,
@@ -505,7 +505,7 @@ def rerank_documents(
     """
     if m <= 0:
         return []
-    rows = similarity_rows(title_cuis(question, lexicon), graph)
+    rows = similarity_rows(question_of(question, lexicon).cuis, graph)
     if not rows:
         return _scored_docs([doc.doc_id for doc in docs[:m]], repeat(0.0))
     titles = memo_of(lexicon, title_cuis)
