@@ -304,6 +304,8 @@ class SentimentLexicon:
             if len(fields) != 4:
                 raise ResourceFormatError(path, i, f"expected 4 tab-separated fields, got {len(fields)}")
             word, tag_class = fields[0].lower(), fields[1].lower()
+            if not word:
+                raise ResourceFormatError(path, i, f"word is required: {line!r}")
             if tag_class not in _TAG_CLASSES:
                 raise ResourceFormatError(path, i, f"tag class must be one of n/v/a/r/any, got {tag_class!r}")
             try:

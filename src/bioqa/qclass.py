@@ -198,7 +198,7 @@ def parse_patterns(text: str, path="<patterns>") -> list[Pattern]:
         if line.startswith("@"):
             name, _, rhs = line.partition("=")
             name = name.strip().lstrip("@")
-            if not name or not rhs.strip():
+            if not name or not rhs.strip() or "[" in line or "]" in line:
                 raise ResourceFormatError(path, line_no, f"bad synonym set definition: {line!r}")
             synonym_sets[name] = _parse_alternatives(rhs, synonym_sets, path, line_no)
             continue

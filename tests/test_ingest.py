@@ -757,7 +757,8 @@ TAB_LOADERS = {
                  dict.fromkeys([0, 1], "cui and preferred name are required")),
     "hierarchy": (ConceptGraph.from_file, ["C1", "C2"], dict.fromkeys([0, 1], "expected 'parent_cui<TAB>child_cui'")),
     "sentiment": (SentimentLexicon.from_file, ["Good", "ANY", "0.5", "0"],
-                  {1: "tag class must be one of n/v/a/r/any", 2: "scores must be numeric", 3: "scores must be numeric"}),
+                  {0: "word is required", 1: "tag class must be one of n/v/a/r/any",
+                   2: "scores must be numeric", 3: "scores must be numeric"}),
     "dependencies": (load_dep_pairs, ["q1", "nsubj", "What", "dose"],
                      dict.fromkeys(range(4), "expected 'question_id<TAB>rel<TAB>head<TAB>dependent'")),
 }

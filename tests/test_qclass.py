@@ -780,6 +780,13 @@ class TestPatternParser:
         with pytest.raises(ResourceFormatError, match=r"^grammar\.txt:2: malformed element list: "):
             parse_patterns(f"YESNO := [is] ?\nYESNO := {rhs}\n", path="grammar.txt")
 
+    @pytest.mark.parametrize("line", ["@S = a|[b", "@S = a|]b c", "@S[ = a", "@S = [a|b]"])
+    def test_bracket_in_a_synonym_set_is_refused_naming_the_line(self, line):
+        # The tokenizer splits every bracket off as a token of its own, so a
+        # phrase holding one could never match.
+        with pytest.raises(ResourceFormatError, match=r"^grammar\.txt:2: bad synonym set definition: "):
+            parse_patterns(f"@T = b\n{line}\nYESNO := [@S] ?\n", path="grammar.txt")
+
 
 _REFERENCE_ELEMENT_RE = re.compile(r"\[[^\]]*\]|\S+")
 
