@@ -157,8 +157,8 @@ class Question(NamedTuple):
 
 
 def question_of(question: str | Question, lexicon: ConceptLexicon) -> Question:
-    """question tokenized and its concepts recognized, the one place either
-    is done to a question; a Question is returned as it is."""
+    """The analysed question: the one place a question is tokenized and its
+    concepts recognized. A Question is returned as it is."""
     if isinstance(question, Question):
         return question
     surfaces = token_surfaces(question)

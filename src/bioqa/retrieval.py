@@ -22,7 +22,7 @@ lexicon, and similarity rows on the graph, in textproc memos (see memo_of).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import count, repeat
 from typing import NamedTuple
@@ -243,7 +243,7 @@ def _word_term(word: str, lexicon: ConceptLexicon, stopwords: set[str]) -> str |
     return stem(word) if is_content_word(word, stopwords) else None
 
 
-def word_terms(lowered, stopwords: set[str], lexicon: ConceptLexicon) -> list[str]:
+def word_terms(lowered: Iterable[str], stopwords: set[str], lexicon: ConceptLexicon) -> list[str]:
     """Index terms of lowercased words, read from memo_of(lexicon, _word_term, stopwords)."""
     # A stem is never empty, so filter(None, ...) drops exactly the words not indexed.
     return list(filter(None, map(memo_of(lexicon, _word_term, stopwords).__getitem__, lowered)))

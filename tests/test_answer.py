@@ -22,7 +22,7 @@ from bioqa.answer import (
     rank_entities,
     retrieve,
 )
-from bioqa.conceptlex import SentimentEntry, SentimentLexicon, recognize
+from bioqa.conceptlex import SentimentEntry, SentimentLexicon, question_of, recognize
 from bioqa.ingest import load_corpus, load_resources
 from bioqa.qclass import FEATURE_SPACES, FeatureExtractor, QuestionType, extract_topic_features
 from bioqa.retrieval import DocumentRecord, build_index, extract_passages
@@ -321,7 +321,8 @@ class TestAnalysedOnce:
                 if stage:
                     analysed_in_stage.append((stage[-1], fn.__name__))
                 if fn is analyse:
-                    analysed_texts[args[0]] += 1
+                    # A Question counts under its text.
+                    analysed_texts[getattr(args[0], "text", args[0])] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -362,6 +363,49 @@ class TestAnalysedOnce:
         # nothing else after extract_passages analyses text.
         assert {name for name, _ in analysed_in_stage} <= {"answer_yesno"}
         assert {fn for _, fn in analysed_in_stage} <= {"token_surfaces"}
+
+    def test_question_tokenized_for_classify_and_question_of_only(
+        self, corpus, doc_index, type_model, appendix_questions, monkeypatch
+    ):
+        import sys
+
+        from bioqa import conceptlex, textproc
+
+        # A fresh bundle, so that no title memo or word memo is warm.
+        bundle = load_resources(RESOURCE_DIR / "manifest.json")
+        bodies = list(dict.fromkeys(q.body for q in appendix_questions.questions))
+        lowered = {body: [s.lower() for s in textproc.token_surfaces(body)] for body in bodies}
+        spied = (textproc.token_surfaces, conceptlex.longest_matches)
+        calls: Counter = Counter()
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__, str(args[0])] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, module in list(sys.modules.items()):
+            if name == "bioqa" or name.startswith("bioqa."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is f for f in spied):
+                        monkeypatch.setattr(module, attr, spy(value))
+        for body in bodies:
+            calls.clear()
+            answer_pipeline(body, corpus, doc_index, type_model, bundle)
+            # classify tokenizes for its tags, question_of for everything else.
+            assert calls["token_surfaces", body] == 2
+            assert calls["longest_matches", str(lowered[body])] == 1
+
+    def test_query_and_rerank_read_a_question_as_its_analysis(self, bundle, corpus, appendix_questions):
+        lexicon, stopwords = bundle.concept_lexicon, bundle.stopwords
+        docs = list(corpus.values())
+        for q in appendix_questions.questions:
+            analysed_question = question_of(q.body, lexicon)
+            assert question_of(analysed_question, lexicon) is analysed_question
+            assert retrieval.formulate_query(analysed_question, lexicon, stopwords) == \
+                retrieval.formulate_query(q.body, lexicon, stopwords)
+            assert retrieval.rerank_documents(analysed_question, docs, lexicon, bundle.graph, 5) == \
+                retrieval.rerank_documents(q.body, docs, lexicon, bundle.graph, 5)
 
 
 class TestNoOffsetViews:

@@ -253,13 +253,6 @@ class TestLoaders:
         with pytest.raises(ResourceFormatError):
             SentimentLexicon.from_file(path)
 
-    def test_sentiment_blank_word_refused_naming_the_line(self, tmp_path):
-        # A blank word would be stored under "", which no token looks up.
-        path = tmp_path / "senti.tsv"
-        path.write_text("good\tany\t0.5\t0\n\tany\t0.9\t0\n")
-        with pytest.raises(ResourceFormatError, match=r"senti\.tsv:2: word is required"):
-            SentimentLexicon.from_file(path)
-
     def test_lexicon_bad_line_number(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("C1\talpha\tT1\tThing\n\njustone\n")
