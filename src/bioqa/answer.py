@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .conceptlex import (
     ConceptLexicon,
+    Question,
     SentimentLexicon,
     coarse_tag_class,
     question_of,
@@ -198,7 +199,7 @@ class Retrieved:
 
 
 def retrieve(
-    question: str,
+    question: str | Question,
     documents: dict[str, DocumentRecord],
     index: IndexedCorpus,
     resources,
@@ -233,7 +234,7 @@ def retrieve(
 
 
 def answer_pipeline(
-    question: str,
+    question: str | Question,
     documents: dict[str, DocumentRecord],
     index: IndexedCorpus,
     model: LinearModel,
@@ -243,13 +244,15 @@ def answer_pipeline(
     """classify -> retrieve -> type-specific answer.
 
     resources is a loaded ResourceBundle; everything it carries must be
-    present before any retrieval starts.
+    present before any retrieval starts. The question is analysed once, by
+    question_of: classification tags its surfaces, and retrieval reads it.
     """
     config = config or PipelineConfig()
     for attr in ("concept_lexicon", "graph", "sentiment", "stopwords", "tag_lexicon", "abbreviations", "patterns"):
         if getattr(resources, attr, None) is None:
             raise ConfigurationError(f"resource bundle is missing {attr}")
 
+    question = question_of(question, resources.concept_lexicon)
     extractor = FeatureExtractor(resources.tag_lexicon, resources.patterns)
     question_type = classify_type(model, question, extractor)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from typing import NamedTuple
 
-from .textproc import Memo, ResourceFormatError, data_fields, memo_of, token_surfaces, tokenize
+from .textproc import Memo, ResourceFormatError, data_fields, memo_of, one_token_word, token_surfaces, tokenize
 
 
 class UnknownConceptError(KeyError):
@@ -306,6 +306,7 @@ class SentimentLexicon:
             word, tag_class = fields[0].lower(), fields[1].lower()
             if not word:
                 raise ResourceFormatError(path, i, f"word is required: {line!r}")
+            one_token_word(word, path, i)
             if tag_class not in _TAG_CLASSES:
                 raise ResourceFormatError(path, i, f"tag class must be one of n/v/a/r/any, got {tag_class!r}")
             try:

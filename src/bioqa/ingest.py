@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .conceptlex import ConceptGraph, ConceptLexicon, SentimentLexicon
-from .qclass import Pattern, QuestionType, load_patterns
+from .qclass import Grammar, QuestionType, load_patterns
 from .retrieval import DocumentRecord, DuplicateIdError, IndexedCorpus
 from .textproc import ResourceFormatError, TagLexicon, data_fields, data_lines, load_abbreviations, load_stopwords, read_json
 
@@ -242,7 +242,7 @@ class ResourceBundle:
     stopwords: set[str]
     tag_lexicon: TagLexicon
     abbreviations: set[str]
-    patterns: list[Pattern]
+    patterns: Grammar
     paths: dict[str, Path]  # manifest key -> the file it names, resolved against the manifest's directory
 
     @property

@@ -14,6 +14,7 @@ import math
 import re
 import warnings
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -22,6 +23,7 @@ import numpy as np
 
 from .conceptlex import (
     ConceptLexicon,
+    Question,
     question_of,
     recognize,  # not called here; perfbench/tracer.py counts calls through this binding
 )
@@ -31,6 +33,7 @@ from .textproc import (
     TagLexicon,
     bigrams,
     is_content_word,
+    one_token_word,
     pos_tag,
     read_json,
     read_text,
@@ -165,7 +168,10 @@ def _parse_alternatives(body: str, synonym_sets: dict[str, list[str]], path, lin
                 raise ResourceFormatError(path, line_no, f"unresolved synonym set @{name}")
             alternatives.extend(synonym_sets[name])
         else:
-            alternatives.append(alt.lower())
+            alt = alt.lower()
+            for word in alt.split():
+                one_token_word(word, path, line_no)
+            alternatives.append(alt)
     return alternatives
 
 
@@ -186,7 +192,7 @@ def _parse_element(raw: str, synonym_sets: dict[str, list[str]], path, line_no):
         phrases.sort(key=lambda p: (-len(p), p))
         return LiteralSet(tuple(phrases), capture=True)
     # Bare token: must match but emits no feature (the trailing ? in patterns).
-    return LiteralSet(((raw.lower(),),), capture=False)
+    return LiteralSet(((one_token_word(raw.lower(), path, line_no),),), capture=False)
 
 
 def parse_patterns(text: str, path="<patterns>") -> list[Pattern]:
@@ -221,97 +227,187 @@ def parse_patterns(text: str, path="<patterns>") -> list[Pattern]:
     return patterns
 
 
-def load_patterns(path) -> list[Pattern]:
-    return parse_patterns(read_text(path), path=path)
+def load_patterns(path) -> Grammar:
+    return Grammar(parse_patterns(read_text(path), path=path))
 
 
+# Element codes of a compiled pattern, each a (kind, arg) pair:
+#   _LITERAL_CODE  arg maps each first word to its phrases, in the set's
+#                  order, as (rest of the phrase, length, feature or None)
+#   _TAG_CODE      arg is the tag to match, or None for [TAG]
+#   _STAR_CODE     arg is (memo slot, gate); the gate is (on tags, the words
+#                  or tags the next element can start at), or None when the
+#                  next element can start anywhere
+#   _END_CODE      closes every pattern; arg is the pattern's number of stars
+_LITERAL_CODE, _TAG_CODE, _STAR_CODE, _END_CODE = range(4)
 _UNSET = object()
 
 
-def _matcher(elements, tags: list[str], lowered: list[str]):
-    """match(i, pos): the features elements[i:] capture when matched from
-    token pos, or None when they do not match there. tags and lowered hold
-    each token's tag and lowercased surface.
+def _compile(elements) -> tuple:
+    """The flat codes of a pattern's elements, ending in _END_CODE."""
+    codes = []
+    slots = 0
+    for i, element in enumerate(elements):
+        if isinstance(element, LiteralSet):
+            following: dict[str, list] = {}
+            for phrase in element.phrases:
+                feature = " ".join(phrase) if element.capture else None
+                following.setdefault(phrase[0], []).append((list(phrase[1:]), len(phrase), feature))
+            codes.append((_LITERAL_CODE, {word: tuple(entries) for word, entries in following.items()}))
+        elif isinstance(element, TagMatch):
+            codes.append((_TAG_CODE, element.tag))
+        elif isinstance(element, AnyTag):
+            codes.append((_TAG_CODE, None))
+        else:
+            successor = elements[i + 1] if i + 1 < len(elements) else None
+            if isinstance(successor, LiteralSet):
+                gate = (False, successor.starts)
+            elif isinstance(successor, TagMatch):
+                gate = (True, frozenset({successor.tag}))
+            else:  # a star, [TAG] or the end can start anywhere
+                gate = None
+            codes.append((_STAR_CODE, (slots, gate)))
+            slots += 1
+    codes.append((_END_CODE, slots))
+    return tuple(codes)
+
+
+class Grammar(Sequence):
+    """The patterns of a grammar in file order, compiled once for
+    pattern_matches.
+
+    Each pattern whose first element is a literal set is indexed under the
+    set's first words, and each headed by a tag under that tag; the others
+    ([*] or [TAG] first) can start at any token. Every pattern's elements
+    become flat codes.
+    """
+
+    def __init__(self, patterns):
+        self.patterns = list(patterns)
+        self.codes = [_compile(pattern.elements) for pattern in self.patterns]
+        by_word: dict[str, list[int]] = {}
+        by_tag: dict[str, list[int]] = {}
+        anywhere = []
+        for k, pattern in enumerate(self.patterns):
+            head = pattern.elements[0] if pattern.elements else None
+            if isinstance(head, LiteralSet):
+                for word in head.starts:
+                    by_word.setdefault(word, []).append(k)
+            elif isinstance(head, TagMatch):
+                by_tag.setdefault(head.tag, []).append(k)
+            else:
+                anywhere.append(k)
+        # Lists are filled in pattern order; sorted() merges the anywhere list in.
+        self.by_word = {word: tuple(sorted(ks + anywhere)) for word, ks in by_word.items()}
+        self.by_tag = {tag: tuple(ks) for tag, ks in by_tag.items()}
+        self.anywhere = tuple(anywhere)
+
+    def __len__(self):
+        return len(self.patterns)
+
+    def __getitem__(self, index):
+        return self.patterns[index]
+
+
+def _match(codes, i: int, pos: int, memo: list, tags: list[str], lowered: list[str]) -> tuple[str, ...] | None:
+    """The features codes[i:] capture when matched from token pos, or None
+    when they do not match there. tags and lowered hold each token's tag and
+    lowercased surface.
 
     Stars take the shortest run first, so feature attribution is the
-    leftmost possible alignment. Results are memoised per (i, pos), and a
-    star's forward scan records its result at every position it passes, so
-    matching at every shift takes time linear in the number of tokens.
+    leftmost possible alignment. A star's forward scan tries the rest only
+    where the next element can start, and records its result in the star's
+    memo at every position it passes, so matching at every shift of one
+    question takes time linear in the number of tokens.
     """
+    kind, arg = codes[i]
     n = len(tags)
-    memo = [[_UNSET] * (n + 1) for _ in elements]
-
-    def match(i: int, pos: int) -> tuple[str, ...] | None:
-        if i == len(elements):
-            return ()
-        known = memo[i]
-        result = known[pos]
-        if result is not _UNSET:
-            return result
-        head = elements[i]
-        if isinstance(head, Star):
-            # Each position passed before the rest matches, or before one
-            # already scanned, gets the same result.
-            end = pos
-            while end <= n:
-                result = known[end]
-                if result is not _UNSET:
-                    break
-                result = match(i + 1, end)
-                if result is not None:
-                    break
-                end += 1
-            for p in range(pos, min(end, n) + 1):
-                known[p] = result
-            return result
-        result = None
+    if kind == _LITERAL_CODE:
         if pos < n:
-            if isinstance(head, LiteralSet):
-                if lowered[pos] in head.starts:
-                    for phrase in head.phrases:
-                        if tuple(lowered[pos:pos + len(phrase)]) != phrase:
-                            continue
-                        sub = match(i + 1, pos + len(phrase))
-                        if sub is not None:
-                            result = ((" ".join(phrase),) if head.capture else ()) + sub
-                            break
-            elif isinstance(head, AnyTag) or tags[pos] == head.tag:  # both emit the token's tag
-                sub = match(i + 1, pos + 1)
-                if sub is not None:
-                    result = (tags[pos], *sub)
-        known[pos] = result
+            for rest, length, feature in arg.get(lowered[pos], ()):
+                if length == 1 or lowered[pos + 1:pos + length] == rest:
+                    sub = _match(codes, i + 1, pos + length, memo, tags, lowered)
+                    if sub is not None:
+                        return sub if feature is None else (feature, *sub)
+        return None
+    if kind == _END_CODE:
+        return ()
+    if kind == _TAG_CODE:  # both kinds emit the token's tag
+        if pos < n and (arg is None or tags[pos] == arg):
+            sub = _match(codes, i + 1, pos + 1, memo, tags, lowered)
+            if sub is not None:
+                return (tags[pos], *sub)
+        return None
+    slot, gate = arg
+    known = memo[slot]
+    result = known[pos]
+    if result is not _UNSET:
         return result
+    on_tags, allowed = gate or (False, None)
+    column = tags if on_tags else lowered
+    end, result = pos, None
+    while end <= n:
+        seen = known[end]
+        if seen is not _UNSET:
+            result = seen
+            break
+        if allowed is None or (end < n and column[end] in allowed):
+            result = _match(codes, i + 1, end, memo, tags, lowered)
+            if result is not None:
+                break
+        end += 1
+    # Each position passed before the rest matches, or before one already
+    # scanned, gets the same result.
+    stop = min(end, n) + 1
+    known[pos:stop] = [result] * (stop - pos)
+    return result
 
-    return match
 
-
-def pattern_matches(tagged: list[tuple[str, str]], patterns: list[Pattern]) -> list[PatternMatch]:
+def pattern_matches(tagged: list[tuple[str, str]], patterns: Sequence[Pattern]) -> list[PatternMatch]:
     """The matches, in pattern order, of every pattern that matches at the
     earliest token position where any pattern matches, over (surface, tag)
     pairs; [] when no pattern matches anywhere.
 
-    A pattern missing a word or tag it needs is never tried. Each other
-    pattern's matcher is built once, so its memo serves every position.
+    patterns is a Grammar, or a list of patterns compiled here. A pattern is
+    tried only at a token where its first element can start. The first time
+    it is tried, its word and tag needs are checked against the question,
+    and a pattern missing one is not tried again; otherwise its star memos
+    are made then and serve every later shift of the question.
     """
+    grammar = patterns if isinstance(patterns, Grammar) else Grammar(patterns)
     tags = [tag for _, tag in tagged]
     lowered = [surface.lower() for surface, _ in tagged]
-    words, tag_set = set(lowered), set(tags)
-    candidates = [
-        (pattern, _matcher(pattern.elements, tags, lowered)) for pattern in patterns
-        if pattern.tag_needs <= tag_set and not any(words.isdisjoint(starts) for starts in pattern.word_needs)
-    ]
-    for shift in range(len(tagged)):
+    n = len(tags)
+    by_word, by_tag, anywhere = grammar.by_word, grammar.by_tag, grammar.anywhere
+    memos = [_UNSET] * len(grammar)  # per pattern: its star memos, or None when its needs are unmet
+    words = tag_set = None
+    for shift, word in enumerate(lowered):
+        heads = by_word.get(word, anywhere)
+        if by_tag and tags[shift] in by_tag:
+            heads = sorted(heads + by_tag[tags[shift]])
+        if not heads:
+            continue
         matches = []
-        for pattern, match in candidates:
-            captured = match(0, shift)
+        for k in heads:
+            memo = memos[k]
+            if memo is _UNSET:
+                if words is None:
+                    words, tag_set = set(lowered), set(tags)
+                pattern = grammar.patterns[k]
+                met = pattern.tag_needs <= tag_set and not any(words.isdisjoint(w) for w in pattern.word_needs)
+                stars = grammar.codes[k][-1][1]
+                memo = memos[k] = [[_UNSET] * (n + 1) for _ in range(stars)] if met else None
+            if memo is None:
+                continue
+            captured = _match(grammar.codes[k], 0, shift, memo, tags, lowered)
             if captured is not None:
-                matches.append(PatternMatch(pattern, tuple(sorted(Counter(captured).items()))))
+                matches.append(PatternMatch(grammar.patterns[k], tuple(sorted(Counter(captured).items()))))
         if matches:
             return matches
     return []
 
 
-def match_patterns(tagged: list[tuple[str, str]], patterns: list[Pattern]) -> dict[str, int]:
+def match_patterns(tagged: list[tuple[str, str]], patterns: Sequence[Pattern]) -> dict[str, int]:
     """Feature vector from the pattern grammar.
 
     The patterns that match at the earliest position where any matches
@@ -352,17 +448,19 @@ def _fallback_features(tagged) -> dict[str, int]:
 
 
 class FeatureExtractor:
-    """Turns a raw question string into a sparse feature vector."""
+    """Turns a question, raw or analysed, into a sparse feature vector."""
 
-    def __init__(self, tag_lexicon: TagLexicon, patterns: list[Pattern]):
+    def __init__(self, tag_lexicon: TagLexicon, patterns: Sequence[Pattern]):
         self.tag_lexicon = tag_lexicon
         self.patterns = patterns
 
-    def tag(self, question: str) -> list[tuple[str, str]]:
-        """(surface, tag) of each token of the question."""
-        return pos_tag(token_surfaces(question), self.tag_lexicon)
+    def tag(self, question: str | Question) -> list[tuple[str, str]]:
+        """(surface, tag) of each token of the question; an analysed
+        question is not tokenized again."""
+        surfaces = question.surfaces if isinstance(question, Question) else token_surfaces(question)
+        return pos_tag(surfaces, self.tag_lexicon)
 
-    def extract(self, question: str, space: str) -> dict[str, int]:
+    def extract(self, question: str | Question, space: str) -> dict[str, int]:
         tagged = self.tag(question)
         if space == "unigram":
             return _unigram_features(tagged)
@@ -510,7 +608,7 @@ def train_type_classifier(
     return LinearModel(tuple(lab.value for lab in labels), weights, meta)
 
 
-def classify_type(model: LinearModel, question: str, extractor: FeatureExtractor) -> QuestionType:
+def classify_type(model: LinearModel, question: str | Question, extractor: FeatureExtractor) -> QuestionType:
     features = extractor.extract(question, model.meta["space"])
     return QuestionType(model.predict(features))
 

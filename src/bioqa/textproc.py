@@ -115,14 +115,23 @@ def token_surfaces(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
+def one_token_word(word: str, path, line_no) -> str:
+    """word, when the tokenizer emits it as one token, token_surfaces(word)
+    == [word]; otherwise a ResourceFormatError naming the file and line.
+    A resource word the tokenizer splits could never match a token."""
+    if token_surfaces(word) != [word]:
+        raise ResourceFormatError(path, line_no, f"{word!r} is not one token: the tokenizer reads {token_surfaces(word)}")
+    return word
+
+
 def bigrams(tokens: Sequence[str]) -> list[str]:
     """Each pair of adjacent token surfaces, joined with '-'."""
     return [f"{a}-{b}" for a, b in zip(tokens, tokens[1:])]
 
 
 def load_stopwords(path) -> set[str]:
-    """One word per line, lowercased."""
-    return {line.strip().lower() for _, line in data_lines(path)}
+    """One word per line, lowercased; each must be one token."""
+    return {one_token_word(line.strip().lower(), path, i) for i, line in data_lines(path)}
 
 
 def is_content_word(lower: str, stopwords: set[str]) -> bool:
@@ -208,7 +217,7 @@ class TagLexicon:
         for i, line, fields in data_fields(path):
             if len(fields) != 2 or not all(fields):
                 raise ResourceFormatError(path, i, f"expected 'word<TAB>tag', got {line!r}")
-            entries[fields[0].lower()] = fields[1]
+            entries[one_token_word(fields[0].lower(), path, i)] = fields[1]
         return cls(entries)
 
 

@@ -293,8 +293,8 @@ class TestPipeline:
 
 class TestAnalysedOnce:
     """extract_passages analyses each document's sentences once per resource
-    bundle and retrieve the question once per request; the stages after them
-    read that analysis and analyse no text themselves."""
+    bundle and answer_pipeline the question once per request; the stages
+    after them read that analysis and analyse no text themselves."""
 
     def test_each_sentence_analysed_once_and_later_stages_analyse_nothing(
         self, corpus, doc_index, type_model, appendix_questions, monkeypatch
@@ -364,7 +364,7 @@ class TestAnalysedOnce:
         assert {name for name, _ in analysed_in_stage} <= {"answer_yesno"}
         assert {fn for _, fn in analysed_in_stage} <= {"token_surfaces"}
 
-    def test_question_tokenized_for_classify_and_question_of_only(
+    def test_question_tokenized_once_by_question_of(
         self, corpus, doc_index, type_model, appendix_questions, monkeypatch
     ):
         import sys
@@ -392,8 +392,8 @@ class TestAnalysedOnce:
         for body in bodies:
             calls.clear()
             answer_pipeline(body, corpus, doc_index, type_model, bundle)
-            # classify tokenizes for its tags, question_of for everything else.
-            assert calls["token_surfaces", body] == 2
+            # question_of tokenizes; classify tags those surfaces.
+            assert calls["token_surfaces", body] == 1
             assert calls["longest_matches", str(lowered[body])] == 1
 
     def test_query_and_rerank_read_a_question_as_its_analysis(self, bundle, corpus, appendix_questions):

@@ -818,3 +818,22 @@ def test_non_utf8_input_names_file_and_line(reader, tmp_path):
     with pytest.raises(ResourceFormatError, match=r"bad-input\.txt:2: not UTF-8") as err:
         TEXT_READERS[reader](path)
     assert err.value.line_no == 2
+
+
+# Every loader of words that must match a token, with a line holding one the
+# tokenizer splits ("e.g." is four tokens), which could never match.
+SPLIT_WORD_LINES = {
+    "stopwords": (load_stopwords, "e.g."),
+    "tags": (TagLexicon.from_file, "e.g.\tNN"),
+    "sentiment": (SentimentLexicon.from_file, "e.g.\tany\t0.5\t0"),
+    "patterns": (qclass.load_patterns, "FACTOID := [what|e.g.] [*] ?"),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(SPLIT_WORD_LINES))
+def test_a_word_the_tokenizer_splits_is_refused_naming_file_and_line(loader, tmp_path):
+    load, line = SPLIT_WORD_LINES[loader]
+    path = tmp_path / "resource.txt"
+    path.write_text(f"# note\n{line}\n")
+    with pytest.raises(ResourceFormatError, match=r"resource\.txt:2: 'e\.g\.' is not one token"):
+        load(path)

@@ -180,10 +180,44 @@ class TestPatternMatchOracle:
     @example(tagged=[(w, "NN") for w in ("stand", "for")],
              patterns=[Pattern(QuestionType.FACTOID, (LiteralSet((("stand", "for"), ("stand",)), capture=True),
                                                       LiteralSet((("for",),), capture=True)))])
+    # Both phrases leave the rest a match: the longer phrase, tried first, is taken.
+    @example(tagged=[(w, "NN") for w in ("stand", "for", "for")],
+             patterns=[Pattern(QuestionType.FACTOID, (LiteralSet((("stand", "for"), ("stand",)), capture=True), Star(),
+                                                      LiteralSet((("for",),), capture=True)))])
     # The first pattern matches only at shift 1, the second at shift 0.
     @example(tagged=[("what", "WP"), ("is", "VBZ")],
              patterns=[Pattern(QuestionType.YESNO, (LiteralSet((("is",),), capture=True),)),
                        Pattern(QuestionType.FACTOID, (LiteralSet((("what",),), capture=True), AnyTag()))])
+    # A [*] head is tried at shift 0, before the literal-headed pattern can start.
+    @example(tagged=[("x", "NN"), ("is", "VBZ")],
+             patterns=[Pattern(QuestionType.YESNO, (LiteralSet((("is",),), capture=True),)),
+                       Pattern(QuestionType.FACTOID, (Star(), LiteralSet((("is",),), capture=True)))])
+    # A [TAG] head starts anywhere and emits the token's tag.
+    @example(tagged=[("what", "WP"), ("is", "VBZ")],
+             patterns=[Pattern(QuestionType.FACTOID, (AnyTag(), TagMatch("VBZ")))])
+    # An [NN] head merges, in pattern order, with literal heads at one token.
+    @example(tagged=[("what", "NN"), ("is", "VBZ")],
+             patterns=[Pattern(QuestionType.YESNO, (LiteralSet((("what",),), capture=True),)),
+                       Pattern(QuestionType.FACTOID, (TagMatch("NN"), Star(), TagMatch("VBZ"))),
+                       Pattern(QuestionType.LIST, (LiteralSet((("what",),), capture=False), AnyTag()))])
+    # A star takes the shortest run: [TAG] emits the tag of the token after "what".
+    @example(tagged=[("what", "WP"), ("is", "VBZ"), ("it", "NN")],
+             patterns=[Pattern(QuestionType.FACTOID, (LiteralSet((("what",),), capture=True), Star(), AnyTag()))])
+    # A star's scan tries the rest where the element after the star, "is", can start.
+    @example(tagged=[("what", "WP"), ("x", "NN"), ("is", "VBZ"), ("?", ".")],
+             patterns=[Pattern(QuestionType.FACTOID, (LiteralSet((("what",),), capture=True), Star(),
+                                                      LiteralSet((("is",),), capture=True),
+                                                      LiteralSet((("?",),), capture=False)))])
+    # Adjacent stars, then a literal.
+    @example(tagged=[("what", "WP"), ("is", "VBZ"), ("it", "NN"), ("?", ".")],
+             patterns=[Pattern(QuestionType.FACTOID, (LiteralSet((("what",),), capture=True), Star(), Star(),
+                                                      LiteralSet((("?",),), capture=False)))])
+    # A trailing star matches the empty run at the end.
+    @example(tagged=[("what", "WP"), ("is", "VBZ")],
+             patterns=[Pattern(QuestionType.YESNO, (LiteralSet((("is",),), capture=True), Star()))])
+    # A bare-literal head emits nothing.
+    @example(tagged=[("What", "WP"), ("is", "VBZ")],
+             patterns=[Pattern(QuestionType.FACTOID, (LiteralSet((("what",),), capture=False), TagMatch("VBZ")))])
     def test_random_tagged_sequences(self, bundle, tagged, patterns):
         patterns = bundle.patterns if patterns is None else patterns
         assert pattern_matches(tagged, patterns) == earliest(reference_pattern_matches(tagged, patterns))
@@ -230,25 +264,40 @@ class TestPatternPrefilter:
     @settings(max_examples=300)
     @given(tagged=_grammar_tagged)
     @example(tagged=[("Which", "WP"), ("genes", "NN"), ("?", ".")])
-    def test_matcher_built_only_where_needs_are_met(self, tagged):
+    @example(tagged=[("the", "DT"), ("Is", "VBZ"), ("what", "WP"), ("is", "VBZ"), ("?", ".")])
+    def test_pattern_tried_only_where_its_head_can_start_and_its_needs_are_met(self, tagged):
         words = {surface.lower() for surface, _ in tagged}
         tags = {tag for _, tag in tagged}
-        expected = [
-            pattern.elements for pattern in BUNDLED_PATTERNS
+        met = [
+            k for k, pattern in enumerate(BUNDLED_PATTERNS)
             if all(el.tag in tags for el in pattern.elements if isinstance(el, TagMatch))
             and all(any(phrase[0] in words for phrase in el.phrases)
                     for el in pattern.elements if isinstance(el, LiteralSet))
         ]
-        built = []
-        real = qclass._matcher
 
-        def recording(elements, *args):
-            built.append(elements)
-            return real(elements, *args)
+        def can_start(head, token):
+            surface, tag = token
+            if isinstance(head, LiteralSet):
+                return surface.lower() in head.starts
+            return tag == head.tag if isinstance(head, TagMatch) else True
 
-        with mock.patch.object(qclass, "_matcher", recording):
+        # Every shift up to the earliest one where a pattern matches.
+        last = min((shift for shift, _ in reference_pattern_matches(tagged, BUNDLED_PATTERNS)),
+                   default=len(tagged) - 1)
+        expected = [(k, shift) for shift in range(last + 1) for k in met
+                    if can_start(BUNDLED_PATTERNS[k].elements[0], tagged[shift])]
+        index_of = {id(codes): k for k, codes in enumerate(BUNDLED_PATTERNS.codes)}
+        tried = []
+        real = qclass._match
+
+        def recording(codes, i, pos, *args):
+            if i == 0:
+                tried.append((index_of[id(codes)], pos))
+            return real(codes, i, pos, *args)
+
+        with mock.patch.object(qclass, "_match", recording):
             pattern_matches(tagged, BUNDLED_PATTERNS)
-        assert built == expected
+        assert tried == expected
 
     def test_needs_are_derived_from_the_elements(self):
         pattern = parse_patterns("LIST := [what|which] [VBP] [*] [stand for|causes] [NN] ?")[0]
@@ -256,6 +305,52 @@ class TestPatternPrefilter:
                                       frozenset({"?"}))
         assert pattern.tag_needs == frozenset({"VBP", "NN"})
         assert pattern == Pattern(pattern.category, pattern.elements)
+
+
+class StepBudgetExceeded(Exception):
+    pass
+
+
+def matcher_steps(tagged, patterns, budget):
+    """pattern_matches(tagged, patterns) and the number of qclass.py lines
+    it executed; StepBudgetExceeded once that number passes budget."""
+    steps = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal steps
+        if event == "line":
+            steps += 1
+            if steps > budget:
+                raise StepBudgetExceeded(f"more than {budget} steps")
+        return count_lines
+
+    def trace(frame, event, arg):
+        return count_lines if frame.f_code.co_filename == qclass.__file__ else None
+
+    sys.settrace(trace)
+    try:
+        matches = pattern_matches(tagged, patterns)
+    finally:
+        sys.settrace(None)
+    return matches, steps
+
+
+class TestLinearWork:
+    """Matching every shift of a question costs work linear in its length,
+    counted in executed lines, not timed. The question passes the needs
+    filter of several patterns ("is", "which" and "?" are all in it) and
+    matches nowhere, so every star scans to the end of the question."""
+
+    STEPS_PER_TOKEN = 250  # about 73 at the time of writing; the budget stops a quadratic matcher early
+
+    def test_steps_grow_linearly_on_a_long_question_matching_nowhere(self, extractor):
+        counts = []
+        for repeats in (2500, 5000):  # 10001 and 20001 tokens
+            tagged = extractor.tag("? " + "Which what is the " * repeats)
+            matches, steps = matcher_steps(tagged, BUNDLED_PATTERNS, self.STEPS_PER_TOKEN * len(tagged))
+            assert matches == []
+            counts.append(steps)
+        assert counts[1] / counts[0] <= 2.2
 
 
 class TestExtractFeatures:
@@ -786,6 +881,17 @@ class TestPatternParser:
         # phrase holding one could never match.
         with pytest.raises(ResourceFormatError, match=r"^grammar\.txt:2: bad synonym set definition: "):
             parse_patterns(f"@T = b\n{line}\nYESNO := [@S] ?\n", path="grammar.txt")
+
+
+    @pytest.mark.parametrize("lines, word", [
+        ("FACTOID := [what] [*] what?", "what?"),
+        ("FACTOID := [stand for|bind to.] ?", "to."),
+        ("@S = is|e.g.\nYESNO := [@S] ?", "e.g."),
+    ])
+    def test_a_word_the_tokenizer_splits_is_refused_naming_the_line(self, lines, word):
+        # Each place a pattern line names a word: a bare token, a phrase, a set.
+        with pytest.raises(ResourceFormatError, match=rf"^grammar\.txt:2: {re.escape(repr(word))} is not one token"):
+            parse_patterns(f"YESNO := [is] ?\n{lines}\n", path="grammar.txt")
 
 
 _REFERENCE_ELEMENT_RE = re.compile(r"\[[^\]]*\]|\S+")

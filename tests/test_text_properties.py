@@ -35,10 +35,11 @@ from bioqa.conceptlex import (
 )
 from bioqa.ingest import load_corpus, load_questions, load_resources
 from bioqa.qclass import (
+    AnyTag,
     FeatureExtractor,
     LiteralSet,
     PatternMatch,
-    _matcher,
+    Star,
     extract_topic_features,
     pattern_matches,
 )
@@ -453,6 +454,59 @@ class TestSentimentVote:
             assert given_tags == expected
             tagged += len(expected)
         assert tagged > 5
+
+
+_UNSET = object()
+
+
+def _matcher(elements, tags, lowered):
+    """qclass._matcher as it was before the grammar was compiled, verbatim:
+    match(i, pos) gives the features elements[i:] capture when matched from
+    token pos, or None; stars take the shortest run first, and results are
+    memoised per (i, pos) for one pattern over one question."""
+    n = len(tags)
+    memo = [[_UNSET] * (n + 1) for _ in elements]
+
+    def match(i, pos):
+        if i == len(elements):
+            return ()
+        known = memo[i]
+        result = known[pos]
+        if result is not _UNSET:
+            return result
+        head = elements[i]
+        if isinstance(head, Star):
+            end = pos
+            while end <= n:
+                result = known[end]
+                if result is not _UNSET:
+                    break
+                result = match(i + 1, end)
+                if result is not None:
+                    break
+                end += 1
+            for p in range(pos, min(end, n) + 1):
+                known[p] = result
+            return result
+        result = None
+        if pos < n:
+            if isinstance(head, LiteralSet):
+                if lowered[pos] in head.starts:
+                    for phrase in head.phrases:
+                        if tuple(lowered[pos:pos + len(phrase)]) != phrase:
+                            continue
+                        sub = match(i + 1, pos + len(phrase))
+                        if sub is not None:
+                            result = ((" ".join(phrase),) if head.capture else ()) + sub
+                            break
+            elif isinstance(head, AnyTag) or tags[pos] == head.tag:
+                sub = match(i + 1, pos + 1)
+                if sub is not None:
+                    result = (tags[pos], *sub)
+        known[pos] = result
+        return result
+
+    return match
 
 
 def reference_pattern_matches(tagged, patterns):
