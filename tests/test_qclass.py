@@ -882,7 +882,6 @@ class TestPatternParser:
         with pytest.raises(ResourceFormatError, match=r"^grammar\.txt:2: bad synonym set definition: "):
             parse_patterns(f"@T = b\n{line}\nYESNO := [@S] ?\n", path="grammar.txt")
 
-
     @pytest.mark.parametrize("lines, word", [
         ("FACTOID := [what] [*] what?", "what?"),
         ("FACTOID := [stand for|bind to.] ?", "to."),

@@ -460,8 +460,8 @@ _UNSET = object()
 
 
 def _matcher(elements, tags, lowered):
-    """qclass._matcher as it was before the grammar was compiled, verbatim:
-    match(i, pos) gives the features elements[i:] capture when matched from
+    """qclass._matcher as it was before the grammar was compiled, its code
+    unchanged: match(i, pos) gives the features elements[i:] capture when matched from
     token pos, or None; stars take the shortest run first, and results are
     memoised per (i, pos) for one pattern over one question."""
     n = len(tags)
