@@ -15,7 +15,7 @@ import re
 import warnings
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -99,11 +99,11 @@ class ModelFormatError(ValueError):
 class LiteralSet:
     phrases: tuple[tuple[str, ...], ...]  # each phrase is a word tuple
     capture: bool
-    # First words of the phrases: a token outside them starts no phrase.
-    starts: frozenset[str] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "starts", frozenset(phrase[0] for phrase in self.phrases))
+    @property
+    def starts(self) -> frozenset[str]:
+        """First words of the phrases: a token outside them starts no phrase."""
+        return frozenset(phrase[0] for phrase in self.phrases)
 
 
 @dataclass(frozen=True)
@@ -111,18 +111,14 @@ class TagMatch:
     tag: str
 
 
+@dataclass(frozen=True)
 class AnyTag:
     """The TAG wildcard; matches one token and emits its actual tag."""
 
-    def __repr__(self):
-        return "AnyTag()"
 
-
+@dataclass(frozen=True)
 class Star:
     """Matches any token run, possibly empty; emits nothing."""
-
-    def __repr__(self):
-        return "Star()"
 
 
 _ANY_TAG = AnyTag()
@@ -133,16 +129,6 @@ _STAR = Star()
 class Pattern:
     category: QuestionType
     elements: tuple
-    # What a question must hold for the pattern to match: one of the first
-    # words of each literal set, and every tag a TagMatch names.
-    word_needs: tuple[frozenset[str], ...] = field(init=False, repr=False, compare=False)
-    tag_needs: frozenset[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "word_needs", tuple(
-            el.starts for el in self.elements if isinstance(el, LiteralSet)))
-        object.__setattr__(self, "tag_needs", frozenset(
-            el.tag for el in self.elements if isinstance(el, TagMatch)))
 
 
 @dataclass(frozen=True)
@@ -235,12 +221,21 @@ def load_patterns(path) -> Grammar:
 #   _LITERAL_CODE  arg maps each first word to its phrases, in the set's
 #                  order, as (rest of the phrase, length, feature or None)
 #   _TAG_CODE      arg is the tag to match, or None for [TAG]
-#   _STAR_CODE     arg is (memo slot, gate); the gate is (on tags, the words
-#                  or tags the next element can start at), or None when the
-#                  next element can start anywhere
+#   _STAR_CODE     arg is (memo slot, gate); the gate is the _start of the
+#                  next element, or None at the end
 #   _END_CODE      closes every pattern; arg is the pattern's number of stars
 _LITERAL_CODE, _TAG_CODE, _STAR_CODE, _END_CODE = range(4)
 _UNSET = object()
+
+
+def _start(element) -> tuple[bool, frozenset[str]] | None:
+    """Where element can start: (on tags, the words or tags it can start
+    at), or None for [*] and [TAG], which can start at any token."""
+    if isinstance(element, LiteralSet):
+        return False, element.starts
+    if isinstance(element, TagMatch):
+        return True, frozenset({element.tag})
+    return None
 
 
 def _compile(elements) -> tuple:
@@ -259,13 +254,7 @@ def _compile(elements) -> tuple:
         elif isinstance(element, AnyTag):
             codes.append((_TAG_CODE, None))
         else:
-            successor = elements[i + 1] if i + 1 < len(elements) else None
-            if isinstance(successor, LiteralSet):
-                gate = (False, successor.starts)
-            elif isinstance(successor, TagMatch):
-                gate = (True, frozenset({successor.tag}))
-            else:  # a star, [TAG] or the end can start anywhere
-                gate = None
+            gate = _start(elements[i + 1]) if i + 1 < len(elements) else None
             codes.append((_STAR_CODE, (slots, gate)))
             slots += 1
     codes.append((_END_CODE, slots))
@@ -276,30 +265,27 @@ class Grammar(Sequence):
     """The patterns of a grammar in file order, compiled once for
     pattern_matches.
 
-    Each pattern whose first element is a literal set is indexed under the
-    set's first words, and each headed by a tag under that tag; the others
-    ([*] or [TAG] first) can start at any token. Every pattern's elements
-    become flat codes.
+    Each pattern headed by a literal set is indexed under the set's first
+    words; the others are tried at every token. Every pattern's elements
+    become flat codes, and its needs are the _start of each element that
+    has one: a question must hold a word or tag of each to match it.
     """
 
     def __init__(self, patterns):
         self.patterns = list(patterns)
         self.codes = [_compile(pattern.elements) for pattern in self.patterns]
+        self.needs = [[start for start in map(_start, p.elements) if start is not None] for p in self.patterns]
         by_word: dict[str, list[int]] = {}
-        by_tag: dict[str, list[int]] = {}
         anywhere = []
         for k, pattern in enumerate(self.patterns):
-            head = pattern.elements[0] if pattern.elements else None
-            if isinstance(head, LiteralSet):
-                for word in head.starts:
+            head = _start(pattern.elements[0]) if pattern.elements else None
+            if head is not None and not head[0]:  # a literal-set head
+                for word in head[1]:
                     by_word.setdefault(word, []).append(k)
-            elif isinstance(head, TagMatch):
-                by_tag.setdefault(head.tag, []).append(k)
             else:
                 anywhere.append(k)
         # Lists are filled in pattern order; sorted() merges the anywhere list in.
         self.by_word = {word: tuple(sorted(ks + anywhere)) for word, ks in by_word.items()}
-        self.by_tag = {tag: tuple(ks) for tag, ks in by_tag.items()}
         self.anywhere = tuple(anywhere)
 
     def __len__(self):
@@ -368,23 +354,21 @@ def pattern_matches(tagged: list[tuple[str, str]], patterns: Sequence[Pattern]) 
     earliest token position where any pattern matches, over (surface, tag)
     pairs; [] when no pattern matches anywhere.
 
-    patterns is a Grammar, or a list of patterns compiled here. A pattern is
-    tried only at a token where its first element can start. The first time
-    it is tried, its word and tag needs are checked against the question,
-    and a pattern missing one is not tried again; otherwise its star memos
-    are made then and serve every later shift of the question.
+    patterns is a Grammar, or a list of patterns compiled here. A pattern
+    headed by a literal set is tried only where the set can start, others
+    at every token. Its needs are checked the first time it is tried, and
+    if one is unmet it is not tried again; otherwise its star memos are
+    made then and serve every later shift of the question.
     """
     grammar = patterns if isinstance(patterns, Grammar) else Grammar(patterns)
     tags = [tag for _, tag in tagged]
     lowered = [surface.lower() for surface, _ in tagged]
     n = len(tags)
-    by_word, by_tag, anywhere = grammar.by_word, grammar.by_tag, grammar.anywhere
+    by_word, anywhere = grammar.by_word, grammar.anywhere
     memos = [_UNSET] * len(grammar)  # per pattern: its star memos, or None when its needs are unmet
     words = tag_set = None
     for shift, word in enumerate(lowered):
         heads = by_word.get(word, anywhere)
-        if by_tag and tags[shift] in by_tag:
-            heads = sorted(heads + by_tag[tags[shift]])
         if not heads:
             continue
         matches = []
@@ -393,10 +377,12 @@ def pattern_matches(tagged: list[tuple[str, str]], patterns: Sequence[Pattern]) 
             if memo is _UNSET:
                 if words is None:
                     words, tag_set = set(lowered), set(tags)
-                pattern = grammar.patterns[k]
-                met = pattern.tag_needs <= tag_set and not any(words.isdisjoint(w) for w in pattern.word_needs)
-                stars = grammar.codes[k][-1][1]
-                memo = memos[k] = [[_UNSET] * (n + 1) for _ in range(stars)] if met else None
+                for on_tags, allowed in grammar.needs[k]:
+                    if (tag_set if on_tags else words).isdisjoint(allowed):
+                        memo = memos[k] = None
+                        break
+                else:
+                    memo = memos[k] = [[_UNSET] * (n + 1) for _ in range(grammar.codes[k][-1][1])]
             if memo is None:
                 continue
             captured = _match(grammar.codes[k], 0, shift, memo, tags, lowered)

@@ -9,6 +9,10 @@ Greedy concept matching runs only where a text is analysed: in
 conceptlex.question_of for a question, in conceptlex.recognize for
 mentions with offsets, and in retrieval.analyse for indexed text. The word
 memo is filled by one function, retrieval.word_terms.
+
+Where a question-pattern element can start is stated by qclass._start; only
+it and qclass._compile, which dispatches on the element kind, test for a
+TagMatch.
 """
 
 import ast
@@ -93,3 +97,11 @@ def test_one_function_fills_the_word_memo():
             isinstance(arg, ast.Name) and arg.id == "_word_term" for arg in call.args)
 
     assert package_calls(passes_word_term) == [("retrieval", "word_terms")]
+
+
+def test_only_the_start_rule_and_the_compiler_test_for_a_tag_match():
+    def tests_tag_match(call):
+        return called_name(call) == "isinstance" and any(
+            isinstance(arg, ast.Name) and arg.id == "TagMatch" for arg in call.args[1:])
+
+    assert package_calls(tests_tag_match) == [("qclass", "_start"), ("qclass", "_compile")]
