@@ -36,10 +36,10 @@ from .retrieval import (
     ScoredPassage,
     extract_passages,
     formulate_query,
+    index_terms,
     rank_passages,
     rerank_documents,
     search,
-    word_terms,
 )
 from .textproc import (
     TagLexicon,
@@ -209,7 +209,7 @@ def retrieve(
 
     documents must hold every unit of the index. The question is analysed
     once, by question_of: the query, search depth, rerank and passage ranking
-    read that Question, whose index terms are word_terms(lowered) + cuis.
+    read that Question, and its index terms are index_terms(question).
 
     Rerank can reorder documents only when a question cui is in the
     hierarchy. Otherwise it keeps search's first top_docs in search order,
@@ -218,7 +218,7 @@ def retrieve(
     """
     lexicon, stopwords = resources.concept_lexicon, resources.stopwords
     question = question_of(question, lexicon)
-    question_terms = word_terms(question.lowered, stopwords, lexicon) + question.cuis
+    question_terms = index_terms(question, stopwords, lexicon)
     depth = config.retrieve_depth
     if not any(cui in resources.graph for cui in question.cuis):
         depth = min(depth, max(config.top_docs, 1))

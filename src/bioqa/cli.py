@@ -52,51 +52,53 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bioqa", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, shared, **kwargs):
+    def add_parser(name, shared, handler, **kwargs):
         p = sub.add_parser(name, allow_abbrev=False, **kwargs)
+        p.set_defaults(handler=handler)
         for flag in shared.split():
             p.add_argument("--" + flag, **_SHARED_FLAGS[flag])
         return p
 
-    add_parser("validate", "manifest format", help="load and check every resource in the manifest")
+    add_parser("validate", "manifest format", cmd_validate, help="load and check every resource in the manifest")
 
-    p = add_parser("index", "manifest", help="build the document index and save it")
+    p = add_parser("index", "manifest", cmd_index, help="build the document index and save it")
     p.add_argument("--out", required=True)
 
-    p = add_parser("train-type", "manifest seed", help="train the question type model")
+    p = add_parser("train-type", "manifest seed", cmd_train_type, help="train the question type model")
     p.add_argument("--questions", help="typed question dataset (default: bundled)")
     p.add_argument("--space", choices=qclass.FEATURE_SPACES, default="patterns")
     p.add_argument("--C", type=float, default=1.01)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--out", required=True)
 
-    p = add_parser("train-topics", "manifest seed", help="train the per-topic binary models")
+    p = add_parser("train-topics", "manifest seed", cmd_train_topics, help="train the per-topic binary models")
     p.add_argument("--questions", help="topic-labeled question dataset (default: bundled)")
     p.add_argument("--deps", help="dependency sidecar TSV for BOSDR features")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--out", required=True)
 
-    p = add_parser("classify", "manifest model format", help="classify questions with a saved model")
+    p = add_parser("classify", "manifest model format", cmd_classify, help="classify questions with a saved model")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--question")
     group.add_argument("--dataset")
 
-    p = add_parser("retrieve-docs", "manifest index format", help="concept query + search + rerank")
+    p = add_parser("retrieve-docs", "manifest index format", cmd_retrieve_docs, help="concept query + search + rerank")
     p.add_argument("--question", required=True)
     _add_stage_flags(p, "retrieve_depth", "top_docs", "k1", "b")
 
-    p = add_parser("retrieve-passages", "manifest index format", help="sentence passages ranked for a question")
+    p = add_parser("retrieve-passages", "manifest index format", cmd_retrieve_passages,
+                   help="sentence passages ranked for a question")
     p.add_argument("--question", required=True)
     _add_stage_flags(p, "retrieve_depth", "top_docs", "top_passages", "k1", "b")
 
-    p = add_parser("answer", "manifest index model format", help="full pipeline for one question or a dataset")
+    p = add_parser("answer", "manifest index model format", cmd_answer, help="full pipeline for one question or a dataset")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--question")
     group.add_argument("--dataset")
     p.add_argument("--out", help="write a run file accepted by eval")
     _add_stage_flags(p, "retrieve_depth", "top_docs", "top_passages", "k1", "b", "list_cap")
 
-    p = add_parser("eval", "format", help="score a run file against gold data")
+    p = add_parser("eval", "format", cmd_eval, help="score a run file against gold data")
     p.add_argument("--gold", required=True)
     p.add_argument("--run", required=True)
     p.add_argument("--metrics", help="comma-separated metric name prefixes to report")
@@ -104,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rouge-stem", action="store_true")
     p.add_argument("--out")
 
-    add_parser("repl", "manifest index model", help="interactive loop: one question per line")
+    add_parser("repl", "manifest index model", cmd_repl, help="interactive loop: one question per line")
     return parser
 
 
@@ -341,11 +343,15 @@ def cmd_eval(args) -> int:
     gold = ingest.load_questions(args.gold)
     run = ingest.load_run(args.run)
     report = evalkit.evaluate_run(gold, run, rouge_beta=args.rouge_beta, rouge_stem=args.rouge_stem)
-    if args.metrics:
+    if args.metrics is not None:
         wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
-        report.metrics = {
-            k: v for k, v in report.metrics.items() if any(k.startswith(w) for w in wanted)
-        }
+        if not wanted:
+            raise CliError("--metrics names no metric prefix")
+        for prefix in wanted:
+            if not any(k.startswith(prefix) for k in report.metrics):
+                raise CliError(f"--metrics prefix {prefix!r} selects no metric; the report has: "
+                               f"{', '.join(sorted(report.metrics))}")
+        report.metrics = {k: v for k, v in report.metrics.items() if any(k.startswith(w) for w in wanted)}
     payload = {"metrics": report.metrics, "config": report.config, "per_question": report.per_question}
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -367,26 +373,12 @@ def cmd_repl(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "index": cmd_index,
-    "train-type": cmd_train_type,
-    "train-topics": cmd_train_topics,
-    "classify": cmd_classify,
-    "retrieve-docs": cmd_retrieve_docs,
-    "retrieve-passages": cmd_retrieve_passages,
-    "answer": cmd_answer,
-    "eval": cmd_eval,
-    "repl": cmd_repl,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

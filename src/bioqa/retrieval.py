@@ -33,7 +33,6 @@ from .conceptlex import (
     ConceptGraph,
     ConceptLexicon,
     Question,
-    longest_matches,
     question_of,
     recognize,  # not called here; perfbench/tracer.py counts calls through this binding
     row_sum,
@@ -45,7 +44,6 @@ from .textproc import (
     memo_of,
     split_sentences,
     stem,
-    token_surfaces,
     tokenize,  # not called here; perfbench/tracer.py counts calls through this binding
 )
 
@@ -249,20 +247,16 @@ def word_terms(lowered: Iterable[str], stopwords: set[str], lexicon: ConceptLexi
     return list(filter(None, map(memo_of(lexicon, _word_term, stopwords).__getitem__, lowered)))
 
 
-def analyse(text: str, stopwords: set[str], lexicon: ConceptLexicon) -> tuple[list[str], list[str]]:
-    """Index terms of a text: stems of non-stopword words, then cuis; and
-    those cuis alone, in mention order.
-
-    Tokens without any alphanumeric character are skipped. Every concept
-    mention contributes one occurrence of its cui. Stems (word_terms) and cuis
-    come from one pass over the token surfaces, each lowered on its own.
-    """
-    lowered = list(map(str.lower, token_surfaces(text)))
-    cuis = [cui for _, _, cui in longest_matches(lowered, lexicon)]
-    return word_terms(lowered, stopwords, lexicon) + cuis, cuis
+def analyse(text: str | Question, stopwords: set[str], lexicon: ConceptLexicon) -> tuple[list[str], list[str]]:
+    """Index terms of a text, stems of non-stopword words then cuis, and
+    those cuis alone, in mention order. The text is read as
+    conceptlex.question_of analyses it, a Question as it is: the stems are
+    the word_terms of its lowercased token surfaces, one cui per mention."""
+    analysed = question_of(text, lexicon)
+    return word_terms(analysed.lowered, stopwords, lexicon) + analysed.cuis, analysed.cuis
 
 
-def index_terms(text: str, stopwords: set[str], lexicon: ConceptLexicon) -> list[str]:
+def index_terms(text: str | Question, stopwords: set[str], lexicon: ConceptLexicon) -> list[str]:
     """The index terms of analyse(text, ...)."""
     return analyse(text, stopwords, lexicon)[0]
 
@@ -304,6 +298,15 @@ def _check_bm25_parameters(k1: float, b: float) -> None:
         raise ValueError(f"b must lie in [0, 1], got {b}")
 
 
+def _idf_weights(query_terms: Iterable[str], frequencies: Mapping[str, int], n_units: int) -> list[tuple[str, float]]:
+    """(term, idf) of each query term occurrence that scores, in query order,
+    repeats kept. frequencies maps each query term the N units hold to N(q),
+    the number holding it; its idf is ln((N - N(q) + 0.5) / (N(q) + 0.5)).
+    A term not held, or whose idf is not positive, carries no information."""
+    idf = {term: math.log((n_units - n_q + 0.5) / (n_q + 0.5)) for term, n_q in frequencies.items()}
+    return [(term, idf[term]) for term in query_terms if idf.get(term, 0.0) > 0.0]
+
+
 def bm25_rank(
     query_terms: list[str],
     units: list | range,
@@ -318,19 +321,14 @@ def bm25_rank(
 
     postings maps a term to {unit: term count} over the units holding it,
     and lengths maps every unit of the collection to its length, so N and
-    the mean length come from lengths. Each distinct term's idf,
-    ln((N - N(q) + 0.5) / (N(q) + 0.5)), is computed once; terms whose idf
-    is not positive carry no information and are left out. A term listed
-    twice counts twice.
+    the mean length come from lengths. The query terms that score, and
+    their idf, are _idf_weights over each held term's number of postings.
     """
     _check_bm25_parameters(k1, b)
     n_units = len(lengths)
     avg = sum(lengths.values()) / n_units if n_units else 0.0
-    idf = {}
-    for term in dict.fromkeys(query_terms):
-        n_q = len(postings.get(term, {}))
-        idf[term] = math.log((n_units - n_q + 0.5) / (n_q + 0.5))
-    weighted = [(idf[term], postings[term]) for term in query_terms if idf[term] > 0.0 and term in postings]
+    frequencies = {term: len(postings[term]) for term in dict.fromkeys(query_terms) if term in postings}
+    weighted = [(idf, postings[term]) for term, idf in _idf_weights(query_terms, frequencies, n_units)]
     return _bm25_loop(units, weighted, lengths, avg, limit, k1, b)
 
 
@@ -401,29 +399,25 @@ def search(
 
     When no document contains every term the search relaxes to documents
     containing any of them; the result records that it did. k1 and b are
-    checked even when nothing matches. Scores are bit-equal to bm25_rank
-    over index.postings and index.lengths, and ties keep unit order. The
-    query terms' postings are ranked in Python when they number fewer than
-    ARRAY_MIN_POSTINGS, and over dense numpy vectors otherwise.
+    checked even when nothing matches. The terms that score, and their idf,
+    are _idf_weights over the held terms' posting counts, so scores are
+    bit-equal to bm25_rank over index.postings and index.lengths, and ties
+    keep unit order. The query terms' postings are ranked in Python when
+    they number fewer than ARRAY_MIN_POSTINGS, and over numpy vectors otherwise.
     """
     _check_bm25_parameters(k1, b)
     terms = _query_index_terms(query, stopwords, lexicon)
     distinct = list(dict.fromkeys(terms))
     if not distinct or limit <= 0:
         return SearchResult([], False)
-    spans = {}  # term -> (start, end) of its postings, for the terms the index holds
-    for term in distinct:
-        row = index.term_rows.get(term)
-        if row is not None:
-            spans[term] = tuple(index.offsets[row:row + 2].tolist())
+    # term -> (start, end) of its postings, for the terms the index holds
+    spans = {term: tuple(index.offsets[row:row + 2].tolist())
+             for term in distinct if (row := index.term_rows.get(term)) is not None}
     if not spans:
         return SearchResult([], True)
-    n_units = index.n_units
-    idf = {term: math.log((n_units - (end - start) + 0.5) / ((end - start) + 0.5))
-           for term, (start, end) in spans.items()}
-    # (term, idf) of each query term occurrence that scores, in query order
-    scored = [(term, idf[term]) for term in terms if idf.get(term, 0.0) > 0.0]
-    ranker = _rank_lists if sum(end - start for start, end in spans.values()) < ARRAY_MIN_POSTINGS else _rank_arrays
+    frequencies = {term: end - start for term, (start, end) in spans.items()}
+    scored = _idf_weights(terms, frequencies, index.n_units)
+    ranker = _rank_lists if sum(frequencies.values()) < ARRAY_MIN_POSTINGS else _rank_arrays
     units, scores, relaxed = ranker(index, spans, scored, len(spans) == len(distinct), limit, k1, b)
     return SearchResult(_scored_docs(map(index.unit_order.__getitem__, units), scores), relaxed)
 

@@ -272,6 +272,23 @@ class TestEval:
         metrics = json.loads(capsys.readouterr().out)["metrics"]
         assert set(metrics) == {"list_precision", "list_recall", "list_f1", "rouge_2", "rouge_su4"}
 
+    def test_metrics_prefix_that_selects_nothing_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["eval", "--gold", DEMO_GOLD, "--run", GOLDEN_RUN, "--out", str(out), "--metrics", "list_, documnets"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'documnets' selects no metric" in captured.err
+        assert "documents_f1" in captured.err and "rouge_2" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metrics", ["", ",", " , "])
+    def test_metrics_without_a_prefix_is_refused(self, metrics, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["eval", "--gold", DEMO_GOLD, "--run", GOLDEN_RUN, "--out", str(out), "--metrics", metrics]) == 2
+        assert "--metrics names no metric prefix" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rouge_flags_are_reported_and_move_the_score(self, tmp_path, capsys):
         gold = tmp_path / "gold.json"
         gold.write_text(json.dumps({"questions": [

@@ -6,19 +6,28 @@ module of the package splits a string at a "\\n" or "\\t" literal, so no
 loader restates either rule.
 
 Greedy concept matching runs only where a text is analysed: in
-conceptlex.question_of for a question, in conceptlex.recognize for
-mentions with offsets, and in retrieval.analyse for indexed text. The word
-memo is filled by one function, retrieval.word_terms.
+conceptlex.question_of, which retrieval.analyse reads for any text, and in
+conceptlex.recognize for mentions with offsets. The word memo is filled by
+one function, retrieval.word_terms, and only retrieval calls it.
+
+The idf of a BM25 query term, and which query terms score, are stated by
+retrieval._idf_weights, the one place a logarithm is taken.
+
+Each CLI subcommand is bound to its handler where its parser is declared;
+no table maps command names to handlers.
 
 Where a question-pattern element can start is stated by qclass._start; only
 it and qclass._compile, which dispatches on the element kind, test for a
 TagMatch.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from bioqa import cli
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "bioqa"
 
@@ -87,7 +96,7 @@ def test_calls_by_function_names_the_innermost_function():
 
 def test_longest_matches_is_called_only_where_a_text_is_analysed():
     assert package_calls(lambda call: called_name(call) == "longest_matches") == [
-        ("conceptlex", "recognize"), ("conceptlex", "question_of"), ("retrieval", "analyse"),
+        ("conceptlex", "recognize"), ("conceptlex", "question_of"),
     ]
 
 
@@ -97,6 +106,27 @@ def test_one_function_fills_the_word_memo():
             isinstance(arg, ast.Name) and arg.id == "_word_term" for arg in call.args)
 
     assert package_calls(passes_word_term) == [("retrieval", "word_terms")]
+
+
+def test_only_retrieval_calls_word_terms():
+    assert {module for module, _ in package_calls(lambda call: called_name(call) == "word_terms")} == {"retrieval"}
+
+
+def test_a_logarithm_is_taken_only_for_the_idf_weights():
+    assert package_calls(lambda call: called_name(call) == "log") == [("retrieval", "_idf_weights")]
+
+
+def test_each_subcommand_is_bound_to_its_handler_where_it_is_declared():
+    subcommands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: p.get_default("handler") for name, p in subcommands.choices.items()} == {
+        name: getattr(cli, "cmd_" + name.replace("-", "_")) for name in subcommands.choices
+    }
+
+
+def test_cli_has_no_table_of_handlers():
+    source = (PACKAGE_DIR / "cli.py").read_text(encoding="utf-8")
+    assert [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Dict) and any(
+        isinstance(value, ast.Name) and value.id.startswith("cmd_") for value in node.values)] == []
 
 
 def test_only_the_start_rule_and_the_compiler_test_for_a_tag_match():
