@@ -133,13 +133,13 @@ def rank_entities(
 
     Exclusion happens at the concept level, so a synonym of a question
     entity is excluded too. Ties keep first-mention order. With a cap, the
-    ranking is cut to ranked[:cap] before any answer is made, so only the
-    kept concepts have their names and synonyms looked up.
+    ranking is cut to its first cap concepts (none below 1) before any answer
+    is made, so only the kept concepts have their names and synonyms looked up.
     """
     excluded = set(question_cuis)
     # A Counter keeps first-mention order, and the sort is stable.
     counts = Counter(cui for passage in passages for cui in passage.cuis if cui not in excluded)
-    ranked = sorted(counts, key=lambda cui: -counts[cui])[:cap]
+    ranked = sorted(counts, key=lambda cui: -counts[cui])[:None if cap is None else max(cap, 0)]
     return [
         EntityAnswer(lexicon.get(cui).preferred, tuple(synonyms_of(cui, lexicon)))
         for cui in ranked

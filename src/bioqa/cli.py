@@ -1,8 +1,10 @@
 """Command-line surface for the pipeline.
 
 Subcommands: validate, index, train-type, train-topics, classify,
-retrieve-docs, retrieve-passages, answer, eval, repl. Every randomized
-step takes --seed and defaults to 42.
+retrieve-docs, retrieve-passages, answer, eval, repl. Each flag is stated
+once, in its add_argument: its type carries its value rule (a value it
+refuses is a usage error, exit 2), and its default is read from the module
+that owns it, as every randomized step's --seed reads qclass.DEFAULT_SEED.
 """
 
 from __future__ import annotations
@@ -27,24 +29,41 @@ class CliError(Exception):
     pass
 
 
+def _rule(base, holds, says):
+    """An argparse type: base(text), refused unless holds(value)."""
+    def convert(text):
+        if holds(value := base(text)):
+            return value
+        raise argparse.ArgumentTypeError(f"must be {says}, got {value!r}")
+    convert.__name__ = base.__name__  # so text base refuses still reads "invalid int value: 'x'"
+    return convert
+
+
+_count = _rule(int, lambda v: v >= 1, "at least 1")
+_seed = _rule(int, lambda v: v >= 0, "at least 0")
+_positive = _rule(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_unit = _rule(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_not_negative = _rule(float, lambda v: math.isfinite(v) and v >= 0, "finite and not negative")  # 0: precision alone
+_text = _rule(str, str.strip, "non-blank text")
+
 # The flags several subcommands share. Each subcommand declares, after its
 # name, only the ones it reads.
 _SHARED_FLAGS = {
     "manifest": {"default": str(ingest.default_manifest_path()),
                  "help": "resource manifest (default: bundled mini resources)"},
     "index": {"help": "path to an existing saved index (built from the corpus when omitted)"},
-    "model": {"help": "path to a saved model"},
-    "seed": {"type": int, "default": 42},
+    "model": {"required": True, "help": "path to a saved model (train one with train-type)"},
+    "seed": {"type": _seed, "default": qclass.DEFAULT_SEED},
     "format": {"choices": ("json", "text"), "default": "json"},
 }
 
 
 def _add_stage_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
-    """One flag per named PipelineConfig field (top_docs -> --top-docs), with its default."""
+    """One flag per named PipelineConfig field (top_docs -> --top-docs), with its default and rule."""
     defaults = PipelineConfig()
     for name in fields:
-        default = getattr(defaults, name)
-        parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+        rule = {"k1": _positive, "b": _unit}.get(name, _count)  # every other field is a count
+        parser.add_argument("--" + name.replace("_", "-"), type=rule, default=getattr(defaults, name))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,35 +84,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = add_parser("train-type", "manifest seed", cmd_train_type, help="train the question type model")
-    p.add_argument("--questions", help="typed question dataset (default: bundled)")
+    p.add_argument("--questions", default=ingest.RESOURCE_DIR / "questions.json", help="typed questions (default: bundled)")
     p.add_argument("--space", choices=qclass.FEATURE_SPACES, default="patterns")
-    p.add_argument("--C", type=float, default=1.01)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--C", type=_positive, default=qclass.DEFAULT_C)
+    p.add_argument("--epochs", type=_count, default=qclass.DEFAULT_EPOCHS)
     p.add_argument("--out", required=True)
 
     p = add_parser("train-topics", "manifest seed", cmd_train_topics, help="train the per-topic binary models")
-    p.add_argument("--questions", help="topic-labeled question dataset (default: bundled)")
+    p.add_argument("--questions", default=ingest.RESOURCE_DIR / "topic_questions.json",
+                   help="topic-labeled questions (default: bundled)")
     p.add_argument("--deps", help="dependency sidecar TSV for BOSDR features")
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--epochs", type=_count, default=qclass.DEFAULT_EPOCHS)
     p.add_argument("--out", required=True)
 
     p = add_parser("classify", "manifest model format", cmd_classify, help="classify questions with a saved model")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--question")
+    group.add_argument("--question", type=_text)
     group.add_argument("--dataset")
 
     p = add_parser("retrieve-docs", "manifest index format", cmd_retrieve_docs, help="concept query + search + rerank")
-    p.add_argument("--question", required=True)
+    p.add_argument("--question", type=_text, required=True)
     _add_stage_flags(p, "retrieve_depth", "top_docs", "k1", "b")
 
     p = add_parser("retrieve-passages", "manifest index format", cmd_retrieve_passages,
                    help="sentence passages ranked for a question")
-    p.add_argument("--question", required=True)
+    p.add_argument("--question", type=_text, required=True)
     _add_stage_flags(p, "retrieve_depth", "top_docs", "top_passages", "k1", "b")
 
     p = add_parser("answer", "manifest index model format", cmd_answer, help="full pipeline for one question or a dataset")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--question")
+    group.add_argument("--question", type=_text)
     group.add_argument("--dataset")
     p.add_argument("--out", help="write a run file accepted by eval")
     _add_stage_flags(p, "retrieve_depth", "top_docs", "top_passages", "k1", "b", "list_cap")
@@ -102,37 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--run", required=True)
     p.add_argument("--metrics", help="comma-separated metric name prefixes to report")
-    p.add_argument("--rouge-beta", type=float, default=None)
+    p.add_argument("--rouge-beta", type=_not_negative)
     p.add_argument("--rouge-stem", action="store_true")
     p.add_argument("--out")
 
     add_parser("repl", "manifest index model", cmd_repl, help="interactive loop: one question per line")
     return parser
-
-
-def _check_args(args) -> None:
-    question = getattr(args, "question", None)
-    if question is not None and not question.strip():
-        raise CliError("empty question")
-    for name in ("k1", "C", "rouge_beta"):
-        value = getattr(args, name, None)
-        flag = "--" + name.replace("_", "-")
-        if value is not None and not math.isfinite(value):
-            raise CliError(f"{flag} must be finite, got {value}")
-        if value is not None and value <= 0 and name != "rouge_beta":  # beta 0 weighs precision alone
-            raise CliError(f"{flag} must be positive, got {value}")
-        if value is not None and value < 0:
-            raise CliError(f"{flag} must not be negative, got {value}")
-    b = getattr(args, "b", None)
-    if b is not None and not 0 <= b <= 1:
-        raise CliError(f"--b must lie in [0, 1], got {b}")
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        raise CliError(f"--seed must not be negative, got {seed}")
-    for name in ("retrieve_depth", "top_docs", "top_passages", "list_cap", "epochs"):
-        count = getattr(args, name, None)
-        if count is not None and count < 1:
-            raise CliError(f"--{name.replace('_', '-')} must be at least 1, got {count}")
 
 
 def _build_document_index(bundle, documents):
@@ -213,8 +208,7 @@ def _typed_examples(bundle, dataset, space):
 
 def cmd_train_type(args) -> int:
     bundle = ingest.load_resources(args.manifest)
-    questions_path = args.questions or Path(__file__).parent / "resources" / "questions.json"
-    dataset = ingest.load_questions(questions_path)
+    dataset = ingest.load_questions(args.questions)
     examples = _typed_examples(bundle, dataset, args.space)
     model = qclass.train_type_classifier(examples, args.space, C=args.C, seed=args.seed, epochs=args.epochs)
     qclass.save_model(model, args.out)
@@ -226,8 +220,7 @@ def cmd_train_type(args) -> int:
 
 def cmd_train_topics(args) -> int:
     bundle = ingest.load_resources(args.manifest)
-    questions_path = args.questions or Path(__file__).parent / "resources" / "topic_questions.json"
-    rows = ingest.load_topic_questions(questions_path)
+    rows = ingest.load_topic_questions(args.questions)
     dep_pairs = ingest.load_dep_pairs(args.deps) if args.deps else {}
     examples = [
         (
@@ -248,8 +241,6 @@ def cmd_train_topics(args) -> int:
 
 
 def _require_model(args):
-    if not args.model:
-        raise CliError("this command needs --model (train one with train-type)")
     if not Path(args.model).exists():
         raise CliError(f"model file not found: {args.model}")
     return qclass.load_model(args.model)
@@ -377,7 +368,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_args(args)
         return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

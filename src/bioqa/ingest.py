@@ -290,8 +290,11 @@ def load_resources(manifest_path) -> ResourceBundle:
     )
 
 
+RESOURCE_DIR = Path(__file__).parent / "resources"  # the default manifest, its files and the question datasets
+
+
 def default_manifest_path() -> Path:
-    return Path(__file__).parent / "resources" / "manifest.json"
+    return RESOURCE_DIR / "manifest.json"
 
 
 # ---------------------------------------------------------------------------

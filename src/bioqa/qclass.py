@@ -44,6 +44,8 @@ from .textproc import (
 )
 
 MODEL_FORMAT_VERSION = 3
+# The trainers' defaults, which the CLI's --C, --seed and --epochs also read.
+DEFAULT_C, DEFAULT_SEED, DEFAULT_EPOCHS = 1.01, 42, 200
 
 TOPICS = (
     "Device",
@@ -548,9 +550,9 @@ def _vectorize(examples, vocabulary):
 def train_type_classifier(
     examples: list[tuple[dict[str, int], QuestionType]],
     space: str,
-    C: float = 1.01,
-    seed: int = 42,
-    epochs: int = 200,
+    C: float = DEFAULT_C,
+    seed: int = DEFAULT_SEED,
+    epochs: int = DEFAULT_EPOCHS,
 ) -> LinearModel:
     """Train the multiclass type model on (feature vector, label) pairs.
 
@@ -654,8 +656,8 @@ def _sgd_binary(X, y, lam, epochs, seed):
 
 def train_topic_models(
     examples: list[tuple[dict[str, int], set[str]]],
-    seed: int = 42,
-    epochs: int = 200,
+    seed: int = DEFAULT_SEED,
+    epochs: int = DEFAULT_EPOCHS,
 ) -> LinearModel:
     """One balanced binary model per topic of TOPICS, as a topics
     LinearModel whose labels are the trained topics.

@@ -150,6 +150,12 @@ class TestFactoidAndList:
         passages = [analysed(bundle, "imatinib cohesin chromatin epilepsy tobacco mother statistics")]
         assert len(answer_list(passages, question_cuis(bundle, "x"), bundle.concept_lexicon, cap=3)) == 3
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_keeps_none(self, bundle, cap):
+        # A negative cap is not a slice from the end: it keeps no entity, not all but the last.
+        passages = [analysed(bundle, "imatinib cohesin chromatin epilepsy tobacco mother statistics")]
+        assert answer_list(passages, question_cuis(bundle, "x"), bundle.concept_lexicon, cap=cap) == []
+
     def test_empty_list_is_valid(self, bundle):
         assert answer_list([], question_cuis(bundle, "x"), bundle.concept_lexicon) == []
 

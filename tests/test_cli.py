@@ -1,5 +1,7 @@
+import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,15 @@ QUESTIONS = str(RESOURCE_DIR / "questions.json")
 DEMO_GOLD = str(RESOURCE_DIR / "demo_gold.json")
 # The run file answer --out writes for demo_gold, pinned by test_golden.py.
 GOLDEN_RUN = str(Path(__file__).resolve().parent / "data" / "golden" / "answer_demo_gold.run.json")
+REPO_DIR = Path(__file__).resolve().parents[1]
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the code argparse exits with on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +98,9 @@ class TestAnswer:
         payload = json.loads(out.read_text())
         assert len(payload["questions"]) == 30
 
-    def test_empty_question_is_usage_error(self, model_path):
-        assert main(["answer", "--model", model_path, "--question", "   "]) == 2
+    def test_empty_question_is_usage_error(self, model_path, capsys):
+        assert _exit_code(["answer", "--model", model_path, "--question", "   "]) == 2
+        assert "argument --question: must be non-blank text, got '   '" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["classify", "retrieve-docs", "retrieve-passages"])
     @pytest.mark.parametrize("question", ["", " \t\n"])
@@ -98,10 +110,11 @@ class TestAnswer:
             "retrieve-docs": ["--index", index_path],
             "retrieve-passages": ["--index", index_path],
         }[command]
-        assert main([command, *args, "--question", question]) == 2
+        assert _exit_code([command, *args, "--question", question]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: empty question\n"
+        assert captured.err.endswith(f"bioqa {command}: error: argument --question: must be non-blank text, "
+                                     f"got {question!r}\n")
 
     def test_missing_index_file_is_an_error(self, model_path, tmp_path, capsys):
         missing = tmp_path / "no-such-index.json"
@@ -111,8 +124,11 @@ class TestAnswer:
         assert captured.out == ""
         assert "no-such-index.json" in captured.err
 
-    def test_missing_model_is_usage_error(self):
-        assert main(["answer", "--question", "Is this ok?"]) == 2
+    @pytest.mark.parametrize("argv", [["answer", "--question", "Is this ok?"], ["classify", "--question", "Is it?"],
+                                      ["repl"]], ids=["answer", "classify", "repl"])
+    def test_missing_model_is_usage_error(self, argv, capsys):
+        assert _exit_code(argv) == 2
+        assert "the following arguments are required: --model" in capsys.readouterr().err
 
 
 class TestMalformedInputs:
@@ -381,10 +397,10 @@ class TestClassifyAndTrain:
     ])
     def test_epochs_below_one_is_usage_error(self, command, epochs, tmp_path, capsys):
         out = tmp_path / "m.json"
-        assert main([command, "--out", str(out), "--epochs", epochs]) == 2
+        assert _exit_code([command, "--out", str(out), "--epochs", epochs]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--epochs must be at least 1" in captured.err
+        assert f"argument --epochs: must be at least 1, got {epochs}\n" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("C", ["1e307", "1e-320"])
@@ -400,17 +416,17 @@ class TestClassifyAndTrain:
     @pytest.mark.parametrize("C", ["-1", "0"])
     def test_C_not_positive_is_usage_error(self, C, tmp_path, capsys):
         out = tmp_path / "m.json"
-        assert main(["train-type", "--out", str(out), "--C", C]) == 2
-        assert f"--C must be positive, got {float(C)}" in capsys.readouterr().err
+        assert _exit_code(["train-type", "--out", str(out), "--C", C]) == 2
+        assert f"argument --C: must be finite and positive, got {float(C)}\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train-type", "train-topics"])
     def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):
         out = tmp_path / "m.json"
-        assert main([command, "--out", str(out), "--seed", "-1"]) == 2
+        assert _exit_code([command, "--out", str(out), "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--seed must not be negative, got -1" in captured.err
+        assert "argument --seed: must be at least 0, got -1\n" in captured.err
         assert not out.exists()
 
     def test_classify_single_question(self, model_path, capsys):
@@ -463,8 +479,10 @@ class TestRetrieveCommands:
         obj = json.loads(capsys.readouterr().out)
         assert any("galactocerebrosidase" in p["text"].lower() for p in obj["passages"])
 
-    def test_bad_bm25_parameter_rejected(self):
-        assert main(["retrieve-passages", "--question", "anything", "--b", "1.5"]) == 2
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+    def test_bad_bm25_parameter_rejected(self, value, capsys):
+        assert _exit_code(["retrieve-passages", "--question", "anything", "--b", value]) == 2
+        assert f"argument --b: must be in [0, 1], got {float(value)}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag, value", [
         ("retrieve-docs", "--top-docs", "-1"),
@@ -478,10 +496,10 @@ class TestRetrieveCommands:
         argv = [command, "--question", "Which enzyme is deficient in Krabbe disease?", flag, value]
         if command == "answer":
             argv += ["--model", model_path]
-        assert main(argv) == 2
+        assert _exit_code(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{flag} must be at least 1" in captured.err
+        assert f"argument {flag}: must be at least 1, got {value}\n" in captured.err
 
     def test_count_of_one_is_accepted(self, capsys):
         argv = ["retrieve-docs", "--question", "Which enzyme is deficient in Krabbe disease?", "--top-docs", "1"]
@@ -490,24 +508,31 @@ class TestRetrieveCommands:
 
 
 class TestNumberFlags:
-    @pytest.mark.parametrize("argv, flag", [
-        (["retrieve-passages", "--question", "Is it?"], "--k1"),
-        (["train-type", "--out", "{tmp}/m.json"], "--C"),
-        (["eval", "--gold", DEMO_GOLD, "--run", GOLDEN_RUN], "--rouge-beta"),
+    @pytest.mark.parametrize("argv, flag, rule", [
+        (["retrieve-passages", "--question", "Is it?"], "--k1", "positive"),
+        (["train-type", "--out", "{tmp}/m.json"], "--C", "positive"),
+        (["eval", "--gold", DEMO_GOLD, "--run", GOLDEN_RUN], "--rouge-beta", "not negative"),
     ], ids=["k1", "C", "rouge-beta"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_number_is_usage_error(self, argv, flag, value, tmp_path, capsys):
-        assert main([a.format(tmp=tmp_path) for a in argv] + [flag, value]) == 2
+    def test_non_finite_number_is_usage_error(self, argv, flag, rule, value, tmp_path, capsys):
+        assert _exit_code([a.format(tmp=tmp_path) for a in argv] + [flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{flag} must be finite, got {value}" in captured.err
+        assert f"argument {flag}: must be finite and {rule}, got {value}\n" in captured.err
         assert not (tmp_path / "m.json").exists()
 
     def test_negative_rouge_beta_is_usage_error(self, capsys):
-        assert main(["eval", "--gold", DEMO_GOLD, "--run", GOLDEN_RUN, "--rouge-beta", "-1"]) == 2
+        assert _exit_code(["eval", "--gold", DEMO_GOLD, "--run", GOLDEN_RUN, "--rouge-beta", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--rouge-beta must not be negative, got -1.0" in captured.err
+        assert "argument --rouge-beta: must be finite and not negative, got -1.0\n" in captured.err
+
+    @pytest.mark.parametrize("flag, value, base", [
+        ("--top-docs", "x", "int"), ("--top-docs", "1.5", "int"), ("--k1", "y", "float"), ("--b", "", "float"),
+    ])
+    def test_a_value_that_is_not_a_number_names_its_base_type(self, flag, value, base, capsys):
+        assert _exit_code(["retrieve-docs", "--question", "Is it?", flag, value]) == 2
+        assert f"argument {flag}: invalid {base} value: {value!r}\n" in capsys.readouterr().err
 
     def test_rouge_beta_zero_is_accepted(self, capsys):
         # An F-measure with beta 0 is precision alone.
@@ -534,14 +559,6 @@ class TestRepl:
         monkeypatch.setattr("sys.stdin", io.StringIO("Which enzyme is deficient in Krabbe disease?\n"))
         assert main(["repl", "--model", str(topics)]) == 2
         assert "question type model" in capsys.readouterr().err
-
-
-def _exit_code(argv) -> int:
-    """main's return value, or the code argparse exits with on a usage error."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
 
 
 SHARED_FLAGS = ("--manifest", "--index", "--model", "--seed", "--format")
@@ -588,3 +605,24 @@ class TestFlags:
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         argv = [a.format(tmp=tmp_path, model=model_path, run=run) for a in argv]
         assert _exit_code(argv) == 2
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each bioqa line of the README's command-line example,
+    continuations joined and src/ paths made absolute."""
+    section = (REPO_DIR / "README.md").read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("\n```", 1)[0].replace("\\\n", " ")
+    return [[str(REPO_DIR / word) if word.startswith("src/") else word for word in shlex.split(line)[1:]]
+            for line in block.splitlines() if line.startswith("bioqa ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "validate", "index", "train-type", "train-topics", "classify", "retrieve-docs", "retrieve-passages",
+        "answer", "eval", "repl"}
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()

@@ -170,6 +170,33 @@ _patterns = st.lists(st.lists(_elements, min_size=1, max_size=5).map(
     lambda elements: Pattern(QuestionType.FACTOID, tuple(elements))), min_size=1, max_size=4)
 
 
+@st.composite
+def _realised(draw):
+    """Patterns, and a tagged question that realises one of them: each
+    literal set is filled with one of its phrases in a drawn case, each
+    [TAG] or [NN] with a token of that tag, and each star with 0-3 tokens of
+    the pattern's own words, so that a star's shortest run is often not the
+    one drawn; drawn tokens of those words come before and after."""
+    patterns = draw(_patterns)
+    pattern = draw(st.sampled_from(patterns))
+    words = sorted({word for el in pattern.elements if isinstance(el, LiteralSet)
+                    for phrase in el.phrases for word in phrase}) or _WORDS
+    cased = st.sampled_from([str, str.title, str.upper])
+    token = st.tuples(st.builds(lambda case, word: case(word), cased, st.sampled_from(words)), st.sampled_from(_TAGS))
+    run = st.lists(token, max_size=3)
+    tagged = draw(run)
+    for el in pattern.elements:
+        if isinstance(el, Star):
+            tagged += draw(run)
+        elif isinstance(el, LiteralSet):
+            case = draw(cased)
+            tagged += [(case(word), draw(st.sampled_from(_TAGS))) for word in draw(st.sampled_from(el.phrases))]
+        else:
+            tagged.append(draw(token) if isinstance(el, AnyTag) else (draw(token)[0], el.tag))
+    # A pattern of stars alone realised over no tokens gets one: matching starts at a token.
+    return patterns, tagged + draw(run) or [draw(token)]
+
+
 class TestPatternMatchOracle:
     """pattern_matches agrees with the recursive reference matcher, filtered
     to the earliest shift."""
@@ -226,6 +253,15 @@ class TestPatternMatchOracle:
     def test_random_tagged_sequences(self, bundle, tagged, patterns):
         patterns = bundle.patterns if patterns is None else patterns
         assert pattern_matches(tagged, patterns) == earliest(reference_pattern_matches(tagged, patterns))
+
+    @settings(max_examples=200)
+    @given(drawn=_realised())
+    def test_realised_patterns(self, drawn):
+        # Every draw holds a match of the pattern it realises, so none passes by matching nothing.
+        patterns, tagged = drawn
+        matches = pattern_matches(tagged, patterns)
+        assert matches
+        assert matches == earliest(reference_pattern_matches(tagged, patterns))
 
     def test_bundled_and_repeated_questions(self, bundle, extractor, appendix_questions):
         # Repeated question shapes, kept short enough for the reference.

@@ -14,7 +14,10 @@ The idf of a BM25 query term, and which query terms score, are stated by
 retrieval._idf_weights, the one place a logarithm is taken.
 
 Each CLI subcommand is bound to its handler where its parser is declared;
-no table maps command names to handlers.
+no table maps command names to handlers. Each CLI flag is stated once, in
+its declaration: every numeric flag's type carries its value rule, no
+default is a number written in cli.py, and no check reads the parsed
+flags after parsing.
 
 Where a question-pattern element can start is stated by qclass._start; only
 it and qclass._compile, which dispatches on the element kind, test for a
@@ -135,3 +138,42 @@ def test_only_the_start_rule_and_the_compiler_test_for_a_tag_match():
             isinstance(arg, ast.Name) and arg.id == "TagMatch" for arg in call.args[1:])
 
     assert package_calls(tests_tag_match) == [("qclass", "_start"), ("qclass", "_compile")]
+
+
+def cli_tree() -> ast.Module:
+    return ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+
+
+def test_cli_reads_no_flag_that_a_command_may_lack():
+    def probes_args(node):
+        return (isinstance(node, ast.Call) and called_name(node) == "getattr" and len(node.args) == 3
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "args")
+
+    assert [node.lineno for node in ast.walk(cli_tree()) if probes_args(node)] == []
+
+
+def test_every_numeric_flag_carries_a_rule():
+    subcommands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert [(name, action.dest) for name, p in subcommands.choices.items() for action in p._actions
+            if action.type in (int, float)] == []
+
+
+def is_number(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def test_is_number_finds_each_form():
+    values = [ast.parse(text, mode="eval").body for text in ("42", "-1.5", "+3", "True", "None", "'7'", "x")]
+    assert [is_number(value) for value in values] == [True, True, True, False, False, False, False]
+
+
+def test_no_cli_default_is_a_number_literal():
+    defaults = []
+    for node in ast.walk(cli_tree()):
+        if isinstance(node, ast.Call):
+            defaults += [kw.value for kw in node.keywords if kw.arg == "default"]
+        if isinstance(node, ast.Dict):
+            defaults += [v for k, v in zip(node.keys, node.values) if isinstance(k, ast.Constant) and k.value == "default"]
+    assert defaults and [node.lineno for node in defaults if is_number(node)] == []
