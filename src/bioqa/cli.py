@@ -240,14 +240,8 @@ def cmd_train_topics(args) -> int:
     return 0
 
 
-def _require_model(args):
-    if not Path(args.model).exists():
-        raise CliError(f"model file not found: {args.model}")
-    return qclass.load_model(args.model)
-
-
 def _require_type_model(args):
-    model = _require_model(args)
+    model = qclass.load_model(args.model)
     if model.meta["kind"] == "topics":
         raise CliError(f"{args.command} needs a question type model, not a topics model")
     return model
@@ -255,7 +249,7 @@ def _require_type_model(args):
 
 def cmd_classify(args) -> int:
     bundle = ingest.load_resources(args.manifest)
-    model = _require_model(args)
+    model = qclass.load_model(args.model)
     if model.meta.get("dependency_features"):
         raise CliError(f"{args.model}: topics model trained with --deps; classify cannot supply dependency features")
     extractor = FeatureExtractor(bundle.tag_lexicon, bundle.patterns)

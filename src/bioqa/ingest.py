@@ -14,7 +14,7 @@ import numpy as np
 
 from .conceptlex import ConceptGraph, ConceptLexicon, SentimentLexicon
 from .qclass import Grammar, QuestionType, load_patterns
-from .retrieval import DocumentRecord, DuplicateIdError, IndexedCorpus
+from .retrieval import INDEX_DTYPES, DocumentRecord, DuplicateIdError, IndexedCorpus, index_dtype
 from .textproc import ResourceFormatError, TagLexicon, data_fields, data_lines, load_abbreviations, load_stopwords, read_json
 
 
@@ -24,7 +24,7 @@ class DatasetFormatError(ValueError):
 
 class IndexVersionError(ValueError):
     def __init__(self, found, expected, path):
-        super().__init__(f"{path}: index format version {found!r}, expected {expected!r}")
+        super().__init__(f"{path}: index format version {found!r}, expected {expected!r}; rebuild it with bioqa index")
         self.found = found
         self.expected = expected
 
@@ -301,26 +301,30 @@ def default_manifest_path() -> Path:
 # Index persistence
 # ---------------------------------------------------------------------------
 
-# Format 3 is one JSON header line, {"version", "units", "terms",
-# "n_postings"}, then four little-endian int32 arrays back to back: unit
-# lengths (one per unit), offsets (one per term, plus one), positions and
-# counts (n_postings each). See IndexedCorpus for what they hold.
-INDEX_FORMAT_VERSION = 3
-_INDEX_INT = np.dtype("<i4")
+# Format 4 is one JSON header line, {"version", "units", "terms",
+# "n_postings", "dtypes"}, then four arrays back to back: unit lengths (one
+# per unit), offsets (one per term, plus one), positions and counts
+# (n_postings each). "dtypes" names the type each array is saved in, in that
+# order: its retrieval.index_dtype, one of INDEX_DTYPES. See IndexedCorpus
+# for what the arrays hold.
+INDEX_FORMAT_VERSION = 4
 
 
 def save_index(index: IndexedCorpus, path) -> None:
-    """Write an index in format 3 to path; equal indexes give equal bytes."""
+    """Write an index in format 4 to path; equal indexes give equal bytes."""
+    arrays = (index.unit_lengths, index.offsets, index.positions, index.counts)
+    dtypes = list(map(index_dtype, arrays))
     header = {
         "version": INDEX_FORMAT_VERSION,
         "units": index.unit_order,
         "terms": index.terms,
         "n_postings": len(index.positions),
+        "dtypes": dtypes,
     }
     with open(path, "wb") as out:
         out.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
-        for array in (index.unit_lengths, index.offsets, index.positions, index.counts):
-            out.write(array.astype(_INDEX_INT, copy=False).tobytes())
+        for array, dtype in zip(arrays, dtypes):
+            out.write(array.astype(dtype, copy=False).tobytes())
 
 
 def _header_list(path, header: dict, key: str) -> list[str]:
@@ -353,14 +357,21 @@ def load_index(path) -> IndexedCorpus:
     n_postings = header.get("n_postings")
     if type(n_postings) is not int or n_postings < 0:
         raise DatasetFormatError(f"{path}: index 'n_postings' must be a count")
-    n_units, n_terms = len(units), len(terms)
-    sizes = (n_units, n_terms + 1, n_postings, n_postings)
+    dtypes = header.get("dtypes")
+    if (not isinstance(dtypes, list) or len(dtypes) != 4
+            or not all(type(code) is str and code in INDEX_DTYPES for code in dtypes)):
+        raise DatasetFormatError(f"{path}: index 'dtypes' must name four of {', '.join(INDEX_DTYPES)}")
+    sizes = (len(units), len(terms) + 1, n_postings, n_postings)
     body = 0 if end < 0 else len(data) - end - 1
-    if body != _INDEX_INT.itemsize * sum(sizes):
-        raise DatasetFormatError(f"{path}: index body has {body} bytes, its header implies "
-                                 f"{_INDEX_INT.itemsize * sum(sizes)}")
-    arrays = np.frombuffer(data, dtype=_INDEX_INT, offset=end + 1)
-    lengths, offsets, positions, counts = np.split(arrays, np.cumsum(sizes[:-1]))
+    implied = sum(np.dtype(code).itemsize * size for code, size in zip(dtypes, sizes))
+    if body != implied:
+        raise DatasetFormatError(f"{path}: index body has {body} bytes, its header implies {implied}")
+    # Each array is a read-only view of data, in the type the header names.
+    arrays, offset = [], end + 1
+    for code, size in zip(dtypes, sizes):
+        arrays.append(np.frombuffer(data, dtype=code, count=size, offset=offset))
+        offset += arrays[-1].nbytes
+    lengths, offsets, positions, counts = arrays
     index = IndexedCorpus(units, lengths, terms, offsets, positions, counts)
     problem = _index_problem(index, n_postings)
     if problem:
@@ -374,14 +385,16 @@ def _index_problem(index: IndexedCorpus, n_postings: int) -> str | None:
         return "index units repeat an id"
     if len(index.term_rows) != len(index.terms):
         return "index terms repeat a term"
+    # The arrays are unsigned, so neighbours are compared rather than
+    # differenced: an unsigned difference wraps, and a fall would pass.
     offsets, positions = index.offsets, index.positions
-    if offsets[0] != 0 or offsets[-1] != n_postings or (np.diff(offsets) < 0).any():
+    if offsets[0] != 0 or offsets[-1] != n_postings or (offsets[1:] < offsets[:-1]).any():
         return f"index offsets must rise from 0 to {n_postings}"
-    if n_postings and (positions.min() < 0 or positions.max() >= index.n_units):
+    if n_postings and positions.max() >= index.n_units:
         return f"index positions must lie in [0, {index.n_units})"
     # Each term's positions rise strictly; a step into a term's first
     # posting crosses to the next term and may fall.
-    rising = np.diff(positions) > 0
+    rising = positions[1:] > positions[:-1]
     starts = offsets[1:-1]
     rising[starts[(starts > 0) & (starts < n_postings)] - 1] = True
     if not rising.all():

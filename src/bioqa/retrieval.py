@@ -128,17 +128,37 @@ class _TermRows(dict):
         return row
 
 
+# The types an index array is held and saved in, narrowest first, each
+# with the largest value it holds.
+INDEX_DTYPES = {code: np.iinfo(code).max for code in ("<u1", "<u2", "<u4")}
+
+
+def index_dtype(values: np.ndarray) -> str:
+    """The narrowest of INDEX_DTYPES that holds each of values, none of
+    which is negative."""
+    top = int(values.max()) if len(values) else 0
+    for code, maximum in INDEX_DTYPES.items():
+        if top <= maximum:
+            return code
+    raise OverflowError(f"index value {top} does not fit in {code}")
+
+
+def _narrowed(values: np.ndarray) -> np.ndarray:
+    return values.astype(index_dtype(values), copy=False)
+
+
 @dataclass(eq=False)
 class IndexedCorpus:
     """Inverted index over stems and concepts, held in arrays.
 
-    unit_order lists the unit ids; unit_lengths (int32) holds each unit's
-    number of index terms, and avg_len their mean. terms lists the index
-    terms, and term_rows maps each to its row r. Row r's postings are
+    unit_order lists the unit ids; unit_lengths holds each unit's number
+    of index terms, and avg_len their mean. terms lists the index terms,
+    and term_rows maps each to its row r. Row r's postings are
     positions[offsets[r]:offsets[r + 1]], ascending indices into
     unit_order, and the term's count in each of those units sits at the
-    same places of counts (compressed sparse rows). An index is not
-    changed once made.
+    same places of counts (compressed sparse rows). Built or loaded, each
+    of the four arrays is held in its index_dtype. An index is not changed
+    once made.
     """
 
     unit_order: list[str]
@@ -176,15 +196,15 @@ class IndexedCorpus:
         base = max(len(unit_order), 1)
         units = np.repeat(np.arange(len(unit_order), dtype=np.int64), lengths)
         keys, counts = np.unique(np.array(term_ids, dtype=np.int64) * base + units, return_counts=True)
-        offsets = np.zeros(len(term_rows) + 1, dtype=np.int32)
+        offsets = np.zeros(len(term_rows) + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // base, minlength=len(term_rows)), out=offsets[1:])
         return cls(
             unit_order,
-            np.array(lengths, dtype=np.int32),
+            _narrowed(np.array(lengths, dtype=np.int64)),
             list(term_rows),
-            offsets,
-            (keys % base).astype(np.int32),
-            counts.astype(np.int32),
+            _narrowed(offsets),
+            _narrowed(keys % base),
+            _narrowed(counts),
         )
 
     @property

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from bioqa.cli import main
-from bioqa.ingest import DatasetFormatError, load_questions, load_run
+from bioqa.ingest import DatasetFormatError, load_index, load_questions, load_run
 
 from conftest import RESOURCE_DIR, VERSION_TWO_MODELS
 
@@ -130,12 +130,38 @@ class TestAnswer:
         assert _exit_code(argv) == 2
         assert "the following arguments are required: --model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["answer", "--question", "Is this ok?"], ["classify", "--question", "Is it?"],
+                                      ["repl"]], ids=["answer", "classify", "repl"])
+    def test_missing_model_file_is_an_error(self, argv, tmp_path, capsys):
+        # A named input file that does not exist exits 1 naming it, whichever
+        # flag names it (as test_missing_index_file_is_an_error).
+        missing = tmp_path / "no-such-model.json"
+        assert _exit_code([*argv, "--model", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(missing) in captured.err
+
+    def test_format_three_index_exits_one_with_rebuild_hint(self, index_path, tmp_path, capsys):
+        # An index as format 3 wrote it: the header without dtypes, then
+        # four int32 arrays.
+        index = load_index(index_path)
+        header = {"version": 3, "units": index.unit_order, "terms": index.terms, "n_postings": len(index.positions)}
+        arrays = (index.unit_lengths, index.offsets, index.positions, index.counts)
+        old = tmp_path / "format-three.json"
+        old.write_bytes(json.dumps(header, separators=(",", ":")).encode() + b"\n"
+                        + b"".join(a.astype("<i4").tobytes() for a in arrays))
+        assert main(["retrieve-docs", "--index", str(old), "--question", "Is imatinib an antidepressant drug?"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {old}: index format version 3, expected 4; "
+                                "rebuild it with bioqa index\n")
+
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("argv, text", [
         (["retrieve-docs", "--question", "Is it?", "--index", "{bad}"], "[]"),
         (["retrieve-docs", "--question", "Is it?", "--index", "{bad}"], '{"version": 2, "unit_order": []}'),
-        (["retrieve-docs", "--question", "Is it?", "--index", "{bad}"], '{"version": 3, "units": []}'),
+        (["retrieve-docs", "--question", "Is it?", "--index", "{bad}"], '{"version": 4, "units": []}'),
         (["classify", "--question", "Is it?", "--model", "{bad}"], "{nope"),
         (["classify", "--question", "Is it?", "--model", "{bad}"], "[]"),
         (["classify", "--question", "Is it?", "--model", "{bad}"],
@@ -349,8 +375,6 @@ class TestEval:
 
 class TestIndexCommand:
     def test_builds_and_is_loadable(self, index_path):
-        from bioqa.ingest import load_index
-
         index = load_index(index_path)
         assert index.n_units == 12
 

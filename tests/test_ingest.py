@@ -356,17 +356,40 @@ class TestTopicQuestions:
 
 
 def split_index_file(path):
-    """The header and the four arrays of a format-3 index file, writable."""
+    """The header and the four arrays of a format-4 index file, writable,
+    each in the type the header's dtypes name."""
     data = path.read_bytes()
     end = data.index(b"\n")
     header = json.loads(data[:end])
-    arrays = np.frombuffer(data, dtype="<i4", offset=end + 1).copy()
-    sizes = [len(header["units"]), len(header["terms"]) + 1, header["n_postings"]]
-    return header, np.split(arrays, np.cumsum(sizes))
+    sizes = [len(header["units"]), len(header["terms"]) + 1, header["n_postings"], header["n_postings"]]
+    arrays, offset = [], end + 1
+    for code, size in zip(header["dtypes"], sizes):
+        arrays.append(np.frombuffer(data, dtype=code, count=size, offset=offset).copy())
+        offset += arrays[-1].nbytes
+    return header, arrays
 
 
 def write_index_file(path, header, arrays):
-    path.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(a.astype("<i4").tobytes() for a in arrays))
+    body = b"".join(a.astype(code).tobytes() for code, a in zip(header["dtypes"], arrays))
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+def narrowest(values) -> str:
+    """The type format 4 saves values in, by the thresholds written out."""
+    top = max(values, default=0)
+    return "<u1" if top <= 255 else "<u2" if top <= 65535 else "<u4"
+
+
+def boundary_index(n_units, repeats, distinct, last):
+    """An index of n_units units: the first holds one term repeats times and
+    the last (or, when last is False, also the first) holds distinct other
+    terms once each; the rest are empty. So the largest count is repeats,
+    the largest length repeats or distinct, the largest position n_units - 1
+    or 0, and n_postings 1 + distinct."""
+    rows = [[] for _ in range(n_units)]
+    rows[0] = ["t"] * repeats
+    rows[n_units - 1 if last else 0] += [f"w{i}" for i in range(distinct)]
+    return retrieval.IndexedCorpus.from_terms((f"u{i}", terms) for i, terms in enumerate(rows))
 
 
 class TestIndexPersistence:
@@ -417,17 +440,71 @@ class TestIndexPersistence:
         }, sort_keys=True, separators=(",", ":")) + "\n")
         with pytest.raises(IndexVersionError) as err:
             load_index(path)
-        assert (err.value.found, err.value.expected) == (2, 3) and "old.json" in str(err.value)
+        assert (err.value.found, err.value.expected) == (2, 4) and "old.json" in str(err.value)
+
+    def test_version_three_index_rejected(self, tmp_path, doc_index):
+        # Format 3 was the header without dtypes, then four int32 arrays.
+        path = tmp_path / "old.json"
+        header = {"version": 3, "units": doc_index.unit_order, "terms": doc_index.terms,
+                  "n_postings": len(doc_index.positions)}
+        arrays = (doc_index.unit_lengths, doc_index.offsets, doc_index.positions, doc_index.counts)
+        path.write_bytes(json.dumps(header, separators=(",", ":")).encode() + b"\n"
+                         + b"".join(a.astype("<i4").tobytes() for a in arrays))
+        with pytest.raises(IndexVersionError) as err:
+            load_index(path)
+        assert (err.value.found, err.value.expected) == (3, 4)
+        assert "old.json" in str(err.value) and str(err.value).endswith("rebuild it with bioqa index")
 
     def test_saves_only_what_load_reads(self, tmp_path, doc_index):
         path = tmp_path / "index.json"
         save_index(doc_index, path)
         header, (lengths, offsets, positions, counts) = split_index_file(path)
-        assert list(header) == ["version", "units", "terms", "n_postings"]
-        assert header["version"] == INDEX_FORMAT_VERSION == 3
+        assert list(header) == ["version", "units", "terms", "n_postings", "dtypes"]
+        assert header["version"] == INDEX_FORMAT_VERSION == 4
         assert header["units"] == doc_index.unit_order and header["terms"] == doc_index.terms
         assert len(positions) == len(counts) == header["n_postings"] == offsets[-1]
+        assert header["dtypes"] == [narrowest(a.tolist()) for a in (lengths, offsets, positions, counts)]
         assert load_index(path) == doc_index
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_units=st.sampled_from([1, 2, 255, 256, 257, 65535, 65536, 65537]),
+           repeats=st.sampled_from([1, 255, 256, 65535, 65536]),
+           distinct=st.sampled_from([0, 1, 254, 255, 256, 65534, 65535, 65536]),
+           last=st.booleans())
+    @example(n_units=256, repeats=255, distinct=254, last=True)
+    @example(n_units=257, repeats=256, distinct=255, last=True)
+    @example(n_units=65536, repeats=65535, distinct=65534, last=True)
+    @example(n_units=65537, repeats=65536, distinct=65535, last=True)
+    def test_round_trip_at_type_boundaries(self, tmp_path_factory, n_units, repeats, distinct, last):
+        index = boundary_index(n_units, repeats, distinct, last)
+        path = tmp_path_factory.mktemp("boundary") / "index.json"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded == index
+        arrays = (index.unit_lengths, index.offsets, index.positions, index.counts)
+        assert int(index.counts.max()) == repeats and int(index.offsets[-1]) == 1 + distinct
+        assert int(index.positions.max()) == (n_units - 1 if last and distinct else 0)
+        header, _ = split_index_file(path)
+        expected = [narrowest(a.tolist()) for a in arrays]
+        assert header["dtypes"] == expected
+        # Built and loaded arrays are held in the type they are saved in;
+        # loaded ones are read-only views of the file's bytes.
+        loaded_arrays = (loaded.unit_lengths, loaded.offsets, loaded.positions, loaded.counts)
+        assert [a.dtype for a in arrays] == [a.dtype for a in loaded_arrays] == list(map(np.dtype, expected))
+        assert not any(a.flags.writeable for a in loaded_arrays)
+        again = path.with_name("again.json")
+        save_index(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_equal_indexes_in_other_types_save_equal_bytes(self, tmp_path, doc_index):
+        # save_index takes each type from the values, not from array.dtype.
+        wide = retrieval.IndexedCorpus(
+            doc_index.unit_order, doc_index.unit_lengths.astype(np.int64), doc_index.terms,
+            doc_index.offsets.astype(np.uint32), doc_index.positions.astype(np.int32), doc_index.counts.astype(np.int64),
+        )
+        save_index(doc_index, tmp_path / "a.json")
+        save_index(wide, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_round_trip_scores_identical(self, tmp_path, bundle, doc_index):
         path = tmp_path / "index.json"
@@ -495,6 +572,9 @@ def _repeat_term(header, arrays):
     header["terms"][1] = header["terms"][0]
 
 
+U1 = ["<u1"] * 4
+
+
 class TestIndexCorruption:
     """Every hand edit of a saved index that breaks its arrays' agreement is
     refused with a DatasetFormatError naming the file and the problem."""
@@ -528,13 +608,13 @@ class TestIndexCorruption:
         assert load_index(path) == doc_index
 
     @pytest.mark.parametrize("header, problem", [
-        ({"version": 3, "terms": [], "n_postings": 0}, "'units'"),
-        ({"version": 3, "units": [], "n_postings": 0}, "'terms'"),
-        ({"version": 3, "units": [], "terms": []}, "'n_postings'"),
-        ({"version": 3, "units": [1], "terms": [], "n_postings": 0}, "'units'"),
-        ({"version": 3, "units": [], "terms": "t", "n_postings": 0}, "'terms'"),
-        ({"version": 3, "units": [], "terms": [], "n_postings": -1}, "'n_postings'"),
-        ([3], "header object"),
+        ({"version": 4, "terms": [], "n_postings": 0, "dtypes": U1}, "'units'"),
+        ({"version": 4, "units": [], "n_postings": 0, "dtypes": U1}, "'terms'"),
+        ({"version": 4, "units": [], "terms": [], "dtypes": U1}, "'n_postings'"),
+        ({"version": 4, "units": [1], "terms": [], "n_postings": 0, "dtypes": U1}, "'units'"),
+        ({"version": 4, "units": [], "terms": "t", "n_postings": 0, "dtypes": U1}, "'terms'"),
+        ({"version": 4, "units": [], "terms": [], "n_postings": -1, "dtypes": U1}, "'n_postings'"),
+        ([4], "header object"),
     ], ids=["no units", "no terms", "no n_postings", "unit number", "terms string", "negative postings", "list"])
     def test_malformed_header_is_refused(self, header, problem, tmp_path):
         path = tmp_path / "bad-index.json"
@@ -543,9 +623,29 @@ class TestIndexCorruption:
             load_index(path)
         assert problem in str(err.value)
 
+    @pytest.mark.parametrize("dtypes", [
+        None, "<u1", ["<u1"] * 3, ["<u1"] * 5, ["<u1", "<u1", "<i4", "<u1"], ["<u1", "<u8", "<u1", "<u1"],
+        ["<u1", "<u1", "|u1", "<u1"], [">u2", "<u1", "<u1", "<u1"], ["<u1", "<u1", "<u1", "uint8"],
+        ["<u1", "<u1", "<u1", 1], ["<u1", "<u1", "<u1", ["<u1"]], ["<u1", "<u1", "<u1", None],
+    ], ids=["missing", "string", "three", "five", "signed", "u8", "byte order |", "big-endian", "numpy name",
+            "number", "list", "null"])
+    def test_bad_dtypes_are_refused(self, dtypes, tmp_path):
+        # A body of four one-byte arrays, of the size four "<u1"s imply.
+        header = {"version": 4, "units": ["d"], "terms": ["t"], "n_postings": 1}
+        if dtypes is not None:
+            header["dtypes"] = dtypes
+        path = tmp_path / "bad-index.json"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes([1, 0, 1, 0, 1]))
+        with pytest.raises(DatasetFormatError, match="bad-index.json") as err:
+            load_index(path)
+        assert "'dtypes' must name four of <u1, <u2, <u4" in str(err.value)
+        header["dtypes"] = U1
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes([1, 0, 1, 0, 1]))
+        assert load_index(path).postings == {"t": {"d": 1}}
+
     def test_header_that_is_not_json_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad-index.json"
-        path.write_bytes(b'{"version": 3,\n' + bytes(8))
+        path.write_bytes(b'{"version": 4,\n' + bytes(8))
         with pytest.raises(ResourceFormatError, match="bad-index.json:1:"):
             load_index(path)
 
@@ -577,7 +677,8 @@ class TestLoaderRobustness:
             '{"doc_id": "1", "title": "t", "abstract": "a"}',
             '{"questions": [{"id": "1", "body": "b", "type": "yesno"}]}',
             "C1\talpha\tT1\tThing\ta|b",
-            '{"version": 3, "units": ["d"], "terms": ["t"], "n_postings": 1}',
+            '{"version": 4, "units": ["d"], "terms": ["t"], "n_postings": 1, "dtypes": ["<u1", "<u1", "<u1", "<u1"]}'
+            "\n\x01\x00\x01\x00\x01",
             '{"questions": [{"id": "1", "body": "b", "topics": ["Device"]}]}',
             '{"corpus": "c", "lexicon": "l", "graph": "g", "sentiment": "s", "stopwords": "w",'
             ' "tags": "t", "abbreviations": "a", "patterns": "p"}',
@@ -585,6 +686,10 @@ class TestLoaderRobustness:
         ]
         loaders = [load_corpus, load_questions, ConceptLexicon.from_file, load_index,
                    load_topic_questions, load_resources, qclass.load_model]
+        # The index seed is a whole format-4 file, so the fuzzing reaches the
+        # dtypes, body and agreement checks, not only the version check.
+        (tmp_path / "seed.idx").write_text(seeds[3])
+        assert load_index(tmp_path / "seed.idx").postings == {"t": {"d": 1}}
         for seed_text, loader in zip(seeds, loaders):
             for _ in range(40):
                 text = list(seed_text)

@@ -171,18 +171,19 @@ _patterns = st.lists(st.lists(_elements, min_size=1, max_size=5).map(
 
 
 @st.composite
-def _realised(draw):
-    """Patterns, and a tagged question that realises one of them: each
-    literal set is filled with one of its phrases in a drawn case, each
-    [TAG] or [NN] with a token of that tag, and each star with 0-3 tokens of
-    the pattern's own words, so that a star's shortest run is often not the
-    one drawn; drawn tokens of those words come before and after."""
-    patterns = draw(_patterns)
+def _realised(draw, grammars=_patterns, tags=_TAGS):
+    """Patterns drawn from grammars, and a tagged question that realises one
+    of them: each literal set is filled with one of its phrases in a drawn
+    case, each [TAG] or [NN] with a token of that tag, and each star with
+    0-3 tokens of the pattern's own words, so that a star's shortest run is
+    often not the one drawn; drawn tokens of those words come before and
+    after. Tokens not set by the pattern take a tag drawn from tags."""
+    patterns = draw(grammars)
     pattern = draw(st.sampled_from(patterns))
     words = sorted({word for el in pattern.elements if isinstance(el, LiteralSet)
                     for phrase in el.phrases for word in phrase}) or _WORDS
     cased = st.sampled_from([str, str.title, str.upper])
-    token = st.tuples(st.builds(lambda case, word: case(word), cased, st.sampled_from(words)), st.sampled_from(_TAGS))
+    token = st.tuples(st.builds(lambda case, word: case(word), cased, st.sampled_from(words)), st.sampled_from(tags))
     run = st.lists(token, max_size=3)
     tagged = draw(run)
     for el in pattern.elements:
@@ -190,7 +191,7 @@ def _realised(draw):
             tagged += draw(run)
         elif isinstance(el, LiteralSet):
             case = draw(cased)
-            tagged += [(case(word), draw(st.sampled_from(_TAGS))) for word in draw(st.sampled_from(el.phrases))]
+            tagged += [(case(word), draw(st.sampled_from(tags))) for word in draw(st.sampled_from(el.phrases))]
         else:
             tagged.append(draw(token) if isinstance(el, AnyTag) else (draw(token)[0], el.tag))
     # A pattern of stars alone realised over no tokens gets one: matching starts at a token.
@@ -294,11 +295,13 @@ class TestPatternPrefilter:
     pattern at every shift, filtered to the earliest shift."""
 
     @settings(max_examples=300)
-    @given(tagged=_grammar_tagged)
+    @given(tagged=st.one_of(_grammar_tagged, _realised(st.just(BUNDLED_PATTERNS), _GRAMMAR_TAGS).map(lambda d: d[1])))
     @example(tagged=[("What", "WP"), ("is", "VBZ"), ("the", "DT"), ("role", "NN"), ("?", ".")])
     # Every word of "[what|which] [VBP] [*] [NN] [*] ?" but no VBP tag.
     @example(tagged=[("Which", "WP"), ("genes", "NN"), ("?", ".")])
     def test_equals_reference(self, tagged):
+        # Half the draws are the bundled grammar's words in any order, and
+        # half realise one of its patterns, so that they match it.
         assert pattern_matches(tagged, BUNDLED_PATTERNS) == earliest(
             reference_pattern_matches(tagged, BUNDLED_PATTERNS))
 
