@@ -305,15 +305,15 @@ def default_manifest_path() -> Path:
 # "n_postings", "dtypes"}, then four arrays back to back: unit lengths (one
 # per unit), offsets (one per term, plus one), positions and counts
 # (n_postings each). "dtypes" names the type each array is saved in, in that
-# order: its retrieval.index_dtype, one of INDEX_DTYPES. See IndexedCorpus
-# for what the arrays hold.
+# order: the retrieval.index_dtype of its largest value, one of
+# INDEX_DTYPES. See IndexedCorpus for what the arrays hold.
 INDEX_FORMAT_VERSION = 4
 
 
 def save_index(index: IndexedCorpus, path) -> None:
     """Write an index in format 4 to path; equal indexes give equal bytes."""
     arrays = (index.unit_lengths, index.offsets, index.positions, index.counts)
-    dtypes = list(map(index_dtype, arrays))
+    dtypes = [index_dtype(int(array.max(initial=0))) for array in arrays]
     header = {
         "version": INDEX_FORMAT_VERSION,
         "units": index.unit_order,

@@ -351,18 +351,16 @@ def _match(codes, i: int, pos: int, memo: list, tags: list[str], lowered: list[s
     return result
 
 
-def pattern_matches(tagged: list[tuple[str, str]], patterns: Sequence[Pattern]) -> list[PatternMatch]:
-    """The matches, in pattern order, of every pattern that matches at the
-    earliest token position where any pattern matches, over (surface, tag)
-    pairs; [] when no pattern matches anywhere.
+def pattern_matches(tagged: list[tuple[str, str]], grammar: Grammar) -> list[PatternMatch]:
+    """The matches, in pattern order, of every pattern of grammar that
+    matches at the earliest token position where any pattern matches, over
+    (surface, tag) pairs; [] when no pattern matches anywhere.
 
-    patterns is a Grammar, or a list of patterns compiled here. A pattern
-    headed by a literal set is tried only where the set can start, others
-    at every token. Its needs are checked the first time it is tried, and
-    if one is unmet it is not tried again; otherwise its star memos are
+    A pattern headed by a literal set is tried only where the set can start,
+    others at every token. Its needs are checked the first time it is tried,
+    and if one is unmet it is not tried again; otherwise its star memos are
     made then and serve every later shift of the question.
     """
-    grammar = patterns if isinstance(patterns, Grammar) else Grammar(patterns)
     tags = [tag for _, tag in tagged]
     lowered = [surface.lower() for surface, _ in tagged]
     n = len(tags)
@@ -395,7 +393,7 @@ def pattern_matches(tagged: list[tuple[str, str]], patterns: Sequence[Pattern]) 
     return []
 
 
-def match_patterns(tagged: list[tuple[str, str]], patterns: Sequence[Pattern]) -> dict[str, int]:
+def match_patterns(tagged: list[tuple[str, str]], grammar: Grammar) -> dict[str, int]:
     """Feature vector from the pattern grammar.
 
     The patterns that match at the earliest position where any matches
@@ -403,7 +401,7 @@ def match_patterns(tagged: list[tuple[str, str]], patterns: Sequence[Pattern]) -
     result is independent of pattern file order. Questions matching no
     pattern fall back to unigrams plus POS tags.
     """
-    matches = pattern_matches(tagged, patterns)
+    matches = pattern_matches(tagged, grammar)
     if not matches:
         return _fallback_features(tagged)
     merged: dict[str, int] = {}
@@ -438,7 +436,7 @@ def _fallback_features(tagged) -> dict[str, int]:
 class FeatureExtractor:
     """Turns a question, raw or analysed, into a sparse feature vector."""
 
-    def __init__(self, tag_lexicon: TagLexicon, patterns: Sequence[Pattern]):
+    def __init__(self, tag_lexicon: TagLexicon, patterns: Grammar):
         self.tag_lexicon = tag_lexicon
         self.patterns = patterns
 

@@ -9,10 +9,11 @@ question and each title, read from per-question-cui similarity rows kept
 on the graph, and keeps the incoming order without reading a title when
 no question cui is in the hierarchy. Document search scores an array
 index (see IndexedCorpus) into a dense score vector, of which it sorts
-only the scores that can make its limit; bm25_rank, over dict
-postings, ranks passages and is the reference document search is tested
-against. Its loop is term at a time: each query term adds into the units
-of its postings, in query order, so a unit no term holds is not probed.
+only the scores that can make its limit; bm25_rank, over dict postings,
+ranks passages. Its loop, which small searches share, is term at a time:
+each query term adds into the units of its postings, in query order, so a
+unit no term holds is not probed. Each ranking here is tested against the
+plain statement of its step in tests/reference_pipeline.py.
 
 Query formulation and rerank read a question as conceptlex.question_of
 analyses it. Word terms, title cuis and analysed passages are kept on the
@@ -133,18 +134,12 @@ class _TermRows(dict):
 INDEX_DTYPES = {code: np.iinfo(code).max for code in ("<u1", "<u2", "<u4")}
 
 
-def index_dtype(values: np.ndarray) -> str:
-    """The narrowest of INDEX_DTYPES that holds each of values, none of
-    which is negative."""
-    top = int(values.max()) if len(values) else 0
+def index_dtype(top: int) -> str:
+    """The narrowest of INDEX_DTYPES that holds every value from 0 to top."""
     for code, maximum in INDEX_DTYPES.items():
         if top <= maximum:
             return code
     raise OverflowError(f"index value {top} does not fit in {code}")
-
-
-def _narrowed(values: np.ndarray) -> np.ndarray:
-    return values.astype(index_dtype(values), copy=False)
 
 
 @dataclass(eq=False)
@@ -156,9 +151,11 @@ class IndexedCorpus:
     and term_rows maps each to its row r. Row r's postings are
     positions[offsets[r]:offsets[r + 1]], ascending indices into
     unit_order, and the term's count in each of those units sits at the
-    same places of counts (compressed sparse rows). Built or loaded, each
-    of the four arrays is held in its index_dtype. An index is not changed
-    once made.
+    same places of counts (compressed sparse rows). Built, each of the four
+    arrays is held in the index_dtype of its largest value, the type
+    save_index writes it in. Loaded, each is held in the type the file's
+    header names, which may be any of INDEX_DTYPES: load_index does not scan
+    the arrays for their largest values. An index is not changed once made.
     """
 
     unit_order: list[str]
@@ -181,7 +178,9 @@ class IndexedCorpus:
 
         Every term occurrence becomes a key term row * N + unit position;
         one sort of the keys groups them by term, units ascending, and the
-        length of each run of equal keys is a count.
+        length of each run of equal keys is a count. Only counts is scanned
+        for its largest value: that of offsets is the number of postings, of
+        positions the last unit holding a term, of lengths the longest unit.
         """
         unit_order, lengths, term_ids = [], [], []
         term_rows = _TermRows()
@@ -200,11 +199,11 @@ class IndexedCorpus:
         np.cumsum(np.bincount(keys // base, minlength=len(term_rows)), out=offsets[1:])
         return cls(
             unit_order,
-            _narrowed(np.array(lengths, dtype=np.int64)),
+            np.array(lengths, dtype=index_dtype(max(lengths, default=0))),
             list(term_rows),
-            _narrowed(offsets),
-            _narrowed(keys % base),
-            _narrowed(counts),
+            offsets.astype(index_dtype(len(keys))),
+            (keys % base).astype(index_dtype(int(units[-1]) if len(units) else 0)),
+            counts.astype(index_dtype(int(counts.max(initial=0)))),
         )
 
     @property

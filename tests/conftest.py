@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 import warnings
 import zlib
 from pathlib import Path
@@ -10,6 +12,8 @@ from bioqa.qclass import FeatureExtractor
 
 RESOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "bioqa" / "resources"
 DATA_DIR = Path(__file__).resolve().parent / "data"
+GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+SYNTHETIC_SEED, SYNTHETIC_DOCS, SYNTHETIC_QUESTIONS = 3, 3000, 300
 
 # A model in each shape of format 2, which kept the kind at the top level
 # as well as in meta, and wrapped each topic's weights in an object.
@@ -54,12 +58,16 @@ def index_from_terms(rows, ids=None) -> retrieval.IndexedCorpus:
     return retrieval.IndexedCorpus.from_terms(zip(ids, rows))
 
 
-def earliest(shifted):
-    """The matches at the smallest shift among (shift, match) pairs, in
-    their order: what pattern_matches gives where a reference gives each
-    pattern's first match and the shift it starts at."""
-    first = min((shift for shift, _ in shifted), default=None)
-    return [match for shift, match in shifted if shift == first]
+def assert_same_retrieval(got, expected):
+    """answer.retrieve's Retrieved equals reference_pipeline.retrieve's
+    Retrieval: the same documents and passages in order, with scores within
+    1e-9 relative, and the same relaxed flag, question terms and cuis."""
+    assert [d.doc_id for d in got.documents] == [doc_id for doc_id, _ in expected.documents]
+    assert [d.score for d in got.documents] == pytest.approx([score for _, score in expected.documents], rel=1e-9)
+    assert [(p.passage.doc_id, p.passage.sent_index, p.passage.text, list(p.passage.terms), list(p.passage.cuis))
+            for p in got.passages] == [tuple(p) for p, _ in expected.passages]
+    assert [p.score for p in got.passages] == pytest.approx([score for _, score in expected.passages], rel=1e-9)
+    assert (got.relaxed, got.question_terms, got.question_cuis) == expected[2:]
 
 
 def question_terms(bundle, question):
@@ -100,6 +108,24 @@ def type_model(typed_examples):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return qclass.train_type_classifier(typed_examples, "patterns", C=1.01, seed=42)
+
+
+@pytest.fixture(scope="session")
+def synthetic(bundle):
+    """The benchmark generator's corpus of SYNTHETIC_DOCS documents and
+    SYNTHETIC_QUESTIONS questions at SYNTHETIC_SEED: {doc id: record}, its
+    index and the questions. The generator reads only data files and never
+    imports bioqa, so these inputs are the same at every commit."""
+    spec = importlib.util.spec_from_file_location("bioqa_synthetic_gen", GEN_PATH)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses resolve the module by name
+    spec.loader.exec_module(gen)
+    generator = gen.Generator(gen.Sources.load(RESOURCE_DIR), SYNTHETIC_SEED)
+    docs, _ = generator.corpus(SYNTHETIC_DOCS)
+    documents = {d["doc_id"]: retrieval.DocumentRecord(d["doc_id"], d["title"], d["abstract"]) for d in docs}
+    units = [(d.doc_id, f"{d.title} {d.abstract}") for d in documents.values()]
+    index = retrieval.build_index(units, "document", bundle.stopwords, bundle.concept_lexicon)
+    return documents, index, generator.questions(SYNTHETIC_QUESTIONS)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import math
 import random
 import time
 import warnings
-from collections import Counter, deque
+from collections import Counter
 
 import pytest
 
@@ -19,6 +19,7 @@ from bioqa.conceptlex import Concept, ConceptGraph, ConceptLexicon, SentimentEnt
 from bioqa.qclass import QuestionType
 from bioqa.retrieval import DocumentRecord, bm25_score, rerank_documents
 
+import reference_pipeline as reference
 from conftest import RESOURCE_DIR, index_from_terms
 
 
@@ -39,22 +40,12 @@ def test_criterion_1_bm25_oracle():
             for _ in range(rng.randint(1, 20))
         ]
         index = index_from_terms(units)
-        n = len(units)
-        avg = sum(len(u) for u in units) / n
         query = [rng.choice(vocab) for _ in range(rng.randint(1, 5))]
         k1 = rng.choice([0.6, 1.2, 1.8])
         b = rng.choice([0.0, 0.4, 0.85, 1.0])
-        target = rng.randrange(n)
+        target = rng.randrange(len(units))
         got = bm25_score(query, f"u{target}", index, k1=k1, b=b)
-
-        tf = Counter(units[target])
-        expected = 0.0
-        for q in query:
-            n_q = sum(1 for u in units if q in u)
-            w = math.log((n - n_q + 0.5) / (n_q + 0.5))
-            if w <= 0 or tf[q] == 0:
-                continue
-            expected += w * tf[q] * (k1 + 1) / (tf[q] + k1 * (1 - b + b * len(units[target]) / avg))
+        expected = reference.bm25(query, units, k1, b)[target]
         assert abs(got - expected) < 1e-9, (query, units, got, expected)
         checked += 1
 
@@ -68,24 +59,6 @@ def test_criterion_1_bm25_oracle():
         checked >= 200 and elapsed < 5.0,
         f"{checked} corpora, ln(5/3) case exact, {elapsed:.2f}s",
     )
-
-
-def bfs_similarity(adj, a, b):
-    if a not in adj or b not in adj:
-        return None
-    if a == b:
-        return 1.0
-    seen = {a}
-    queue = deque([(a, 1)])
-    while queue:
-        node, count = queue.popleft()
-        for nb in adj[node]:
-            if nb == b:
-                return 1.0 / (count + 1)
-            if nb not in seen:
-                seen.add(nb)
-                queue.append((nb, count + 1))
-    return None
 
 
 def test_criterion_2_rerank_oracle():
@@ -113,17 +86,8 @@ def test_criterion_2_rerank_oracle():
         def cuis_of(text):
             return [f"K{w[4:]}" for w in text.split()]
 
-        scores = []
-        for doc in docs:
-            total = 0.0
-            for qc in cuis_of(question):
-                for tc in cuis_of(doc.title):
-                    sim = bfs_similarity(graph.adjacency, qc, tc)
-                    if sim is not None:
-                        total += sim
-            scores.append(total)
-        expected = [docs[i].doc_id for i in sorted(range(len(docs)), key=lambda i: -scores[i])[:m]]
-        assert got == expected
+        titles = [(doc.doc_id, cuis_of(doc.title)) for doc in docs]
+        assert got == [doc_id for doc_id, _ in reference.rerank(cuis_of(question), titles, graph, m)]
         checked += 1
 
     elapsed = time.perf_counter() - started
@@ -287,15 +251,7 @@ def test_criterion_6_yesno_vote_oracle(bundle):
             for _ in range(rng.randint(0, 8))
         ]
         got = answer_yesno(passages, lexicon, bundle.tag_lexicon)
-
-        positives = negatives = 0
-        for p in passages:
-            total = sum(word_scores[w] for w in p.split())
-            if total >= 0:
-                positives += 1
-            else:
-                negatives += 1
-        expected = "yes" if positives >= negatives else "no"
+        expected, positives, negatives = reference.yesno(passages, lexicon, bundle.tag_lexicon)
         assert got.value == expected
         assert (got.positives, got.negatives) == (positives, negatives)
 

@@ -11,7 +11,6 @@ from bioqa.answer import (
     ConfigurationError,
     IdealAnswer,
     PipelineConfig,
-    Retrieved,
     answer_factoid,
     answer_list,
     answer_pipeline,
@@ -28,7 +27,8 @@ from bioqa.qclass import FEATURE_SPACES, FeatureExtractor, QuestionType, extract
 from bioqa.retrieval import DocumentRecord, build_index, extract_passages
 from bioqa.textproc import TagLexicon
 
-from conftest import RESOURCE_DIR, analysed, question_cuis, question_terms
+import reference_pipeline as reference
+from conftest import RESOURCE_DIR, analysed, assert_same_retrieval, question_cuis, question_terms
 
 
 CTCF_QUESTION = "Does the CTCF protein co-localize with cohesin?"
@@ -101,19 +101,8 @@ class TestRankEntities:
             question = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 3)))
             ranked = rank_entities([analysed(bundle, p) for p in passages],
                                    question_cuis(bundle, question), bundle.concept_lexicon, None)
-
-            exclude = {m.cui for m in recognize(question, bundle.concept_lexicon)}
-            counts = Counter()
-            for p in passages:
-                for m in recognize(p, bundle.concept_lexicon):
-                    if m.cui not in exclude:
-                        counts[m.cui] += 1
-            expected_by_name = {
-                bundle.concept_lexicon.get(c).preferred: n for c, n in counts.items()
-            }
-            assert {e.name for e in ranked} == set(expected_by_name)
-            ranked_counts = [expected_by_name[e.name] for e in ranked]
-            assert ranked_counts == sorted(ranked_counts, reverse=True)
+            cuis = [reference.analyse(text, bundle.stopwords, bundle.concept_lexicon)[1] for text in [question, *passages]]
+            assert [[e.name, *e.synonyms] for e in ranked] == reference.entities(cuis[1:], cuis[0], bundle.concept_lexicon)
 
 
 class TestFactoidAndList:
@@ -457,21 +446,6 @@ class TestNoOffsetViews:
         assert calls == Counter()
 
 
-def reference_retrieve(question, documents, index, resources, config):
-    """retrieve with search always at retrieve_depth, then rerank."""
-    lexicon, stopwords = resources.concept_lexicon, resources.stopwords
-    query = retrieval.formulate_query(question, lexicon, stopwords)
-    result = retrieval.search(index, query, config.retrieve_depth, stopwords, lexicon, k1=config.k1, b=config.b)
-    found = [documents[sd.doc_id] for sd in result.docs]
-    reranked = retrieval.rerank_documents(question, found, lexicon, resources.graph, config.top_docs)
-    candidates = extract_passages(
-        [documents[sd.doc_id] for sd in reranked], resources.abbreviations, stopwords, lexicon
-    )
-    terms, cuis = retrieval.analyse(question, stopwords, lexicon)
-    passages = retrieval.rank_passages(terms, candidates, k1=config.k1, b=config.b, top_n=config.top_passages)
-    return Retrieved(query, result.relaxed, reranked, passages, terms, cuis)
-
-
 @pytest.fixture(scope="module")
 def grown(bundle, corpus):
     """80 documents with titles and abstracts drawn from the bundled ones,
@@ -483,7 +457,8 @@ def grown(bundle, corpus):
         abstract = " ".join(rng.choice(records).abstract for _ in range(rng.randint(1, 2)))
         documents[f"g{i}"] = DocumentRecord(f"g{i}", rng.choice(records).title, abstract)
     units = [(d.doc_id, f"{d.title} {d.abstract}") for d in documents.values()]
-    return documents, build_index(units, "document", bundle.stopwords, bundle.concept_lexicon)
+    index = build_index(units, "document", bundle.stopwords, bundle.concept_lexicon)
+    return documents, index, reference.forward_index(documents.values(), bundle.stopwords, bundle.concept_lexicon)
 
 
 # Words of the bundled titles and concepts: "tobacco", "chromatin" and
@@ -504,13 +479,14 @@ def cui_kind(cuis, graph) -> str:
 
 class TestSearchDepth:
     """retrieve searches only top_docs deep when rerank cannot reorder,
-    and gives what a search at retrieve_depth followed by rerank gives."""
+    and gives what the reference's search at retrieve_depth followed by
+    rerank gives."""
 
     @staticmethod
-    def check(question, documents, index, resources, config):
+    def check(question, documents, index, units, resources, config):
         with mock.patch.object(answer, "search", wraps=answer.search) as spy:
             got = retrieve(question, documents, index, resources, config)
-        assert got == reference_retrieve(question, documents, index, resources, config)
+        assert_same_retrieval(got, reference.retrieve(question, documents, units, resources, config))
         limit = spy.call_args.args[2]
         if cui_kind(got.question_cuis, resources.graph) == "in":
             assert limit == config.retrieve_depth
@@ -526,17 +502,17 @@ class TestSearchDepth:
     @example(question="What is tobacco mutation?", retrieve_depth=5, top_docs=30)  # top_docs > depth
     @example(question="What is patients effects?", retrieve_depth=30, top_docs=0)  # relaxed, nothing kept
     def test_equals_search_at_depth_then_rerank(self, bundle, grown, question, retrieve_depth, top_docs):
-        documents, index = grown
         config = PipelineConfig(retrieve_depth=retrieve_depth, top_docs=top_docs)
-        self.check(question, documents, index, bundle, config)
+        self.check(question, *grown, bundle, config)
 
     def test_bundled_questions(self, bundle, corpus, doc_index, grown, appendix_questions):
         kinds = Counter()
-        for documents, index in ((corpus, doc_index), grown):
+        bundled = (corpus, doc_index, reference.forward_index(corpus.values(), bundle.stopwords, bundle.concept_lexicon))
+        for searched in (bundled, grown):
             for config in (PipelineConfig(), PipelineConfig(retrieve_depth=3, top_docs=7),
                            PipelineConfig(retrieve_depth=12, top_docs=2)):
                 for q in appendix_questions.questions:
-                    got = self.check(q.body, documents, index, bundle, config)
+                    got = self.check(q.body, *searched, bundle, config)
                     kinds[cui_kind(got.question_cuis, bundle.graph)] += 1
         # No bundled question has cuis only outside the hierarchy; the
         # examples of the drawn test above do.
@@ -548,8 +524,7 @@ class TestSearchDepth:
         assert kinds == ["none", "outside", "in"]
 
     def test_relaxed_flag_kept_when_nothing_is_kept(self, bundle, grown):
-        documents, index = grown
-        got = self.check("What is patients effects zorbifen?", documents, index, bundle, PipelineConfig(top_docs=0))
+        got = self.check("What is patients effects zorbifen?", *grown, bundle, PipelineConfig(top_docs=0))
         assert got.relaxed and got.documents == []
 
 
@@ -564,10 +539,7 @@ class TestVoteMemo:
 
     @staticmethod
     def fresh_vote(passages, sentiment, tag_lexicon):
-        scores = [passage_sentiment(text, sentiment, tag_lexicon) for text in passages]
-        positives = sum(score >= 0.0 for score in scores)
-        negatives = len(scores) - positives
-        return answer.YesNoResult("yes" if positives >= negatives else "no", positives, negatives)
+        return answer.YesNoResult(*reference.yesno(passages, sentiment, tag_lexicon))
 
     def test_vote_equals_fresh_scores(self, bundle, corpus):
         sentiment = SentimentLexicon(bundle.sentiment.entries)

@@ -1,5 +1,4 @@
 import random
-from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,22 +23,7 @@ from bioqa.conceptlex import (
 )
 from bioqa.textproc import ResourceFormatError, memo_of, tokenize, word_tag
 
-
-def bfs_node_count(adj, a, b):
-    # Independent shortest-path oracle: number of nodes, endpoints included.
-    if a == b:
-        return 1
-    seen = {a}
-    queue = deque([(a, 1)])
-    while queue:
-        node, count = queue.popleft()
-        for nb in adj.get(node, ()):
-            if nb == b:
-                return count + 1
-            if nb not in seen:
-                seen.add(nb)
-                queue.append((nb, count + 1))
-    return None
+import reference_pipeline as reference
 
 
 class TestRecognize:
@@ -118,9 +102,7 @@ class TestPathSimilarity:
             present = sorted(graph.nodes)
             a, b = rng.choice(present), rng.choice(present)
             got = path_similarity(a, b, graph)
-            count = bfs_node_count(graph.adjacency, a, b)
-            expected = None if count is None else 1.0 / count
-            assert got == expected
+            assert got == reference.path_similarity(a, b, graph)
             assert got == path_similarity(b, a, graph)
             if got is not None:
                 assert 0 < got <= 1
@@ -270,27 +252,12 @@ class TestLoaders:
 
 
 def windowed_recognize(text, lexicon):
-    """Reference matcher: at each position, join the lowercased surfaces of
-    every window length from the longest surface form down and look the
-    string up; the first hit wins and scanning resumes after it."""
+    """The reference's concept_matches of text's tokens, as mentions with offsets."""
     tokens = tokenize(text)
-    max_tokens = max([key.count(" ") + 1 for key in lexicon._surface_to_cui] + [1])
     mentions = []
-    i = 0
-    while i < len(tokens):
-        found = None
-        for length in range(min(max_tokens, len(tokens) - i), 0, -1):
-            window = tokens[i : i + length]
-            cui = lexicon._surface_to_cui.get(" ".join(t.surface.lower() for t in window))
-            if cui is not None:
-                found = (cui, window[0].start, window[-1].end, length)
-                break
-        if found:
-            cui, start, end, length = found
-            mentions.append(ConceptMention(cui, start, end, text[start:end]))
-            i += length
-        else:
-            i += 1
+    for i, length, cui in reference.concept_matches([t.surface.lower() for t in tokens], lexicon):
+        start, end = tokens[i].start, tokens[i + length - 1].end
+        mentions.append(ConceptMention(cui, start, end, text[start:end]))
     return mentions
 
 
@@ -379,13 +346,7 @@ class TestMemos:
             for _ in range(4):  # later rounds read pairs memoised by earlier ones
                 qs = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
                 ts = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
-                expected = 0.0
-                for qc in qs:
-                    for tc in ts:
-                        count = bfs_node_count(graph.adjacency, qc, tc) if qc in graph and tc in graph else None
-                        if count is not None:
-                            expected += 1.0 / count
-                assert row_sum(similarity_rows(qs, graph), ts) == expected
+                assert row_sum(similarity_rows(qs, graph), ts) == reference.similarity_sum(qs, ts, graph)
 
     def test_similarity_memo_is_per_graph(self):
         chain = ConceptGraph.from_edges([("a", "b"), ("b", "c")])

@@ -506,6 +506,20 @@ class TestIndexPersistence:
         save_index(wide, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_file_in_wider_types_loads_equal_and_saves_as_built(self, tmp_path, doc_index):
+        # load_index keeps the types the header names: finding the narrowest
+        # would scan every array at load.
+        path, wide, again = tmp_path / "index.json", tmp_path / "wide.json", tmp_path / "again.json"
+        save_index(doc_index, path)
+        header, arrays = split_index_file(path)
+        write_index_file(wide, {**header, "dtypes": ["<u4"] * 4}, arrays)
+        loaded = load_index(wide)
+        assert loaded == doc_index
+        loaded_arrays = (loaded.unit_lengths, loaded.offsets, loaded.positions, loaded.counts)
+        assert [a.dtype for a in loaded_arrays] == [np.dtype("<u4")] * 4
+        save_index(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_round_trip_scores_identical(self, tmp_path, bundle, doc_index):
         path = tmp_path / "index.json"
         save_index(doc_index, path)

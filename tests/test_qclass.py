@@ -4,7 +4,6 @@ import random
 import re
 import sys
 import warnings
-from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -17,9 +16,9 @@ from bioqa import qclass
 from bioqa.qclass import (
     AnyTag,
     FeatureExtractor,
+    Grammar,
     LiteralSet,
     Pattern,
-    PatternMatch,
     QuestionType,
     Star,
     TagMatch,
@@ -38,7 +37,8 @@ from bioqa.qclass import (
 )
 from bioqa.textproc import ResourceFormatError
 
-from conftest import RESOURCE_DIR, VERSION_TWO_MODELS, earliest
+import reference_pipeline as reference
+from conftest import RESOURCE_DIR, VERSION_TWO_MODELS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 TYPE_META = {"kind": "type", "space": "patterns"}
@@ -71,11 +71,11 @@ class TestMatchPatterns:
         ]
         for q in questions:
             tagged = extractor.tag(q)
-            reference = match_patterns(tagged, bundle.patterns)
+            expected = match_patterns(tagged, bundle.patterns)
             for _ in range(10):
                 shuffled = bundle.patterns[:]
                 rng.shuffle(shuffled)
-                assert match_patterns(tagged, shuffled) == reference
+                assert match_patterns(tagged, Grammar(shuffled)) == expected
 
     def test_contiguous_subsequence_oracle(self, extractor):
         # A star-free, synonym-free pattern matches exactly when its
@@ -104,53 +104,7 @@ class TestMatchPatterns:
                 all(element_hits(el, tagged[s + i]) for i, el in enumerate(elements))
                 for s in range(len(tagged) - k + 1)
             )
-            assert bool(pattern_matches(tagged, [pattern])) == brute
-
-
-def reference_match_at(elements, tagged, pos):
-    """The plain recursive matcher, kept as the oracle of pattern_matches:
-    stars take the shortest run first, and nothing is memoised, so its time
-    grows as a power of the sequence length, one degree per star."""
-    if not elements:
-        return []
-    head, rest = elements[0], elements[1:]
-    if isinstance(head, Star):
-        for skip in range(len(tagged) - pos + 1):
-            sub = reference_match_at(rest, tagged, pos + skip)
-            if sub is not None:
-                return sub
-        return None
-    if pos >= len(tagged):
-        return None
-    if isinstance(head, TagMatch):
-        if tagged[pos][1] != head.tag:
-            return None
-        sub = reference_match_at(rest, tagged, pos + 1)
-        return None if sub is None else [head.tag] + sub
-    if isinstance(head, AnyTag):
-        sub = reference_match_at(rest, tagged, pos + 1)
-        return None if sub is None else [tagged[pos][1]] + sub
-    for phrase in head.phrases:
-        if pos + len(phrase) > len(tagged):
-            continue
-        if all(tagged[pos + k][0].lower() == w for k, w in enumerate(phrase)):
-            sub = reference_match_at(rest, tagged, pos + len(phrase))
-            if sub is None:
-                continue
-            return ([" ".join(phrase)] if head.capture else []) + sub
-    return None
-
-
-def reference_pattern_matches(tagged, patterns):
-    """(shift, match) of each pattern's first match."""
-    matches = []
-    for pattern in patterns:
-        for shift in range(len(tagged)):
-            captured = reference_match_at(pattern.elements, tagged, shift)
-            if captured is not None:
-                matches.append((shift, PatternMatch(pattern, tuple(sorted(Counter(captured).items())))))
-                break
-    return matches
+            assert bool(pattern_matches(tagged, Grammar([pattern]))) == brute
 
 
 # Few words, so that alternative phrases often start at the same token.
@@ -199,8 +153,7 @@ def _realised(draw, grammars=_patterns, tags=_TAGS):
 
 
 class TestPatternMatchOracle:
-    """pattern_matches agrees with the recursive reference matcher, filtered
-    to the earliest shift."""
+    """pattern_matches agrees with the reference matcher."""
 
     @settings(max_examples=100)
     @given(tagged=_tagged, patterns=st.one_of(_patterns, st.none()))
@@ -252,25 +205,24 @@ class TestPatternMatchOracle:
                        Pattern(QuestionType.LIST, (LiteralSet((("what",),), capture=True), Star(),
                                                    LiteralSet((("stand", "for"),), capture=True)))])
     def test_random_tagged_sequences(self, bundle, tagged, patterns):
-        patterns = bundle.patterns if patterns is None else patterns
-        assert pattern_matches(tagged, patterns) == earliest(reference_pattern_matches(tagged, patterns))
+        grammar = bundle.patterns if patterns is None else Grammar(patterns)
+        assert pattern_matches(tagged, grammar) == reference.pattern_matches(tagged, grammar)
 
     @settings(max_examples=200)
     @given(drawn=_realised())
     def test_realised_patterns(self, drawn):
         # Every draw holds a match of the pattern it realises, so none passes by matching nothing.
         patterns, tagged = drawn
-        matches = pattern_matches(tagged, patterns)
+        matches = pattern_matches(tagged, Grammar(patterns))
         assert matches
-        assert matches == earliest(reference_pattern_matches(tagged, patterns))
+        assert matches == reference.pattern_matches(tagged, patterns)
 
     def test_bundled_and_repeated_questions(self, bundle, extractor, appendix_questions):
         # Repeated question shapes, kept short enough for the reference.
         repeated = ["Which what is the ? " * 12, "A. " * 60, "What is the cause of it? " * 8]
         for question in [q.body for q in appendix_questions.questions] + repeated:
             tagged = extractor.tag(question)
-            assert pattern_matches(tagged, bundle.patterns) == earliest(
-                reference_pattern_matches(tagged, bundle.patterns))
+            assert pattern_matches(tagged, bundle.patterns) == reference.pattern_matches(tagged, bundle.patterns)
 
 
 # The bundled grammar, and sequences made of its own words and tags, so
@@ -302,8 +254,7 @@ class TestPatternPrefilter:
     def test_equals_reference(self, tagged):
         # Half the draws are the bundled grammar's words in any order, and
         # half realise one of its patterns, so that they match it.
-        assert pattern_matches(tagged, BUNDLED_PATTERNS) == earliest(
-            reference_pattern_matches(tagged, BUNDLED_PATTERNS))
+        assert pattern_matches(tagged, BUNDLED_PATTERNS) == reference.pattern_matches(tagged, BUNDLED_PATTERNS)
 
     @settings(max_examples=300)
     @given(tagged=_grammar_tagged)
@@ -323,7 +274,7 @@ class TestPatternPrefilter:
             return token[0].lower() in head.starts if isinstance(head, LiteralSet) else True
 
         # Every shift up to the earliest one where a pattern matches.
-        last = min((shift for shift, _ in reference_pattern_matches(tagged, BUNDLED_PATTERNS)),
+        last = min((shift for shift, _ in reference.first_matches(tagged, BUNDLED_PATTERNS)),
                    default=len(tagged) - 1)
         expected = [(k, shift) for shift in range(last + 1) for k in met
                     if can_start(BUNDLED_PATTERNS[k].elements[0], tagged[shift])]
@@ -894,7 +845,7 @@ class TestPatternParser:
             parse_patterns("YESNO := [@NOSUCH] [*] ?")
 
     def test_multiword_literal(self, extractor):
-        patterns = parse_patterns("FACTOID := [what] [does|do] [*] [stand for|bind to] ?")
+        patterns = Grammar(parse_patterns("FACTOID := [what] [does|do] [*] [stand for|bind to] ?"))
         tagged = extractor.tag("What does BMI stand for?")
         features = match_patterns(tagged, patterns)
         assert features.get("stand for") == 1

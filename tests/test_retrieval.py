@@ -1,6 +1,6 @@
 import math
 import random
-from collections import Counter, deque
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -13,9 +13,7 @@ from bioqa.conceptlex import (
     Concept,
     ConceptGraph,
     ConceptLexicon,
-    longest_matches,
     path_similarity,
-    recognize,
     row_sum,
     similarity_rows,
     title_cuis,
@@ -36,25 +34,10 @@ from bioqa.retrieval import (
     rerank_documents,
     search,
 )
-from bioqa.textproc import is_content_word, split_sentences, stem, token_surfaces
+from bioqa.textproc import is_content_word, split_sentences, stem
 
+import reference_pipeline as reference
 from conftest import RESOURCE_DIR, analysed, index_from_terms, question_terms
-
-
-def bm25_oracle(query_terms, unit_terms, all_unit_terms, k1, b):
-    """Direct-formula evaluator over raw term lists."""
-    n = len(all_unit_terms)
-    avg = sum(len(u) for u in all_unit_terms) / n if n else 0.0
-    tf = Counter(unit_terms)
-    score = 0.0
-    for q in query_terms:
-        n_q = sum(1 for u in all_unit_terms if q in u)
-        w = math.log((n - n_q + 0.5) / (n_q + 0.5))
-        if w <= 0 or tf[q] == 0:
-            continue
-        f = tf[q]
-        score += w * f * (k1 + 1) / (f + k1 * (1 - b + b * len(unit_terms) / avg))
-    return score
 
 
 class TestFormulateQuery:
@@ -143,10 +126,8 @@ class TestBm25:
             query = [rng.choice(vocab) for _ in range(rng.randint(1, 5))]
             k1 = rng.choice([0.5, 1.2, 2.0])
             b = rng.choice([0.0, 0.5, 0.85, 1.0])
-            for i, unit_terms in enumerate(units):
-                got = bm25_score(query, f"u{i}", index, k1=k1, b=b)
-                want = bm25_oracle(query, unit_terms, units, k1, b)
-                assert got == pytest.approx(want, abs=1e-9)
+            expected = reference.bm25(query, units, k1, b)
+            assert [bm25_score(query, f"u{i}", index, k1=k1, b=b) for i in range(len(units))] == expected
 
 
 class TestSearch:
@@ -294,62 +275,6 @@ class TestRerank:
         assert scores == sorted(scores, reverse=True)
 
 
-def bfs_similarity(adj, a, b):
-    if a not in adj or b not in adj:
-        return None
-    if a == b:
-        return 1.0
-    seen = {a}
-    queue = deque([(a, 1)])
-    while queue:
-        node, count = queue.popleft()
-        for nb in adj[node]:
-            if nb == b:
-                return 1.0 / (count + 1)
-            if nb not in seen:
-                seen.add(nb)
-                queue.append((nb, count + 1))
-    return None
-
-
-def test_rerank_matches_bruteforce_on_random_instances():
-    rng = random.Random(2024)
-    for _ in range(120):
-        n_concepts = rng.randint(2, 8)
-        cuis = [f"K{i}" for i in range(n_concepts)]
-        lexicon = ConceptLexicon([Concept(c, f"word{i}", "T0", "Thing") for i, c in enumerate(cuis)])
-        edges = []
-        for _ in range(rng.randint(1, 10)):
-            a, b = rng.sample(cuis, 2)
-            edges.append((a, b))
-        graph = ConceptGraph.from_edges(edges)
-
-        def sentence():
-            return " ".join(f"word{rng.randrange(n_concepts)}" for _ in range(rng.randint(0, 4)))
-
-        question = sentence()
-        docs = [DocumentRecord(f"d{j}", sentence() or "word0", "") for j in range(rng.randint(1, 10))]
-        m = rng.randint(1, len(docs))
-
-        got = rerank_documents(question, docs, lexicon, graph, m)
-
-        # Brute force: recompute the cross-product sum and stable-sort.
-        def cuis_of(text):
-            return [f"K{w[4:]}" for w in text.split()]
-
-        scores = []
-        for doc in docs:
-            total = 0.0
-            for qc in cuis_of(question):
-                for tc in cuis_of(doc.title):
-                    sim = bfs_similarity(graph.adjacency, qc, tc)
-                    if sim is not None:
-                        total += sim
-            scores.append(total)
-        order = sorted(range(len(docs)), key=lambda i: -scores[i])[:m]
-        assert [d.doc_id for d in got] == [docs[i].doc_id for i in order]
-
-
 class TestExtractPassages:
     def test_muenke_item_five_present(self, bundle, corpus):
         candidates = extract_passages([corpus["23044018"]], bundle.abbreviations, bundle.stopwords,
@@ -422,32 +347,6 @@ _sentences = st.lists(st.sampled_from(CORPUS_WORDS), max_size=25).map(" ".join)
 _abstracts = st.one_of(_sentences, st.text(max_size=80))
 
 
-def passage_oracle(question, texts, bundle, k1=retrieval.DEFAULT_K1, b=retrieval.DEFAULT_B):
-    """(position, score) of every text, best first, ties in input order.
-
-    Scores each text by the BM25 formula over fresh index_terms of the
-    question and the texts, with document frequencies and the mean length
-    taken from these texts only. The arithmetic follows bm25_score term by
-    term, so equal inputs give bit-equal scores.
-    """
-    query = retrieval.index_terms(question, bundle.stopwords, bundle.concept_lexicon)
-    counts = [Counter(retrieval.index_terms(t, bundle.stopwords, bundle.concept_lexicon)) for t in texts]
-    n = len(texts)
-    avg = sum(sum(c.values()) for c in counts) / n
-    scored = []
-    for i, c in enumerate(counts):
-        norm = 1.0 - b + b * (sum(c.values()) / avg) if avg > 0 else 1.0
-        score = 0.0
-        for t in query:
-            n_q = sum(1 for other in counts if other[t])
-            weight = math.log((n - n_q + 0.5) / (n_q + 0.5))
-            if weight > 0.0 and c[t]:
-                score += weight * (c[t] * (k1 + 1.0)) / (c[t] + k1 * norm)
-        scored.append((i, score))
-    scored.sort(key=lambda pair: -pair[1])
-    return scored
-
-
 class TestPassageAnalysis:
     """Candidates carry an analysis equal to a fresh one of their text."""
 
@@ -456,8 +355,7 @@ class TestPassageAnalysis:
         candidates = extract_passages(docs, bundle.abbreviations, bundle.stopwords, bundle.concept_lexicon)
         assert candidates, "the check needs at least one sentence"
         for c in candidates:
-            assert list(c.terms) == retrieval.index_terms(c.text, bundle.stopwords, bundle.concept_lexicon)
-            assert list(c.cuis) == [m.cui for m in recognize(c.text, bundle.concept_lexicon)]
+            assert (list(c.terms), list(c.cuis)) == reference.analyse(c.text, bundle.stopwords, bundle.concept_lexicon)
 
     def test_bundled_corpus(self, bundle, corpus):
         self.check(bundle, list(corpus.values()))
@@ -471,15 +369,9 @@ class TestPassageAnalysis:
 
 
 def fresh_passages(docs, abbreviations, stopwords, bundle):
-    """The candidates of docs, each sentence analysed anew with a lexicon of
-    its own, which no earlier analysis has left state on."""
-    candidates = []
-    lexicon = TestPassageMemo.lexicon(bundle)
-    for doc in docs:
-        for i, sentence in enumerate(split_sentences(doc.abstract, abbreviations)):
-            terms, cuis = retrieval.analyse(sentence.text, stopwords, lexicon)
-            candidates.append(PassageCandidate(sentence.text, doc.doc_id, i, tuple(terms), tuple(cuis)))
-    return candidates
+    """The candidates of docs as the reference analyses them."""
+    return [PassageCandidate(p.text, p.doc_id, p.sent_index, tuple(p.terms), tuple(p.cuis))
+            for p in reference.passages(docs, abbreviations, stopwords, bundle.concept_lexicon)]
 
 
 # "dr." is a bundled abbreviation, so this splits into two sentences with
@@ -631,8 +523,14 @@ class TestWordTable:
         assert [retrieval.analyse(text, bundle.stopwords, lexicon) for text in texts] == expected
 
 
+def passage_oracle(bundle, question, texts, k1, b, top_n):
+    """reference_pipeline.rank_passages of texts for question."""
+    terms = [reference.analyse(text, bundle.stopwords, bundle.concept_lexicon)[0] for text in [question, *texts]]
+    return reference.rank_passages(terms[0], terms[1:], k1, b, top_n)
+
+
 class TestPassageOracle:
-    """rank_passages and the ideal re-rank against passage_oracle."""
+    """rank_passages and the ideal re-rank against the reference."""
 
     @settings(max_examples=100)
     @given(texts=st.lists(_sentences, min_size=1, max_size=14), question=_sentences,
@@ -641,7 +539,7 @@ class TestPassageOracle:
     def test_generated_candidates(self, bundle, texts, question, k1, b, top_n, subset):
         candidates = [analysed(bundle, t, "d", i) for i, t in enumerate(texts)]
         got = rank_passages(question_terms(bundle, question), candidates, k1=k1, b=b, top_n=top_n)
-        expected = passage_oracle(question, texts, bundle, k1, b)[:top_n]
+        expected = passage_oracle(bundle, question, texts, k1, b, top_n)
         assert [(sp.passage.sent_index, sp.score) for sp in got] == expected
         assert [sp.rank for sp in got] == list(range(1, len(got) + 1))
         # The ideal answer re-ranks the passages it is given, here the kept
@@ -650,27 +548,8 @@ class TestPassageOracle:
 
         for kept in ([sp.passage for sp in got], [candidates[i] for i in subset if i < len(candidates)]):
             ideal = ideal_answer(question_terms(bundle, question), kept, k1=k1, b=b)
-            expected = passage_oracle(question, [p.text for p in kept], bundle, k1, b)[:2] if kept else []
+            expected = passage_oracle(bundle, question, [p.text for p in kept], k1, b, 2)
             assert ideal.sources == tuple(("d", kept[i].sent_index) for i, _ in expected)
-
-    def test_bundled_questions_and_ideal_rerank(self, bundle, corpus, doc_index, appendix_questions):
-        from bioqa.answer import PipelineConfig, ideal_answer, retrieve
-
-        reranked_ten = 0
-        for q in appendix_questions.questions:
-            got = retrieve(q.body, corpus, doc_index, bundle, PipelineConfig())
-            candidates = extract_passages([corpus[sd.doc_id] for sd in got.documents], bundle.abbreviations,
-                                          bundle.stopwords, bundle.concept_lexicon)
-            expected = passage_oracle(q.body, [c.text for c in candidates], bundle)[:10] if candidates else []
-            assert [(sp.passage, sp.score) for sp in got.passages] == [(candidates[i], s) for i, s in expected]
-            # The ideal answer re-ranks the kept passages with statistics
-            # from those passages only.
-            top = [sp.passage for sp in got.passages]
-            ideal = ideal_answer(got.question_terms, top)
-            expected = passage_oracle(q.body, [p.text for p in top], bundle)[:2] if top else []
-            assert ideal.sources == tuple((top[i].doc_id, top[i].sent_index) for i, _ in expected)
-            reranked_ten += len(top) == 10
-        assert reranked_ten > 0
 
 
 def test_shared_index_safe_for_concurrent_queries(bundle, doc_index):
@@ -697,50 +576,15 @@ SEARCH_VOCAB = ["aa", "bb", "cc", "dd", "ee"]
 SEARCH_MISSING = "zz"
 
 
-def search_oracle(units, query_terms, limit, k1, b):
-    """(unit id, score) of the top units, and whether the search relaxed.
-
-    Scores every unit from the BM25 formula over the raw term lists,
-    applies the conjunctive filter with the disjunctive fallback and sorts
-    stably; it reads nothing of the index. The arithmetic follows
-    bm25_score term by term, so equal inputs give bit-equal scores and
-    ties fall the same way.
-    """
-    distinct = list(dict.fromkeys(query_terms))
-    if not distinct or limit <= 0:
-        return [], False
-    order = [f"u{i}" for i in range(len(units))]
-    counts = {uid: Counter(terms) for uid, terms in zip(order, units)}
-    candidates = [uid for uid in order if all(counts[uid][t] for t in distinct)]
-    relaxed = not candidates
-    if relaxed:
-        candidates = [uid for uid in order if any(counts[uid][t] for t in distinct)]
-    n = len(order)
-    avg = sum(len(terms) for terms in units) / n
-    weights = {}
-    for t in distinct:
-        n_q = sum(1 for uid in order if counts[uid][t])
-        weights[t] = math.log((n - n_q + 0.5) / (n_q + 0.5))
-    scored = []
-    for uid in candidates:
-        norm = 1.0 - b + b * (sum(counts[uid].values()) / avg) if avg > 0 else 1.0
-        score = 0.0
-        for t in query_terms:
-            f = counts[uid][t]
-            if weights[t] > 0.0 and f:
-                score += weights[t] * (f * (k1 + 1.0)) / (f + k1 * norm)
-        scored.append((uid, score))
-    scored.sort(key=lambda pair: -pair[1])
-    return scored[:limit], relaxed
-
-
 # ARRAY_MIN_POSTINGS values that send every search to one ranking path.
 PATHS = pytest.mark.parametrize("array_min", [10**9, 0], ids=["lists", "arrays"])
 
 
 def check_search(index, units, query_terms, limit, k1, b):
+    """search of an index over units, term lists in unit order, equals the
+    reference's, in scores, order and the relaxed flag, which is returned."""
     result = search(index, Query((), tuple(query_terms)), limit, set(), ConceptLexicon([]), k1=k1, b=b)
-    expected, relaxed = search_oracle(units, query_terms, limit, k1, b)
+    expected, relaxed = reference.search(dict(zip(index.unit_order, units)), query_terms, limit, k1, b)
     assert [(d.doc_id, d.score) for d in result.docs] == expected
     assert [d.rank for d in result.docs] == list(range(1, len(expected) + 1))
     assert result.relaxed == relaxed
@@ -772,10 +616,17 @@ class TestSearchOracle:
     @example(units=[["aa", "bb"], ["cc"], ["dd"]], query=["aa", "aa", "bb"], limit=2, k1=1.2, b=0.85)
     @example(units=[["aa"], ["bb"]], query=["zz"], limit=5, k1=1.2, b=0.85)
     @example(units=[["aa"], ["bb"], ["cc"]], query=["aa", "zz"], limit=5, k1=1.2, b=0.85)
+    @example(units=[["aa"], ["aa"], ["aa", "bb"], ["cc"]], query=["aa", "aa", "zz"], limit=10, k1=1.2, b=0.85)
     @PATHS
-    def test_matches_brute_force(self, array_min, units, query, limit, k1, b):
+    def test_matches_brute_force(
+        self, array_min, tmp_path_factory, units, query, limit, k1, b
+    ):
+        index = index_from_terms(units)
+        path = tmp_path_factory.mktemp("search") / "index.json"
+        ingest.save_index(index, path)
         with mock.patch.object(retrieval, "ARRAY_MIN_POSTINGS", array_min):
-            check_search(index_from_terms(units), units, query, limit, k1, b)
+            for searched in (index, ingest.load_index(path)):
+                check_search(searched, units, query, limit, k1, b)
 
     @settings(max_examples=150)
     @given(units=_unit_lists, added=_unit_lists, query=_query_terms, k1=_k1, b=_b)
@@ -808,66 +659,23 @@ class TestSearchOracle:
         assert [d.doc_id for d in docs] == ["u9", "u3", "u5"]
 
 
-def reference_search(index, query_terms, limit, k1, b):
-    """search restated over index.postings and index.lengths: candidates by
-    set operations in unit order, ranked by bm25_rank."""
-    distinct = list(dict.fromkeys(query_terms))
-    if not distinct or limit <= 0:
-        return [], False
-    postings = index.postings
-    holding = [set(postings.get(t, {})) for t in distinct]
-    matched = set.intersection(*holding)
-    relaxed = not matched
-    if relaxed:
-        matched = set.union(*holding)
-    candidates = [uid for uid in index.unit_order if uid in matched]
-    ranked = retrieval.bm25_rank(query_terms, candidates, postings, index.lengths, limit, k1, b)
-    return [(candidates[i], score) for i, score in ranked], relaxed
-
-
 class TestSearchKernel:
-    """Either ranking path of search is bit-equal to bm25_rank, the dict
-    kernel, in scores, order and the relaxed flag, on a built and on a
-    loaded index."""
+    """Either ranking path of search is bit-equal to the reference's search
+    of the bundled corpus's forward index, in scores, order and the relaxed
+    flag."""
 
     @PATHS
-    @settings(max_examples=200)
-    @given(units=_unit_lists, query=_query_terms, limit=st.integers(0, 14), k1=_k1, b=_b)
-    @example(units=[["aa"], ["aa"], ["aa", "bb"], ["cc"]], query=["aa", "aa", "zz"], limit=10, k1=1.2, b=0.85)
-    def test_equals_bm25_rank_before_and_after_a_round_trip(
-        self, array_min, tmp_path_factory, units, query, limit, k1, b
-    ):
-        index = index_from_terms(units)
-        path = tmp_path_factory.mktemp("kernel") / "index.json"
-        ingest.save_index(index, path)
-        with mock.patch.object(retrieval, "ARRAY_MIN_POSTINGS", array_min):
-            for searched in (index, ingest.load_index(path)):
-                result = search(searched, Query((), tuple(query)), limit, set(), ConceptLexicon([]), k1=k1, b=b)
-                expected, relaxed = reference_search(searched, query, limit, k1, b)
-                assert [(d.doc_id, d.score) for d in result.docs] == expected
-                assert result.relaxed == relaxed
-
-    @PATHS
-    def test_bundled_questions(self, array_min, bundle, doc_index, appendix_questions):
+    def test_bundled_questions(self, array_min, bundle, corpus, doc_index, appendix_questions):
         lexicon, stopwords = bundle.concept_lexicon, bundle.stopwords
+        units = reference.forward_index(corpus.values(), stopwords, lexicon)
         relaxed = 0
         with mock.patch.object(retrieval, "ARRAY_MIN_POSTINGS", array_min):
             for q in appendix_questions.questions:
-                query = formulate_query(q.body, lexicon, stopwords)
-                result = search(doc_index, query, 200, stopwords, lexicon)
-                terms = retrieval._query_index_terms(query, stopwords, lexicon)
-                expected = reference_search(doc_index, terms, 200, DEFAULT_K1, DEFAULT_B)
+                result = search(doc_index, formulate_query(q.body, lexicon, stopwords), 200, stopwords, lexicon)
+                expected = reference.search(units, reference.query_terms(q.body, stopwords, lexicon), 200)
                 assert ([(d.doc_id, d.score) for d in result.docs], result.relaxed) == expected
                 relaxed += result.relaxed
         assert 0 < relaxed < len(appendix_questions.questions)
-
-
-def reference_query_index_terms(query, stopwords, lexicon):
-    """A query's index terms by the rule written out for raw terms: each
-    concept name's index terms, otherwise each raw term's lowercased stem."""
-    if query.concept_terms:
-        return [term for name in query.concept_terms for term in retrieval.index_terms(name, stopwords, lexicon)]
-    return [stem(raw.lower()) for raw in query.raw_terms]
 
 
 class TestQueryIndexTerms:
@@ -879,9 +687,8 @@ class TestQueryIndexTerms:
     @example(text="Is imatinib an antidepressant drug?")
     def test_formulated_query_equals_reference(self, bundle, text):
         lexicon, stopwords = bundle.concept_lexicon, bundle.stopwords
-        query = formulate_query(text, lexicon, stopwords)
-        got = retrieval._query_index_terms(query, stopwords, lexicon)
-        assert got == reference_query_index_terms(query, stopwords, lexicon)
+        got = retrieval._query_index_terms(formulate_query(text, lexicon, stopwords), stopwords, lexicon)
+        assert got == reference.query_terms(text, stopwords, lexicon)
 
     @staticmethod
     def search_both(bundle, doc_index, raw):
@@ -959,87 +766,10 @@ def test_index_unchanged_by_queries(bundle, corpus, doc_index, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The search -> rerank -> passages funnel against its first, unit-at-a-time
-# form: these copies are the oracles of the term-at-a-time BM25 loop, the
-# one-pass passage postings and the similarity rows with the rerank shortcut.
+# The search -> rerank -> passages funnel against the reference: the
+# term-at-a-time BM25 loop, the one-pass passage postings and the similarity
+# rows with the rerank shortcut.
 # ---------------------------------------------------------------------------
-
-def reference_bm25_loop(units, weighted, lengths, avg, limit, k1, b):
-    """_bm25_loop unit at a time, every unit probed for every term, as
-    first written; kept verbatim as the oracle of the term-at-a-time loop."""
-    k1_plus_1, one_minus_b = k1 + 1.0, 1.0 - b
-    scores = []
-    for unit in units:
-        k1_norm = k1 * (one_minus_b + b * (lengths[unit] / avg) if avg > 0 else 1.0)
-        score = 0.0
-        for weight, holding in weighted:
-            f = holding.get(unit, 0)
-            if f:
-                score += weight * (f * k1_plus_1) / (f + k1_norm)
-        scores.append(score)
-    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)  # stable: ties keep input order
-    return [(i, scores[i]) for i in order[:max(limit, 0)]]
-
-
-def reference_rank_passages(question_terms, candidates, k1, b, top_n):
-    """rank_passages with one scan of the candidates per distinct question
-    term, then bm25_rank over reference_bm25_loop, as first written; the
-    result as (candidate, score, rank) tuples."""
-    postings = {}
-    for term in dict.fromkeys(question_terms):
-        holding = {i: c.terms.count(term) for i, c in enumerate(candidates) if term in c.terms}
-        if holding:
-            postings[term] = holding
-    lengths = {i: len(c.terms) for i, c in enumerate(candidates)}
-    n_units = len(lengths)
-    avg = sum(lengths.values()) / n_units if n_units else 0.0
-    idf = {}
-    for term in dict.fromkeys(question_terms):
-        n_q = len(postings.get(term, {}))
-        idf[term] = math.log((n_units - n_q + 0.5) / (n_q + 0.5))
-    weighted = [(idf[term], postings[term]) for term in question_terms if idf[term] > 0.0 and term in postings]
-    ranked = reference_bm25_loop(range(len(candidates)), weighted, lengths, avg, top_n, k1, b)
-    return [(candidates[i], score, rank) for rank, (i, score) in enumerate(ranked, 1)]
-
-
-def reference_similarity_sum(question_cuis, title_cuis, graph, memo):
-    """The title's summed path similarity over a memo keyed by (cui, cui)
-    pairs, as first written; memo stands for the graph's."""
-    total = 0.0
-    for qc in question_cuis:
-        if qc not in graph:
-            continue
-        for tc in title_cuis:
-            if tc not in graph:
-                continue
-            pair = (qc, tc)
-            if pair in memo:
-                sim = memo[pair]
-            else:
-                sim = memo[pair] = path_similarity(qc, tc, graph)
-            if sim is not None:
-                total += sim
-    return total
-
-
-def reference_rerank_documents(question, docs, lexicon, graph, m, memo):
-    """rerank_documents scoring every title whatever the question, as first
-    written; the result as (doc id, score, rank) tuples."""
-    lowered = [s.lower() for s in token_surfaces(question)]
-    question_cuis = [cui for _, _, cui in longest_matches(lowered, lexicon)]
-    scored = [(reference_similarity_sum(question_cuis, title_cuis(doc.title, lexicon), graph, memo), doc)
-              for doc in docs]
-    scored.sort(key=lambda pair: -pair[0])
-    return [(doc.doc_id, score, rank) for rank, (score, doc) in enumerate(scored[:m], 1)]
-
-
-# Loop units: u0-u3 may be listed twice or hold no posting; u4 and u5 hold
-# postings but are never listed. A count of 0 is a posting that adds nothing.
-_LOOP_UNITS = ["u0", "u1", "u2", "u3", "u4", "u5"]
-_loop_weighted = st.lists(
-    st.tuples(st.floats(-2.0, 4.0), st.dictionaries(st.sampled_from(_LOOP_UNITS), st.integers(0, 3), max_size=6)),
-    max_size=6,
-)
 
 # Rerank concepts: K0-K4 are recognized as word0-word4. The drawn edges put
 # only some of them in the hierarchy, and "other" is no concept at all.
@@ -1055,29 +785,8 @@ _rerank_edges = st.lists(
 
 
 class TestFunnelOracle:
-    """search's BM25 loop, rank_passages, row_sum over similarity_rows and
-    rerank_documents are bit-equal, in scores and order, to their
-    unit-at-a-time references."""
-
-    @settings(max_examples=400)
-    @given(
-        units=st.lists(st.sampled_from(_LOOP_UNITS[:4]), max_size=8),
-        weighted=_loop_weighted,
-        lengths=st.fixed_dictionaries({u: st.integers(0, 30) for u in _LOOP_UNITS}),
-        avg=st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
-        limit=st.integers(-2, 10),
-        k1=st.floats(0.1, 3.0),
-        b=st.floats(0.0, 1.0),
-    )
-    # 0.0 + 1 + 1e-16 + 1e-16 rounds to 1.0; summed from the last term, to
-    # the next double above it.
-    @example(units=["u0"], weighted=[(1.0, {"u0": 1}), (1e-16, {"u0": 1}), (1e-16, {"u0": 1})],
-             lengths=dict.fromkeys(_LOOP_UNITS, 1), avg=0.0, limit=1, k1=1.0, b=0.0)
-    @example(units=["u1", "u0", "u1", "u2"], weighted=[(0.5, {"u4": 2, "u1": 1, "u0": 0})],
-             lengths=dict.fromkeys(_LOOP_UNITS, 2), avg=2.0, limit=3, k1=1.2, b=0.85)
-    def test_bm25_loop_equals_reference(self, units, weighted, lengths, avg, limit, k1, b):
-        got = retrieval._bm25_loop(units, weighted, lengths, avg, limit, k1, b)
-        assert repr(got) == repr(reference_bm25_loop(units, weighted, lengths, avg, limit, k1, b))
+    """rank_passages, row_sum over similarity_rows and rerank_documents are
+    bit-equal, in scores and order, to the reference."""
 
     @settings(max_examples=300)
     @given(
@@ -1092,7 +801,8 @@ class TestFunnelOracle:
     def test_rank_passages_equals_reference(self, sentences, question, top_n, k1, b):
         candidates = [PassageCandidate(" ".join(terms), "d", i, tuple(terms), ()) for i, terms in enumerate(sentences)]
         got = [(p.passage, p.score, p.rank) for p in rank_passages(question, candidates, k1, b, top_n)]
-        assert repr(got) == repr(reference_rank_passages(question, candidates, k1, b, top_n))
+        ranked = reference.rank_passages(question, sentences, k1, b, top_n)
+        assert repr(got) == repr([(candidates[i], score, rank) for rank, (i, score) in enumerate(ranked, 1)])
 
     @settings(max_examples=200)
     @given(edges=_rerank_edges, pairs=st.lists(
@@ -1101,36 +811,20 @@ class TestFunnelOracle:
     ))
     def test_similarity_sum_equals_reference(self, edges, pairs):
         # Later pairs read the rows filled by earlier ones.
-        graph, memo = ConceptGraph.from_edges(edges), {}
+        graph = ConceptGraph.from_edges(edges)
         for question_cuis, cuis in pairs:
             got = row_sum(similarity_rows(question_cuis, graph), cuis)
-            assert repr(got) == repr(reference_similarity_sum(question_cuis, cuis, graph, memo))
+            assert repr(got) == repr(reference.similarity_sum(question_cuis, cuis, graph))
 
     @settings(max_examples=300)
     @given(edges=_rerank_edges, titles=st.lists(_rerank_text, max_size=10),
            asked=st.lists(st.tuples(_rerank_text, st.integers(-2, 12)), min_size=1, max_size=3))
     @example(edges=[("K1", "K2")], titles=["word0", "word2", "word1"], asked=[("word0 word1", 3)])
     def test_rerank_equals_reference(self, edges, titles, asked):
-        graph, memo = ConceptGraph.from_edges(edges), {}
+        graph = ConceptGraph.from_edges(edges)
         docs = [DocumentRecord(f"d{j}", title, "") for j, title in enumerate(titles)]
+        cuis = [(doc.doc_id, reference.analyse(doc.title, set(), _RERANK_LEXICON)[1]) for doc in docs]
         for question, m in asked:
             got = [tuple(d) for d in rerank_documents(question, docs, _RERANK_LEXICON, graph, m)]
-            # m < 0 keeps nothing now; the first form sliced [:m].
-            want = reference_rerank_documents(question, docs, _RERANK_LEXICON, graph, max(m, 0), memo)
-            assert repr(got) == repr(want)
-
-    def test_bundled_questions_equal_reference(self, bundle, corpus, doc_index, appendix_questions):
-        lexicon, stopwords = bundle.concept_lexicon, bundle.stopwords
-        memo, reranked = {}, 0
-        for q in appendix_questions.questions:
-            found = search(doc_index, formulate_query(q.body, lexicon, stopwords), 200, stopwords, lexicon)
-            docs = [corpus[d.doc_id] for d in found.docs]
-            got = [tuple(d) for d in rerank_documents(q.body, docs, lexicon, bundle.graph, 10)]
-            assert repr(got) == repr(reference_rerank_documents(q.body, docs, lexicon, bundle.graph, 10, memo))
-            reranked += any(score for _, score, _ in got)
-            candidates = extract_passages([corpus[doc_id] for doc_id, _, _ in got],
-                                          bundle.abbreviations, stopwords, lexicon)
-            terms = question_terms(bundle, q.body)
-            passages = [(p.passage, p.score, p.rank) for p in rank_passages(terms, candidates)]
-            assert repr(passages) == repr(reference_rank_passages(terms, candidates, DEFAULT_K1, DEFAULT_B, 10))
-        assert 0 < reranked < len(appendix_questions.questions)
+            ranked = reference.rerank(reference.analyse(question, set(), _RERANK_LEXICON)[1], cuis, graph, m)
+            assert repr(got) == repr([(doc_id, score, rank) for rank, (doc_id, score) in enumerate(ranked, 1)])

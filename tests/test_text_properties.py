@@ -8,9 +8,9 @@ then stems and longest_matches over the same lowercased surfaces) must
 equal a two-pass analysis over Token objects and recognize, on the same
 texts and on every bundled sentence, title and question. So must the
 yes/no vote's passage_sentiment, which tags only sentiment words, equal
-one that tags every token, and pattern_matches, which tries every pattern
-at one token position before the next, equal a scan of every token by each
-pattern in turn, filtered to the earliest shift.
+the reference pipeline's, which tags every token, and pattern_matches,
+which tries every pattern at one token position before the next, equal the
+reference's scan of every token by each pattern in turn.
 The question's tags and topic features, read from its token surfaces,
 must equal references over Token objects and recognize, and its query's
 raw terms must be the surfaces analyse indexes as stems.
@@ -28,21 +28,11 @@ from bioqa.conceptlex import (
     ConceptLexicon,
     SentimentEntry,
     SentimentLexicon,
-    coarse_tag_class,
     recognize,
     title_cuis,
-    word_sentiment,
 )
 from bioqa.ingest import load_corpus, load_questions, load_resources
-from bioqa.qclass import (
-    AnyTag,
-    FeatureExtractor,
-    LiteralSet,
-    PatternMatch,
-    Star,
-    extract_topic_features,
-    pattern_matches,
-)
+from bioqa.qclass import FeatureExtractor, extract_topic_features, pattern_matches
 from bioqa.retrieval import Query, analyse, formulate_query
 from bioqa.textproc import (
     _BOUNDARY_RE,
@@ -57,7 +47,8 @@ from bioqa.textproc import (
     word_tag,
 )
 
-from conftest import RESOURCE_DIR, earliest
+import reference_pipeline as reference
+from conftest import RESOURCE_DIR
 
 BUNDLE = load_resources(RESOURCE_DIR / "manifest.json")
 DOCS = load_corpus(RESOURCE_DIR / "corpus.jsonl")
@@ -359,14 +350,6 @@ class TestQuestionFeaturesFromSurfaces:
             check_question_features(case(text))
 
 
-def reference_sentiment(text, sentiment, tag_lexicon):
-    """Reference passage_sentiment: tag every token, sum every word's score."""
-    return sum(
-        word_sentiment(t.surface.lower(), coarse_tag_class(tag), sentiment)
-        for t, tag in reference_tag(text, tag_lexicon)
-    )
-
-
 # A small lexicon pair on which the tag decides the score: "well" and
 # "improve" have class-specific entries and a second class, "risk" has an
 # empty tag entry (class "any") where the heuristics would say NN, and
@@ -404,7 +387,7 @@ _sentiment_texts = st.lists(
 
 def check_sentiment(text):
     for sentiment, tag_lexicon in LEXICONS.values():
-        assert passage_sentiment(text, sentiment, tag_lexicon) == reference_sentiment(text, sentiment, tag_lexicon)
+        assert passage_sentiment(text, sentiment, tag_lexicon) == reference.passage_sentiment(text, sentiment, tag_lexicon)
 
 
 class TestSentimentVote:
@@ -456,84 +439,10 @@ class TestSentimentVote:
         assert tagged > 5
 
 
-_UNSET = object()
-
-
-def _matcher(elements, tags, lowered):
-    """qclass._matcher as it was before the grammar was compiled, its code
-    unchanged: match(i, pos) gives the features elements[i:] capture when matched from
-    token pos, or None; stars take the shortest run first, and results are
-    memoised per (i, pos) for one pattern over one question."""
-    n = len(tags)
-    memo = [[_UNSET] * (n + 1) for _ in elements]
-
-    def match(i, pos):
-        if i == len(elements):
-            return ()
-        known = memo[i]
-        result = known[pos]
-        if result is not _UNSET:
-            return result
-        head = elements[i]
-        if isinstance(head, Star):
-            end = pos
-            while end <= n:
-                result = known[end]
-                if result is not _UNSET:
-                    break
-                result = match(i + 1, end)
-                if result is not None:
-                    break
-                end += 1
-            for p in range(pos, min(end, n) + 1):
-                known[p] = result
-            return result
-        result = None
-        if pos < n:
-            if isinstance(head, LiteralSet):
-                if lowered[pos] in head.starts:
-                    for phrase in head.phrases:
-                        if tuple(lowered[pos:pos + len(phrase)]) != phrase:
-                            continue
-                        sub = match(i + 1, pos + len(phrase))
-                        if sub is not None:
-                            result = ((" ".join(phrase),) if head.capture else ()) + sub
-                            break
-            elif isinstance(head, AnyTag) or tags[pos] == head.tag:
-                sub = match(i + 1, pos + 1)
-                if sub is not None:
-                    result = (tags[pos], *sub)
-        known[pos] = result
-        return result
-
-    return match
-
-
-def reference_pattern_matches(tagged, patterns):
-    """Reference pattern_matches before the earliest-shift filter: every
-    pattern that starts with a word set scans every token position for one
-    of its start words, and each pattern gives its first match and the
-    shift it starts at."""
-    tags = [tag for _, tag in tagged]
-    lowered = [surface.lower() for surface, _ in tagged]
-    matches = []
-    for pattern in patterns:
-        match = _matcher(pattern.elements, tags, lowered)
-        shifts = range(len(tagged))
-        if pattern.elements and isinstance(pattern.elements[0], LiteralSet):
-            shifts = [shift for shift in shifts if lowered[shift] in pattern.elements[0].starts]
-        for shift in shifts:
-            captured = match(0, shift)
-            if captured is not None:
-                matches.append((shift, PatternMatch(pattern, tuple(sorted(Counter(captured).items())))))
-                break
-    return matches
-
-
 def check_pattern_matches(question):
     tagged = FeatureExtractor(BUNDLE.tag_lexicon, BUNDLE.patterns).tag(question)
     got = pattern_matches(tagged, BUNDLE.patterns)
-    assert got == earliest(reference_pattern_matches(tagged, BUNDLE.patterns))
+    assert got == reference.pattern_matches(tagged, BUNDLE.patterns)
     return got
 
 
