@@ -6,7 +6,7 @@ answer_pipeline is checked against end to end. Each step is written once,
 as PAPER.md states it, with no memo, postings, index array or cache:
 
 - concept_matches: greedy longest match over the lexicon's surface forms;
-- bm25 and search: the direct BM25 formula over a forward index (unit id
+- term_score, bm25 and search: the direct BM25 formula over a forward index (unit id
   -> index terms) at full depth, conjunctive, then relaxed to any term;
 - path_similarity and rerank: breadth-first search, and titles ordered by
   the summed similarity of their concepts to the question's;
@@ -78,6 +78,14 @@ def idf(n_units, n_q):
     return math.log((n_units - n_q + 0.5) / (n_q + 0.5))
 
 
+def term_score(weight, f, length, avg, k1=DEFAULT_K1, b=DEFAULT_B):
+    """What one occurrence of a query term of the given idf weight adds to
+    a unit of length that holds it f times; avg is the mean unit length, 0
+    when no unit has a term."""
+    norm = (1.0 - b) + b * (length / avg) if avg else 1.0
+    return weight * (f * (k1 + 1.0)) / (f + k1 * norm)
+
+
 def bm25(query, units, k1=DEFAULT_K1, b=DEFAULT_B):
     """The Okapi BM25 score of each unit, a list of index terms, for the
     query's terms in query order, repeats counted. N, each term's number of
@@ -87,12 +95,11 @@ def bm25(query, units, k1=DEFAULT_K1, b=DEFAULT_B):
     weights = {term: idf(len(units), sum(term in unit for unit in units)) for term in query}
     scores = []
     for unit in units:
-        norm = (1.0 - b) + b * (len(unit) / avg) if avg else 1.0
         score = 0.0
         for term in query:
             f = unit.count(term)
             if f and weights[term] > 0.0:
-                score += weights[term] * (f * (k1 + 1.0)) / (f + k1 * norm)
+                score += term_score(weights[term], f, len(unit), avg, k1, b)
         scores.append(score)
     return scores
 

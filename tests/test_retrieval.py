@@ -275,6 +275,29 @@ class TestRerank:
         assert scores == sorted(scores, reverse=True)
 
 
+def test_rerank_matches_bruteforce_on_random_instances():
+    # Random hierarchies, cycles included; scores must be bit-equal too.
+    rng = random.Random(2024)
+    for _ in range(120):
+        n_concepts = rng.randint(2, 8)
+        cuis = [f"K{i}" for i in range(n_concepts)]
+        lexicon = ConceptLexicon([Concept(c, f"word{i}", "T0", "Thing") for i, c in enumerate(cuis)])
+        graph = ConceptGraph.from_edges([tuple(rng.sample(cuis, 2)) for _ in range(rng.randint(1, 10))])
+
+        def sentence():
+            return " ".join(f"word{rng.randrange(n_concepts)}" for _ in range(rng.randint(0, 4)))
+
+        def cuis_of(text):
+            return [f"K{w[4:]}" for w in text.split()]
+
+        question = sentence()
+        docs = [DocumentRecord(f"d{j}", sentence() or "word0", "") for j in range(rng.randint(1, 10))]
+        m = rng.randint(1, len(docs))
+        got = rerank_documents(question, docs, lexicon, graph, m)
+        titles = [(doc.doc_id, cuis_of(doc.title)) for doc in docs]
+        assert [(d.doc_id, d.score) for d in got] == reference.rerank(cuis_of(question), titles, graph, m)
+
+
 class TestExtractPassages:
     def test_muenke_item_five_present(self, bundle, corpus):
         candidates = extract_passages([corpus["23044018"]], bundle.abbreviations, bundle.stopwords,
@@ -551,6 +574,26 @@ class TestPassageOracle:
             expected = passage_oracle(bundle, question, [p.text for p in kept], k1, b, 2)
             assert ideal.sources == tuple(("d", kept[i].sent_index) for i, _ in expected)
 
+    def test_bundled_questions_and_ideal_rerank(self, bundle, corpus, doc_index, appendix_questions):
+        from bioqa.answer import PipelineConfig, ideal_answer, retrieve
+
+        config, reranked_full = PipelineConfig(), 0
+        for q in appendix_questions.questions:
+            got = retrieve(q.body, corpus, doc_index, bundle, config)
+            candidates = extract_passages([corpus[sd.doc_id] for sd in got.documents], bundle.abbreviations,
+                                          bundle.stopwords, bundle.concept_lexicon)
+            expected = passage_oracle(bundle, q.body, [c.text for c in candidates], config.k1, config.b,
+                                      config.top_passages)
+            assert [(sp.passage, sp.score) for sp in got.passages] == [(candidates[i], s) for i, s in expected]
+            # The ideal answer re-ranks the kept passages with statistics
+            # from those passages only.
+            top = [sp.passage for sp in got.passages]
+            ideal = ideal_answer(got.question_terms, top)
+            expected = passage_oracle(bundle, q.body, [p.text for p in top], config.k1, config.b, 2)
+            assert ideal.sources == tuple((top[i].doc_id, top[i].sent_index) for i, _ in expected)
+            reranked_full += len(top) == config.top_passages
+        assert reranked_full > 0
+
 
 def test_shared_index_safe_for_concurrent_queries(bundle, doc_index):
     # A built index is immutable; concurrent scoring must agree with serial.
@@ -784,9 +827,46 @@ _rerank_edges = st.lists(
 )
 
 
+# Units u0-u3 are ranked; u4 and u5 hold terms but are not among them.
+_LOOP_UNITS = ["u0", "u1", "u2", "u3", "u4", "u5"]
+_loop_weighted = st.lists(
+    st.tuples(st.floats(-2.0, 4.0), st.dictionaries(st.sampled_from(_LOOP_UNITS), st.integers(0, 3), max_size=6)),
+    max_size=6,
+)
+
+
 class TestFunnelOracle:
-    """rank_passages, row_sum over similarity_rows and rerank_documents are
-    bit-equal, in scores and order, to the reference."""
+    """search's BM25 loop, rank_passages, row_sum over similarity_rows and
+    rerank_documents are bit-equal, in scores and order, to the reference."""
+
+    @settings(max_examples=400)
+    @given(
+        units=st.lists(st.sampled_from(_LOOP_UNITS[:4]), max_size=8),
+        weighted=_loop_weighted,
+        lengths=st.fixed_dictionaries({u: st.integers(0, 30) for u in _LOOP_UNITS}),
+        avg=st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
+        limit=st.integers(-2, 10),
+        k1=st.floats(0.1, 3.0),
+        b=st.floats(0.0, 1.0),
+    )
+    # 0.0 + 1 + 1e-16 + 1e-16 rounds to 1.0; summed from the last term, to
+    # the next double above it.
+    @example(units=["u0"], weighted=[(1.0, {"u0": 1}), (1e-16, {"u0": 1}), (1e-16, {"u0": 1})],
+             lengths=dict.fromkeys(_LOOP_UNITS, 1), avg=0.0, limit=1, k1=1.0, b=0.0)
+    @example(units=["u1", "u0", "u1", "u2"], weighted=[(0.5, {"u4": 2, "u1": 1, "u0": 0})],
+             lengths=dict.fromkeys(_LOOP_UNITS, 2), avg=2.0, limit=3, k1=1.2, b=0.85)
+    def test_bm25_loop_equals_reference(self, units, weighted, lengths, avg, limit, k1, b):
+        got = retrieval._bm25_loop(units, weighted, lengths, avg, limit, k1, b)
+        # Each unit's term occurrences added in query order from 0.0; a
+        # unit listed twice is scored at both places.
+        scores = []
+        for unit in units:
+            score = 0.0
+            for weight, holding in weighted:
+                if holding.get(unit, 0):
+                    score += reference.term_score(weight, holding[unit], lengths[unit], avg, k1, b)
+            scores.append(score)
+        assert repr(got) == repr([(i, scores[i]) for i in reference.top(scores, limit)])
 
     @settings(max_examples=300)
     @given(
@@ -828,3 +908,26 @@ class TestFunnelOracle:
             got = [tuple(d) for d in rerank_documents(question, docs, _RERANK_LEXICON, graph, m)]
             ranked = reference.rerank(reference.analyse(question, set(), _RERANK_LEXICON)[1], cuis, graph, m)
             assert repr(got) == repr([(doc_id, score, rank) for rank, (doc_id, score) in enumerate(ranked, 1)])
+
+    def test_bundled_questions_equal_reference(self, bundle, corpus, doc_index, appendix_questions):
+        # Each step is fed the program's output of the step before it.
+        lexicon, stopwords = bundle.concept_lexicon, bundle.stopwords
+        reranked = 0
+        for q in appendix_questions.questions:
+            found = search(doc_index, formulate_query(q.body, lexicon, stopwords), 200, stopwords, lexicon)
+            docs = [corpus[d.doc_id] for d in found.docs]
+            terms, cuis = reference.analyse(q.body, stopwords, lexicon)
+            got = [tuple(d) for d in rerank_documents(q.body, docs, lexicon, bundle.graph, 10)]
+            titles = [(doc.doc_id, reference.analyse(doc.title, stopwords, lexicon)[1]) for doc in docs]
+            ranked = reference.rerank(cuis, titles, bundle.graph, 10)
+            assert repr(got) == repr([(doc_id, score, rank) for rank, (doc_id, score) in enumerate(ranked, 1)])
+            reranked += any(score for _, score, _ in got)
+            kept = [corpus[doc_id] for doc_id, _, _ in got]
+            candidates = extract_passages(kept, bundle.abbreviations, stopwords, lexicon)
+            passages = [(p.passage.doc_id, p.passage.sent_index, p.score, p.rank)
+                        for p in rank_passages(question_terms(bundle, q.body), candidates)]
+            sentences = reference.passages(kept, bundle.abbreviations, stopwords, lexicon)
+            ranked = reference.rank_passages(terms, [s.terms for s in sentences])
+            assert repr(passages) == repr([(sentences[i].doc_id, sentences[i].sent_index, score, rank)
+                                           for rank, (i, score) in enumerate(ranked, 1)])
+        assert 0 < reranked < len(appendix_questions.questions)
