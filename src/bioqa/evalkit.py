@@ -12,6 +12,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from .textproc import stem as porter_stem
 
@@ -153,16 +154,25 @@ def _score_from_counts(matches: float, ref_total: float, cand_total: float, beta
     return (1 + b2) * precision * recall / (recall + b2 * precision)
 
 
-def _rouge_units_score(cand_units: Counter, ref_units_per_ref: list[Counter], beta) -> float:
+def _rouge(candidate: str, references, units, beta, stem_tokens: bool) -> float:
+    """The ROUGE score of candidate against references (one string or
+    several), each tokenized and then counted by units(tokens)."""
     _check_beta(beta)
+    if isinstance(references, str):
+        references = [references]
+    cand_units = units(_rouge_tokens(candidate, stem_tokens))
     # With several references the best one counts; with none the score is 0.
     cand_total = sum(cand_units.values())
     scores = [
         _score_from_counts(sum(min(c, ref_units[u]) for u, c in cand_units.items()),
                            sum(ref_units.values()), cand_total, beta)
-        for ref_units in ref_units_per_ref
+        for ref_units in (units(_rouge_tokens(r, stem_tokens)) for r in references)
     ]
     return max(scores, default=0.0)
+
+
+def _ngrams(tokens: list[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
 def rouge_n(candidate: str, references, n: int = 2, *, beta=None, stem_tokens: bool = False) -> float:
@@ -174,15 +184,7 @@ def rouge_n(candidate: str, references, n: int = 2, *, beta=None, stem_tokens: b
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if isinstance(references, str):
-        references = [references]
-    cand = _rouge_tokens(candidate, stem_tokens)
-    cand_units = Counter(tuple(cand[i : i + n]) for i in range(len(cand) - n + 1))
-    ref_units = [
-        Counter(tuple(toks[i : i + n]) for i in range(len(toks) - n + 1))
-        for toks in (_rouge_tokens(r, stem_tokens) for r in references)
-    ]
-    return _rouge_units_score(cand_units, ref_units, beta)
+    return _rouge(candidate, references, partial(_ngrams, n=n), beta, stem_tokens)
 
 
 def _su_units(tokens: list[str], max_skip: int) -> Counter:
@@ -200,11 +202,7 @@ def rouge_su(candidate: str, references, max_skip: int = DEFAULT_MAX_SKIP, *, be
     """Skip-bigram plus unigram overlap (ROUGE-SU)."""
     if max_skip < 0:
         raise ValueError(f"max_skip must be >= 0, got {max_skip}")
-    if isinstance(references, str):
-        references = [references]
-    cand_units = _su_units(_rouge_tokens(candidate, stem_tokens), max_skip)
-    ref_units = [_su_units(_rouge_tokens(r, stem_tokens), max_skip) for r in references]
-    return _rouge_units_score(cand_units, ref_units, beta)
+    return _rouge(candidate, references, partial(_su_units, max_skip=max_skip), beta, stem_tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import is_hypothesis_test, seed, settings
 
 from bioqa import ingest, qclass, retrieval
+from bioqa.conceptlex import Concept, ConceptGraph, ConceptLexicon
 from bioqa.qclass import FeatureExtractor
 
 RESOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "bioqa" / "resources"
@@ -56,6 +57,52 @@ def index_from_terms(rows, ids=None) -> retrieval.IndexedCorpus:
     unit per row, named by ids or else u0, u1, ..."""
     ids = ids or [f"u{i}" for i in range(len(rows))]
     return retrieval.IndexedCorpus.from_terms(zip(ids, rows))
+
+
+def random_bm25_case(rng):
+    """(units, query, k1, b): 1 to 20 units of 1 to 10 terms and a query of
+    1 to 5 terms, all drawn from 15 terms, with k1 and b drawn from a few
+    values that include b = 0 and b = 1."""
+    vocab = [f"t{i}" for i in range(15)]
+    units = [[rng.choice(vocab) for _ in range(rng.randint(1, 10))] for _ in range(rng.randint(1, 20))]
+    query = [rng.choice(vocab) for _ in range(rng.randint(1, 5))]
+    return units, query, rng.choice([0.6, 1.2, 1.8]), rng.choice([0.0, 0.4, 0.85, 1.0])
+
+
+def random_rerank_case(rng):
+    """(lexicon, graph, question, docs, m): 2 to 8 concepts K<i> named
+    word<i>, a hierarchy of 1 to 10 edges, each between two distinct
+    concepts, cycles included, a question of 0 to 4 such words, 1 to 10 documents whose
+    titles are 1 to 4 of them, and a rerank depth m from 1 to their number."""
+    n_concepts = rng.randint(2, 8)
+    cuis = [f"K{i}" for i in range(n_concepts)]
+    lexicon = ConceptLexicon([Concept(c, f"word{i}", "T0", "Thing") for i, c in enumerate(cuis)])
+    graph = ConceptGraph.from_edges([tuple(rng.sample(cuis, 2)) for _ in range(rng.randint(1, 10))])
+
+    def sentence():
+        return " ".join(f"word{rng.randrange(n_concepts)}" for _ in range(rng.randint(0, 4)))
+
+    question = sentence()
+    docs = [retrieval.DocumentRecord(f"d{j}", sentence() or "word0", "") for j in range(rng.randint(1, 10))]
+    return lexicon, graph, question, docs, rng.randint(1, len(docs))
+
+
+def word_cuis(text):
+    """The cuis a random_rerank_case text names, one per word."""
+    return [f"K{word[4:]}" for word in text.split()]
+
+
+def spy_bindings(monkeypatch, functions, wrap):
+    """Bind wrap(f) in place of every binding of each of functions in the
+    loaded bioqa modules, for the test's length; returns how many it bound."""
+    bound = 0
+    for name, module in list(sys.modules.items()):
+        if name == "bioqa" or name.startswith("bioqa."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in functions):
+                    monkeypatch.setattr(module, attr, wrap(value))
+                    bound += 1
+    return bound
 
 
 def assert_same_retrieval(got, expected):

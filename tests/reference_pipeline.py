@@ -6,6 +6,8 @@ answer_pipeline is checked against end to end. Each step is written once,
 as PAPER.md states it, with no memo, postings, index array or cache:
 
 - concept_matches: greedy longest match over the lexicon's surface forms;
+- analyse, query and topic_features: a text's index terms and cuis, a
+  question's concept names and raw terms, and its topic features;
 - term_score, bm25 and search: the direct BM25 formula over a forward index (unit id
   -> index terms) at full depth, conjunctive, then relaxed to any term;
 - path_similarity and rerank: breadth-first search, and titles ordered by
@@ -13,7 +15,9 @@ as PAPER.md states it, with no memo, postings, index array or cache:
 - rank_passages: BM25 over sentences, with statistics from them alone;
 - entities: concept counts over the passages, the question's excluded;
 - passage_sentiment and yesno: the sentiment vote;
-- first_matches and pattern_matches: the question grammar's matcher.
+- first_matches and pattern_matches: the question grammar's matcher;
+- average_precision, mrr, ngrams, skip_units and rouge: the evaluation
+  measures, each from its definition.
 
 Tokenizing, stemming, sentence splitting and tagging are taken from
 bioqa.textproc as they are, since each has an oracle of its own. Scores use
@@ -23,6 +27,7 @@ bit-equal scores and ties fall the same way.
 
 import math
 from collections import Counter, deque
+from itertools import combinations
 from typing import NamedTuple
 
 from bioqa.answer import FACTOID_CAP
@@ -60,13 +65,37 @@ def analyse(text, stopwords, lexicon):
     return [stem(word) for word in lowered if is_content_word(word, stopwords)] + cuis, cuis
 
 
+def query(question, stopwords, lexicon):
+    """(concept names, raw terms) of a question: the preferred name of each
+    concept it mentions, each once in first-mention order, and the surface
+    of each of its content words."""
+    surfaces = token_surfaces(question)
+    lowered = [surface.lower() for surface in surfaces]
+    names = dict.fromkeys(lexicon.get(cui).preferred for _, _, cui in concept_matches(lowered, lexicon))
+    return tuple(names), tuple(s for s, low in zip(surfaces, lowered) if is_content_word(low, stopwords))
+
+
 def query_terms(question, stopwords, lexicon):
-    """The index terms search looks for: those of the preferred name of
-    each concept the question mentions, each name once, or the question's
-    own when it mentions none."""
-    terms, cuis = analyse(question, stopwords, lexicon)
-    names = dict.fromkeys(lexicon.get(cui).preferred for cui in cuis)
-    return [term for name in names for term in analyse(name, stopwords, lexicon)[0]] if names else terms
+    """The index terms search looks for: those of each concept name of the
+    query, or the stems of its raw terms when it names no concept."""
+    names, raw_terms = query(question, stopwords, lexicon)
+    if names:
+        return [term for name in names for term in analyse(name, stopwords, lexicon)[0]]
+    return [stem(surface.lower()) for surface in raw_terms]
+
+
+def topic_features(question, stopwords, lexicon):
+    """extract_topic_features without dependency pairs: the counts of the
+    content words' surfaces, of each pair of adjacent surfaces, of the
+    content words' stems and of each mentioned concept's cui and tui,
+    summed."""
+    surfaces = token_surfaces(question)
+    content = [s for s in surfaces if is_content_word(s.lower(), stopwords)]
+    concepts = [lexicon.get(cui) for _, _, cui in concept_matches([s.lower() for s in surfaces], lexicon)]
+    return dict(
+        Counter(content) + Counter(f"{a}-{b}" for a, b in zip(surfaces, surfaces[1:]))
+        + Counter(stem(s.lower()) for s in content) + Counter(c.cui for c in concepts) + Counter(c.tui for c in concepts)
+    )
 
 
 def forward_index(documents, stopwords, lexicon):
@@ -347,3 +376,49 @@ def answer(question_id, question, got, model, resources, config):
         "snippets": [{"document": p.doc_id, "text": p.text, "rank": rank} for rank, p in enumerate(kept, 1)],
         "flags": flags,
     }
+
+
+# Evaluation: the BioASQ measures, over ids and token lists.
+
+
+def average_precision(ranked, gold):
+    """The precision at each rank that holds a gold item, summed over the
+    number of distinct gold items, found or not."""
+    gold = set(gold)
+    hits, total = 0, 0.0
+    for r, item in enumerate(ranked, 1):
+        if item in gold:
+            hits += 1
+            total += hits / r
+    return total / len(gold)
+
+
+def mrr(ranks):
+    """The mean of 1 / rank over every question; a question whose answer
+    was never found, rank None, adds 0."""
+    return sum(1.0 / r for r in ranks if r is not None) / len(ranks)
+
+
+def ngrams(tokens, n):
+    """The multiset of every run of n consecutive tokens."""
+    return Counter(tuple(tokens[i:i + n]) for i in range(max(0, len(tokens) - n + 1)))
+
+
+def skip_units(tokens, max_skip):
+    """ROUGE-SU's units: each token, and each ordered pair of tokens with at
+    most max_skip tokens between them, in one multiset."""
+    units = Counter(("u", token) for token in tokens)
+    for i, j in combinations(range(len(tokens)), 2):
+        if j - i - 1 <= max_skip:
+            units["s", tokens[i], tokens[j]] += 1
+    return units
+
+
+def rouge(candidate, references):
+    """ROUGE recall (Lin 2004) of candidate units against the best of the
+    references' units: each reference unit matches at most as often as the
+    candidate holds it. 0 with no reference, and against an empty one."""
+    def recall(reference):
+        total = sum(reference.values())
+        return sum(min(candidate[unit], count) for unit, count in reference.items()) / total if total else 0.0
+    return max(map(recall, references), default=0.0)

@@ -28,7 +28,7 @@ from bioqa.retrieval import DocumentRecord, build_index, extract_passages
 from bioqa.textproc import TagLexicon
 
 import reference_pipeline as reference
-from conftest import RESOURCE_DIR, analysed, assert_same_retrieval, question_cuis, question_terms
+from conftest import RESOURCE_DIR, analysed, assert_same_retrieval, question_cuis, question_terms, spy_bindings
 
 
 CTCF_QUESTION = "Does the CTCF protein co-localize with cohesin?"
@@ -294,8 +294,6 @@ class TestAnalysedOnce:
     def test_each_sentence_analysed_once_and_later_stages_analyse_nothing(
         self, corpus, doc_index, type_model, appendix_questions, monkeypatch
     ):
-        import sys
-
         from bioqa import answer as answer_mod
         from bioqa import conceptlex, retrieval, textproc
 
@@ -337,11 +335,7 @@ class TestAnalysedOnce:
                 return result
             return wrapper
 
-        for name, module in list(sys.modules.items()):
-            if name == "bioqa" or name.startswith("bioqa."):
-                for attr, value in list(vars(module).items()):
-                    if any(value is f for f in analysers):
-                        monkeypatch.setattr(module, attr, spy(value))
+        spy_bindings(monkeypatch, analysers, spy)
         for name in ("rank_passages", "ideal_answer", "answer_yesno", "answer_factoid", "answer_list"):
             monkeypatch.setattr(answer_mod, name, staged(name, getattr(answer_mod, name)))
         monkeypatch.setattr(answer_mod, "extract_passages", recording(answer_mod.extract_passages))
@@ -362,8 +356,6 @@ class TestAnalysedOnce:
     def test_question_tokenized_once_by_question_of(
         self, corpus, doc_index, type_model, appendix_questions, monkeypatch
     ):
-        import sys
-
         from bioqa import conceptlex, textproc
 
         # A fresh bundle, so that no title memo or word memo is warm.
@@ -379,11 +371,7 @@ class TestAnalysedOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name, module in list(sys.modules.items()):
-            if name == "bioqa" or name.startswith("bioqa."):
-                for attr, value in list(vars(module).items()):
-                    if any(value is f for f in spied):
-                        monkeypatch.setattr(module, attr, spy(value))
+        spy_bindings(monkeypatch, spied, spy)
         for body in bodies:
             calls.clear()
             answer_pipeline(body, corpus, doc_index, type_model, bundle)
@@ -411,8 +399,6 @@ class TestNoOffsetViews:
     def test_no_stage_calls_tokenize_or_recognize(
         self, bundle, corpus, doc_index, type_model, appendix_questions, monkeypatch
     ):
-        import sys
-
         from bioqa import conceptlex, textproc
 
         offset_views = (textproc.tokenize, conceptlex.recognize)
@@ -424,14 +410,7 @@ class TestNoOffsetViews:
                 return fn(*args, **kwargs)
             return wrapper
 
-        bound = 0
-        for name, module in list(sys.modules.items()):
-            if name == "bioqa" or name.startswith("bioqa."):
-                for attr, value in list(vars(module).items()):
-                    if any(value is f for f in offset_views):
-                        monkeypatch.setattr(module, attr, spy(value))
-                        bound += 1
-        assert bound >= 2
+        assert spy_bindings(monkeypatch, offset_views, spy) >= 2
 
         extractor = FeatureExtractor(bundle.tag_lexicon, bundle.patterns)
         concept_features = 0

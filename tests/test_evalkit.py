@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 
 import pytest
 
@@ -20,6 +19,8 @@ from bioqa.evalkit import (
 )
 from bioqa.ingest import QuestionDataset, QuestionRecord
 from bioqa.qclass import QuestionType
+
+import reference_pipeline as reference
 
 
 class TestAccuracy:
@@ -71,15 +72,7 @@ class TestAveragePrecision:
             items = [f"i{k}" for k in range(n)]
             rng.shuffle(items)
             gold = rng.sample(items, rng.randint(1, n)) + [f"missing{k}" for k in range(rng.randint(0, 3))]
-            got = average_precision(items, gold)
-            hits = 0
-            expected = 0.0
-            for r, item in enumerate(items, 1):
-                if item in set(gold):
-                    hits += 1
-                    expected += hits / r
-            expected /= len(set(gold))
-            assert got == pytest.approx(expected, abs=1e-12)
+            assert average_precision(items, gold) == pytest.approx(reference.average_precision(items, gold), abs=1e-12)
 
     def test_swapping_relevant_earlier_changes_ap(self):
         # AP is not invariant under rank permutations.
@@ -166,39 +159,23 @@ class TestRougeN:
         for _ in range(200):
             cand = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 10)))
             ref = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 10)))
-            got = rouge_n(cand, [ref], 1)
-            c, r = Counter(cand.split()), Counter(ref.split())
-            clipped = sum(min(c[w], r[w]) for w in r)
-            expected = clipped / sum(r.values())
-            assert got == pytest.approx(expected, abs=1e-12)
+            expected = reference.rouge(reference.ngrams(cand.split(), 1), [reference.ngrams(ref.split(), 1)])
+            assert rouge_n(cand, [ref], 1) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_enumeration_oracle(self):
         rng = random.Random(4)
         vocab = list("abcde")
         for _ in range(250):
             n = rng.randint(1, 3)
-            cand_toks = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
-            ref_toks = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
-            got = rouge_n(" ".join(cand_toks), [" ".join(ref_toks)], n)
-            cg = Counter(tuple(cand_toks[i : i + n]) for i in range(max(0, len(cand_toks) - n + 1)))
-            rg = Counter(tuple(ref_toks[i : i + n]) for i in range(max(0, len(ref_toks) - n + 1)))
-            total = sum(rg.values())
-            expected = 0.0 if total == 0 else sum(min(cg[g], rg[g]) for g in rg) / total
+            cand = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+            refs = [[rng.choice(vocab) for _ in range(rng.randint(0, 12))] for _ in range(rng.randint(0, 3))]
+            got = rouge_n(" ".join(cand), [" ".join(ref) for ref in refs], n)
+            expected = reference.rouge(reference.ngrams(cand, n), [reference.ngrams(ref, n) for ref in refs])
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_multiref_max_default(self):
         score = rouge_n("a b", ["a b", "x y"], 2)
         assert score == 1.0
-
-
-def su_oracle_units(tokens, max_skip):
-    units = Counter()
-    for i, tok in enumerate(tokens):
-        units[("u", tok)] += 1
-        for j in range(i + 1, len(tokens)):
-            if j - i - 1 <= max_skip:
-                units[("s", tok, tokens[j])] += 1
-    return units
 
 
 class TestRougeSu:
@@ -218,11 +195,10 @@ class TestRougeSu:
         for _ in range(250):
             max_skip = rng.randint(0, 4)
             cand = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
-            ref = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
-            got = rouge_su(" ".join(cand), [" ".join(ref)], max_skip)
-            cu, ru = su_oracle_units(cand, max_skip), su_oracle_units(ref, max_skip)
-            total = sum(ru.values())
-            expected = 0.0 if total == 0 else sum(min(cu[u], ru[u]) for u in ru) / total
+            refs = [[rng.choice(vocab) for _ in range(rng.randint(0, 10))] for _ in range(rng.randint(0, 3))]
+            got = rouge_su(" ".join(cand), [" ".join(ref) for ref in refs], max_skip)
+            units = [reference.skip_units(ref, max_skip) for ref in refs]
+            expected = reference.rouge(reference.skip_units(cand, max_skip), units)
             assert got == pytest.approx(expected, abs=1e-12)
 
 

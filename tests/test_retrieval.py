@@ -37,7 +37,15 @@ from bioqa.retrieval import (
 from bioqa.textproc import is_content_word, split_sentences, stem
 
 import reference_pipeline as reference
-from conftest import RESOURCE_DIR, analysed, index_from_terms, question_terms
+from conftest import (
+    RESOURCE_DIR,
+    analysed,
+    index_from_terms,
+    question_terms,
+    random_bm25_case,
+    random_rerank_case,
+    word_cuis,
+)
 
 
 class TestFormulateQuery:
@@ -116,16 +124,9 @@ class TestBm25:
 
     def test_matches_direct_formula_on_random_corpora(self):
         rng = random.Random(20)
-        vocab = [f"t{i}" for i in range(12)]
         for _ in range(250):
-            units = [
-                [rng.choice(vocab) for _ in range(rng.randint(1, 9))]
-                for _ in range(rng.randint(1, 20))
-            ]
+            units, query, k1, b = random_bm25_case(rng)
             index = index_from_terms(units)
-            query = [rng.choice(vocab) for _ in range(rng.randint(1, 5))]
-            k1 = rng.choice([0.5, 1.2, 2.0])
-            b = rng.choice([0.0, 0.5, 0.85, 1.0])
             expected = reference.bm25(query, units, k1, b)
             assert [bm25_score(query, f"u{i}", index, k1=k1, b=b) for i in range(len(units))] == expected
 
@@ -279,23 +280,10 @@ def test_rerank_matches_bruteforce_on_random_instances():
     # Random hierarchies, cycles included; scores must be bit-equal too.
     rng = random.Random(2024)
     for _ in range(120):
-        n_concepts = rng.randint(2, 8)
-        cuis = [f"K{i}" for i in range(n_concepts)]
-        lexicon = ConceptLexicon([Concept(c, f"word{i}", "T0", "Thing") for i, c in enumerate(cuis)])
-        graph = ConceptGraph.from_edges([tuple(rng.sample(cuis, 2)) for _ in range(rng.randint(1, 10))])
-
-        def sentence():
-            return " ".join(f"word{rng.randrange(n_concepts)}" for _ in range(rng.randint(0, 4)))
-
-        def cuis_of(text):
-            return [f"K{w[4:]}" for w in text.split()]
-
-        question = sentence()
-        docs = [DocumentRecord(f"d{j}", sentence() or "word0", "") for j in range(rng.randint(1, 10))]
-        m = rng.randint(1, len(docs))
+        lexicon, graph, question, docs, m = random_rerank_case(rng)
         got = rerank_documents(question, docs, lexicon, graph, m)
-        titles = [(doc.doc_id, cuis_of(doc.title)) for doc in docs]
-        assert [(d.doc_id, d.score) for d in got] == reference.rerank(cuis_of(question), titles, graph, m)
+        titles = [(doc.doc_id, word_cuis(doc.title)) for doc in docs]
+        assert [(d.doc_id, d.score) for d in got] == reference.rerank(word_cuis(question), titles, graph, m)
 
 
 class TestExtractPassages:
